@@ -3,12 +3,11 @@
  * Simulator-speed benchmark: simulated accesses per host second.
  *
  * Measures host throughput — NOT simulated time — of the full Fig 3
- * design space in three modes: "baseline" (every host fast path
- * off), "fastpath" (the L0 translation cache on), and "batch" (L0
- * plus the batched same-page access engine). All modes must produce
- * identical simulated cycle and access counts; the harness fatals on
- * any divergence, making every speed run double as a
- * behaviour-identity check of the whole fast-mode stack.
+ * design space in two modes: "baseline" (the plain path,
+ * cpu.batch_enable off) and "batch" (the page memo plus batch
+ * replay). Both modes must produce identical simulated cycle and
+ * access counts; the harness fatals on any divergence, making every
+ * speed run double as a behaviour-identity check of the fast path.
  *
  * Emits BENCH_simspeed.json as an append-only trajectory: each run
  * APPENDS one entry to the "trajectory" array of an existing report
@@ -16,16 +15,12 @@
  * the committed file accumulates one data point per PR and the trend
  * is diffable in review.
  *
- * Usage: simspeed [--quick] [--scale S] [--reps N] [--l0 N]
- *                 [--batch-window N] [--label TEXT] [--out FILE]
+ * Usage: simspeed [--quick] [--scale S] [--reps N] [--label TEXT]
+ *                 [--out FILE]
  *   --quick          tiny datasets (scale 0.02) for CI smoke runs
  *   --scale S        workload scale factor (default 0.1)
  *   --reps N         repetitions per mode; min and median wall
  *                    times are reported (default 1)
- *   --l0 N           fast-path entries for the fastpath and batch
- *                    modes (default 512)
- *   --batch-window N cpu.batch_window for the batch mode
- *                    (default 4096)
  *   --label T        free-form tag recorded in the trajectory entry
  *                    (e.g. a PR number or commit subject)
  *   --out FILE       read/append the JSON report here (default
@@ -51,22 +46,12 @@ using namespace mtlbsim;
 namespace
 {
 
-/** One mode's host-speed knobs. */
-struct ModeSpec
-{
-    const char *name;
-    unsigned l0Entries;
-    unsigned batchWindow;   ///< 0 = batching off
-};
-
 struct ModeResult
 {
     double seconds = 0.0;           ///< host seconds, fastest rep
     double medianSeconds = 0.0;     ///< median over the reps
     std::uint64_t accesses = 0;     ///< simulated data accesses
     std::uint64_t simCycles = 0;    ///< total simulated cycles
-    std::uint64_t l0Hits = 0;
-    std::uint64_t l0Misses = 0;
 
     double
     accessesPerSec() const
@@ -74,37 +59,24 @@ struct ModeResult
         return seconds > 0 ? static_cast<double>(accesses) / seconds
                            : 0.0;
     }
-
-    double
-    l0HitRate() const
-    {
-        const std::uint64_t total = l0Hits + l0Misses;
-        return total ? static_cast<double>(l0Hits) /
-                           static_cast<double>(total)
-                     : 0.0;
-    }
 };
 
-/** Run every job of @p matrix once under @p mode, timing the whole
- *  pass on the host clock. */
+/** Run every job of @p matrix once with the fast path on or off,
+ *  timing the whole pass on the host clock. */
 ModeResult
-runMatrixOnce(const sweep::SweepMatrix &matrix, const ModeSpec &mode)
+runMatrixOnce(const sweep::SweepMatrix &matrix, bool batch)
 {
     ModeResult r;
     const auto t0 = std::chrono::steady_clock::now();
     for (const auto &job : matrix.jobs) {
         SystemConfig config = job.config;
-        config.cpu.l0Entries = mode.l0Entries;
-        config.cpu.batchEnable = mode.batchWindow != 0;
-        config.cpu.batchWindow = mode.batchWindow;
+        config.cpu.batchEnable = batch;
         System sys(config);
         auto workload = makeWorkload(job.workload, job.scale, job.seed);
         workload->setup(sys);
         workload->run(sys);
         r.accesses += sys.cpu().dataAccesses();
         r.simCycles += sys.cpu().now();
-        r.l0Hits += sys.cpu().l0().hitCount();
-        r.l0Misses += sys.cpu().l0().missCount();
     }
     const auto t1 = std::chrono::steady_clock::now();
     r.seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -114,14 +86,13 @@ runMatrixOnce(const sweep::SweepMatrix &matrix, const ModeSpec &mode)
 /** Min + median wall time over @p reps; simulated counts must
  *  repeat exactly across repetitions. */
 ModeResult
-runMode(const sweep::SweepMatrix &matrix, const ModeSpec &mode,
-        unsigned reps)
+runMode(const sweep::SweepMatrix &matrix, bool batch, unsigned reps)
 {
     ModeResult best;
     std::vector<double> times;
     times.reserve(reps);
     for (unsigned i = 0; i < reps; ++i) {
-        ModeResult r = runMatrixOnce(matrix, mode);
+        ModeResult r = runMatrixOnce(matrix, batch);
         times.push_back(r.seconds);
         if (i == 0) {
             best = r;
@@ -130,12 +101,9 @@ runMode(const sweep::SweepMatrix &matrix, const ModeSpec &mode,
         fatalIf(r.simCycles != best.simCycles ||
                     r.accesses != best.accesses,
                 "non-deterministic simulation across repetitions (",
-                mode.name, " mode)");
-        if (r.seconds < best.seconds) {
+                batch ? "batch" : "baseline", " mode)");
+        if (r.seconds < best.seconds)
             best.seconds = r.seconds;
-            best.l0Hits = r.l0Hits;
-            best.l0Misses = r.l0Misses;
-        }
     }
     std::sort(times.begin(), times.end());
     best.medianSeconds = times[times.size() / 2];
@@ -143,22 +111,14 @@ runMode(const sweep::SweepMatrix &matrix, const ModeSpec &mode,
 }
 
 json::Value
-modeToJson(const ModeResult &r, const ModeSpec &mode)
+modeToJson(const ModeResult &r)
 {
     json::Value v = json::Value::object();
-    v.set("l0_entries", mode.l0Entries);
-    if (mode.batchWindow != 0)
-        v.set("batch_window", mode.batchWindow);
     v.set("host_seconds", r.seconds);
     v.set("host_seconds_median", r.medianSeconds);
     v.set("sim_accesses", r.accesses);
     v.set("sim_cycles", r.simCycles);
     v.set("accesses_per_host_sec", r.accessesPerSec());
-    if (mode.l0Entries != 0) {
-        v.set("l0_hits", r.l0Hits);
-        v.set("l0_misses", r.l0Misses);
-        v.set("l0_hit_rate", r.l0HitRate());
-    }
     return v;
 }
 
@@ -194,14 +154,10 @@ loadTrajectory(const std::string &path)
 }
 
 void
-printModeRow(const char *name, const ModeResult &r, bool has_l0)
+printModeRow(const char *name, const ModeResult &r)
 {
-    std::printf("%-22s  %9.3f  %9.3f  %16.0f  ", name, r.seconds,
+    std::printf("%-10s  %9.3f  %9.3f  %16.0f\n", name, r.seconds,
                 r.medianSeconds, r.accessesPerSec());
-    if (has_l0)
-        std::printf("%9.1f%%\n", 100.0 * r.l0HitRate());
-    else
-        std::printf("%10s\n", "-");
 }
 
 } // namespace
@@ -211,8 +167,6 @@ main(int argc, char **argv)
 {
     double scale = 0.1;
     unsigned reps = 1;
-    unsigned l0_entries = 512;
-    unsigned batch_window = 4096;
     std::string label;
     std::string out = "BENCH_simspeed.json";
 
@@ -228,10 +182,6 @@ main(int argc, char **argv)
             scale = std::atof(next());
         else if (arg == "--reps")
             reps = static_cast<unsigned>(std::atoi(next()));
-        else if (arg == "--l0")
-            l0_entries = static_cast<unsigned>(std::atoi(next()));
-        else if (arg == "--batch-window")
-            batch_window = static_cast<unsigned>(std::atoi(next()));
         else if (arg == "--label")
             label = next();
         else if (arg == "--out")
@@ -240,10 +190,6 @@ main(int argc, char **argv)
             fatal("unknown argument: ", arg);
     }
     fatalIf(reps == 0, "--reps must be at least 1");
-    fatalIf(l0_entries == 0, "--l0 must be nonzero (the baseline "
-            "mode already measures the disabled configuration)");
-    fatalIf(batch_window == 0, "--batch-window must be nonzero (the "
-            "fastpath mode already measures batching off)");
     setInformEnabled(false);
 
     std::printf("=== simspeed: host throughput over the Fig 3 matrix "
@@ -252,23 +198,11 @@ main(int argc, char **argv)
 
     const auto matrix = sweep::fig3Matrix(scale);
 
-    const ModeSpec base_spec{"baseline", 0, 0};
-    const ModeSpec fast_spec{"fastpath", l0_entries, 0};
-    const ModeSpec batch_spec{"batch", l0_entries, batch_window};
+    const ModeResult base = runMode(matrix, false, reps);
+    const ModeResult batch = runMode(matrix, true, reps);
 
-    const ModeResult base = runMode(matrix, base_spec, reps);
-    const ModeResult fast = runMode(matrix, fast_spec, reps);
-    const ModeResult batch = runMode(matrix, batch_spec, reps);
-
-    // The fast modes must not change simulated behaviour; catching a
+    // The fast path must not change simulated behaviour; catching a
     // divergence here turns every speed run into a regression test.
-    // The cycle-divergence fatal stays armed in batch mode.
-    fatalIf(fast.simCycles != base.simCycles ||
-                fast.accesses != base.accesses,
-            "L0 fast path changed simulated behaviour: baseline ",
-            base.simCycles, " cycles / ", base.accesses,
-            " accesses, fastpath ", fast.simCycles, " cycles / ",
-            fast.accesses, " accesses");
     fatalIf(batch.simCycles != base.simCycles ||
                 batch.accesses != base.accesses,
             "batch engine changed simulated behaviour: baseline ",
@@ -276,28 +210,17 @@ main(int argc, char **argv)
             " accesses, batch ", batch.simCycles, " cycles / ",
             batch.accesses, " accesses");
 
-    const double speedup =
-        fast.seconds > 0 ? base.seconds / fast.seconds : 0.0;
     const double batch_speedup =
         batch.seconds > 0 ? base.seconds / batch.seconds : 0.0;
-    const double batch_vs_fast =
-        batch.seconds > 0 ? fast.seconds / batch.seconds : 0.0;
 
-    std::printf("%-22s  %9s  %9s  %16s  %10s\n", "mode", "min sec",
-                "med sec", "accesses/sec", "L0 hit%");
-    printModeRow("baseline (l0=0)", base, false);
-    printModeRow(("fastpath (l0=" + std::to_string(l0_entries) + ")")
-                     .c_str(),
-                 fast, true);
-    printModeRow(("batch (window=" + std::to_string(batch_window) +
-                  ")")
-                     .c_str(),
-                 batch, true);
-    std::printf("\nspeedup: fastpath %.2fx, batch %.2fx "
-                "(%.2fx over fastpath)\n"
+    std::printf("%-10s  %9s  %9s  %16s\n", "mode", "min sec",
+                "med sec", "accesses/sec");
+    printModeRow("baseline", base);
+    printModeRow("batch", batch);
+    std::printf("\nspeedup: batch %.2fx\n"
                 "%llu simulated accesses, %llu simulated cycles, "
-                "bit-identical across all modes\n",
-                speedup, batch_speedup, batch_vs_fast,
+                "bit-identical across both modes\n",
+                batch_speedup,
                 static_cast<unsigned long long>(base.accesses),
                 static_cast<unsigned long long>(base.simCycles));
 
@@ -307,12 +230,9 @@ main(int argc, char **argv)
     entry.set("matrix", matrix.name);
     entry.set("scale", scale);
     entry.set("reps", reps);
-    entry.set("baseline", modeToJson(base, base_spec));
-    entry.set("fastpath", modeToJson(fast, fast_spec));
-    entry.set("batch", modeToJson(batch, batch_spec));
-    entry.set("speedup", speedup);
+    entry.set("baseline", modeToJson(base));
+    entry.set("batch", modeToJson(batch));
     entry.set("batch_speedup", batch_speedup);
-    entry.set("batch_speedup_vs_fastpath", batch_vs_fast);
 
     json::Value traj = loadTrajectory(out);
     traj.push(std::move(entry));

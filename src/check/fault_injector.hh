@@ -128,16 +128,19 @@ class FaultInjector
     }
 
     /**
-     * Corrupt the live L0 fast-path entry covering @p va so it names
-     * the wrong frame, as a missed epoch bump would (stale L0 entry).
-     * @p va must currently hit in the L0.
+     * Corrupt core 0's live page-memo entry covering @p va so it names
+     * the wrong frame, as a missed epoch bump would (stale memo
+     * entry). @p va must currently hit in the memo.
      */
     void
-    staleL0Entry(Addr va)
+    staleMemoEntry(Addr va)
     {
 #ifdef MTLBSIM_CHECK_TESTING
-        sys_.cpu().l0().testingCorruptEntry(
-            va, sys_.tlb().translationEpoch());
+        PageMemo &memo = sys_.cpu().memo();
+        panicIf(!memo.live(va, sys_.tlb().translationEpoch()),
+                "no live memo entry to corrupt at 0x", std::hex, va);
+        // Point the entry at the wrong frame.
+        memo.slot(va >> basePageShift).pframeBase ^= basePageSize;
 #else
         (void)va;
         panic("fault injection requires MTLBSIM_CHECK_TESTING");

@@ -5,7 +5,7 @@
 
 #include "base/logging.hh"
 #include "cache/cache.hh"
-#include "cpu/l0_cache.hh"
+#include "cpu/cpu.hh"
 #include "mem/physmap.hh"
 #include "mmc/memsys.hh"
 #include "os/kernel.hh"
@@ -33,12 +33,12 @@ constexpr std::uint8_t markMapped = 2;
 } // namespace
 
 TranslationAuditor::TranslationAuditor(const CheckConfig &config,
-                                       Tlb &tlb, Cache &cache,
+                                       Cache &cache,
                                        MemorySystem &memsys,
                                        Kernel &kernel,
                                        const PhysMap &physmap,
                                        stats::StatGroup &parent)
-    : config_(config), tlb_(tlb), cache_(cache), memsys_(memsys),
+    : config_(config), cache_(cache), memsys_(memsys),
       kernel_(kernel), physMap_(physmap),
       statGroup_("check"),
       audits_(statGroup_.addScalar("audits", "audit passes performed")),
@@ -66,7 +66,7 @@ TranslationAuditor::collect()
     checkHptCoherence(report);
     checkDramGuard(report);
     checkStatsIdentities(report);
-    checkL0Coherence(report);
+    checkMemoCoherence(report);
     return report;
 }
 
@@ -585,84 +585,69 @@ TranslationAuditor::checkStatsIdentities(AuditReport &report)
 }
 
 void
-TranslationAuditor::checkL0Coherence(AuditReport &report)
+TranslationAuditor::checkMemoCoherence(AuditReport &report)
 {
-    bool counted = false;
+    ++report.checksRun;
     for (unsigned c = 0; c < kernel_.numCores(); ++c) {
-        const L0TranslationCache *l0 =
-            c == 0 ? l0_
-                   : (c - 1 < extraL0s_.size() ? extraL0s_[c - 1]
-                                               : nullptr);
-        if (checkOneL0(report, kernel_.coreTlb(c), l0) && !counted) {
-            ++report.checksRun;
-            counted = true;
-        }
+        checkOneMemo(report, kernel_.coreTlb(c),
+                     c < memos_.size() ? memos_[c] : nullptr);
     }
 }
 
-bool
-TranslationAuditor::checkOneL0(AuditReport &report, const Tlb &tlb,
-                               const L0TranslationCache *l0)
+void
+TranslationAuditor::checkOneMemo(AuditReport &report, const Tlb &tlb,
+                                 const PageMemo *memo)
 {
-    // The epoch-wrap discipline (Tlb::bumpTranslationEpoch) holds
-    // whether or not an L0 is attached: 0 marks a never-filled L0
-    // entry, so a current epoch of 0 would make stale entries look
-    // permanently live the moment an L0 is enabled.
+    // The epoch-wrap discipline (Tlb::bumpTranslationEpoch): 0 marks
+    // a never-filled memo entry, so a current epoch of 0 would make
+    // stale entries look permanently live.
     const std::uint64_t epoch = tlb.translationEpoch();
     if (epoch == 0) {
-        violate(report, "l0-coherence",
+        violate(report, "memo-coherence",
                 "translation epoch is 0; the wrap guard must skip it");
     }
+    if (!memo)
+        return;
 
-    if (!l0 || !l0->enabled())
-        return false;
+    for (const PageMemo::Entry &e : memo->entries) {
+        // Entries are stamped from the current epoch at fill time, so
+        // no stamp may run ahead of it — a from-the-future stamp looks
+        // dead now yet would spring back to life when the epoch
+        // catches up to it.
+        if (e.epoch > epoch) {
+            violate(report, "memo-coherence", "an entry is stamped with "
+                    "future epoch ", e.epoch, " (current ", epoch, ")");
+        }
+        if (e.vpage == ~Addr{0} || e.epoch != epoch)
+            continue;
 
-    // Entries are stamped from the current epoch at fill time, so no
-    // stamp may run ahead of it — a from-the-future stamp is
-    // invisible to auditState() yet would spring back to life when
-    // the epoch catches up to it.
-    if (l0->maxStampedEpoch() > epoch) {
-        violate(report, "l0-coherence", "an L0 entry is stamped with "
-                "future epoch ", l0->maxStampedEpoch(),
-                " (current ", epoch, ")");
-    }
-
-    for (const L0Entry &e : l0->auditState(epoch)) {
         const Addr va = e.vpage << basePageShift;
-
-        if (e.tlbSlot >= tlb.capacity()) {
-            violate(report, "l0-coherence", "live entry v=0x", std::hex,
-                    va, " bound to TLB slot ", std::dec, e.tlbSlot,
-                    " beyond capacity ", tlb.capacity());
+        const std::optional<TlbEntry> owner = tlb.probe(va);
+        if (!owner) {
+            violate(report, "memo-coherence", "live entry v=0x",
+                    std::hex, va, " has no covering TLB entry");
             continue;
         }
-        const TlbEntry &owner = tlb.entryAt(e.tlbSlot);
-        if (!owner.covers(va)) {
-            violate(report, "l0-coherence", "live entry v=0x", std::hex,
-                    va, " bound to TLB slot ", std::dec, e.tlbSlot,
-                    " that no longer covers it");
-            continue;
+        if (pageBase(owner->translate(va)) != e.pframeBase) {
+            violate(report, "memo-coherence", "live entry v=0x",
+                    std::hex, va, " memoized frame base 0x",
+                    e.pframeBase, " but its TLB entry translates to 0x",
+                    pageBase(owner->translate(va)));
         }
-        if (pageBase(owner.translate(va)) != e.pframeBase) {
-            violate(report, "l0-coherence", "live entry v=0x", std::hex,
-                    va, " memoized frame base 0x", e.pframeBase,
-                    " but its TLB entry translates to 0x",
-                    pageBase(owner.translate(va)));
-        }
-        if (!(owner.prot == e.prot) || owner.sizeClass != e.sizeClass) {
-            violate(report, "l0-coherence", "live entry v=0x", std::hex,
-                    va,
-                    " protection/size-class differ from its TLB entry");
+        if (owner->prot.writable != e.writable) {
+            violate(report, "memo-coherence", "live entry v=0x",
+                    std::hex, va,
+                    " writability differs from its TLB entry");
         }
         // The soundness condition for skipping the per-hit
-        // referenced-bit store (cpu/l0_cache.hh): a live L0 entry's
-        // owner must already be marked referenced.
-        if (!owner.referenced) {
-            violate(report, "l0-coherence", "live entry v=0x", std::hex,
-                    va, " whose TLB entry has a clear referenced bit");
+        // referenced-bit store: a live entry's TLB entry must already
+        // be marked referenced.
+        if (!owner->referenced) {
+            violate(report, "memo-coherence", "live entry v=0x",
+                    std::hex, va,
+                    " whose TLB entry has a clear referenced bit");
         }
     }
-    return true;
 }
 
 } // namespace mtlbsim

@@ -33,13 +33,12 @@
  *  - stats-identities: accounting identities across components
  *    (cache accesses = hits + misses, MTLB lookups = MMC shadow
  *    ops, kernel trap count = TLB miss count, ...).
- *  - l0-coherence: every *live* entry of the CPU's L0 translation
- *    fast path (epoch matches the TLB's current translation epoch)
- *    is bound to a valid, covering TLB entry whose translation,
- *    protection, and size class it reproduces exactly, and whose
- *    NRU referenced bit is set — the property that makes skipping
- *    the per-hit referenced-bit store sound (see cpu/l0_cache.hh).
- *    Runs only when an L0 cache is attached via attachL0().
+ *  - memo-coherence: every *live* entry of each core's page memo
+ *    (stamped with its TLB's current translation epoch) is covered
+ *    by a valid TLB entry with the same frame base and writability
+ *    and a set NRU referenced bit — the property that makes skipping
+ *    the per-hit referenced-bit store sound (cpu/cpu.hh PageMemo).
+ *    No stamp may run ahead of the epoch, and the epoch is never 0.
  *  - cross-core-coherence (multi-core machines only): no core's TLB
  *    holds a translation that disagrees with the current mappings of
  *    the process that core is bound to — the property the kernel's
@@ -68,8 +67,8 @@ namespace mtlbsim
 class AddressSpace;
 class Cache;
 class Kernel;
-class L0TranslationCache;
 class MemorySystem;
+struct PageMemo;
 class PhysMap;
 class Tlb;
 
@@ -81,24 +80,15 @@ class Tlb;
 class TranslationAuditor : public Checker
 {
   public:
-    TranslationAuditor(const CheckConfig &config, Tlb &tlb,
-                       Cache &cache, MemorySystem &memsys,
-                       Kernel &kernel, const PhysMap &physmap,
-                       stats::StatGroup &parent);
+    TranslationAuditor(const CheckConfig &config, Cache &cache,
+                       MemorySystem &memsys, Kernel &kernel,
+                       const PhysMap &physmap, stats::StatGroup &parent);
 
     std::string name() const override { return "translation-auditor"; }
 
-    /** Attach core 0's L0 fast path so audits include the
-     *  l0-coherence invariant. Optional: the auditor predates the
-     *  L0 cache and tests assemble it without one. */
-    void attachL0(const L0TranslationCache *l0) { l0_ = l0; }
-
-    /** Attach the next extra core's L0 (cores 1..N-1, in core
-     *  order); System calls this once per additional core. */
-    void attachCoreL0(const L0TranslationCache *l0)
-    {
-        extraL0s_.push_back(l0);
-    }
+    /** Attach the next core's page memo (in core order); System
+     *  calls this once per core. */
+    void attachMemo(const PageMemo *memo) { memos_.push_back(memo); }
 
     /** Run all checks; no policy applied. */
     AuditReport collect() override;
@@ -138,20 +128,18 @@ class TranslationAuditor : public Checker
     void checkHptCoherence(AuditReport &report);
     void checkDramGuard(AuditReport &report);
     void checkStatsIdentities(AuditReport &report);
-    void checkL0Coherence(AuditReport &report);
-    /** One core's l0-coherence pass; true if the L0 was examined. */
-    bool checkOneL0(AuditReport &report, const Tlb &tlb,
-                    const L0TranslationCache *l0);
+    void checkMemoCoherence(AuditReport &report);
+    /** One core's memo-coherence pass (@p memo may be null). */
+    void checkOneMemo(AuditReport &report, const Tlb &tlb,
+                      const PageMemo *memo);
 
     CheckConfig config_;
-    Tlb &tlb_;
     Cache &cache_;
     MemorySystem &memsys_;
     Kernel &kernel_;
     const PhysMap &physMap_;
-    const L0TranslationCache *l0_ = nullptr;
-    /** Extra cores' L0s, in core order (element c-1 is core c's). */
-    std::vector<const L0TranslationCache *> extraL0s_;
+    /** Every core's page memo, in core order. */
+    std::vector<const PageMemo *> memos_;
 
     /** Scratch mark-vector over the user frame pool, reused across
      *  audits so periodic auditing does not allocate. */

@@ -8,8 +8,6 @@ Cpu::Cpu(const CpuConfig &config, Tlb &tlb, MicroItlb &uitlb,
          stats::StatGroup &parent, unsigned core_id)
     : config_(config), tlb_(tlb), uitlb_(uitlb), cache_(cache),
       memsys_(memsys), kernel_(kernel),
-      l0_(config.l0Entries),
-      batchWindow_(config.batchEnable ? config.batchWindow : 0),
       cacheHitCycles_(cache.config().hitCycles),
       coreId_(core_id),
       statGroup_("cpu"),
@@ -29,24 +27,19 @@ Cpu::Cpu(const CpuConfig &config, Tlb &tlb, MicroItlb &uitlb,
     parent.addChild(&statGroup_);
 }
 
-Cpu::Translation
+Addr
 Cpu::translate(Addr vaddr, AccessType type)
 {
-    // L0 fast path: a live entry is a translation the full lookup
-    // below produced since the last mutation of translation state,
-    // so returning it is exact memoization. The permission tests
-    // mirror Tlb::lookup's; a would-be protection fault falls
-    // through so the slow path counts and reports it identically.
-    if (l0_.enabled()) {
-        const std::uint64_t epoch = tlb_.translationEpoch();
-        if (const L0Entry *e = l0_.lookup(vaddr, epoch)) {
-            if ((type != AccessType::Write || e->prot.writable) &&
-                e->prot.userAccessible) {
-                tlb_.noteL0Hit();
-                return {e->pframeBase | pageOffset(vaddr),
-                        e->prot.writable};
-            }
-        }
+    // Memo hit: a live entry is a translation the full lookup below
+    // produced since the last mutation of translation state, so
+    // returning it is exact memoization. Every entry came from a
+    // user-mode lookup, so only a store to a read-only page can
+    // fault; it falls through so the slow path counts and reports it.
+    const PageMemo::Entry *hit =
+        memo_.live(vaddr, tlb_.translationEpoch());
+    if (hit && (type != AccessType::Write || hit->writable)) {
+        tlb_.noteMemoHit();
+        return hit->pframeBase | pageOffset(vaddr);
     }
 
     TlbLookupResult result = tlb_.lookup(vaddr, type, AccessMode::User);
@@ -59,18 +52,12 @@ Cpu::translate(Addr vaddr, AccessType type)
     }
     fatalIf(result.protFault,
             "protection fault at 0x", std::hex, vaddr);
-    bool writable = false;
-    if (result.slot >= 0) {
-        const TlbEntry &entry =
-            tlb_.entryAt(static_cast<unsigned>(result.slot));
-        writable = entry.prot.writable;
-        if (l0_.enabled()) {
-            l0_.fill(vaddr, entry,
-                     static_cast<unsigned>(result.slot),
-                     tlb_.translationEpoch());
-        }
+    if (config_.batchEnable) {
+        const Addr vpage = vaddr >> basePageShift;
+        memo_.slot(vpage) = {vpage, pageBase(result.paddr),
+                             tlb_.translationEpoch(), result.writable};
     }
-    return {result.paddr, writable};
+    return result.paddr;
 }
 
 void
@@ -110,8 +97,7 @@ Cpu::dataAccess(Addr vaddr, AccessType type)
     else
         ++loads_;
 
-    const Translation tr = translate(vaddr, type);
-    const Addr paddr = tr.paddr;
+    const Addr paddr = translate(vaddr, type);
 
     CacheAccessResult r = cache_.access(vaddr, paddr, is_store, now_);
 
@@ -126,11 +112,6 @@ Cpu::dataAccess(Addr vaddr, AccessType type)
         r = cache_.access(vaddr, paddr, is_store, now_);
         panicIf(memsys_.faulted(), "shadow fault persists after reload");
     }
-
-    // Every exit below leaves (vaddr, paddr)'s line resident, so the
-    // page is fast-path hot: arm the batch engine on it.
-    if (batchWindow_ != 0)
-        establishBatch(vaddr, paddr, tr.writable);
 
     if (r.hit) {
         now_ += r.latency;

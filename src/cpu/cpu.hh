@@ -27,7 +27,6 @@
 #include <functional>
 
 #include "cache/cache.hh"
-#include "cpu/l0_cache.hh"
 #include "mmc/memsys.hh"
 #include "os/kernel.hh"
 #include "stats/stats.hh"
@@ -46,21 +45,60 @@ struct CpuConfig
     /** Allow one outstanding store miss to drain in the background
      *  (non-blocking write-allocate with a 1-deep store buffer). */
     bool storeBuffer = true;
-    /** L0 translation fast-path entries (power of two; 0 disables).
-     *  A host-speed knob only: simulated behaviour and statistics
-     *  are bit-identical for every value (see l0_cache.hh). */
-    unsigned l0Entries = 512;
-    /** Batched same-page access engine: replay runs of consecutive
-     *  accesses that hit the same (vpage, resident-cache-line)
-     *  fast-path state without re-entering the TLB/cache/bus models
-     *  per access (docs/manual.md §9). Like the L0, a host-speed
-     *  knob only: simulated behaviour and statistics are
-     *  byte-identical with it on or off. */
+    /** The host fast path: serve TLB hits from the per-core page memo
+     *  and replay runs of same-page cache hits in bulk
+     *  (docs/manual.md §9). A host-speed switch only: simulated
+     *  behaviour and statistics are byte-identical with it on or
+     *  off, and off is the plain path they are proven against. */
     bool batchEnable = true;
-    /** Accesses accumulated per bulk statistics replay; bounds how
-     *  far the deferred counters may lag their per-access values
-     *  between flush points. 0 disables batching outright. */
-    unsigned batchWindow = 4096;
+};
+
+/**
+ * The per-core page memo: a direct-mapped array of base-page
+ * translations, each stamped with the translation epoch it was filled
+ * under. Host-side only — never part of the simulated machine, never
+ * in the statistics tree. Cpu::translate() serves TLB hits from it and
+ * the batch engine replays cache hits on it.
+ *
+ * An entry is filled only from a successful TLB lookup and is live
+ * only while its stamp equals the TLB's current epoch. Every mutation
+ * of translation state bumps that epoch (Tlb::insert/dropEntry,
+ * Kernel::invalidateTranslation), so one increment lazily retires
+ * every memoized page. The NRU referenced bit needs no per-hit store:
+ * the lookup that filled an entry set its TLB entry's bit, and the bit
+ * is only cleared inside Tlb::insert, which bumps the epoch. The
+ * TranslationAuditor's memo-coherence invariant checks exactly this.
+ */
+struct PageMemo
+{
+    struct Entry
+    {
+        /** Virtual page; the all-ones sentinel never matches a real
+         *  vpage, so no entry is live initially. */
+        Addr vpage = ~Addr{0};
+        Addr pframeBase = 0;        ///< physical/shadow frame base
+        std::uint64_t epoch = 0;    ///< translation epoch at fill
+        bool writable = false;      ///< page accepts stores
+    };
+
+    /** Entries (power of two). Hot sets alternate between pages far
+     *  more often than they stream within one, so the memo holds
+     *  many pages at once; 32 KB of host memory per core. */
+    static constexpr unsigned size = 1024;
+
+    Entry &slot(Addr vpage) { return entries[vpage & (size - 1)]; }
+
+    /** The entry for @p vaddr's page if it is live under @p epoch,
+     *  else null. */
+    const Entry *
+    live(Addr vaddr, std::uint64_t epoch) const
+    {
+        const Addr vpage = vaddr >> basePageShift;
+        const Entry &e = entries[vpage & (size - 1)];
+        return e.vpage == vpage && e.epoch == epoch ? &e : nullptr;
+    }
+
+    Entry entries[size];
 };
 
 /**
@@ -131,15 +169,11 @@ class Cpu
     {
         if (recorder_)
             recorder_({CpuOpRecord::Kind::ExecuteAt, code_vaddr, n});
-        if (batchWindow_ != 0 && uitlb_.covers(code_vaddr) &&
+        if (config_.batchEnable && uitlb_.covers(code_vaddr) &&
             !(checkInterval_ != 0 && now_ >= nextCheckAt_)) {
             ++batch_.pendingIfetch;
             batch_.pendingInstructions += n;
             now_ += n;
-            if (++batch_.count >= batchWindow_) {
-                flushBatch();
-                batch_.count = 0;
-            }
             return;
         }
         executeAtSlow(n, code_vaddr);
@@ -233,7 +267,6 @@ class Cpu
     charge(Cycles n)
     {
         flushBatch();
-        batch_.count = 0;
         now_ += n;
     }
 
@@ -243,8 +276,8 @@ class Cpu
      * Realize the batch engine's deferred statistic counts — CPU
      * loads/stores, TLB hits, cache accesses/hits — as exact bulk
      * adds (Scalar::addCount). Must run before any external read of
-     * those statistics: System::dumpStats()/audit(), the metric
-     * collectors, and the fuzzer's final-stats capture all call it.
+     * those statistics: System::rootStats()/dumpStats()/audit(), the
+     * metric collectors, and the fuzzer's checks all call it.
      * It only moves already-earned counts, so calling it at any
      * point is safe and changes no statistic's final value.
      */
@@ -291,9 +324,9 @@ class Cpu
     /** Current simulated time in CPU cycles. */
     Cycles now() const { return now_; }
 
-    /** The L0 translation fast path (bench/ and audit support). */
-    L0TranslationCache &l0() { return l0_; }
-    const L0TranslationCache &l0() const { return l0_; }
+    /** The page memo (audit and fault-injection support). */
+    PageMemo &memo() { return memo_; }
+    const PageMemo &memo() const { return memo_; }
 
     Counter
     instructions() const
@@ -311,52 +344,14 @@ class Cpu
     }
 
   private:
-    /** A translation plus the protection bit the batch engine needs
-     *  to accept stores without re-consulting the TLB. */
-    struct Translation
-    {
-        Addr paddr = 0;
-        bool writable = false;
-    };
-
-    /** One memoized page the batch engine may replay on: the
-     *  (vpage, epoch) pair a batched access is conditioned on. */
-    struct BatchAnchor
-    {
-        /** Virtual page this anchor covers; the all-ones sentinel
-         *  never matches a real vpage, so no anchor is live
-         *  initially. */
-        Addr vpage = ~Addr{0};
-        Addr pframeBase = 0;        ///< physical/shadow frame base
-        /** Translation epoch the anchor was established under; any
-         *  mutation of translation state bumps the TLB's epoch and
-         *  kills every anchor (same interlock as the L0,
-         *  l0_cache.hh). */
-        std::uint64_t epoch = 0;
-        bool writable = false;      ///< page accepts batched stores
-    };
-
-    /** Anchors kept live at once (direct-mapped by vpage, power of
-     *  two). Hot sets alternate between pages far more often than
-     *  they stream within one, so a single anchor would be displaced
-     *  on every page change even though each page's state is still
-     *  perfectly memoizable. Sized at 32 KB of host memory: twice
-     *  the default L0 so anchor conflicts don't cap the batched
-     *  fraction below the L0 hit rate. */
-    static constexpr unsigned batchAnchorCount = 1024;
-
     /**
-     * Memoized fast-path state of the batch engine: the anchor
-     * array plus the deferred statistic counts accumulated across
-     * all anchors (the five deferred counters are per-access, not
-     * per-page, so one set of pending counts serves every anchor).
-     * Host-side only — never part of the simulated machine state.
-     * Mutable so flushBatch() can realize counts from const readers.
+     * The batch engine's deferred statistic counts, accumulated across
+     * every memo page (the counts are per-access, not per-page).
+     * Host-side only; mutable so flushBatch() can realize them from
+     * const readers.
      */
     struct BatchState
     {
-        BatchAnchor anchors[batchAnchorCount];
-        unsigned count = 0;         ///< accesses since last flush
         std::uint64_t pendingLoads = 0;
         std::uint64_t pendingStores = 0;
         std::uint64_t pendingIfetch = 0;        ///< batched fetches
@@ -366,11 +361,11 @@ class Cpu
     /**
      * The batch engine's inline hot path. Accepts the access iff it
      * is provably equivalent to the full dataAccess() path on a
-     * cache hit: same vpage as the live run, epoch unchanged, store
-     * permission already proven, no periodic check due, and the
-     * cache line resident. Everything else — page crossing, epoch
-     * bump, would-be protection fault, line fill, check boundary —
-     * falls back to the slow path, which re-establishes the run.
+     * cache hit: a live memo entry for the page, store permission
+     * already proven, no periodic check due, and the cache line
+     * resident. Everything else — cold page, epoch bump, would-be
+     * protection fault, line fill, check boundary — falls back to
+     * the slow path, whose translate() refills the memo.
      *
      * Replay is split eager/deferred: simulated time and the line's
      * dirty bit advance immediately (kernel paths read both without
@@ -381,16 +376,17 @@ class Cpu
     bool
     tryBatchedAccess(Addr vaddr, bool is_store)
     {
+        // PageMemo::live() spelled out: as a pointer-or-null test it
+        // measurably slows the multi-core replay loop this inlines into.
         const Addr vpage = vaddr >> basePageShift;
-        const BatchAnchor &a =
-            batch_.anchors[vpage & (batchAnchorCount - 1)];
-        if (a.vpage != vpage ||
-            a.epoch != tlb_.translationEpoch() ||
-            (is_store && !a.writable) ||
+        const PageMemo::Entry &m = memo_.slot(vpage);
+        if (m.vpage != vpage ||
+            m.epoch != tlb_.translationEpoch() ||
+            (is_store && !m.writable) ||
             (checkInterval_ != 0 && now_ >= nextCheckAt_)) {
             return false;
         }
-        const Addr paddr = a.pframeBase | pageOffset(vaddr);
+        const Addr paddr = m.pframeBase | pageOffset(vaddr);
         if (!cache_.batchHit(vaddr, paddr, is_store))
             return false;
         if (is_store)
@@ -398,26 +394,7 @@ class Cpu
         else
             ++batch_.pendingLoads;
         now_ += cacheHitCycles_;
-        if (++batch_.count >= batchWindow_) {
-            flushBatch();
-            batch_.count = 0;
-        }
         return true;
-    }
-
-    /** Arm the batch engine on the page a completed access proved
-     *  hot. Caller guarantees the access succeeded (so the page is
-     *  user-accessible) and batching is enabled. */
-    void
-    establishBatch(Addr vaddr, Addr paddr, bool writable)
-    {
-        const Addr vpage = vaddr >> basePageShift;
-        BatchAnchor &a =
-            batch_.anchors[vpage & (batchAnchorCount - 1)];
-        a.vpage = vpage;
-        a.pframeBase = pageBase(paddr);
-        a.epoch = tlb_.translationEpoch();
-        a.writable = writable;
     }
 
     void dataAccess(Addr vaddr, AccessType type);
@@ -439,10 +416,10 @@ class Cpu
         checkHook_(now_);
     }
 
-    /** Translate @p vaddr, trapping to the kernel on a TLB miss.
-     *  Returns the (possibly shadow) physical address plus the
-     *  page's write permission. */
-    Translation translate(Addr vaddr, AccessType type);
+    /** Translate @p vaddr to its (possibly shadow) physical address
+     *  through the page memo, or through the TLB — trapping to the
+     *  kernel on a miss — and then fill the memo. */
+    Addr translate(Addr vaddr, AccessType type);
 
     /** Name this core as the machine's active requester before any
      *  kernel entry or memory traffic it may generate: the shared
@@ -463,12 +440,9 @@ class Cpu
     MemorySystem &memsys_;
     Kernel &kernel_;
 
-    L0TranslationCache l0_;
-
-    /** Effective batch window: config batchWindow, or 0 when
-     *  batchEnable is off (one compare disables the whole engine —
-     *  a disabled batch never establishes, so vpage never matches). */
-    unsigned batchWindow_;
+    /** Filled only when config_.batchEnable is on: an empty memo
+     *  never matches, so one switch disables the whole fast path. */
+    PageMemo memo_;
     Cycles cacheHitCycles_;     ///< memoized cache.config().hitCycles
     mutable BatchState batch_;
 

@@ -36,9 +36,7 @@ makeSystemConfig(const FuzzParams &p)
     cfg.mtlb.associativity = p.mtlbAssoc;
     cfg.installedBytes = p.installedBytes;
     cfg.cache.sizeBytes = p.cacheBytes;
-    cfg.cpu.l0Entries = p.l0Entries;
-    cfg.cpu.batchEnable = p.batchWindow != 0;
-    cfg.cpu.batchWindow = p.batchWindow;
+    cfg.cpu.batchEnable = p.batch;
     cfg.kernel.allShadowMode = p.allShadowMode;
     cfg.kernel.onlinePromotion = p.onlinePromotion;
     // A tiny threshold so promotion actually triggers within a few
@@ -149,8 +147,6 @@ DifferentialFuzzer::run(const std::vector<FuzzOp> &ops)
         result.failed = true;
         result.failure = *failure_;
     }
-    for (unsigned c = 0; c < sys_->numCores(); ++c)
-        sys_->cpu(c).flushBatch();
     result.finalStats = sys_->rootStats().toJson();
     return result;
 }
@@ -169,7 +165,7 @@ void
 DifferentialFuzzer::applyOp(const FuzzOp &op, unsigned index)
 {
     // Round-robin the op stream over the cores (all bound to process
-    // 0), so every core builds private TLB/L0 state over the same
+    // 0), so every core builds private TLB/memo state over the same
     // address space and only shootdown broadcasts keep them coherent.
     const unsigned core = index % sys_->numCores();
     Cpu &cpu = sys_->cpu(core);
@@ -533,15 +529,11 @@ DifferentialFuzzer::applyInject(FaultKind kind, unsigned index)
         break;
       }
 
-      case FaultKind::StaleL0Entry: {
+      case FaultKind::StaleMemoEntry: {
         const Addr va = fuzzDataBase + 2 * basePageSize;
-        const Cpu &cpu = sys.cpu();
-        if (!cpu.l0().enabled() ||
-            cpu.l0().probe(va, sys.tlb().translationEpoch()) ==
-                nullptr) {
+        if (!sys.cpu().memo().live(va, sys.tlb().translationEpoch()))
             return;
-        }
-        inject.staleL0Entry(va);
+        inject.staleMemoEntry(va);
         break;
       }
 
@@ -599,9 +591,9 @@ selfTestParams(unsigned num_ops)
     p.numOps = num_ops;
     // Check after every op so the failing op is pinpointed.
     p.auditEvery = 1;
-    // Fixed machine shape: L0 on (the StaleL0Entry case needs it),
-    // no all-shadow single-page noise, no online promotion.
-    p.l0Entries = 512;
+    // Fixed machine shape: the page memo on (the StaleMemoEntry case
+    // needs it), no all-shadow single-page noise, no online promotion.
+    p.batch = true;
     p.allShadowMode = false;
     p.onlinePromotion = false;
     return p;
@@ -639,8 +631,8 @@ selfTestSchedule(FaultKind kind)
     ops.push_back({OpKind::Load, fuzzDataBase + basePageSize, 0});
 
     switch (kind) {
-      case FaultKind::StaleL0Entry:
-        // Give the L0 a live entry to corrupt.
+      case FaultKind::StaleMemoEntry:
+        // Give the memo a live entry to corrupt.
         ops.push_back(
             {OpKind::Load, fuzzDataBase + 2 * basePageSize, 0});
         break;

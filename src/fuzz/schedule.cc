@@ -16,7 +16,7 @@ faultKindName(FaultKind kind)
       case FaultKind::LeakShadowMapping: return "leak-shadow-mapping";
       case FaultKind::LeakFrame: return "leak-frame";
       case FaultKind::StaleTlbEntry: return "stale-tlb-entry";
-      case FaultKind::StaleL0Entry: return "stale-l0-entry";
+      case FaultKind::StaleMemoEntry: return "stale-memo-entry";
       case FaultKind::ShadowEscape: return "shadow-escape";
       case FaultKind::RebindFrame: return "rebind-frame";
       case FaultKind::DropHptEntry: return "drop-hpt-entry";
@@ -35,13 +35,10 @@ paramsForSeed(std::uint64_t seed, unsigned num_ops,
     p.numOps = num_ops;
     p.auditEvery = audit_every;
     // Derive the machine-shape corners from the seed so a multi-seed
-    // sweep exercises the L0-off, all-shadow, and explicit-only
-    // configurations without separate plumbing.
-    switch (seed % 3) {
-      case 0: p.l0Entries = 0; break;
-      case 1: p.l0Entries = 4; break;
-      default: p.l0Entries = 512; break;
-    }
+    // sweep exercises the plain path, all-shadow, and explicit-only
+    // configurations without separate plumbing; two seeds in three
+    // run the page memo and batch replay.
+    p.batch = (seed % 3) != 0;
     p.allShadowMode = (seed % 4) == 1;
     p.onlinePromotion = (seed % 2) == 0;
     p.frameSeed = 12345 + seed;
@@ -166,8 +163,7 @@ paramsToJson(const FuzzParams &params)
     v.set("tlb_entries", json::Value(params.tlbEntries));
     v.set("mtlb_entries", json::Value(params.mtlbEntries));
     v.set("mtlb_assoc", json::Value(params.mtlbAssoc));
-    v.set("l0_entries", json::Value(params.l0Entries));
-    v.set("batch_window", json::Value(params.batchWindow));
+    v.set("batch", json::Value(params.batch));
     v.set("installed_bytes", json::Value(params.installedBytes));
     v.set("cache_bytes", json::Value(params.cacheBytes));
     v.set("shadow_bytes", json::Value(params.shadowBytes));
@@ -187,15 +183,14 @@ paramsFromJson(const json::Value &v)
     p.tlbEntries = static_cast<unsigned>(u64Member(v, "tlb_entries"));
     p.mtlbEntries = static_cast<unsigned>(u64Member(v, "mtlb_entries"));
     p.mtlbAssoc = static_cast<unsigned>(u64Member(v, "mtlb_assoc"));
-    p.l0Entries = static_cast<unsigned>(u64Member(v, "l0_entries"));
     p.installedBytes = u64Member(v, "installed_bytes");
     p.cacheBytes = u64Member(v, "cache_bytes");
     // Optional: traces recorded before the field existed replay with
     // the historical default.
     if (v.find("shadow_bytes") != nullptr)
         p.shadowBytes = u64Member(v, "shadow_bytes");
-    if (v.find("batch_window") != nullptr)
-        p.batchWindow = static_cast<unsigned>(u64Member(v, "batch_window"));
+    if (v.find("batch") != nullptr)
+        p.batch = boolMember(v, "batch");
     if (v.find("cores") != nullptr)
         p.cores = static_cast<unsigned>(u64Member(v, "cores"));
     p.allShadowMode = boolMember(v, "all_shadow");

@@ -63,7 +63,7 @@ enum class FaultKind : std::uint8_t
     LeakShadowMapping,
     LeakFrame,
     StaleTlbEntry,
-    StaleL0Entry,
+    StaleMemoEntry,
     ShadowEscape,
     RebindFrame,
     DropHptEntry,
@@ -102,13 +102,12 @@ struct FuzzParams
     unsigned tlbEntries = 8;
     unsigned mtlbEntries = 8;
     unsigned mtlbAssoc = 2;
-    unsigned l0Entries = 512;
-    /** Batch-engine window (cpu.batch_window); 0 runs unbatched.
-     *  Off by default so pre-existing traces replay on the exact
-     *  machine shape they recorded; the equivalence contract makes
-     *  their final stats identical either way, but the recorded
-     *  params stay the source of truth. */
-    unsigned batchWindow = 0;
+    /** The host fast path (cpu.batch_enable): page memo plus batch
+     *  replay. Off by default, and for traces recorded without the
+     *  field; the equivalence contract makes final stats identical
+     *  either way, but the recorded params stay the source of
+     *  truth. */
+    bool batch = false;
     Addr installedBytes = Addr{16} * 1024 * 1024;
     Addr cacheBytes = Addr{16} * 1024;
     /** Shadow region size. The kernel's bucket allocator partitions
@@ -140,9 +139,9 @@ struct Schedule
     std::vector<FuzzOp> ops;
 };
 
-/** Machine-shape variation for a fuzzing seed: perturbs the L0 size,
- *  all-shadow mode, online promotion, and the frame shuffle so one
- *  `--runs N` sweep covers several corners. */
+/** Machine-shape variation for a fuzzing seed: perturbs the host fast
+ *  path, all-shadow mode, online promotion, and the frame shuffle so
+ *  one `--runs N` sweep covers several corners. */
 FuzzParams paramsForSeed(std::uint64_t seed, unsigned num_ops,
                          unsigned audit_every);
 

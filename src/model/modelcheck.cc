@@ -80,7 +80,6 @@ modelParams(unsigned cores)
     p.tlbEntries = 2;
     p.mtlbEntries = 2;
     p.mtlbAssoc = 2;    // one set: maximal conflict pressure
-    p.l0Entries = 0;    // the epoch would defeat state dedup
     // 8 user frames past KernelLayout::firstUserPfn (the frame pool
     // starts at 8 MB).
     p.installedBytes = Addr{8} * 1024 * 1024 + 8 * basePageSize;

@@ -11,8 +11,7 @@ namespace mtlbsim
 Kernel::Kernel(const KernelConfig &config, const PhysMap &physmap,
                Tlb &tlb, MicroItlb &uitlb, Cache &cache,
                MemorySystem &memsys, stats::StatGroup &parent)
-    : config_(config), physMap_(physmap), tlb_(tlb), uitlb_(uitlb),
-      cache_(cache), memsys_(memsys),
+    : config_(config), physMap_(physmap), cache_(cache), memsys_(memsys),
       frames_(KernelLayout::firstUserPfn,
               physmap.numRealPages() - KernelLayout::firstUserPfn,
               config.frameSeed),
@@ -76,9 +75,9 @@ Kernel::Kernel(const KernelConfig &config, const PhysMap &physmap,
     p0->sbrkPrealloc = config.sbrkPreallocBytes;
     processes_.push_back(std::move(p0));
 
-    // Core 0 wraps the construction-time references; its IPI hook is
-    // installed by the System once the CPU model exists.
-    cores_.push_back(CoreCtx{&tlb_, &uitlb_, {}, 0});
+    // Core 0 wraps the construction-time references; the System
+    // installs every core's IPI hook once its CPU model exists.
+    cores_.push_back(CoreCtx{&tlb, &uitlb, {}, 0});
 }
 
 unsigned
@@ -99,12 +98,11 @@ Kernel::createProcess()
 }
 
 void
-Kernel::attachCore(Tlb *tlb, MicroItlb *uitlb,
-                   std::function<void(Cycles)> charge_ipi)
+Kernel::attachCore(Tlb *tlb, MicroItlb *uitlb)
 {
     panicIf(tlb == nullptr || uitlb == nullptr,
             "attachCore needs a TLB and a micro-ITLB");
-    cores_.push_back(CoreCtx{tlb, uitlb, std::move(charge_ipi), 0});
+    cores_.push_back(CoreCtx{tlb, uitlb, {}, 0});
 
     // Received-shootdown counters exist only on multi-core machines
     // (conditional registration keeps single-core output
@@ -133,8 +131,8 @@ Kernel::bindProcess(unsigned core, unsigned proc)
     ctx.proc = proc;
     // Entries are not ASID-tagged: a context switch flushes the
     // core's whole translation state. The explicit epoch bump also
-    // kills L0 memoizations and batch anchors even when the TLB held
-    // no purgeable entry.
+    // retires the core's page memo even when the TLB held no
+    // purgeable entry.
     ctx.tlb->purgeAll();
     ctx.tlb->bumpTranslationEpoch();
     ctx.uitlb->invalidate();
@@ -142,34 +140,33 @@ Kernel::bindProcess(unsigned core, unsigned proc)
 }
 
 void
-Kernel::shootdownRemote(Addr vbase, Addr bytes, bool inval_uitlb)
+Kernel::invalidateTranslation(Addr vbase, Addr bytes, bool inval_uitlb)
 {
-    if (cores_.size() < 2)
-        return;
-    if (suppressNextShootdown_) {
+    // Every remote core is a target: entries are not ASID-tagged, so
+    // without residency tracking the kernel cannot rule out that a
+    // core still caches something from this address space. A
+    // suppressed broadcast (fault injection) spares them all.
+    bool broadcast = cores_.size() > 1;
+    if (broadcast && suppressNextShootdown_) {
         suppressNextShootdown_ = false;
-        return;
+        broadcast = false;
     }
-
     for (unsigned c = 0; c < cores_.size(); ++c) {
-        // Every remote core is a target: entries are not ASID-tagged,
-        // so without residency tracking the kernel cannot rule out
-        // that core c still caches something from this address space.
-        if (c == activeCore_)
+        const bool remote = c != activeCore_;
+        if (remote && !broadcast)
             continue;
-        Tlb &tlb = *cores_[c].tlb;
+        CoreCtx &core = cores_[c];
         if (bytes > 0)
-            tlb.purgeRange(vbase, bytes);
-        // Mirror the local site: the epoch bump retires the remote
-        // core's L0 memoizations and batch anchors even when no TLB
-        // entry covered the range (epoch-only shootdowns pass
-        // bytes==0).
-        tlb.bumpTranslationEpoch();
+            core.tlb->purgeRange(vbase, bytes);
+        // purgeRange only bumps the epoch when it drops an entry; the
+        // explicit bump retires the core's page memo regardless.
+        core.tlb->bumpTranslationEpoch();
         if (inval_uitlb)
-            cores_[c].uitlb->invalidate();
-        if (cores_[c].chargeIpi)
-            cores_[c].chargeIpi(config_.ipiCycles);
-        ++*shootdownStats_[c];
+            core.uitlb->invalidate();
+        if (remote) {
+            core.chargeIpi(config_.ipiCycles);
+            ++*shootdownStats_[c];
+        }
     }
 }
 
@@ -274,11 +271,7 @@ Kernel::mapPageToShadow(Addr vbase, Addr shadow_page, Cycles now,
         hpt_.insert({vbase, shadow_page, 0, region->prot}, asid()),
         true, now + cycles);
 
-    activeTlb().purgeRange(vbase, basePageSize);
-    // purgeRange only bumps the translation epoch when it drops an
-    // entry; the mapping switched real->shadow regardless.
-    activeTlb().bumpTranslationEpoch();
-    shootdownRemote(vbase, basePageSize, false);
+    invalidateTranslation(vbase, basePageSize, false);
     space().addSuperpage({vbase, shadow_page, 0});
     if (observer_)
         observer_->onSuperpageCreated(vbase, shadow_page, 0);
@@ -309,9 +302,7 @@ Kernel::demoteSingleShadowPage(Addr vaddr, Cycles now)
                      0, region->prot},
                     asid()),
         true, now + cycles);
-    activeTlb().purgeRange(vbase, basePageSize);
-    activeTlb().bumpTranslationEpoch(); // switched shadow->real
-    shootdownRemote(vbase, basePageSize, false);
+    invalidateTranslation(vbase, basePageSize, false);
     space().removeSuperpage(vbase);
     pagePool().free(shadow_page);
     if (observer_)
@@ -646,13 +637,9 @@ Kernel::remap(Addr vbase, Addr bytes, Cycles now, bool internal)
             ++remapPages_;
         }
 
-        // Purge stale TLB mappings for the range and publish the
-        // superpage mapping. The explicit epoch bump covers pages
-        // that had no TLB entry to purge (superpage promotion).
-        activeTlb().purgeRange(cursor, sp_size);
-        activeTlb().bumpTranslationEpoch();
-        activeUitlb().invalidate();
-        shootdownRemote(cursor, sp_size, true);
+        // Purge stale TLB and micro-ITLB mappings for the range on
+        // every core, then publish the superpage mapping.
+        invalidateTranslation(cursor, sp_size, true);
         debugPrintf(traceFlag_, "remap: superpage v=0x", std::hex,
                     cursor, " -> shadow 0x", *shadow_base, std::dec,
                     " class ", c);
@@ -757,11 +744,9 @@ Kernel::handleShadowPageFault(Addr vaddr, Cycles now)
         [&](Mmc &mmc) { return mmc.setShadowMapping(spi, pfn); });
 
     // Frame reuse + MMC mapping change: the CPU-visible translation
-    // is untouched (§2.1), but invalidate the L0 fast path anyway so
-    // no memoized state can outlive a frame's identity. Remote cores
-    // get the same epoch-only shootdown.
-    activeTlb().bumpTranslationEpoch();
-    shootdownRemote(pageBase(vaddr), 0, false);
+    // is untouched (§2.1), but retire the page memos anyway so no
+    // memoized state can outlive a frame's identity (epoch only).
+    invalidateTranslation(pageBase(vaddr), 0, false);
 
     cycles += config_.trapExitCycles;
     return cycles;
@@ -825,10 +810,9 @@ Kernel::swapOutSuperpagePagewise(Addr vbase, Cycles now)
     }
     // The CPU TLB superpage entry and the HPT mapping stay valid:
     // the MMC faults precisely on any access to a swapped base page.
-    // The freed frames may be reused, so drop every L0 memoization —
-    // on remote cores too (epoch-only shootdown).
-    activeTlb().bumpTranslationEpoch();
-    shootdownRemote(vbase, 0, false);
+    // The freed frames may be reused, so retire every page memo on
+    // every core (epoch only).
+    invalidateTranslation(vbase, 0, false);
     return result;
 }
 
@@ -870,8 +854,7 @@ Kernel::swapOutSuperpageWhole(Addr vbase, Cycles now)
         frames_.free(pfn);
     }
     // As in the pagewise path: frames freed here may be reused.
-    activeTlb().bumpTranslationEpoch();
-    shootdownRemote(vbase, 0, false);
+    invalidateTranslation(vbase, 0, false);
     return result;
 }
 

@@ -319,20 +319,18 @@ class Kernel
      * same instance, and the CPU model names itself via
      * setActiveCore() before each kernel entry. Core 0 is the
      * construction-time TLB/micro-ITLB pair; further cores attach
-     * their private translation structures with attachCore().
+     * their private translation structures with attachCore(), and
+     * every core's IPI-service hook is set with setCoreIpi().
      * Processes are distinct address spaces time-sliced onto cores
      * by the scheduler (src/workloads/multiprog.*).
      */
     /** @{ */
 
-    /** Register one more core's private translation structures.
-     *  @p charge_ipi is invoked on that core's CPU model for every
-     *  shootdown IPI it services. */
-    void attachCore(Tlb *tlb, MicroItlb *uitlb,
-                    std::function<void(Cycles)> charge_ipi);
+    /** Register one more core's private translation structures. */
+    void attachCore(Tlb *tlb, MicroItlb *uitlb);
 
-    /** (Re)set a core's IPI-service hook; used for core 0, whose
-     *  translation structures are bound at construction. */
+    /** Set the hook invoked on core @p core's CPU model for every
+     *  shootdown IPI it services. */
     void
     setCoreIpi(unsigned core, std::function<void(Cycles)> charge_ipi)
     {
@@ -418,8 +416,8 @@ class Kernel
     }
 
     /**
-     * Swallow the next shootdownRemote() broadcast, leaving remote
-     * cores stale. Fault-injection support only (tools/fuzz's
+     * Make the next invalidateTranslation() skip the remote cores,
+     * leaving them stale. Fault-injection support only (tools/fuzz's
      * skipShootdown class): proves the cross-core coherence
      * invariant actually fires.
      */
@@ -557,19 +555,19 @@ class Kernel
     Addr grantedFrontier() const { return proc().remapFrontier; }
 
     /**
-     * Broadcast a TLB-shootdown IPI for [vbase, vbase+bytes) to
-     * every *other* core. TLB entries are not ASID-tagged, so the
-     * kernel cannot prove a remote core caches nothing from the
-     * mutated address space without tracking residency history; it
-     * conservatively IPIs them all, the classic pre-ASID Unix
-     * discipline. bytes==0 sends an epoch-only shootdown (frame
-     * reuse below an unchanged CPU-visible translation — the
-     * shadow-fault and swap-out sites); bytes>0 also purges the
-     * range. @p inval_uitlb mirrors remap()'s micro-ITLB
-     * invalidate. Each remote core is charged
-     * KernelConfig::ipiCycles and counts one received shootdown.
+     * Retire every cached translation of [vbase, vbase+bytes) after a
+     * kernel mutation of translation state — the one call every such
+     * site makes (mtlb-lint R1). On every core it purges the range
+     * from the TLB (when bytes > 0), bumps the translation epoch
+     * (retiring the page memo), and, with @p inval_uitlb, invalidates
+     * the micro-ITLB. bytes == 0 is epoch-only: frame reuse below an
+     * unchanged CPU-visible translation (the shadow-fault and
+     * swap-out sites). TLB entries are not ASID-tagged, so every
+     * *other* core is a shootdown-IPI target — the classic pre-ASID
+     * Unix discipline: each is charged KernelConfig::ipiCycles and
+     * counts one received shootdown.
      */
-    void shootdownRemote(Addr vbase, Addr bytes, bool inval_uitlb);
+    void invalidateTranslation(Addr vbase, Addr bytes, bool inval_uitlb);
 
     /** Account a miss against the online-promotion policy and
      *  promote the containing chunk when it crosses the threshold.
@@ -591,7 +589,6 @@ class Kernel
     /** @name Active-core plumbing (all reads go through these) */
     /** @{ */
     Tlb &activeTlb() { return *cores_[activeCore_].tlb; }
-    MicroItlb &activeUitlb() { return *cores_[activeCore_].uitlb; }
     Process &proc() { return *processes_[cores_[activeCore_].proc]; }
     const Process &
     proc() const
@@ -610,8 +607,6 @@ class Kernel
      *  own "Kernel" flag (enable-by-name toggles them all). */
     debug::Flag traceFlag_{"Kernel"};
     KernelObserver *observer_ = nullptr;
-    Tlb &tlb_;
-    MicroItlb &uitlb_;
     Cache &cache_;
     MemorySystem &memsys_;
 

@@ -165,19 +165,9 @@ makeSetters()
          [](SystemConfig &c, const auto &k, const auto &v) {
              c.cpu.storeBuffer = parseBool(k, v);
          }},
-        {"cpu.l0_entries",
-         [](SystemConfig &c, const auto &k, const auto &v) {
-             c.cpu.l0Entries =
-                 static_cast<unsigned>(parseUnsigned(k, v));
-         }},
         {"cpu.batch_enable",
          [](SystemConfig &c, const auto &k, const auto &v) {
              c.cpu.batchEnable = parseBool(k, v);
-         }},
-        {"cpu.batch_window",
-         [](SystemConfig &c, const auto &k, const auto &v) {
-             c.cpu.batchWindow =
-                 static_cast<unsigned>(parseUnsigned(k, v));
          }},
         {"kernel.superpages",
          [](SystemConfig &c, const auto &k, const auto &v) {

@@ -37,11 +37,10 @@ System::System(const SystemConfig &config)
       physMap_(config.installedBytes, shadowRangeFrom(config),
                config.physAddrBits)
 {
+    fatalIf(config.cores == 0, "a machine needs at least one core");
     memsys_ = std::make_unique<MemorySystem>(
         config.bus, mmcConfigFrom(config), physMap_, rootStats_);
     cache_ = std::make_unique<Cache>(config.cache, *memsys_, rootStats_);
-    tlb_ = std::make_unique<Tlb>(config.tlbEntries, "tlb", rootStats_);
-    uitlb_ = std::make_unique<MicroItlb>(rootStats_);
 
     KernelConfig kconfig = config.kernel;
     // Shadow superpages only make sense with an MTLB downstream;
@@ -49,63 +48,52 @@ System::System(const SystemConfig &config)
     if (!config.mtlbEnabled)
         kconfig.superpagesEnabled = false;
 
-    kernel_ = std::make_unique<Kernel>(kconfig, physMap_, *tlb_,
-                                       *uitlb_, *cache_, *memsys_,
+    // Core 0's TLBs register between the cache and the kernel, its
+    // CPU after the kernel, all directly under the root; cores
+    // 1..N-1 follow under "core<N>" children. A single-core machine's
+    // statistics thus keep their exact names and order.
+    cores_.resize(config.cores);
+    Core &boot = cores_.front();
+    boot.tlb = std::make_unique<Tlb>(config.tlbEntries, "tlb", rootStats_);
+    boot.uitlb = std::make_unique<MicroItlb>(rootStats_);
+    kernel_ = std::make_unique<Kernel>(kconfig, physMap_, *boot.tlb,
+                                       *boot.uitlb, *cache_, *memsys_,
                                        rootStats_);
-    cpu_ = std::make_unique<Cpu>(config.cpu, *tlb_, *uitlb_, *cache_,
-                                 *memsys_, *kernel_, rootStats_, 0);
-
-    // Cores 1..N-1: private TLB/micro-ITLB/CPU under a "core<N>"
-    // stats child, all sharing the cache-side machine and the kernel.
-    // Constructed after the legacy members so a single-core machine's
-    // statistics keep their exact names and order.
-    fatalIf(config.cores == 0, "a machine needs at least one core");
-    for (unsigned c = 1; c < config.cores; ++c) {
-        ExtraCore core;
-        core.statGroup = std::make_unique<stats::StatGroup>(
-            "core" + std::to_string(c));
-        core.tlb = std::make_unique<Tlb>(config.tlbEntries, "tlb",
-                                         *core.statGroup);
-        core.uitlb = std::make_unique<MicroItlb>(*core.statGroup);
+    unsigned id = 0;
+    for (Core &core : cores_) {
+        stats::StatGroup *group = &rootStats_;
+        if (id != 0) {
+            core.statGroup = std::make_unique<stats::StatGroup>(
+                "core" + std::to_string(id));
+            group = core.statGroup.get();
+            rootStats_.addChild(group);
+            core.tlb =
+                std::make_unique<Tlb>(config.tlbEntries, "tlb", *group);
+            core.uitlb = std::make_unique<MicroItlb>(*group);
+            kernel_->attachCore(core.tlb.get(), core.uitlb.get());
+        }
         core.cpu = std::make_unique<Cpu>(config.cpu, *core.tlb,
-                                         *core.uitlb, *cache_,
-                                         *memsys_, *kernel_,
-                                         *core.statGroup, c);
-        rootStats_.addChild(core.statGroup.get());
-        kernel_->attachCore(core.tlb.get(), core.uitlb.get(),
-                            [cpu = core.cpu.get()](Cycles n) {
-                                cpu->charge(n);
-                            });
-        extraCores_.push_back(std::move(core));
-    }
-    if (config.cores > 1) {
-        // Core 0 receives shootdown IPIs too.
-        kernel_->setCoreIpi(0, [cpu = cpu_.get()](Cycles n) {
+                                         *core.uitlb, *cache_, *memsys_,
+                                         *kernel_, *group, id);
+        kernel_->setCoreIpi(id, [cpu = core.cpu.get()](Cycles n) {
             cpu->charge(n);
         });
-        // The MTLB's single port is only observable with rivals.
-        if (config.mtlbEnabled) {
-            memsys_->enablePortModel(
-                mmcToCpuCycles(config.mtlb.portOccupancyCycles),
-                rootStats_);
-        }
+        ++id;
+    }
+    // The MTLB's single port is only observable with rivals.
+    if (config.cores > 1 && config.mtlbEnabled) {
+        memsys_->enablePortModel(
+            mmcToCpuCycles(config.mtlb.portOccupancyCycles), rootStats_);
     }
 
     // The auditor is always assembled (tests can call audit() on any
-    // system); the config only decides whether the CPU triggers it
+    // system); the config only decides whether the CPUs trigger it
     // periodically.
     auditor_ = std::make_unique<TranslationAuditor>(
-        config.check, *tlb_, *cache_, *memsys_, *kernel_, physMap_,
-        rootStats_);
-    auditor_->attachL0(&cpu_->l0());
-    for (auto &core : extraCores_)
-        auditor_->attachCoreL0(&core.cpu->l0());
-    if (config.check.enabled) {
-        cpu_->setPeriodicCheck(config.check.interval,
-                               [this](Cycles now) {
-                                   periodicAudit(now);
-                               });
-        for (auto &core : extraCores_) {
+        config.check, *cache_, *memsys_, *kernel_, physMap_, rootStats_);
+    for (Core &core : cores_) {
+        auditor_->attachMemo(&core.cpu->memo());
+        if (config.check.enabled) {
             core.cpu->setPeriodicCheck(config.check.interval,
                                        [this](Cycles now) {
                                            periodicAudit(now);
@@ -119,8 +107,7 @@ System::~System() = default;
 void
 System::flushAllBatches() const
 {
-    cpu_->flushBatch();
-    for (const auto &core : extraCores_)
+    for (const Core &core : cores_)
         core.cpu->flushBatch();
 }
 

@@ -100,34 +100,26 @@ class System
 
     /** Core @p core's CPU (core 0 by default, so single-core callers
      *  read as before). */
-    Cpu &
-    cpu(unsigned core = 0)
-    {
-        return core == 0 ? *cpu_ : *extraCores_[core - 1].cpu;
-    }
-    const Cpu &
-    cpu(unsigned core = 0) const
-    {
-        return core == 0 ? *cpu_ : *extraCores_[core - 1].cpu;
-    }
+    Cpu &cpu(unsigned core = 0) { return *cores_[core].cpu; }
+    const Cpu &cpu(unsigned core = 0) const { return *cores_[core].cpu; }
     Kernel &kernel() { return *kernel_; }
-    Tlb &
-    tlb(unsigned core = 0)
-    {
-        return core == 0 ? *tlb_ : *extraCores_[core - 1].tlb;
-    }
-    MicroItlb &
-    uitlb(unsigned core = 0)
-    {
-        return core == 0 ? *uitlb_ : *extraCores_[core - 1].uitlb;
-    }
+    Tlb &tlb(unsigned core = 0) { return *cores_[core].tlb; }
+    MicroItlb &uitlb(unsigned core = 0) { return *cores_[core].uitlb; }
     unsigned numCores() const { return config_.cores; }
     Cache &cache() { return *cache_; }
     MemorySystem &memsys() { return *memsys_; }
     const PhysMap &physmap() const { return physMap_; }
     const SystemConfig &config() const { return config_; }
 
-    stats::StatGroup &rootStats() { return rootStats_; }
+    /** The statistics tree, with every core's deferred batch counts
+     *  realized first. Meant for run boundaries (dumping, resetting,
+     *  serializing), not for a hot loop. */
+    stats::StatGroup &
+    rootStats()
+    {
+        flushAllBatches();
+        return rootStats_;
+    }
 
     /** The translation-invariant auditor (always constructed; the
      *  check config only gates *periodic* audits). */
@@ -148,9 +140,9 @@ class System
     Cycles
     totalCycles() const
     {
-        Cycles t = cpu_->now();
-        for (const auto &c : extraCores_)
-            t = c.cpu->now() > t ? c.cpu->now() : t;
+        Cycles t = 0;
+        for (const Core &core : cores_)
+            t = core.cpu->now() > t ? core.cpu->now() : t;
         return t;
     }
 
@@ -176,22 +168,23 @@ class System
   private:
     /** Realize every core's deferred batch counters. Count-preserving
      *  (Cpu::flushBatch() only moves deferred increments into the
-     *  stats), so const. Every deferred-stats reader — audit(),
-     *  dumpStats(), the periodic checks — must run this first
-     *  (mtlb-lint R12). */
+     *  stats), so const. Every deferred-stats reader — rootStats(),
+     *  audit(), dumpStats(), the periodic checks — must run this
+     *  first (mtlb-lint R12). */
     void flushAllBatches() const;
 
     /** Periodic-check callback: flush all batches, then audit at
      *  @p now. */
     void periodicAudit(Cycles now);
 
-    /** One additional core's private machinery (cores 1..N-1; core 0
-     *  uses the flat legacy members so its statistics keep their
-     *  original names and order). Owned via unique_ptr throughout,
-     *  so no raw borrowed pointers live outside the System. */
-    struct ExtraCore
+    /** One core's private machinery. Owned via unique_ptr
+     *  throughout, so no raw borrowed pointers live outside the
+     *  System. */
+    struct Core
     {
-        std::unique_ptr<stats::StatGroup> statGroup;    ///< "core<N>"
+        /** "core<N>" stats child; null for core 0, whose statistics
+         *  sit directly under the root with their original names. */
+        std::unique_ptr<stats::StatGroup> statGroup;
         std::unique_ptr<Tlb> tlb;
         std::unique_ptr<MicroItlb> uitlb;
         std::unique_ptr<Cpu> cpu;
@@ -202,11 +195,8 @@ class System
     PhysMap physMap_;
     std::unique_ptr<MemorySystem> memsys_;
     std::unique_ptr<Cache> cache_;
-    std::unique_ptr<Tlb> tlb_;
-    std::unique_ptr<MicroItlb> uitlb_;
     std::unique_ptr<Kernel> kernel_;
-    std::unique_ptr<Cpu> cpu_;
-    std::vector<ExtraCore> extraCores_;
+    std::vector<Core> cores_;
     std::unique_ptr<TranslationAuditor> auditor_;
 };
 

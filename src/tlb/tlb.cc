@@ -69,7 +69,7 @@ Tlb::lookup(Addr vaddr, AccessType type, AccessMode mode)
     }
 
     ++hits_;
-    return {true, false, entry.translate(vaddr), idx};
+    return {true, false, entry.translate(vaddr), entry.prot.writable};
 }
 
 unsigned
@@ -111,7 +111,7 @@ Tlb::dropEntry(unsigned idx)
     e.valid = false;
     e.pinned = false;
     freeList_.push_back(idx);
-    // The dropped entry may be memoized in the L0 fast path.
+    // The dropped entry may be memoized in a page memo.
     bumpTranslationEpoch();
 }
 
@@ -158,7 +158,7 @@ Tlb::insert(Addr vbase, Addr pbase, unsigned size_class,
     ++liveInClass_[size_class];
     ++inserts_;
     // A new mapping (and a possible NRU reference-bit reset inside
-    // pickVictim) invalidates every memoized L0 translation.
+    // pickVictim) invalidates every memoized translation.
     bumpTranslationEpoch();
 }
 

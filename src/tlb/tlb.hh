@@ -99,9 +99,9 @@ struct TlbLookupResult
     bool hit = false;
     bool protFault = false; ///< hit, but the access is not permitted
     Addr paddr = 0;         ///< valid when hit && !protFault
-    /** Slot of the entry that hit (-1 on a miss); lets the CPU's L0
-     *  fast path memoize the translation without a second probe. */
-    int slot = -1;
+    /** The entry's write permission (valid with paddr); lets the
+     *  CPU's page memo record it without a second probe. */
+    bool writable = false;
 };
 
 /**
@@ -147,8 +147,8 @@ class Tlb
     /** Probe without updating NRU state or stats (test support). */
     std::optional<TlbEntry> probe(Addr vaddr) const;
 
-    /** The entry in @p slot (the L0 fast path fills from the slot a
-     *  lookup just hit; the auditor cross-checks L0 slot bindings). */
+    /** The entry in @p slot (canonical-state capture by the model
+     *  checker, src/model). */
     const TlbEntry &
     entryAt(unsigned slot) const
     {
@@ -158,15 +158,16 @@ class Tlb
     }
 
     /**
-     * @name Translation epoch (L0 fast-path invalidation)
+     * @name Translation epoch (page-memo invalidation)
      *
      * A monotonic counter bumped by every mutation of CPU-visible
      * translation state. insert()/dropEntry()/purgeRange()/purgeAll()
      * bump it internally; kernel paths that mutate translation state
      * below the TLB (MTLB shadow-mapping changes, frame reuse on
-     * swap) call bumpTranslationEpoch() explicitly. L0 entries stamp
-     * the epoch at fill time and are live only while it matches, so
-     * one increment lazily invalidates every memoized translation.
+     * swap) bump it through Kernel::invalidateTranslation(). Page-memo
+     * entries (cpu/cpu.hh) stamp the epoch at fill time and are live
+     * only while it matches, so one increment lazily invalidates every
+     * memoized translation.
      */
     /** @{ */
     std::uint64_t translationEpoch() const { return epoch_; }
@@ -175,9 +176,9 @@ class Tlb
      * Advance the epoch. Wrap-safe: a 64-bit counter bumped once per
      * simulated cycle at the paper's 240 MHz would take ~2400 years
      * to wrap, but if it ever does, 0 is skipped — 0 marks a
-     * never-filled L0 entry, so an epoch of 0 would make stale
+     * never-filled memo entry, so an epoch of 0 would make stale
      * entries look permanently live (the auditor asserts both sides
-     * of this, see TranslationAuditor::checkL0Coherence).
+     * of this, see TranslationAuditor::checkMemoCoherence).
      */
     void
     bumpTranslationEpoch()
@@ -192,20 +193,15 @@ class Tlb
      *  it). */
     unsigned nruClock() const { return nruClock_; }
 
-    /** Account an L0 fast-path hit. The slow path's bookkeeping on a
-     *  hit is one hits_ increment plus an (idempotent, see
-     *  l0_cache.hh) referenced-bit store, so this is all that is
-     *  needed to keep statistics bit-identical. */
-    void noteL0Hit() { ++hits_; }
+    /** Account a page-memo hit. The slow path's bookkeeping on a hit
+     *  is one hits_ increment plus a referenced-bit store that is
+     *  idempotent while the memo entry is live (cpu/cpu.hh PageMemo),
+     *  so this keeps statistics bit-identical. */
+    void noteMemoHit() { ++hits_; }
 
     /** Account @p n deferred batched hits in one exact bulk add
-     *  (Scalar::addCount). Sound by the same argument as noteL0Hit:
-     *  while a batch is live the epoch is unchanged, so the owning
-     *  entry's referenced bit is still set and the per-hit
-     *  referenced-bit store the slow path would perform is a no-op —
-     *  and that holds with the L0 disabled too, because a batch is
-     *  only established from a completed access, whose lookup (L0 or
-     *  full) set the bit. */
+     *  (Scalar::addCount); batched accesses replay on live memo
+     *  entries, so noteMemoHit's argument covers them. */
     void noteBatchedHits(std::uint64_t n) { hits_.addCount(n); }
 
     /** Snapshot of every valid entry, for the invariant auditor
@@ -237,8 +233,8 @@ class Tlb
     VpnMap index_[numPageSizeClasses];
     unsigned liveInClass_[numPageSizeClasses] = {};
     unsigned nruClock_ = 0; ///< rotating start point for victim scan
-    /** Translation epoch; starts at 1 so a zero-initialized L0 entry
-     *  can never appear live. */
+    /** Translation epoch; starts at 1 so a zero-initialized memo
+     *  entry can never appear live. */
     std::uint64_t epoch_ = 1;
 
     stats::StatGroup statGroup_;

@@ -137,11 +137,16 @@ runPrograms(System &sys, const std::vector<ProgramImage> &programs)
     std::vector<Cycles> slice_end(cores, 0);
     std::vector<std::size_t> cursor(nprog, 0);
     std::deque<unsigned> ready;
+    // Each core's CPU, resolved once: the dispatch loop below reads
+    // every core's clock on every operation.
+    std::vector<Cpu *> cpus(cores);
+    for (unsigned c = 0; c < cores; ++c)
+        cpus[c] = &sys.cpu(c);
 
     for (unsigned c = 0; c < cores && c < nprog; ++c) {
         kernel.bindProcess(c, c);
         running[c] = c;
-        slice_end[c] = sys.cpu(c).now() + quantum;
+        slice_end[c] = cpus[c]->now() + quantum;
     }
     for (unsigned p = cores; p < nprog; ++p)
         ready.push_back(p);
@@ -155,15 +160,14 @@ runPrograms(System &sys, const std::vector<ProgramImage> &programs)
         for (unsigned c = 0; c < cores; ++c) {
             if (running[c] == idle)
                 continue;
-            if (core == idle ||
-                sys.cpu(c).now() < sys.cpu(core).now()) {
+            if (core == idle || cpus[c]->now() < cpus[core]->now()) {
                 core = c;
             }
         }
         if (core == idle)
             break;
 
-        Cpu &cpu = sys.cpu(core);
+        Cpu &cpu = *cpus[core];
         const unsigned proc = running[core];
 
         if (cursor[proc] == programs[proc].ops.size()) {

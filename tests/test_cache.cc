@@ -146,10 +146,17 @@ TEST_F(CacheFixture, FlushPageWritesBackDirtyLines)
 
 TEST_F(CacheFixture, FlushPageCostIncludesProbes)
 {
-    // An empty page flush still probes all 128 line slots.
-    const Cycles cost = cache.flushPage(0x3000, 0x7000, 0);
+    // An empty page flush still probes all 128 line slots — also once
+    // the page's resident-line counter has drained back to zero, so
+    // flushPage's cold-page early-out never changes simulated cost.
     const unsigned lines_per_page = basePageSize / cacheLineSize;
-    EXPECT_EQ(cost, lines_per_page * config().flushProbeCycles);
+    const Cycles probes = lines_per_page * config().flushProbeCycles;
+    EXPECT_EQ(cache.flushPage(0x3000, 0x7000, 0), probes);
+    cache.access(0x3000, 0x7000, false, 0);
+    EXPECT_EQ(cache.residentInPage(0x7000), 1u);
+    cache.flushPage(0x3000, 0x7000, 0);
+    EXPECT_EQ(cache.residentInPage(0x7000), 0u);
+    EXPECT_EQ(cache.flushPage(0x3000, 0x7000, 0), probes);
 }
 
 TEST_F(CacheFixture, FlushPageCostNearPaperValue)

@@ -152,16 +152,16 @@ TEST(CheckerTest, DetectsStaleTlbEntry)
     EXPECT_TRUE(report.has("tlb-coherence"));
 }
 
-TEST(CheckerTest, DetectsStaleL0Entry)
+TEST(CheckerTest, DetectsStaleMemoEntry)
 {
     System sys(machine());
     warmUp(sys);
-    // Refresh one L0 entry, then corrupt its memoized frame as a
+    // Refresh one memo entry, then corrupt its memoized frame as a
     // missed epoch bump would leave it.
     sys.cpu().load(dataBase);
-    FaultInjector(sys).staleL0Entry(dataBase);
+    FaultInjector(sys).staleMemoEntry(dataBase);
     AuditReport report = sys.auditor().collect();
-    EXPECT_TRUE(report.has("l0-coherence"));
+    EXPECT_TRUE(report.has("memo-coherence"));
 }
 
 TEST(CheckerTest, DetectsShadowEscapeToDram)

@@ -39,13 +39,13 @@ TEST(ConfigParserTest, SetIndividualKeys)
     EXPECT_EQ(parser.config().cache.sizeBytes, Addr{256} << 10);
 }
 
-TEST(ConfigParserTest, L0EntriesKey)
+TEST(ConfigParserTest, DeletedHostSpeedKeysAreFatal)
 {
+    // cpu.batch_enable is the only host-speed key: a config still
+    // sizing the retired L0 or batch window must fail loudly.
     ConfigParser parser;
-    parser.set("cpu.l0_entries", "1024");
-    EXPECT_EQ(parser.config().cpu.l0Entries, 1024u);
-    parser.set("cpu.l0_entries", "0");
-    EXPECT_EQ(parser.config().cpu.l0Entries, 0u);
+    EXPECT_THROW(parser.set("cpu.l0_entries", "512"), FatalError);
+    EXPECT_THROW(parser.set("cpu.batch_window", "4096"), FatalError);
 }
 
 TEST(ConfigParserTest, BooleanSpellings)

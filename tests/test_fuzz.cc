@@ -128,16 +128,18 @@ TEST(Schedule, GenerationIsDeterministic)
 
 TEST(Schedule, ParamsForSeedCoversMachineCorners)
 {
-    bool saw_no_l0 = false, saw_all_shadow = false;
+    bool saw_plain = false, saw_batch = false, saw_all_shadow = false;
     bool saw_promotion_off = false;
     for (std::uint64_t s = 1; s <= 12; ++s) {
         const FuzzParams p = paramsForSeed(s, 100, 16);
-        saw_no_l0 |= p.l0Entries == 0;
+        saw_plain |= !p.batch;
+        saw_batch |= p.batch;
         saw_all_shadow |= p.allShadowMode;
         saw_promotion_off |= !p.onlinePromotion;
         EXPECT_EQ(p.seed, s);
     }
-    EXPECT_TRUE(saw_no_l0);
+    EXPECT_TRUE(saw_plain);
+    EXPECT_TRUE(saw_batch);
     EXPECT_TRUE(saw_all_shadow);
     EXPECT_TRUE(saw_promotion_off);
 }

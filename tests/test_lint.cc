@@ -2,8 +2,8 @@
  * mtlb-lint rule-engine tests: per-rule positive/negative/suppressed
  * fixtures over synthetic repo trees, plus the two properties the
  * tool exists for — the real repository lints clean, and deleting a
- * real epoch bump or observer hook from the kernel is caught at the
- * right location.
+ * real translation retirement or observer hook from the kernel is
+ * caught at the right location.
  */
 
 #include <algorithm>
@@ -948,17 +948,6 @@ TEST(LintCallGraph, MethodsResolveWithTheirClass)
 namespace
 {
 
-/** R10 rules over a minimal kernel file. */
-RulesConfig
-shootdownRules()
-{
-    RulesConfig cfg;
-    cfg.scanDirs = {"src"};
-    cfg.kernelFile = "src/os/kernel.cc";
-    cfg.shootdownCall = "shootdownRemote";
-    return cfg;
-}
-
 /** R11 rules: one confined container, one exempt accessor. */
 RulesConfig
 coreRules()
@@ -982,115 +971,6 @@ flushRules()
 }
 
 } // namespace
-
-TEST(LintR10, BumpWithoutBroadcastIsFlagged)
-{
-    TempTree t;
-    t.write("src/os/kernel.cc",
-            "void f(Addr v)\n"
-            "{\n"
-            "    tlb_.purgeRange(v, 4096);\n"
-            "    tlb_.bumpTranslationEpoch();\n"   // 4: finding
-            "}\n");
-    const auto fs = runLint(t.root(), shootdownRules(), {"R10"});
-    ASSERT_EQ(fs.size(), 1u) << messages(fs);
-    EXPECT_EQ(fs[0].id, "R10");
-    EXPECT_EQ(fs[0].line, 4);
-    EXPECT_NE(fs[0].message.find("'f'"), std::string::npos);
-}
-
-TEST(LintR10, MatchingBroadcastIsClean)
-{
-    TempTree t;
-    t.write("src/os/kernel.cc",
-            "void f(Addr v)\n"
-            "{\n"
-            "    tlb_.purgeRange(v, 4096);\n"
-            "    tlb_.bumpTranslationEpoch();\n"
-            "    shootdownRemote(v, 4096, false);\n"
-            "}\n");
-    const auto fs = runLint(t.root(), shootdownRules(), {"R10"});
-    EXPECT_TRUE(fs.empty()) << messages(fs);
-}
-
-TEST(LintR10, BroadcastThroughHelperIsClean)
-{
-    TempTree t;
-    t.write("src/os/kernel.cc",
-            "void broadcastAll()\n"
-            "{\n"
-            "    shootdownRemote(0, 0, false);\n"
-            "}\n"
-            "void f(Addr v)\n"
-            "{\n"
-            "    tlb_.purgeRange(v, 4096);\n"
-            "    tlb_.bumpTranslationEpoch();\n"
-            "    broadcastAll();\n"
-            "}\n");
-    const auto fs = runLint(t.root(), shootdownRules(), {"R10"});
-    EXPECT_TRUE(fs.empty()) << messages(fs);
-}
-
-TEST(LintR10, BroadcastRangeMismatchIsFlagged)
-{
-    TempTree t;
-    t.write("src/os/kernel.cc",
-            "void f(Addr v, Addr n)\n"
-            "{\n"
-            "    tlb_.purgeRange(v, n);\n"
-            "    tlb_.bumpTranslationEpoch();\n"
-            "    shootdownRemote(v, 4096, false);\n"  // 5: finding
-            "}\n");
-    const auto fs = runLint(t.root(), shootdownRules(), {"R10"});
-    ASSERT_EQ(fs.size(), 1u) << messages(fs);
-    EXPECT_EQ(fs[0].line, 5);
-    EXPECT_NE(fs[0].message.find("does not repeat"),
-              std::string::npos);
-}
-
-TEST(LintR10, ZeroByteBroadcastNeedsNoRange)
-{
-    TempTree t;
-    t.write("src/os/kernel.cc",
-            "void f(Addr v, Addr n)\n"
-            "{\n"
-            "    tlb_.purgeRange(v, n);\n"
-            "    tlb_.bumpTranslationEpoch();\n"
-            "    shootdownRemote(v, 0, false);\n"
-            "}\n");
-    const auto fs = runLint(t.root(), shootdownRules(), {"R10"});
-    EXPECT_TRUE(fs.empty()) << messages(fs);
-}
-
-TEST(LintR10, WrongArityIsFlagged)
-{
-    TempTree t;
-    t.write("src/os/kernel.cc",
-            "void f(Addr v)\n"
-            "{\n"
-            "    tlb_.bumpTranslationEpoch();\n"
-            "    shootdownRemote(v);\n"            // 4: finding
-            "}\n");
-    const auto fs = runLint(t.root(), shootdownRules(), {"R10"});
-    ASSERT_EQ(fs.size(), 1u) << messages(fs);
-    EXPECT_EQ(fs[0].line, 4);
-    EXPECT_NE(fs[0].message.find("argument"), std::string::npos);
-}
-
-TEST(LintR10, ExemptFunctionMayBumpLocally)
-{
-    TempTree t;
-    t.write("src/os/kernel.cc",
-            "void bindProcess(unsigned core)\n"
-            "{\n"
-            "    tlb_.purgeAll();\n"
-            "    tlb_.bumpTranslationEpoch();\n"
-            "}\n");
-    RulesConfig cfg = shootdownRules();
-    cfg.r10Exempt = {"bindProcess"};
-    const auto fs = runLint(t.root(), cfg, {"R10"});
-    EXPECT_TRUE(fs.empty()) << messages(fs);
-}
 
 TEST(LintR11, CrossCorePokeIsFlagged)
 {
@@ -1344,14 +1224,21 @@ lintWithDeletedLine(TempTree &t, const std::string &needle,
 
 TEST(LintSelfHost, DeletedEpochBumpIsCaught)
 {
+    // mapPageToShadow retires the page's translation — epoch bump and
+    // remote shootdown — in one invalidateTranslation() call; deleting
+    // it leaves the shadow mapping change unretired on every core.
     TempTree t;
-    const auto fs =
-        lintWithDeletedLine(t, "activeTlb().bumpTranslationEpoch();",
-                            {"R1"});
+    const auto fs = lintWithDeletedLine(
+        t, "invalidateTranslation(vbase, basePageSize, false);", {"R1"});
     ASSERT_FALSE(fs.empty());
-    EXPECT_EQ(fs[0].id, "R1");
-    EXPECT_EQ(fs[0].file, "src/os/kernel.cc");
-    EXPECT_GT(fs[0].line, 0);
+    bool caught = false;
+    for (const auto &f : fs) {
+        EXPECT_EQ(f.id, "R1");
+        EXPECT_EQ(f.file, "src/os/kernel.cc");
+        caught |= f.message.find("function 'mapPageToShadow'") !=
+                  std::string::npos;
+    }
+    EXPECT_TRUE(caught) << messages(fs);
 }
 
 TEST(LintSelfHost, DeletedObserverHookIsCaught)
@@ -1479,38 +1366,6 @@ TEST(LintSelfHost, DeletedLockGuardIsCaught)
     EXPECT_EQ(fs[0].file, "src/sweep/sweep.cc");
     EXPECT_EQ(fs[0].line, accessLine);
     EXPECT_NE(fs[0].message.find("progress"), std::string::npos);
-}
-
-TEST(LintSelfHost, DeletedShootdownIsCaught)
-{
-    TempTree t;
-    const std::string real = realFile("src/os/kernel.cc");
-    std::istringstream is(real);
-    std::ostringstream out;
-    std::string line;
-    int lineNo = 0, deletedAt = 0;
-    while (std::getline(is, line)) {
-        ++lineNo;
-        if (!deletedAt &&
-            line.find("shootdownRemote(vbase, basePageSize, false);") !=
-                std::string::npos) {
-            deletedAt = lineNo;
-            continue;   // drop the broadcast after the epoch bump
-        }
-        out << line << "\n";
-    }
-    ASSERT_GT(deletedAt, 0);
-    t.write("src/os/kernel.cc", out.str());
-
-    // The finding anchors at the epoch bump the broadcast guarded —
-    // the line directly above the deleted one (mapPageToShadow).
-    const auto fs = runLint(t.root(), repoRules(), {"R10"});
-    ASSERT_EQ(fs.size(), 1u) << messages(fs);
-    EXPECT_EQ(fs[0].id, "R10");
-    EXPECT_EQ(fs[0].file, "src/os/kernel.cc");
-    EXPECT_EQ(fs[0].line, deletedAt - 1);
-    EXPECT_NE(fs[0].message.find("'mapPageToShadow'"),
-              std::string::npos);
 }
 
 TEST(LintSelfHost, DeletedBatchFlushIsCaught)

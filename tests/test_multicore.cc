@@ -108,7 +108,7 @@ TEST(Shootdown, RemapPurgesRemoteTlbAndChargesIpi)
     // The initiating core services no IPI of its own.
     EXPECT_EQ(sys.kernel().shootdownsReceived(0), 0u);
     // Ranged shootdown: the remote entry is gone, and the epoch bump
-    // retires the remote L0 memoizations and batch anchors.
+    // retires the remote page memo.
     EXPECT_FALSE(sys.tlb(1).probe(dataBase).has_value());
     EXPECT_NE(sys.tlb(1).translationEpoch(), epoch);
     // The remote CPU paid the IPI service latency.
@@ -170,8 +170,8 @@ TEST(Shootdown, PagewiseSwapOutSendsEpochOnlyShootdown)
     EXPECT_EQ(sys.kernel().shootdownsReceived(1), received + 1);
     // Epoch-only: the superpage TLB entry deliberately survives
     // (§2.5 — the MMC faults on access to a swapped base page), but
-    // remote L0 memoizations and batch anchors must die because the
-    // freed frames may be reused.
+    // the remote page memo must die because the freed frames may be
+    // reused.
     EXPECT_TRUE(sys.tlb(1).probe(dataBase).has_value());
     EXPECT_NE(sys.tlb(1).translationEpoch(), epoch);
 }

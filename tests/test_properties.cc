@@ -307,10 +307,7 @@ struct DegenerateShape
     unsigned tlbEntries;
     unsigned mtlbEntries;
     unsigned mtlbAssoc;
-    unsigned l0Entries;
-    /** cpu.batch_window for the batched access engine; 0 runs
-     *  unbatched (the historical shapes). */
-    unsigned batchWindow;
+    bool batch;             ///< cpu.batch_enable (page memo + replay)
     Addr installedBytes;    ///< 0 = keep the fuzz default (16 MB)
     bool swapPressure;      ///< hand-crafted swap-heavy schedule
 };
@@ -367,8 +364,7 @@ TEST_P(DegenerateConfigSweep, AuditorStaysClean)
     params.tlbEntries = shape.tlbEntries;
     params.mtlbEntries = shape.mtlbEntries;
     params.mtlbAssoc = shape.mtlbAssoc;
-    params.l0Entries = shape.l0Entries;
-    params.batchWindow = shape.batchWindow;
+    params.batch = shape.batch;
     if (shape.installedBytes != 0)
         params.installedBytes = shape.installedBytes;
 
@@ -393,23 +389,17 @@ TEST_P(DegenerateConfigSweep, AuditorStaysClean)
 INSTANTIATE_TEST_SUITE_P(
     Shapes, DegenerateConfigSweep,
     ::testing::Values(
-        DegenerateShape{"one_entry_tlb", 1, 8, 2, 512, 0, 0, false},
-        DegenerateShape{"one_set_mtlb", 8, 2, 2, 512, 0, 0, false},
-        DegenerateShape{"no_l0", 8, 8, 2, 0, 0, 0, false},
-        DegenerateShape{"one_entry_l0", 8, 8, 2, 1, 0, 0, false},
-        DegenerateShape{"tiny_memory_swaps", 8, 8, 2, 512, 0,
-                        0x00880000, true},
-        // Batched access engine corners: a 1-access window flushes
-        // the deferred counters on every batched access, and a huge
-        // window on a 1-entry TLB maximizes lag while the thrashing
-        // TLB breaks runs constantly.
-        DegenerateShape{"batch_window_one", 8, 8, 2, 512, 1, 0,
-                        false},
-        DegenerateShape{"batch_window_huge_one_entry_tlb", 1, 8, 2,
-                        512, 4096, 0, false},
-        DegenerateShape{"batch_no_l0", 8, 8, 2, 0, 4096, 0, false},
-        DegenerateShape{"batch_tiny_memory_swaps", 8, 8, 2, 512,
-                        4096, 0x00880000, true}),
+        DegenerateShape{"one_entry_tlb", 1, 8, 2, false, 0, false},
+        DegenerateShape{"one_set_mtlb", 8, 2, 2, false, 0, false},
+        DegenerateShape{"tiny_memory_swaps", 8, 8, 2, false, 0x00880000,
+                        true},
+        // The host fast path at the same corners: a 1-entry TLB
+        // retires memo pages constantly, and swap pressure reuses
+        // frames behind live superpage entries.
+        DegenerateShape{"batch", 8, 8, 2, true, 0, false},
+        DegenerateShape{"batch_one_entry_tlb", 1, 8, 2, true, 0, false},
+        DegenerateShape{"batch_tiny_memory_swaps", 8, 8, 2, true,
+                        0x00880000, true}),
     [](const ::testing::TestParamInfo<DegenerateShape> &info) {
         return info.param.name;
     });

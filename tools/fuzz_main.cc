@@ -61,8 +61,8 @@ usage()
         "  --cores N          machine cores; ops are dispatched on\n"
         "                     core i %% N, all sharing one address\n"
         "                     space (default 1)\n"
-        "  --batch            run with the batched access engine on\n"
-        "                     (cpu.batch_window 4096); lockstep and\n"
+        "  --batch            run every seed with the host fast path\n"
+        "                     on (cpu.batch_enable); lockstep and\n"
         "                     final stats must be unchanged\n"
         "  --self-test        plant every FaultInjector corruption "
         "class and\n"
@@ -274,7 +274,7 @@ main(int argc, char **argv)
             paramsForSeed(run_seed, ops, audit_every);
         params.cores = cores;
         if (batch)
-            params.batchWindow = 4096;
+            params.batch = true;
         const Schedule schedule = generateSchedule(params);
         const RunResult result = runSchedule(schedule);
 

@@ -115,50 +115,6 @@ fnHeader(const std::vector<Token> &t, size_t open, std::string &cls,
 
 } // namespace
 
-std::vector<std::string>
-callArgs(const std::vector<Token> &t, size_t callee)
-{
-    std::vector<std::string> out;
-    size_t i = callee + 1;
-    if (i < t.size() && t[i].kind == TokKind::Punct && t[i].text == "<") {
-        size_t past = skipAngles(t, i);
-        if (past > i + 1 && past < t.size() &&
-            t[past].kind == TokKind::Punct && t[past].text == "(") {
-            i = past;
-        }
-    }
-    if (i >= t.size() || t[i].kind != TokKind::Punct || t[i].text != "(")
-        return out;
-    int depth = 0;
-    std::string cur;
-    bool sawComma = false;
-    for (size_t j = i; j < t.size(); ++j) {
-        const Token &tok = t[j];
-        if (tok.kind == TokKind::Punct) {
-            if (tok.text == "(" || tok.text == "[" || tok.text == "{") {
-                ++depth;
-                if (j == i)
-                    continue;   // the call's own '('
-            } else if (tok.text == ")" || tok.text == "]" ||
-                       tok.text == "}") {
-                if (--depth == 0) {
-                    if (sawComma || !cur.empty())
-                        out.push_back(cur);
-                    return out;
-                }
-            } else if (tok.text == "," && depth == 1) {
-                out.push_back(cur);
-                cur.clear();
-                sawComma = true;
-                continue;
-            }
-        }
-        cur += tok.kind == TokKind::String ? "\"" + tok.text + "\""
-                                           : tok.text;
-    }
-    return out;    // unterminated argument list
-}
-
 void
 CallGraph::addFile(const SourceFile &src, const ScopeTree &tree,
                    const RulesConfig &cfg)
@@ -248,8 +204,6 @@ CallGraph::addFile(const SourceFile &src, const ScopeTree &tree,
             // Direct facts.
             if (c.name == cfg.epochCall)
                 sum.bumpsEpoch = true;
-            if (!cfg.shootdownCall.empty() && c.name == cfg.shootdownCall)
-                sum.broadcastsShootdown = true;
             if (!cfg.flushCall.empty() && c.name == cfg.flushCall)
                 sum.flushesBatch = true;
             if (c.member && cfg.hooks.count(c.name))
@@ -265,14 +219,6 @@ CallGraph::addFile(const SourceFile &src, const ScopeTree &tree,
             }
             fn.calls.push_back(std::move(c));
         }
-
-        // r10-exempt functions (the shootdown broadcast, the
-        // context-switch flush) bump *another* core's epoch — or one
-        // about to be rebound — so their bump is not creditable to
-        // callers: otherwise deleting a local epoch bump would hide
-        // behind the adjacent broadcast call.
-        if (cfg.r10Exempt.count(fn.name))
-            sum.bumpsEpoch = false;
 
         byName_[fn.name].push_back(fns_.size());
         fns_.push_back(std::move(fn));
@@ -325,13 +271,6 @@ CallGraph::callMustBump(const std::string &file,
                         const std::string &name) const
 {
     return mustAll(file, name, &FnSummary::bumpsEpoch);
-}
-
-bool
-CallGraph::callMustBroadcast(const std::string &file,
-                             const std::string &name) const
-{
-    return mustAll(file, name, &FnSummary::broadcastsShootdown);
 }
 
 bool
@@ -407,16 +346,9 @@ CallGraph::propagate(const RulesConfig &cfg)
         for (size_t i = 0; i < fns_.size(); ++i) {
             FnSummary &s = sums_[i];
             const std::string &file = fns_[i].file;
-            const bool noBumpCredit = cfg.r10Exempt.count(fns_[i].name);
             for (const auto &c : fns_[i].calls) {
-                if (!s.bumpsEpoch && !noBumpCredit &&
-                    callMustBump(file, c.name)) {
+                if (!s.bumpsEpoch && callMustBump(file, c.name))
                     s.bumpsEpoch = changed = true;
-                }
-                if (!s.broadcastsShootdown &&
-                    callMustBroadcast(file, c.name)) {
-                    s.broadcastsShootdown = changed = true;
-                }
                 if (!s.flushesBatch && callMustFlush(file, c.name))
                     s.flushesBatch = changed = true;
                 if (!s.mutates && callMayMutate(file, c.name))

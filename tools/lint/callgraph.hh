@@ -6,8 +6,7 @@
  * scanned translation unit and computes one summary per function
  * definition:
  *
- *   - bumpsEpoch            calls bumpTranslationEpoch() somewhere
- *   - broadcastsShootdown   calls shootdownRemote() somewhere
+ *   - bumpsEpoch            calls the configured epoch call somewhere
  *   - flushesBatch          calls flushBatch() somewhere
  *   - mutates               calls a configured translation-state
  *                           mutator somewhere
@@ -20,9 +19,8 @@
  *
  * Summaries propagate through calls to a fixpoint so that helper
  * indirection is transparent to the protocol rules: a kernel function
- * that mutates and then calls a helper which bumps the epoch and
- * broadcasts the shootdown satisfies R1/R10 without `allow()`
- * escapes.
+ * that mutates and then calls a helper which retires the translation
+ * satisfies R1 without `allow()` escapes.
  *
  * Name resolution is per unqualified name (no type inference), and
  * deliberately confined to the *defining file* of the caller: a call
@@ -32,8 +30,8 @@
  * are file-local, while cross-file resolution by bare name drowns in
  * collisions — `x.load(std::memory_order_relaxed)` is not a call to
  * `Cpu::load`, and `std::string("info")` is not a call to a JSON
- * parser's `string()` production. "Must" facts (bumps, broadcasts,
- * flushes, hooks) take the intersection over the candidates — a call
+ * parser's `string()` production. "Must" facts (bumps, flushes,
+ * hooks) take the intersection over the candidates — a call
  * counts as bumping only when every same-file definition of that
  * name bumps — while "may" facts (mutates, touches per-core state,
  * unprotected read) take the union. That keeps the engine
@@ -99,7 +97,6 @@ struct FnDef
 struct FnSummary
 {
     bool bumpsEpoch = false;
-    bool broadcastsShootdown = false;
     bool flushesBatch = false;
     bool mutates = false;
     bool touchesPerCore = false;
@@ -132,8 +129,6 @@ class CallGraph
     // guarantees and risks nothing.
     bool callMustBump(const std::string &file,
                       const std::string &name) const;
-    bool callMustBroadcast(const std::string &file,
-                           const std::string &name) const;
     bool callMustFlush(const std::string &file,
                        const std::string &name) const;
     bool callMayMutate(const std::string &file,
@@ -157,14 +152,6 @@ class CallGraph
     std::vector<FnSummary> sums_;
     std::map<std::string, std::vector<size_t>> byName_;
 };
-
-/** Joined source text of the arguments of the call whose callee
- *  identifier sits at token index @p callee (expects `(` next,
- *  possibly after a `<...>` template argument group). Tokens are
- *  concatenated without spaces ("pageBase(vaddr)"), one string per
- *  top-level argument. Empty when no argument list follows. */
-std::vector<std::string> callArgs(const std::vector<Token> &t,
-                                  size_t callee);
 
 } // namespace mtlblint
 

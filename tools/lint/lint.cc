@@ -309,7 +309,7 @@ extractFunctions(const SourceFile &src, const RulesConfig &cfg)
             }
         }
         // Generic call event: the interprocedural checks substitute
-        // the callee's summary (bump / broadcast / hook facts) here.
+        // the callee's summary (bump / hook facts) here.
         if (nextIs("(") && !isControlKeyword(tok.text))
             cur.events.push_back({FnEvent::Call, i, tok.line, tok.text});
     }
@@ -493,12 +493,6 @@ RulesConfig::load(const std::string &path)
             cfg.guardedMembers.push_back({a, b, c});
         } else if (dir == "det-sink") {
             cfg.detSinks.insert(a);
-        } else if (dir == "shootdown-call") {
-            cfg.shootdownCall = a;
-        } else if (dir == "purge-call") {
-            cfg.purgeCall = a;
-        } else if (dir == "r10-exempt") {
-            cfg.r10Exempt.insert(a);
         } else if (dir == "percore-container") {
             cfg.percoreContainers[a] = b;   // b may be empty
         } else if (dir == "r11-exempt") {
@@ -642,7 +636,6 @@ ruleNames()
         {"R7", "ownership-escape"},
         {"R8", "lock-discipline"},
         {"R9", "determinism-taint"},
-        {"R10", "shootdown-parity"},
         {"R11", "core-confinement"},
         {"R12", "batch-flush-discipline"},
         {"SA", "stale-allow"},
@@ -745,7 +738,6 @@ class Linter
     void checkOwnership();          // R7
     void checkLocks();              // R8
     void checkDeterminism();        // R9
-    void checkShootdownParity();    // R10
     void checkCoreConfinement();    // R11
     void checkBatchFlush();         // R12
     void checkStaleAllows();        // SA (after all other checks)
@@ -1761,109 +1753,6 @@ Linter::checkDeterminism()
 }
 
 void
-Linter::checkShootdownParity()
-{
-    if (!active("R10") || cfg_.shootdownCall.empty() ||
-        cfg_.kernelFile.empty() || !fs::exists(abs(cfg_.kernelFile))) {
-        return;
-    }
-    assessed_.insert("R10");
-    const SourceFile &src = tokens(cfg_.kernelFile);
-    const auto fns = extractFunctions(src, cfg_);
-    const CallGraph &g = graph();
-
-    for (const auto &fn : fns) {
-        if (cfg_.r10Exempt.count(fn.name))
-            continue;
-        // Events in token order: explicit epoch bumps, broadcast
-        // events (direct shootdown calls or calls into helpers that
-        // always broadcast), purges, and exits.
-        std::vector<const FnEvent *> bumps;
-        std::vector<size_t> shoots, exits;
-        std::vector<const FnEvent *> purges, directShoots;
-        for (const auto &e : fn.events) {
-            if (e.kind == FnEvent::Bump) {
-                bumps.push_back(&e);
-            } else if (e.kind == FnEvent::Return) {
-                exits.push_back(e.pos);
-            } else if (e.kind == FnEvent::Call) {
-                if (e.name == cfg_.shootdownCall) {
-                    shoots.push_back(e.pos);
-                    directShoots.push_back(&e);
-                } else if (g.callMustBroadcast(cfg_.kernelFile, e.name)) {
-                    shoots.push_back(e.pos);
-                } else if (e.name == cfg_.purgeCall) {
-                    purges.push_back(&e);
-                }
-            }
-        }
-        exits.push_back(fn.endPos);
-
-        // Every explicit bump site must reach a broadcast before
-        // every exit after it (R1-style path approximation).
-        std::set<int> reported;
-        for (const auto *b : bumps) {
-            for (size_t ex : exits) {
-                if (ex <= b->pos)
-                    continue;
-                bool broadcast = false;
-                for (size_t s : shoots) {
-                    if (s > b->pos && s < ex) {
-                        broadcast = true;
-                        break;
-                    }
-                }
-                if (!broadcast && reported.insert(b->line).second) {
-                    emit(src, b->line, "R10", "shootdown-parity",
-                         "function '" + fn.name + "' bumps the "
-                         "translation epoch but can return without "
-                         "broadcasting " + cfg_.shootdownCall +
-                         "() to the remote cores (add r10-exempt for "
-                         "intentionally core-local flushes)");
-                }
-            }
-        }
-
-        // Argument discipline on direct broadcasts: 3 arguments, and
-        // (vbase, bytes) must repeat the nearest preceding ranged
-        // purge unless bytes is the whole-TLB sentinel 0.
-        for (const auto *sh : directShoots) {
-            auto args = callArgs(src.tokens, sh->pos);
-            if (args.size() != 3) {
-                emit(src, sh->line, "R10", "shootdown-parity",
-                     cfg_.shootdownCall + "() takes (vbase, bytes, "
-                     "inval_uitlb); found " +
-                     std::to_string(args.size()) + " argument(s)");
-                continue;
-            }
-            if (args[1] == "0")
-                continue;   // whole-TLB shootdown, no range to match
-            const FnEvent *purge = nullptr;
-            for (const auto *p : purges) {
-                if (p->pos < sh->pos && (!purge || p->pos > purge->pos))
-                    purge = p;
-            }
-            std::vector<std::string> pargs;
-            if (purge)
-                pargs = callArgs(src.tokens, purge->pos);
-            if (!purge || pargs.size() < 2 || pargs[0] != args[0] ||
-                pargs[1] != args[1]) {
-                emit(src, sh->line, "R10", "shootdown-parity",
-                     cfg_.shootdownCall + "(" + args[0] + ", " +
-                     args[1] + ", ...) does not repeat the nearest "
-                     "preceding " + cfg_.purgeCall + "() range" +
-                     (purge ? " (" + (pargs.empty() ? "" : pargs[0]) +
-                              ", " +
-                              (pargs.size() > 1 ? pargs[1] : "") + ")"
-                            : " (no preceding purge)") +
-                     "; broadcast the just-purged range or pass "
-                     "bytes == 0 for a whole-TLB shootdown");
-            }
-        }
-    }
-}
-
-void
 Linter::checkCoreConfinement()
 {
     if (!active("R11") || cfg_.percoreContainers.empty())
@@ -1978,7 +1867,6 @@ Linter::run()
     checkOwnership();
     checkLocks();
     checkDeterminism();
-    checkShootdownParity();
     checkCoreConfinement();
     checkBatchFlush();
     checkStaleAllows();     // last: judges the other rules' output

@@ -2,13 +2,15 @@
  * @file
  * mtlb-lint rule engine.
  *
- * Twelve repo-specific semantic rules (plus the stale-allow
+ * Eleven repo-specific semantic rules (plus the stale-allow
  * diagnostic) over the simulator sources:
  *
  *  R1 epoch-discipline      every kernel function that mutates
  *                           translation state below the TLB must call
- *                           bumpTranslationEpoch() on every path
- *                           before returning.
+ *                           the configured epoch call (the repo's
+ *                           rules.cfg names invalidateTranslation(),
+ *                           which also shoots down remote cores) on
+ *                           every path before returning.
  *  R2 observer-discipline   the same mutators must be paired with the
  *                           matching KernelObserver hook.
  *  R3 stats-registration    every stats::* member declared in a
@@ -36,13 +38,6 @@
  *  R9 determinism-taint     no iteration over unordered containers or
  *                           pointer-keyed maps in a function that also
  *                           records stats or fires observer hooks.
- *  R10 shootdown-parity     every explicit bumpTranslationEpoch()
- *                           site in the kernel must be followed by a
- *                           shootdownRemote() broadcast (directly or
- *                           through a helper that always broadcasts)
- *                           before every exit, and direct broadcasts
- *                           must carry the just-purged (vbase, bytes)
- *                           range or bytes == 0 (full-TLB semantics).
  *  R11 core-confinement     per-core container subscripts may only
  *                           use the active-core index; any other
  *                           index is a cross-core poke and must live
@@ -60,9 +55,9 @@
  *                           annotations are findings themselves (and
  *                           cannot be allow()ed away).
  *
- * R1/R2/R10/R12 are interprocedural: per-function summaries ("bumps
- * epoch", "broadcasts shootdown", "flushes batch counters", "reads
- * deferred stats", "fires hook H") are computed over a project-wide
+ * R1/R2/R12 are interprocedural: per-function summaries ("bumps
+ * epoch", "flushes batch counters", "reads deferred stats", "fires
+ * hook H") are computed over a project-wide
  * call graph (callgraph.hh) and propagated through calls to a
  * fixpoint, so helper indirection needs no `allow()` escapes.
  *
@@ -168,16 +163,6 @@ struct RulesConfig
      *  or observer hooks (`sample`, the KernelObserver hooks, ...). */
     std::set<std::string> detSinks;
 
-    // R10
-    /** The remote-TLB shootdown broadcast call. */
-    std::string shootdownCall;
-    /** The ranged TLB purge whose (vbase, bytes) arguments a direct
-     *  shootdown broadcast must repeat (unless bytes == 0). */
-    std::string purgeCall = "purgeRange";
-    /** Kernel functions exempt from shootdown parity: the core-local
-     *  context-switch flush and the broadcast primitive itself. */
-    std::set<std::string> r10Exempt;
-
     // R11
     /** Per-core container member -> the only identifier allowed as
      *  its subscript outside exempt functions ("" = no index is ever
@@ -202,7 +187,7 @@ struct Finding
 {
     std::string file;   ///< repo-relative path
     int line = 0;
-    std::string id;     ///< "R1".."R12" / "SA"
+    std::string id;     ///< "R1".."R9", "R11", "R12" / "SA"
     std::string name;   ///< long rule name
     std::string message;
     /** True when an `allow` annotation (plus, for R6, a baseline

@@ -31,7 +31,7 @@ usage(std::ostream &os)
           "rules.cfg)\n"
           "  --only LIST    comma-separated rule ids to run (default: "
           "all;\n"
-          "                 R1-R12 plus SA, the stale-allow "
+          "                 R1-R9, R11, R12 plus SA, the stale-allow "
           "diagnostic,\n"
           "                 which executes the other checks for "
           "bookkeeping\n"

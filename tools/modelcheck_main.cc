@@ -48,7 +48,6 @@ printConfig(const model::ModelConfig &cfg)
               << "  tlb_entries    " << p.tlbEntries << "\n"
               << "  mtlb           " << p.mtlbEntries << " entries, "
               << p.mtlbAssoc << "-way\n"
-              << "  l0_entries     " << p.l0Entries << "\n"
               << "  user_frames    "
               << ((p.installedBytes - Addr{8} * 1024 * 1024) >>
                   basePageShift)
