@@ -130,9 +130,10 @@ BM_HptLookup(benchmark::State &state)
         hpt.insert({v << basePageShift, v << basePageShift, 0,
                     PageProtection{}});
     Random rng(5);
+    std::vector<Addr> probes;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            hpt.lookup((rng.below(4096)) << basePageShift));
+            hpt.lookup((rng.below(4096)) << basePageShift, 0, probes));
     }
 }
 BENCHMARK(BM_HptLookup);

@@ -13,7 +13,10 @@
  * APPENDS one entry to the "trajectory" array of an existing report
  * (a legacy single-run report is converted into the first entry), so
  * the committed file accumulates one data point per PR and the trend
- * is diffable in review.
+ * is diffable in review. Every entry carries a "host" record — CPU
+ * brand, compiler, build type, host thread count and the source
+ * tree's git commit — since wall times only compare within one host
+ * and build.
  *
  * Usage: simspeed [--quick] [--scale S] [--reps N] [--label TEXT]
  *                 [--out FILE]
@@ -28,13 +31,19 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
 
 #include "base/logging.hh"
 #include "stats/json.hh"
@@ -153,6 +162,63 @@ loadTrajectory(const std::string &path)
     return traj;
 }
 
+/** The host CPU's brand string from CPUID, or "unknown". */
+std::string
+cpuBrand()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    if (__get_cpuid_max(0x80000000, nullptr) >= 0x80000004) {
+        std::array<unsigned, 12> regs{};
+        for (unsigned i = 0; i < 3; ++i) {
+            __get_cpuid(0x80000002 + i, &regs[4 * i], &regs[4 * i + 1],
+                        &regs[4 * i + 2], &regs[4 * i + 3]);
+        }
+        char brand[sizeof(regs) + 1] = {};
+        std::memcpy(brand, regs.data(), sizeof(regs));
+        std::string s(brand);
+        s.erase(0, s.find_first_not_of(' '));
+        s.erase(s.find_last_not_of(' ') + 1);
+        if (!s.empty())
+            return s;
+    }
+#endif
+    return "unknown";
+}
+
+/** `git describe --always --dirty` of the source tree simspeed was
+ *  built from ("-dirty" marks uncommitted changes), or "unknown". */
+std::string
+gitCommit()
+{
+    const std::string cmd = "git -C \"" SIMSPEED_SOURCE_DIR
+                            "\" describe --always --dirty --abbrev=12 "
+                            "2>/dev/null";
+    std::string out;
+    if (FILE *pipe = popen(cmd.c_str(), "r")) {
+        char buf[128];
+        while (std::fgets(buf, sizeof(buf), pipe))
+            out += buf;
+        if (pclose(pipe) != 0)
+            out.clear();
+    }
+    while (!out.empty() && (out.back() == '\n' || out.back() == ' '))
+        out.pop_back();
+    return out.empty() ? "unknown" : out;
+}
+
+/** What the wall times were measured on. */
+json::Value
+hostRecord()
+{
+    json::Value h = json::Value::object();
+    h.set("cpu", cpuBrand());
+    h.set("compiler", SIMSPEED_COMPILER);
+    h.set("build_type", SIMSPEED_BUILD_TYPE);
+    h.set("nproc", std::thread::hardware_concurrency());
+    h.set("git_commit", gitCommit());
+    return h;
+}
+
 void
 printModeRow(const char *name, const ModeResult &r)
 {
@@ -227,6 +293,7 @@ main(int argc, char **argv)
     json::Value entry = json::Value::object();
     if (!label.empty())
         entry.set("label", label);
+    entry.set("host", hostRecord());
     entry.set("matrix", matrix.name);
     entry.set("scale", scale);
     entry.set("reps", reps);

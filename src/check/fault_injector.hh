@@ -136,7 +136,7 @@ class FaultInjector
     staleMemoEntry(Addr va)
     {
 #ifdef MTLBSIM_CHECK_TESTING
-        PageMemo &memo = sys_.cpu().memo();
+        PageMemo &memo = sys_.tlb().memo();
         panicIf(!memo.live(va, sys_.tlb().translationEpoch()),
                 "no live memo entry to corrupt at 0x", std::hex, va);
         // Point the entry at the wrong frame.

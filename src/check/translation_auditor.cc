@@ -1,11 +1,11 @@
 #include "check/translation_auditor.hh"
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "base/logging.hh"
 #include "cache/cache.hh"
-#include "cpu/cpu.hh"
 #include "mem/physmap.hh"
 #include "mmc/memsys.hh"
 #include "os/kernel.hh"
@@ -155,7 +155,44 @@ void
 TranslationAuditor::checkOneTlb(AuditReport &report, const Tlb &tlb,
                                 const AddressSpace &space)
 {
-    for (const TlbEntry &e : tlb.auditState()) {
+    // The two facts Tlb::insert's scan-free base-page path rests on:
+    // the lookup index maps exactly the valid entries, and no two
+    // valid entries overlap.
+    tlbSlots_.clear();
+    for (unsigned s = 0; s < tlb.capacity(); ++s) {
+        const TlbEntry &e = tlb.entryAt(s);
+        if (!e.valid)
+            continue;
+        tlbSlots_.push_back({e.vbase, s});
+        if (tlb.indexedSlot(e.vbase, e.sizeClass) !=
+            static_cast<int>(s)) {
+            violate(report, "tlb-coherence", "entry v=0x", std::hex,
+                    e.vbase, " class ", std::dec, e.sizeClass,
+                    " in slot ", s,
+                    " is not reachable through the lookup index");
+        }
+    }
+    if (tlb.indexSize() != tlbSlots_.size()) {
+        violate(report, "tlb-coherence", "the lookup index holds ",
+                tlb.indexSize(), " keys for ", tlbSlots_.size(),
+                " valid entries");
+    }
+    // Aligned power-of-4 pages overlap only by nesting, so sorted by
+    // base any overlap shows between neighbours.
+    std::sort(tlbSlots_.begin(), tlbSlots_.end());
+    for (std::size_t i = 1; i < tlbSlots_.size(); ++i) {
+        const TlbEntry &prev = tlb.entryAt(tlbSlots_[i - 1].second);
+        const TlbEntry &next = tlb.entryAt(tlbSlots_[i].second);
+        if (prev.vbase + prev.size() > next.vbase) {
+            violate(report, "tlb-coherence", "entries v=0x", std::hex,
+                    prev.vbase, " class ", std::dec, prev.sizeClass,
+                    " and v=0x", std::hex, next.vbase, " class ",
+                    std::dec, next.sizeClass, " overlap");
+        }
+    }
+
+    for (const auto &vbase_slot : tlbSlots_) {
+        const TlbEntry &e = tlb.entryAt(vbase_slot.second);
         if (e.pinned)
             continue;
 
@@ -588,15 +625,12 @@ void
 TranslationAuditor::checkMemoCoherence(AuditReport &report)
 {
     ++report.checksRun;
-    for (unsigned c = 0; c < kernel_.numCores(); ++c) {
-        checkOneMemo(report, kernel_.coreTlb(c),
-                     c < memos_.size() ? memos_[c] : nullptr);
-    }
+    for (unsigned c = 0; c < kernel_.numCores(); ++c)
+        checkOneMemo(report, kernel_.coreTlb(c));
 }
 
 void
-TranslationAuditor::checkOneMemo(AuditReport &report, const Tlb &tlb,
-                                 const PageMemo *memo)
+TranslationAuditor::checkOneMemo(AuditReport &report, const Tlb &tlb)
 {
     // The epoch-wrap discipline (Tlb::bumpTranslationEpoch): 0 marks
     // a never-filled memo entry, so a current epoch of 0 would make
@@ -606,10 +640,7 @@ TranslationAuditor::checkOneMemo(AuditReport &report, const Tlb &tlb,
         violate(report, "memo-coherence",
                 "translation epoch is 0; the wrap guard must skip it");
     }
-    if (!memo)
-        return;
-
-    for (const PageMemo::Entry &e : memo->entries) {
+    for (const PageMemo::Entry &e : tlb.memo().entries) {
         // Entries are stamped from the current epoch at fill time, so
         // no stamp may run ahead of it — a from-the-future stamp looks
         // dead now yet would spring back to life when the epoch

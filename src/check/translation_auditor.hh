@@ -8,7 +8,9 @@
  *  - tlb-coherence: every CPU TLB entry agrees with the OS's
  *    address-space records (superpage entries match their
  *    ShadowSuperpage; base-page entries map the frame the OS
- *    installed).
+ *    installed). Within each TLB, valid entries never overlap and
+ *    the lookup index maps exactly the valid entries — the two facts
+ *    Tlb::insert's scan-free base-page path relies on.
  *  - superpage-backing: within each shadow superpage, a base page is
  *    present exactly when its shadow-table PTE is valid, and the PTE
  *    names the page's real frame. Swapped-out pages keep their TLB
@@ -33,11 +35,11 @@
  *  - stats-identities: accounting identities across components
  *    (cache accesses = hits + misses, MTLB lookups = MMC shadow
  *    ops, kernel trap count = TLB miss count, ...).
- *  - memo-coherence: every *live* entry of each core's page memo
- *    (stamped with its TLB's current translation epoch) is covered
- *    by a valid TLB entry with the same frame base and writability
- *    and a set NRU referenced bit — the property that makes skipping
- *    the per-hit referenced-bit store sound (cpu/cpu.hh PageMemo).
+ *  - memo-coherence: every *live* entry of each TLB's page memo
+ *    (stamped with its current translation epoch) is covered by a
+ *    valid TLB entry with the same frame base and writability and a
+ *    set NRU referenced bit — the property that makes skipping the
+ *    per-hit referenced-bit store sound (tlb/tlb.hh PageMemo).
  *    No stamp may run ahead of the epoch, and the epoch is never 0.
  *  - cross-core-coherence (multi-core machines only): no core's TLB
  *    holds a translation that disagrees with the current mappings of
@@ -55,6 +57,7 @@
 #define MTLBSIM_CHECK_TRANSLATION_AUDITOR_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "base/types.hh"
@@ -68,7 +71,6 @@ class AddressSpace;
 class Cache;
 class Kernel;
 class MemorySystem;
-struct PageMemo;
 class PhysMap;
 class Tlb;
 
@@ -85,10 +87,6 @@ class TranslationAuditor : public Checker
                        const PhysMap &physmap, stats::StatGroup &parent);
 
     std::string name() const override { return "translation-auditor"; }
-
-    /** Attach the next core's page memo (in core order); System
-     *  calls this once per core. */
-    void attachMemo(const PageMemo *memo) { memos_.push_back(memo); }
 
     /** Run all checks; no policy applied. */
     AuditReport collect() override;
@@ -129,21 +127,21 @@ class TranslationAuditor : public Checker
     void checkDramGuard(AuditReport &report);
     void checkStatsIdentities(AuditReport &report);
     void checkMemoCoherence(AuditReport &report);
-    /** One core's memo-coherence pass (@p memo may be null). */
-    void checkOneMemo(AuditReport &report, const Tlb &tlb,
-                      const PageMemo *memo);
+    /** One TLB's memo-coherence pass. */
+    void checkOneMemo(AuditReport &report, const Tlb &tlb);
 
     CheckConfig config_;
     Cache &cache_;
     MemorySystem &memsys_;
     Kernel &kernel_;
     const PhysMap &physMap_;
-    /** Every core's page memo, in core order. */
-    std::vector<const PageMemo *> memos_;
 
     /** Scratch mark-vector over the user frame pool, reused across
      *  audits so periodic auditing does not allocate. */
     std::vector<std::uint8_t> frameMarks_;
+    /** Scratch (vbase, slot) list of one TLB's valid entries, reused
+     *  the same way. */
+    std::vector<std::pair<Addr, unsigned>> tlbSlots_;
 
     stats::StatGroup statGroup_;
     stats::Scalar &audits_;

@@ -35,8 +35,9 @@ Cpu::translate(Addr vaddr, AccessType type)
     // returning it is exact memoization. Every entry came from a
     // user-mode lookup, so only a store to a read-only page can
     // fault; it falls through so the slow path counts and reports it.
+    PageMemo &memo = tlb_.memo();
     const PageMemo::Entry *hit =
-        memo_.live(vaddr, tlb_.translationEpoch());
+        memo.live(vaddr, tlb_.translationEpoch());
     if (hit && (type != AccessType::Write || hit->writable)) {
         tlb_.noteMemoHit();
         return hit->pframeBase | pageOffset(vaddr);
@@ -52,10 +53,12 @@ Cpu::translate(Addr vaddr, AccessType type)
     }
     fatalIf(result.protFault,
             "protection fault at 0x", std::hex, vaddr);
+    // Filled only when the fast path is on: an empty memo never
+    // matches, so one switch disables the whole fast path.
     if (config_.batchEnable) {
         const Addr vpage = vaddr >> basePageShift;
-        memo_.slot(vpage) = {vpage, pageBase(result.paddr),
-                             tlb_.translationEpoch(), result.writable};
+        memo.slot(vpage) = {vpage, pageBase(result.paddr),
+                            tlb_.translationEpoch(), result.writable};
     }
     return result.paddr;
 }

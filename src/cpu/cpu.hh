@@ -45,60 +45,12 @@ struct CpuConfig
     /** Allow one outstanding store miss to drain in the background
      *  (non-blocking write-allocate with a 1-deep store buffer). */
     bool storeBuffer = true;
-    /** The host fast path: serve TLB hits from the per-core page memo
-     *  and replay runs of same-page cache hits in bulk
-     *  (docs/manual.md §9). A host-speed switch only: simulated
-     *  behaviour and statistics are byte-identical with it on or
-     *  off, and off is the plain path they are proven against. */
+    /** The host fast path: serve TLB hits from the TLB's page memo
+     *  (tlb/tlb.hh PageMemo) and replay runs of same-page cache hits
+     *  in bulk (docs/manual.md §9). A host-speed switch only:
+     *  simulated behaviour and statistics are byte-identical with it
+     *  on or off, and off is the plain path they are proven against. */
     bool batchEnable = true;
-};
-
-/**
- * The per-core page memo: a direct-mapped array of base-page
- * translations, each stamped with the translation epoch it was filled
- * under. Host-side only — never part of the simulated machine, never
- * in the statistics tree. Cpu::translate() serves TLB hits from it and
- * the batch engine replays cache hits on it.
- *
- * An entry is filled only from a successful TLB lookup and is live
- * only while its stamp equals the TLB's current epoch. Every mutation
- * of translation state bumps that epoch (Tlb::insert/dropEntry,
- * Kernel::invalidateTranslation), so one increment lazily retires
- * every memoized page. The NRU referenced bit needs no per-hit store:
- * the lookup that filled an entry set its TLB entry's bit, and the bit
- * is only cleared inside Tlb::insert, which bumps the epoch. The
- * TranslationAuditor's memo-coherence invariant checks exactly this.
- */
-struct PageMemo
-{
-    struct Entry
-    {
-        /** Virtual page; the all-ones sentinel never matches a real
-         *  vpage, so no entry is live initially. */
-        Addr vpage = ~Addr{0};
-        Addr pframeBase = 0;        ///< physical/shadow frame base
-        std::uint64_t epoch = 0;    ///< translation epoch at fill
-        bool writable = false;      ///< page accepts stores
-    };
-
-    /** Entries (power of two). Hot sets alternate between pages far
-     *  more often than they stream within one, so the memo holds
-     *  many pages at once; 32 KB of host memory per core. */
-    static constexpr unsigned size = 1024;
-
-    Entry &slot(Addr vpage) { return entries[vpage & (size - 1)]; }
-
-    /** The entry for @p vaddr's page if it is live under @p epoch,
-     *  else null. */
-    const Entry *
-    live(Addr vaddr, std::uint64_t epoch) const
-    {
-        const Addr vpage = vaddr >> basePageShift;
-        const Entry &e = entries[vpage & (size - 1)];
-        return e.vpage == vpage && e.epoch == epoch ? &e : nullptr;
-    }
-
-    Entry entries[size];
 };
 
 /**
@@ -324,10 +276,6 @@ class Cpu
     /** Current simulated time in CPU cycles. */
     Cycles now() const { return now_; }
 
-    /** The page memo (audit and fault-injection support). */
-    PageMemo &memo() { return memo_; }
-    const PageMemo &memo() const { return memo_; }
-
     Counter
     instructions() const
     {
@@ -363,9 +311,9 @@ class Cpu
      * is provably equivalent to the full dataAccess() path on a
      * cache hit: a live memo entry for the page, store permission
      * already proven, no periodic check due, and the cache line
-     * resident. Everything else — cold page, epoch bump, would-be
-     * protection fault, line fill, check boundary — falls back to
-     * the slow path, whose translate() refills the memo.
+     * resident. Everything else — cold page, retired memo entry,
+     * would-be protection fault, line fill, check boundary — falls
+     * back to the slow path, whose translate() refills the memo.
      *
      * Replay is split eager/deferred: simulated time and the line's
      * dirty bit advance immediately (kernel paths read both without
@@ -379,7 +327,7 @@ class Cpu
         // PageMemo::live() spelled out: as a pointer-or-null test it
         // measurably slows the multi-core replay loop this inlines into.
         const Addr vpage = vaddr >> basePageShift;
-        const PageMemo::Entry &m = memo_.slot(vpage);
+        const PageMemo::Entry &m = tlb_.memo().slot(vpage);
         if (m.vpage != vpage ||
             m.epoch != tlb_.translationEpoch() ||
             (is_store && !m.writable) ||
@@ -440,9 +388,6 @@ class Cpu
     MemorySystem &memsys_;
     Kernel &kernel_;
 
-    /** Filled only when config_.batchEnable is on: an empty memo
-     *  never matches, so one switch disables the whole fast path. */
-    PageMemo memo_;
     Cycles cacheHitCycles_;     ///< memoized cache.config().hitCycles
     mutable BatchState batch_;
 

@@ -531,7 +531,7 @@ DifferentialFuzzer::applyInject(FaultKind kind, unsigned index)
 
       case FaultKind::StaleMemoEntry: {
         const Addr va = fuzzDataBase + 2 * basePageSize;
-        if (!sys.cpu().memo().live(va, sys.tlb().translationEpoch()))
+        if (!sys.tlb().memo().live(va, sys.tlb().translationEpoch()))
             return;
         inject.staleMemoEntry(va);
         break;

@@ -36,27 +36,26 @@ Hpt::allocOverflowEntry()
     return a;
 }
 
-Hpt::LookupResult
-Hpt::lookup(Addr vaddr, unsigned asid) const
+std::optional<VmMapping>
+Hpt::lookup(Addr vaddr, unsigned asid,
+            std::vector<Addr> &probe_addrs) const
 {
-    LookupResult result;
+    probe_addrs.clear();
     const Addr vpn = keyFor(pageFrame(vaddr), asid);
     const auto &chain = chains_[bucketOf(vpn)];
 
     if (chain.empty()) {
         // The handler still reads the empty head slot.
-        result.probeAddrs.push_back(
-            tableBase_ + Addr{bucketOf(vpn)} * entryBytes);
-        return result;
+        probe_addrs.push_back(tableBase_ +
+                              Addr{bucketOf(vpn)} * entryBytes);
+        return std::nullopt;
     }
     for (const auto &entry : chain) {
-        result.probeAddrs.push_back(entry.entryAddr);
-        if (entry.vpn == vpn) {
-            result.mapping = entry.mapping;
-            return result;
-        }
+        probe_addrs.push_back(entry.entryAddr);
+        if (entry.vpn == vpn)
+            return entry.mapping;
     }
-    return result;
+    return std::nullopt;
 }
 
 std::vector<Addr>

@@ -58,18 +58,17 @@ class Hpt
     Hpt(Addr table_base, unsigned num_buckets);
 
     /**
-     * Result of a probe: the mapping found (if any) and the kernel
-     * address of every 16-byte entry the handler examined, in order.
+     * Probe for a translation of @p vaddr in address space @p asid
+     * (single hash, one chain walk — page-size independent).
+     *
+     * @param probe_addrs cleared, then given the kernel address of
+     *        every 16-byte entry the handler examined, in order. The
+     *        miss handler passes one buffer it reuses, so a probe
+     *        allocates no host memory.
+     * @return the mapping found, if any
      */
-    struct LookupResult
-    {
-        std::optional<VmMapping> mapping;
-        std::vector<Addr> probeAddrs;
-    };
-
-    /** Probe for a translation of @p vaddr in address space @p asid
-     *  (single hash, one chain walk — page-size independent). */
-    LookupResult lookup(Addr vaddr, unsigned asid = 0) const;
+    std::optional<VmMapping> lookup(Addr vaddr, unsigned asid,
+                                    std::vector<Addr> &probe_addrs) const;
 
     /**
      * Insert a mapping, replicating one entry per base page it

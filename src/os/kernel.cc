@@ -130,11 +130,9 @@ Kernel::bindProcess(unsigned core, unsigned proc)
 
     ctx.proc = proc;
     // Entries are not ASID-tagged: a context switch flushes the
-    // core's whole translation state. The explicit epoch bump also
-    // retires the core's page memo even when the TLB held no
-    // purgeable entry.
+    // core's whole translation state, page memo included (purgeAll
+    // retires it even when the TLB held no purgeable entry).
     ctx.tlb->purgeAll();
-    ctx.tlb->bumpTranslationEpoch();
     ctx.uitlb->invalidate();
     return true;
 }
@@ -158,8 +156,9 @@ Kernel::invalidateTranslation(Addr vbase, Addr bytes, bool inval_uitlb)
         CoreCtx &core = cores_[c];
         if (bytes > 0)
             core.tlb->purgeRange(vbase, bytes);
-        // purgeRange only bumps the epoch when it drops an entry; the
-        // explicit bump retires the core's page memo regardless.
+        // purgeRange retires only the memo slots of the entries it
+        // drops; the bump retires the core's whole page memo, since
+        // the change may lie below the TLB (bytes == 0).
         core.tlb->bumpTranslationEpoch();
         if (inval_uitlb)
             core.uitlb->invalidate();
@@ -388,8 +387,9 @@ Kernel::handleTlbMiss(Addr vaddr, AccessType type, Cycles now)
 
     // Probe the hashed page table; every entry examined is a real
     // cached load.
-    Hpt::LookupResult lookup = hpt_.lookup(vaddr, asid());
-    cycles += chargeHptTouches(lookup.probeAddrs, false, now + cycles);
+    std::optional<VmMapping> mapping =
+        hpt_.lookup(vaddr, asid(), hptProbes_);
+    cycles += chargeHptTouches(hptProbes_, false, now + cycles);
 
     // Cycles spent in the VM fault path (page-table walk + demand
     // zero). These are kernel time but *not* TLB-miss-handling time
@@ -397,7 +397,7 @@ Kernel::handleTlbMiss(Addr vaddr, AccessType type, Cycles now)
     // same on any system.
     Cycles fault_cycles = 0;
 
-    if (!lookup.mapping) {
+    if (!mapping) {
         ++vmFaults_;
         fault_cycles += config_.vmFaultOverheadCycles;
         fault_cycles += kernelAccess(space().l1EntryAddr(vaddr), false,
@@ -416,9 +416,9 @@ Kernel::handleTlbMiss(Addr vaddr, AccessType type, Cycles now)
             fault_cycles += materialisePage(vaddr,
                                             now + cycles + fault_cycles);
 
-        lookup.mapping = mappingFor(vaddr);
+        mapping = mappingFor(vaddr);
         fault_cycles += chargeHptTouches(
-            hpt_.insert(*lookup.mapping, asid()), true,
+            hpt_.insert(*mapping, asid()), true,
             now + cycles + fault_cycles);
         vmFaultCycles_ += static_cast<double>(fault_cycles);
     }
@@ -430,15 +430,15 @@ Kernel::handleTlbMiss(Addr vaddr, AccessType type, Cycles now)
     // promotion, remap the chunk now. The promotion changes the
     // mapping, so it runs before the TLB insert.
     Cycles promo_cycles = 0;
-    if (config_.onlinePromotion && lookup.mapping->sizeClass == 0) {
+    if (config_.onlinePromotion && mapping->sizeClass == 0) {
         promo_cycles = notePromotionCandidate(vaddr, cycles,
                                               now + cycles +
                                                   fault_cycles);
         if (promo_cycles > 0)
-            lookup.mapping = mappingFor(vaddr);
+            mapping = mappingFor(vaddr);
     }
 
-    const VmMapping &m = *lookup.mapping;
+    const VmMapping &m = *mapping;
     activeTlb().insert(m.vbase, m.pbase, m.sizeClass, m.prot);
 
     tlbMissCycles_ += static_cast<double>(cycles);

@@ -612,6 +612,9 @@ class Kernel
 
     FrameAllocator frames_;
     Hpt hpt_;
+    /** The miss handler's HPT probe addresses, reused across misses
+     *  so a TLB miss allocates no host memory for them. */
+    std::vector<Addr> hptProbes_;
     std::unique_ptr<ShadowAllocator> shadowAlloc_;
     std::unique_ptr<ShadowPagePool> pagePool_;
 

@@ -4,8 +4,10 @@
 #include <cctype>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <type_traits>
 
 #include "base/logging.hh"
 
@@ -25,20 +27,33 @@ trim(const std::string &s)
     return s.substr(begin, end - begin + 1);
 }
 
-std::uint64_t
-parseUnsigned(const std::string &key, const std::string &value)
+/**
+ * Store @p value, a decimal count of @p unit-sized units, into
+ * @p dest. Anything but plain digits is rejected — std::stoull would
+ * accept a leading '-' and wrap it — and so is a count whose scaled
+ * value does not fit @p dest's width, which a narrowing cast would
+ * truncate silently.
+ */
+template <typename T>
+void
+setUnsigned(T &dest, const std::string &key, const std::string &value,
+            std::uint64_t unit = 1)
 {
-    std::size_t pos = 0;
-    std::uint64_t result = 0;
-    try {
-        result = std::stoull(value, &pos);
-    } catch (const std::exception &) {
-        fatal("config key '", key, "': '", value,
-              "' is not an unsigned integer");
+    static_assert(std::is_unsigned_v<T>);
+    auto is_digit = [](char ch) { return ch >= '0' && ch <= '9'; };
+    fatalIf(value.empty() || !is_digit(value[0]), "config key '", key,
+            "': '", value, "' is not an unsigned integer");
+    const std::uint64_t max = std::numeric_limits<T>::max() / unit;
+    std::uint64_t count = 0;
+    for (const char ch : value) {
+        fatalIf(!is_digit(ch), "config key '", key,
+                "': trailing characters in '", value, "'");
+        const auto digit = static_cast<std::uint64_t>(ch - '0');
+        fatalIf(count > (max - digit) / 10, "config key '", key, "': ",
+                value, " is out of range (at most ", max, ")");
+        count = count * 10 + digit;
     }
-    fatalIf(pos != value.size(), "config key '", key,
-            "': trailing characters in '", value, "'");
-    return result;
+    dest = static_cast<T>(count * unit);
 }
 
 bool
@@ -70,22 +85,24 @@ makeSetters()
     return {
         {"cores",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.cores = static_cast<unsigned>(parseUnsigned(k, v));
+             setUnsigned(c.cores, k, v);
              fatalIf(c.cores == 0, "config key '", k,
                      "': a machine needs at least one core");
          }},
         {"sched.quantum",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.sched.quantum = parseUnsigned(k, v);
+             setUnsigned(c.sched.quantum, k, v);
          }},
         {"sched.switch_cycles",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.sched.switchCycles = parseUnsigned(k, v);
+             setUnsigned(c.sched.switchCycles, k, v);
          }},
         {"tlb.entries",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.tlbEntries =
-                 static_cast<unsigned>(parseUnsigned(k, v));
+             setUnsigned(c.tlbEntries, k, v);
+             fatalIf(c.tlbEntries == 0 || c.tlbEntries > Tlb::maxEntries,
+                     "config key '", k, "': a TLB holds 1 to ",
+                     Tlb::maxEntries, " entries");
          }},
         {"mtlb.enabled",
          [](SystemConfig &c, const auto &k, const auto &v) {
@@ -93,13 +110,11 @@ makeSetters()
          }},
         {"mtlb.entries",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.mtlb.numEntries =
-                 static_cast<unsigned>(parseUnsigned(k, v));
+             setUnsigned(c.mtlb.numEntries, k, v);
          }},
         {"mtlb.assoc",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.mtlb.associativity =
-                 static_cast<unsigned>(parseUnsigned(k, v));
+             setUnsigned(c.mtlb.associativity, k, v);
          }},
         {"mtlb.writeback_bits",
          [](SystemConfig &c, const auto &k, const auto &v) {
@@ -107,24 +122,23 @@ makeSetters()
          }},
         {"mtlb.port_cycles",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.mtlb.portOccupancyCycles = parseUnsigned(k, v);
+             setUnsigned(c.mtlb.portOccupancyCycles, k, v);
          }},
         {"mem.installed_mb",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.installedBytes = parseUnsigned(k, v) * 1024 * 1024;
+             setUnsigned(c.installedBytes, k, v, 1024 * 1024);
          }},
         {"mem.shadow_mb",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.shadow.size = parseUnsigned(k, v) * 1024 * 1024;
+             setUnsigned(c.shadow.size, k, v, 1024 * 1024);
          }},
         {"mem.phys_addr_bits",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.physAddrBits =
-                 static_cast<unsigned>(parseUnsigned(k, v));
+             setUnsigned(c.physAddrBits, k, v);
          }},
         {"cache.size_kb",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.cache.sizeBytes = parseUnsigned(k, v) * 1024;
+             setUnsigned(c.cache.sizeBytes, k, v, 1024);
          }},
         {"cache.virtually_indexed",
          [](SystemConfig &c, const auto &k, const auto &v) {
@@ -132,16 +146,15 @@ makeSetters()
          }},
         {"dram.row_hit_cycles",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.dram.rowHitMmcCycles = parseUnsigned(k, v);
+             setUnsigned(c.dram.rowHitMmcCycles, k, v);
          }},
         {"dram.row_miss_cycles",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.dram.rowMissMmcCycles = parseUnsigned(k, v);
+             setUnsigned(c.dram.rowMissMmcCycles, k, v);
          }},
         {"dram.banks",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.dram.numBanks =
-                 static_cast<unsigned>(parseUnsigned(k, v));
+             setUnsigned(c.dram.numBanks, k, v);
          }},
         {"stream_buffers.enabled",
          [](SystemConfig &c, const auto &k, const auto &v) {
@@ -149,17 +162,15 @@ makeSetters()
          }},
         {"stream_buffers.count",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.streamBuffers.numBuffers =
-                 static_cast<unsigned>(parseUnsigned(k, v));
+             setUnsigned(c.streamBuffers.numBuffers, k, v);
          }},
         {"stream_buffers.depth",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.streamBuffers.depth =
-                 static_cast<unsigned>(parseUnsigned(k, v));
+             setUnsigned(c.streamBuffers.depth, k, v);
          }},
         {"cpu.load_use_overlap",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.cpu.loadUseOverlap = parseUnsigned(k, v);
+             setUnsigned(c.cpu.loadUseOverlap, k, v);
          }},
         {"cpu.store_buffer",
          [](SystemConfig &c, const auto &k, const auto &v) {
@@ -183,7 +194,7 @@ makeSetters()
          }},
         {"kernel.promotion_threshold",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.kernel.promotionThresholdCycles = parseUnsigned(k, v);
+             setUnsigned(c.kernel.promotionThresholdCycles, k, v);
          }},
         {"kernel.honor_explicit_remap",
          [](SystemConfig &c, const auto &k, const auto &v) {
@@ -191,16 +202,15 @@ makeSetters()
          }},
         {"kernel.sbrk_prealloc_kb",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.kernel.sbrkPreallocBytes =
-                 parseUnsigned(k, v) * 1024;
+             setUnsigned(c.kernel.sbrkPreallocBytes, k, v, 1024);
          }},
         {"kernel.frame_seed",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.kernel.frameSeed = parseUnsigned(k, v);
+             setUnsigned(c.kernel.frameSeed, k, v);
          }},
         {"kernel.ipi_cycles",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.kernel.ipiCycles = parseUnsigned(k, v);
+             setUnsigned(c.kernel.ipiCycles, k, v);
          }},
         {"check.enabled",
          [](SystemConfig &c, const auto &k, const auto &v) {
@@ -208,7 +218,7 @@ makeSetters()
          }},
         {"check.interval",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.check.interval = parseUnsigned(k, v);
+             setUnsigned(c.check.interval, k, v);
              fatalIf(c.check.interval == 0, "config key '", k,
                      "': audit interval must be non-zero");
          }},

@@ -91,9 +91,8 @@ System::System(const SystemConfig &config)
     // periodically.
     auditor_ = std::make_unique<TranslationAuditor>(
         config.check, *cache_, *memsys_, *kernel_, physMap_, rootStats_);
-    for (Core &core : cores_) {
-        auditor_->attachMemo(&core.cpu->memo());
-        if (config.check.enabled) {
+    if (config.check.enabled) {
+        for (Core &core : cores_) {
             core.cpu->setPeriodicCheck(config.check.interval,
                                        [this](Cycles now) {
                                            periodicAudit(now);

@@ -1,5 +1,7 @@
 #include "tlb/tlb.hh"
 
+#include <bit>
+
 namespace mtlbsim
 {
 
@@ -13,9 +15,25 @@ sizeClassFor(Addr bytes)
     return numPageSizeClasses - 1;
 }
 
+namespace
+{
+
+/** @p num_entries, if it is a legal capacity (checked before any
+ *  storage is sized from it). */
+unsigned
+checkedCapacity(unsigned num_entries)
+{
+    fatalIf(num_entries == 0, "TLB must have at least one entry");
+    fatalIf(num_entries > Tlb::maxEntries, "TLB of ", num_entries,
+            " entries exceeds the supported ", Tlb::maxEntries);
+    return num_entries;
+}
+
+} // namespace
+
 Tlb::Tlb(unsigned num_entries, const std::string &name,
          stats::StatGroup &parent)
-    : numEntries_(num_entries),
+    : numEntries_(checkedCapacity(num_entries)),
       entries_(num_entries),
       statGroup_(name),
       hits_(statGroup_.addScalar("hits", "TLB hits")),
@@ -26,25 +44,92 @@ Tlb::Tlb(unsigned num_entries, const std::string &name,
       evictions_(statGroup_.addScalar("evictions",
                                       "entries evicted by NRU"))
 {
-    fatalIf(num_entries == 0, "TLB must have at least one entry");
     parent.addChild(&statGroup_);
     freeList_.reserve(num_entries);
     for (unsigned i = 0; i < num_entries; ++i)
         freeList_.push_back(num_entries - 1 - i);
+    // At most half full, so every probe run ends at an empty slot.
+    const unsigned slots = std::bit_ceil(2 * num_entries);
+    index_.resize(slots);
+    indexMask_ = slots - 1;
+    indexShift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
+}
+
+int
+Tlb::findInClass(Addr vaddr, unsigned size_class) const
+{
+    if (liveInClass_[size_class] == 0)
+        return -1;
+    const Addr key = indexKey(vaddr, size_class);
+    for (unsigned i = indexHome(key);; i = (i + 1) & indexMask_) {
+        const IndexSlot &s = index_[i];
+        if (s.key == key)
+            return static_cast<int>(s.entry);
+        if (s.key == emptyKey)
+            return -1;
+    }
 }
 
 int
 Tlb::findEntry(Addr vaddr) const
 {
     for (unsigned c = 0; c < numPageSizeClasses; ++c) {
-        if (liveInClass_[c] == 0)
-            continue;
-        const Addr key = vaddr >> pageShiftForClass(c);
-        auto it = index_[c].find(key);
-        if (it != index_[c].end())
-            return static_cast<int>(it->second);
+        const int idx = findInClass(vaddr, c);
+        if (idx >= 0)
+            return idx;
     }
     return -1;
+}
+
+int
+Tlb::indexedSlot(Addr vbase, unsigned size_class) const
+{
+    panicIf(size_class >= numPageSizeClasses, "illegal page size class ",
+            size_class);
+    return findInClass(vbase, size_class);
+}
+
+void
+Tlb::indexInsert(Addr key, unsigned entry)
+{
+    unsigned i = indexHome(key);
+    while (index_[i].key != emptyKey) {
+        panicIf(index_[i].key == key, "TLB index holds a key twice");
+        i = (i + 1) & indexMask_;
+    }
+    index_[i] = {key, entry};
+}
+
+void
+Tlb::indexErase(Addr key)
+{
+    unsigned gap = indexHome(key);
+    while (index_[gap].key != key) {
+        panicIf(index_[gap].key == emptyKey,
+                "TLB index lost a valid entry");
+        gap = (gap + 1) & indexMask_;
+    }
+    // Backward-shift deletion: walk the rest of the probe cluster and
+    // move back into the gap every key whose home does not lie
+    // cyclically in (gap, i] — it would be unreachable past the gap.
+    for (unsigned i = (gap + 1) & indexMask_; index_[i].key != emptyKey;
+         i = (i + 1) & indexMask_) {
+        const unsigned home = indexHome(index_[i].key);
+        if (((i - home) & indexMask_) >= ((i - gap) & indexMask_)) {
+            index_[gap] = index_[i];
+            gap = i;
+        }
+    }
+    index_[gap].key = emptyKey;
+}
+
+unsigned
+Tlb::indexSize() const
+{
+    unsigned keys = 0;
+    for (const IndexSlot &s : index_)
+        keys += s.key != emptyKey;
+    return keys;
 }
 
 TlbLookupResult
@@ -91,11 +176,14 @@ Tlb::pickVictim()
             }
             idx = idx + 1 == numEntries_ ? 0 : idx + 1;
         }
-        // All referenced: age everything (the NRU epoch reset).
+        // All referenced: age everything (the NRU epoch reset). The
+        // only place referenced bits are cleared, so it retires the
+        // page memo, whose live entries promise a set bit.
         for (auto &e : entries_) {
             if (e.valid && !e.pinned)
                 e.referenced = false;
         }
+        bumpTranslationEpoch();
     }
     panic("TLB victim search failed: all entries pinned?");
 }
@@ -106,13 +194,17 @@ Tlb::dropEntry(unsigned idx)
     TlbEntry &e = entries_[idx];
     panicIf(!e.valid, "dropping an invalid TLB entry");
     const unsigned c = e.sizeClass;
-    index_[c].erase(e.vbase >> pageShiftForClass(c));
+    indexErase(indexKey(e.vbase, c));
     --liveInClass_[c];
     e.valid = false;
     e.pinned = false;
     freeList_.push_back(idx);
-    // The dropped entry may be memoized in a page memo.
-    bumpTranslationEpoch();
+    // A base-page entry backs at most its own page's memo slot; a
+    // superpage entry may back many.
+    if (c == 0)
+        memo_.retire(e.vbase >> basePageShift);
+    else
+        bumpTranslationEpoch();
 }
 
 void
@@ -127,12 +219,16 @@ Tlb::insert(Addr vbase, Addr pbase, unsigned size_class,
     fatalIf(pbase & (size - 1),
             "physical base not aligned to its superpage size");
 
-    // Discard overlapping pre-existing mappings (§2.3).
-    purgeRange(vbase, size);
-    // An existing larger mapping covering vbase also overlaps.
-    const int covering = findEntry(vbase);
-    if (covering >= 0)
-        dropEntry(static_cast<unsigned>(covering));
+    // Discard overlapping pre-existing mappings (§2.3). Valid entries
+    // never overlap and are base-page aligned, so for a base page the
+    // entry covering vbase (if any) is the only overlap.
+    if (size_class == 0) {
+        const int covering = findEntry(vbase);
+        if (covering >= 0)
+            dropEntry(static_cast<unsigned>(covering));
+    } else {
+        purgeRange(vbase, size);
+    }
 
     unsigned idx;
     if (!freeList_.empty()) {
@@ -154,12 +250,9 @@ Tlb::insert(Addr vbase, Addr pbase, unsigned size_class,
     e.pinned = pinned;
     e.referenced = true;
 
-    index_[size_class][vbase >> pageShiftForClass(size_class)] = idx;
+    indexInsert(indexKey(vbase, size_class), idx);
     ++liveInClass_[size_class];
     ++inserts_;
-    // A new mapping (and a possible NRU reference-bit reset inside
-    // pickVictim) invalidates every memoized translation.
-    bumpTranslationEpoch();
 }
 
 void
@@ -183,6 +276,9 @@ Tlb::purgeAll()
         if (entries_[i].valid && !entries_[i].pinned)
             dropEntry(i);
     }
+    // Retire the whole memo even when nothing was purgeable (a
+    // context switch relies on it).
+    bumpTranslationEpoch();
 }
 
 unsigned

@@ -20,8 +20,8 @@
 #ifndef MTLBSIM_TLB_TLB_HH
 #define MTLBSIM_TLB_TLB_HH
 
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "base/intmath.hh"
@@ -99,9 +99,72 @@ struct TlbLookupResult
     bool hit = false;
     bool protFault = false; ///< hit, but the access is not permitted
     Addr paddr = 0;         ///< valid when hit && !protFault
-    /** The entry's write permission (valid with paddr); lets the
-     *  CPU's page memo record it without a second probe. */
+    /** The entry's write permission (valid with paddr); lets
+     *  Cpu::translate() record it in the page memo without a second
+     *  probe. */
     bool writable = false;
+};
+
+/**
+ * The page memo: a direct-mapped array of base-page translations, each
+ * stamped with the translation epoch it was filled under. Host-side
+ * only — never part of the simulated machine, never in the statistics
+ * tree. Each Tlb owns one; its core's Cpu::translate() serves TLB hits
+ * from it and the batch engine replays cache hits on it.
+ *
+ * An entry is filled only from a successful TLB lookup and is live
+ * only while its slot still holds its page and its stamp equals the
+ * TLB's current epoch. Retirement is precise where it can be cheap:
+ * dropping a base-page TLB entry retires that page's slot alone,
+ * since no other memoized page can depend on it. Everything else that
+ * changes translation state — dropping a superpage entry (it backs
+ * many slots), purgeAll(), an NRU aging pass, and every kernel site
+ * through Kernel::invalidateTranslation() — bumps the epoch, which
+ * retires every slot at once. The NRU referenced bit needs no per-hit
+ * store: the lookup that filled an entry set its TLB entry's bit, and
+ * the bit is only cleared by the aging pass, which bumps the epoch.
+ * The TranslationAuditor's memo-coherence invariant checks exactly
+ * this.
+ */
+struct PageMemo
+{
+    struct Entry
+    {
+        /** Virtual page; the all-ones sentinel never matches a real
+         *  vpage, so no entry is live initially. */
+        Addr vpage = ~Addr{0};
+        Addr pframeBase = 0;        ///< physical/shadow frame base
+        std::uint64_t epoch = 0;    ///< translation epoch at fill
+        bool writable = false;      ///< page accepts stores
+    };
+
+    /** Entries (power of two). Hot sets alternate between pages far
+     *  more often than they stream within one, so the memo holds
+     *  many pages at once; 32 KB of host memory per core. */
+    static constexpr unsigned size = 1024;
+
+    Entry &slot(Addr vpage) { return entries[vpage & (size - 1)]; }
+
+    /** The entry for @p vaddr's page if it is live under @p epoch,
+     *  else null. */
+    const Entry *
+    live(Addr vaddr, std::uint64_t epoch) const
+    {
+        const Addr vpage = vaddr >> basePageShift;
+        const Entry &e = entries[vpage & (size - 1)];
+        return e.vpage == vpage && e.epoch == epoch ? &e : nullptr;
+    }
+
+    /** Retire @p vpage's entry, if its slot holds one. */
+    void
+    retire(Addr vpage)
+    {
+        Entry &e = slot(vpage);
+        if (e.vpage == vpage)
+            e.vpage = ~Addr{0};
+    }
+
+    Entry entries[size];
 };
 
 /**
@@ -129,6 +192,10 @@ class Tlb
      *
      * Pre-existing entries overlapping the same virtual range are
      * discarded first, as on TLBs that auto-purge duplicates (§2.3).
+     * A base-page insert does this in O(1): valid entries never
+     * overlap and are base-page aligned, so the one entry covering
+     * @p vbase is the only possible overlap. A superpage insert scans
+     * every entry (purgeRange).
      */
     void insert(Addr vbase, Addr pbase, unsigned size_class,
                 PageProtection prot, bool pinned = false);
@@ -147,6 +214,28 @@ class Tlb
     /** Probe without updating NRU state or stats (test support). */
     std::optional<TlbEntry> probe(Addr vaddr) const;
 
+    /** The slot the lookup index maps (@p vbase, @p size_class) to, or
+     *  -1 — exactly the probe a lookup makes in that size class. The
+     *  tlb-coherence invariant (src/check) uses it to prove the index
+     *  maps exactly the valid entries. */
+    int indexedSlot(Addr vbase, unsigned size_class) const;
+
+    /** Keys held by the lookup index, counted slot by slot (audit
+     *  support: equals occupancy() when the index maps exactly the
+     *  valid entries). */
+    unsigned indexSize() const;
+
+    /** @name Index geometry (test support: lets a test build probe
+     *  clusters that wrap around the table's end) */
+    /** @{ */
+    unsigned indexCapacity() const { return indexMask_ + 1; }
+    unsigned
+    indexHomeOf(Addr vbase, unsigned size_class) const
+    {
+        return indexHome(indexKey(vbase, size_class));
+    }
+    /** @} */
+
     /** The entry in @p slot (canonical-state capture by the model
      *  checker, src/model). */
     const TlbEntry &
@@ -158,18 +247,21 @@ class Tlb
     }
 
     /**
-     * @name Translation epoch (page-memo invalidation)
+     * @name Page memo and translation epoch
      *
-     * A monotonic counter bumped by every mutation of CPU-visible
-     * translation state. insert()/dropEntry()/purgeRange()/purgeAll()
-     * bump it internally; kernel paths that mutate translation state
-     * below the TLB (MTLB shadow-mapping changes, frame reuse on
-     * swap) bump it through Kernel::invalidateTranslation(). Page-memo
-     * entries (cpu/cpu.hh) stamp the epoch at fill time and are live
-     * only while it matches, so one increment lazily invalidates every
-     * memoized translation.
+     * The epoch is a monotonic counter whose every increment lazily
+     * retires every memoized translation (PageMemo). Inside the TLB
+     * it is bumped by an NRU aging pass, by dropping a superpage
+     * entry and by purgeAll(); dropping a base-page entry retires
+     * only that page's memo slot. Kernel paths that mutate
+     * translation state below the TLB (MTLB shadow-mapping changes,
+     * frame reuse on swap) bump it through
+     * Kernel::invalidateTranslation().
      */
     /** @{ */
+    PageMemo &memo() { return memo_; }
+    const PageMemo &memo() const { return memo_; }
+
     std::uint64_t translationEpoch() const { return epoch_; }
 
     /**
@@ -195,8 +287,8 @@ class Tlb
 
     /** Account a page-memo hit. The slow path's bookkeeping on a hit
      *  is one hits_ increment plus a referenced-bit store that is
-     *  idempotent while the memo entry is live (cpu/cpu.hh PageMemo),
-     *  so this keeps statistics bit-identical. */
+     *  idempotent while the memo entry is live (PageMemo), so this
+     *  keeps statistics bit-identical. */
     void noteMemoHit() { ++hits_; }
 
     /** Account @p n deferred batched hits in one exact bulk add
@@ -217,25 +309,64 @@ class Tlb
         return static_cast<std::uint64_t>(misses_.value());
     }
 
-  private:
-    /** Map key for the per-size-class lookup index. */
-    using VpnMap = std::unordered_map<Addr, unsigned>;
+    /** Largest supported capacity: the index is sized from it, and a
+     *  fully associative TLB far beyond the paper's 64-256 entries
+     *  would only be a mistyped config value. */
+    static constexpr unsigned maxEntries = 1u << 20;
 
+  private:
+    /**
+     * One slot of the lookup index, a flat open-addressed hash table
+     * with linear probing keyed by (virtual page number of a size
+     * class, size class). It is sized once, to at least twice the
+     * capacity, so it never fills or rehashes; deletion shifts the
+     * rest of the probe cluster back, so there are no tombstones.
+     */
+    struct IndexSlot
+    {
+        Addr key = emptyKey;
+        unsigned entry = 0;     ///< entries_ slot
+    };
+    /** No real key is all ones: a VPN is at most 52 bits. */
+    static constexpr Addr emptyKey = ~Addr{0};
+    static constexpr unsigned classKeyBits = 3;
+    static_assert(numPageSizeClasses <= 1u << classKeyBits);
+
+    static Addr
+    indexKey(Addr vaddr, unsigned size_class)
+    {
+        return ((vaddr >> pageShiftForClass(size_class))
+                << classKeyBits) | size_class;
+    }
+
+    /** Fibonacci hash: the key's golden-ratio product, top bits. */
+    unsigned
+    indexHome(Addr key) const
+    {
+        return static_cast<unsigned>((key * 0x9e3779b97f4a7c15ULL) >>
+                                     indexShift_);
+    }
+
+    int findInClass(Addr vaddr, unsigned size_class) const;
     int findEntry(Addr vaddr) const;
+    void indexInsert(Addr key, unsigned entry);
+    void indexErase(Addr key);
     unsigned pickVictim();
     void dropEntry(unsigned idx);
 
     unsigned numEntries_;
     std::vector<TlbEntry> entries_;
     std::vector<unsigned> freeList_;
-    /** Per-size-class index: (vaddr >> shift) -> entry slot. Only
-     *  classes with live entries are probed on lookup. */
-    VpnMap index_[numPageSizeClasses];
+    std::vector<IndexSlot> index_;
+    unsigned indexMask_;        ///< index_.size() - 1
+    unsigned indexShift_;       ///< 64 - log2(index_.size())
+    /** Live entries per size class: lookups skip empty classes. */
     unsigned liveInClass_[numPageSizeClasses] = {};
     unsigned nruClock_ = 0; ///< rotating start point for victim scan
     /** Translation epoch; starts at 1 so a zero-initialized memo
      *  entry can never appear live. */
     std::uint64_t epoch_ = 1;
+    PageMemo memo_;
 
     stats::StatGroup statGroup_;
     stats::Scalar &hits_;

@@ -42,7 +42,7 @@ machine(bool batch_on)
 const PageMemo::Entry *
 liveEntry(System &sys, Addr va)
 {
-    return sys.cpu().memo().live(va, sys.tlb().translationEpoch());
+    return sys.tlb().memo().live(va, sys.tlb().translationEpoch());
 }
 
 /**

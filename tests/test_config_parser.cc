@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -74,6 +75,67 @@ TEST(ConfigParserTest, BadValuesAreFatal)
     EXPECT_THROW(parser.set("tlb.entries", "many"), FatalError);
     EXPECT_THROW(parser.set("tlb.entries", "64x"), FatalError);
     EXPECT_THROW(parser.set("mtlb.enabled", "maybe"), FatalError);
+}
+
+TEST(ConfigParserTest, NegativeUnsignedValuesAreFatal)
+{
+    // std::stoull accepts a leading '-' and wraps it: -1 would become
+    // a 4294967295-entry TLB.
+    ConfigParser parser;
+    EXPECT_THROW(parser.set("tlb.entries", "-1"), FatalError);
+    EXPECT_THROW(parser.set("cores", "-2"), FatalError);
+    EXPECT_THROW(parser.set("check.interval", "-1000"), FatalError);
+    EXPECT_THROW(parser.set("mem.installed_mb", "-64"), FatalError);
+    EXPECT_EQ(parser.config().tlbEntries, 96u);     // left untouched
+}
+
+TEST(ConfigParserTest, ValuesBeyondTheFieldWidthAreFatal)
+{
+    // 2^32 + 64 and 2^32 + 2 would truncate to 64 and 2 in 32-bit
+    // fields.
+    ConfigParser parser;
+    EXPECT_THROW(parser.set("tlb.entries", "4294967360"), FatalError);
+    EXPECT_THROW(parser.set("cores", "4294967298"), FatalError);
+    EXPECT_THROW(parser.set("dram.banks", "4294967296"), FatalError);
+    // Scaled keys must fit after scaling: 2^44 MB is 2^64 bytes.
+    EXPECT_THROW(parser.set("mem.installed_mb", "17592186044416"),
+                 FatalError);
+    EXPECT_THROW(parser.set("cache.size_kb", "18014398509481984"),
+                 FatalError);
+    // Beyond 64 bits altogether.
+    EXPECT_THROW(parser.set("kernel.frame_seed", "18446744073709551616"),
+                 FatalError);
+    EXPECT_EQ(parser.config().tlbEntries, 96u);
+    EXPECT_EQ(parser.config().cores, 1u);
+}
+
+TEST(ConfigParserTest, ValuesAtTheFieldWidthParse)
+{
+    ConfigParser parser;
+    parser.set("mtlb.entries", "4294967295");
+    EXPECT_EQ(parser.config().mtlb.numEntries, 4294967295u);
+    parser.set("kernel.frame_seed", "18446744073709551615");
+    EXPECT_EQ(parser.config().kernel.frameSeed, ~std::uint64_t{0});
+    parser.set("mem.installed_mb", "17592186044415");
+    EXPECT_EQ(parser.config().installedBytes,
+              Addr{17592186044415} << 20);
+    parser.set("cache.size_kb", "0064");
+    EXPECT_EQ(parser.config().cache.sizeBytes, Addr{64} << 10);
+    EXPECT_THROW(parser.set("tlb.entries", "+64"), FatalError);
+}
+
+TEST(ConfigParserTest, OversizedTlbIsFatalNotACrash)
+{
+    // The TLB sizes its entry array and lookup index from this value,
+    // so an absurd one must stop with a FatalError before allocating:
+    // at the key, and at the TLB for configs built in code.
+    ConfigParser parser;
+    EXPECT_THROW(parser.set("tlb.entries", "4294967295"), FatalError);
+    EXPECT_THROW(parser.set("tlb.entries", "0"), FatalError);
+    parser.set("tlb.entries", "1048576");
+    SystemConfig config = parser.config();
+    config.tlbEntries = 4294967295u;
+    EXPECT_THROW(System sys(config), FatalError);
 }
 
 TEST(ConfigParserTest, StreamWithCommentsAndBlanks)

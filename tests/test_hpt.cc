@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "os/hpt.hh"
 
@@ -18,12 +20,27 @@ basePage(Addr vbase, Addr pbase)
 {
     return {vbase, pbase, 0, PageProtection{}};
 }
+
+/** One lookup's outcome: the mapping and the probed entry addresses. */
+struct Probe
+{
+    std::optional<VmMapping> mapping;
+    std::vector<Addr> probeAddrs;
+};
+
+Probe
+probe(const Hpt &hpt, Addr vaddr)
+{
+    Probe p;
+    p.mapping = hpt.lookup(vaddr, 0, p.probeAddrs);
+    return p;
+}
 }
 
 TEST(HptTest, LookupMissOnEmptyTouchesOneSlot)
 {
     Hpt hpt(0x10000, 1024);
-    const auto r = hpt.lookup(0x5000);
+    const auto r = probe(hpt, 0x5000);
     EXPECT_FALSE(r.mapping.has_value());
     // The handler reads the (empty) head slot of the hashed bucket.
     EXPECT_EQ(r.probeAddrs.size(), 1u);
@@ -33,7 +50,7 @@ TEST(HptTest, InsertThenLookup)
 {
     Hpt hpt(0x10000, 1024);
     hpt.insert(basePage(0x5000, 0x9000));
-    const auto r = hpt.lookup(0x5123);
+    const auto r = probe(hpt, 0x5123);
     ASSERT_TRUE(r.mapping.has_value());
     EXPECT_EQ(r.mapping->pbase, 0x9000u);
     EXPECT_EQ(r.probeAddrs.size(), 1u);
@@ -43,7 +60,7 @@ TEST(HptTest, ProbeAddressesAreInTable)
 {
     Hpt hpt(0x10000, 1024);
     hpt.insert(basePage(0x5000, 0x9000));
-    const auto r = hpt.lookup(0x5000);
+    const auto r = probe(hpt, 0x5000);
     ASSERT_EQ(r.probeAddrs.size(), 1u);
     EXPECT_GE(r.probeAddrs[0], hpt.tableBase());
     EXPECT_LT(r.probeAddrs[0], hpt.tableBase() + hpt.tableBytes());
@@ -53,7 +70,7 @@ TEST(HptTest, MissOnPopulatedTableStillProbes)
 {
     Hpt hpt(0x10000, 1024);
     hpt.insert(basePage(0x5000, 0x9000));
-    const auto r = hpt.lookup(0x777000);
+    const auto r = probe(hpt, 0x777000);
     EXPECT_FALSE(r.mapping.has_value());
     EXPECT_GE(r.probeAddrs.size(), 1u);
 }
@@ -62,7 +79,7 @@ TEST(HptTest, SuperpageMappingFound)
 {
     Hpt hpt(0x10000, 1024);
     hpt.insert({0x400000, 0x80000000, 4, PageProtection{}});  // 1 MB
-    const auto r = hpt.lookup(0x4abcde);
+    const auto r = probe(hpt, 0x4abcde);
     ASSERT_TRUE(r.mapping.has_value());
     EXPECT_EQ(r.mapping->sizeClass, 4u);
     EXPECT_EQ(r.mapping->vbase, 0x400000u);
@@ -76,7 +93,7 @@ TEST(HptTest, SuperpageIsReplicatedPerBasePage)
     hpt.insert({0x400000, 0x80000000, 4, PageProtection{}});
     EXPECT_EQ(hpt.size(), 256u);
     for (Addr off : {Addr{0}, Addr{0x1000}, Addr{0xff000}}) {
-        const auto r = hpt.lookup(0x400000 + off);
+        const auto r = probe(hpt, 0x400000 + off);
         ASSERT_TRUE(r.mapping.has_value()) << off;
         EXPECT_EQ(r.mapping->vbase, 0x400000u);
         EXPECT_EQ(r.mapping->sizeClass, 4u);
@@ -90,10 +107,10 @@ TEST(HptTest, LookupIsSingleHashRegardlessOfPageSizes)
     Hpt hpt(0x10000, 1024);
     hpt.insert(basePage(0x5000, 0x9000));
     hpt.insert({0x400000, 0x80000000, 4, PageProtection{}});
-    const auto sp = hpt.lookup(0x400123);
+    const auto sp = probe(hpt, 0x400123);
     ASSERT_TRUE(sp.mapping.has_value());
     EXPECT_EQ(sp.probeAddrs.size(), 1u);
-    const auto bp = hpt.lookup(0x5000);
+    const auto bp = probe(hpt, 0x5000);
     ASSERT_TRUE(bp.mapping.has_value());
     EXPECT_EQ(bp.probeAddrs.size(), 1u);
 }
@@ -104,8 +121,8 @@ TEST(HptTest, InsertBasePageReplicaAddsOneEntry)
     const VmMapping sp{0x400000, 0x80000000, 1, PageProtection{}};
     hpt.insertBasePageReplica(sp, 0x401000);
     EXPECT_EQ(hpt.size(), 1u);
-    EXPECT_TRUE(hpt.lookup(0x401000).mapping.has_value());
-    EXPECT_FALSE(hpt.lookup(0x400000).mapping.has_value());
+    EXPECT_TRUE(probe(hpt, 0x401000).mapping.has_value());
+    EXPECT_FALSE(probe(hpt, 0x400000).mapping.has_value());
     EXPECT_THROW(hpt.insertBasePageReplica(sp, 0x404000), FatalError);
 }
 
@@ -116,7 +133,7 @@ TEST(HptTest, CollisionChainsProbeInOrder)
     hpt.insert(basePage(0x1000, 0x1000));
     hpt.insert(basePage(0x2000, 0x2000));
     hpt.insert(basePage(0x3000, 0x3000));
-    const auto r = hpt.lookup(0x3000);
+    const auto r = probe(hpt, 0x3000);
     ASSERT_TRUE(r.mapping.has_value());
     EXPECT_EQ(r.probeAddrs.size(), 3u);
     // Chain entries live at distinct addresses.
@@ -124,12 +141,32 @@ TEST(HptTest, CollisionChainsProbeInOrder)
     EXPECT_EQ(unique.size(), 3u);
 }
 
+TEST(HptTest, ReusedProbeBufferHoldsOnlyTheLatestProbe)
+{
+    // The miss handler passes one buffer to every lookup: each call
+    // must replace, not extend, what the previous one left there.
+    Hpt hpt(0x10000, 1);
+    hpt.insert(basePage(0x1000, 0x1000));
+    hpt.insert(basePage(0x2000, 0x2000));
+    hpt.insert(basePage(0x3000, 0x3000));
+    std::vector<Addr> buf;
+    ASSERT_TRUE(hpt.lookup(0x3000, 0, buf).has_value());
+    ASSERT_EQ(buf.size(), 3u);
+    const auto hit = hpt.lookup(0x1000, 0, buf);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->pbase, 0x1000u);
+    EXPECT_EQ(buf, probe(hpt, 0x1000).probeAddrs);
+    EXPECT_EQ(buf.size(), 1u);
+    EXPECT_FALSE(hpt.lookup(0x9000, 0, buf).has_value());
+    EXPECT_EQ(buf.size(), 3u);     // a miss walks the whole chain
+}
+
 TEST(HptTest, OverflowEntriesLiveBeyondMainTable)
 {
     Hpt hpt(0x10000, 1);
     hpt.insert(basePage(0x1000, 0x1000));
     hpt.insert(basePage(0x2000, 0x2000));
-    const auto r = hpt.lookup(0x2000);
+    const auto r = probe(hpt, 0x2000);
     ASSERT_EQ(r.probeAddrs.size(), 2u);
     EXPECT_LT(r.probeAddrs[0], hpt.tableBase() + hpt.tableBytes());
     EXPECT_GE(r.probeAddrs[1], hpt.tableBase() + hpt.tableBytes());
@@ -140,7 +177,7 @@ TEST(HptTest, RemoveDropsMapping)
     Hpt hpt(0x10000, 1024);
     hpt.insert(basePage(0x5000, 0x9000));
     hpt.remove(0x5000, 0);
-    EXPECT_FALSE(hpt.lookup(0x5000).mapping.has_value());
+    EXPECT_FALSE(probe(hpt, 0x5000).mapping.has_value());
 }
 
 TEST(HptTest, RemoveFromChainKeepsOthers)
@@ -150,9 +187,9 @@ TEST(HptTest, RemoveFromChainKeepsOthers)
     hpt.insert(basePage(0x2000, 0x2000));
     hpt.insert(basePage(0x3000, 0x3000));
     hpt.remove(0x2000, 0);
-    EXPECT_TRUE(hpt.lookup(0x1000).mapping.has_value());
-    EXPECT_FALSE(hpt.lookup(0x2000).mapping.has_value());
-    EXPECT_TRUE(hpt.lookup(0x3000).mapping.has_value());
+    EXPECT_TRUE(probe(hpt, 0x1000).mapping.has_value());
+    EXPECT_FALSE(probe(hpt, 0x2000).mapping.has_value());
+    EXPECT_TRUE(probe(hpt, 0x3000).mapping.has_value());
 }
 
 TEST(HptTest, RemoveHeadPromotesNextIntoFixedSlot)
@@ -161,7 +198,7 @@ TEST(HptTest, RemoveHeadPromotesNextIntoFixedSlot)
     hpt.insert(basePage(0x1000, 0x1000));
     hpt.insert(basePage(0x2000, 0x2000));
     hpt.remove(0x1000, 0);
-    const auto r = hpt.lookup(0x2000);
+    const auto r = probe(hpt, 0x2000);
     ASSERT_TRUE(r.mapping.has_value());
     // The survivor now occupies the in-table head slot.
     EXPECT_EQ(r.probeAddrs.size(), 1u);
@@ -173,7 +210,7 @@ TEST(HptTest, ReinsertReplacesInPlace)
     Hpt hpt(0x10000, 1024);
     hpt.insert(basePage(0x5000, 0x9000));
     hpt.insert(basePage(0x5000, 0xa000));
-    const auto r = hpt.lookup(0x5000);
+    const auto r = probe(hpt, 0x5000);
     ASSERT_TRUE(r.mapping.has_value());
     EXPECT_EQ(r.mapping->pbase, 0xa000u);
     EXPECT_EQ(r.probeAddrs.size(), 1u);     // no chain growth
@@ -186,9 +223,9 @@ TEST(HptTest, SuperpageRemovalDropsAllReplicas)
     hpt.insert({0x400000, 0x80000000, 4, PageProtection{}});
     hpt.remove(0x400000, 4);
     EXPECT_EQ(hpt.size(), 1u);
-    EXPECT_FALSE(hpt.lookup(0x400000).mapping.has_value());
-    EXPECT_FALSE(hpt.lookup(0x4ff000).mapping.has_value());
-    EXPECT_TRUE(hpt.lookup(0x5000).mapping.has_value());
+    EXPECT_FALSE(probe(hpt, 0x400000).mapping.has_value());
+    EXPECT_FALSE(probe(hpt, 0x4ff000).mapping.has_value());
+    EXPECT_TRUE(probe(hpt, 0x5000).mapping.has_value());
 }
 
 TEST(HptTest, InsertRejectsMisalignedSuperpage)

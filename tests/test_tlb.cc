@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
+#include "base/random.hh"
 #include "tlb/tlb.hh"
 
 using namespace mtlbsim;
@@ -239,6 +244,315 @@ TEST(TlbCapacity, OccupancyTracksInsertions)
         tlb.insert(v << 12, v << 12, 0, rw);
     EXPECT_EQ(tlb.occupancy(), 10u);
     EXPECT_EQ(tlb.capacity(), 96u);
+}
+
+namespace
+{
+
+/**
+ * The TLB's specification, written the slow and obvious way: the
+ * same slot, free-list and NRU discipline as Tlb, but every lookup
+ * scans all entries and every insert first purges overlapping entries
+ * with a full scan. The differential tests hold Tlb's scan-free
+ * base-page insert and flat lookup index to it slot for slot, which
+ * also pins the model checker's canonical TLB state.
+ */
+class NaiveTlb
+{
+  public:
+    explicit NaiveTlb(unsigned n) : entries(n)
+    {
+        for (unsigned i = 0; i < n; ++i)
+            freeList.push_back(n - 1 - i);
+    }
+
+    int
+    find(Addr vaddr) const
+    {
+        for (unsigned s = 0; s < entries.size(); ++s) {
+            if (entries[s].covers(vaddr))
+                return static_cast<int>(s);
+        }
+        return -1;
+    }
+
+    TlbLookupResult
+    lookup(Addr vaddr)
+    {
+        const int s = find(vaddr);
+        if (s < 0)
+            return {};
+        TlbEntry &e = entries[s];
+        e.referenced = true;
+        return {true, false, e.translate(vaddr), e.prot.writable};
+    }
+
+    void
+    insert(Addr vbase, Addr pbase, unsigned size_class,
+           PageProtection prot)
+    {
+        purgeRange(vbase, pageSizeForClass(size_class));
+        unsigned idx;
+        if (!freeList.empty()) {
+            idx = freeList.back();
+            freeList.pop_back();
+        } else {
+            idx = pickVictim();
+            drop(idx);
+            freeList.pop_back();
+        }
+        entries[idx] = {vbase, pbase, size_class, prot, true, false, true};
+    }
+
+    void
+    purgeRange(Addr vbase, Addr bytes)
+    {
+        for (unsigned s = 0; s < entries.size(); ++s) {
+            const TlbEntry &e = entries[s];
+            if (e.valid && e.vbase < vbase + bytes &&
+                vbase < e.vbase + e.size()) {
+                drop(s);
+            }
+        }
+    }
+
+    void
+    purgeAll()
+    {
+        for (unsigned s = 0; s < entries.size(); ++s) {
+            if (entries[s].valid && !entries[s].pinned)
+                drop(s);
+        }
+    }
+
+    unsigned
+    occupancy() const
+    {
+        return static_cast<unsigned>(entries.size() - freeList.size());
+    }
+
+    std::vector<TlbEntry> entries;
+    std::vector<unsigned> freeList;
+    unsigned clock = 0;
+
+  private:
+    void
+    drop(unsigned s)
+    {
+        entries[s].valid = false;
+        entries[s].pinned = false;
+        freeList.push_back(s);
+    }
+
+    unsigned
+    pickVictim()
+    {
+        const auto n = static_cast<unsigned>(entries.size());
+        for (int pass = 0; pass < 2; ++pass) {
+            for (unsigned i = 0; i < n; ++i) {
+                const unsigned s = (clock + i) % n;
+                const TlbEntry &e = entries[s];
+                if (e.valid && !e.pinned && !e.referenced) {
+                    clock = (s + 1) % n;
+                    return s;
+                }
+            }
+            for (TlbEntry &e : entries) {
+                if (e.valid && !e.pinned)
+                    e.referenced = false;
+            }
+        }
+        ADD_FAILURE() << "no NRU victim";
+        return 0;
+    }
+};
+
+/** Tlb and its specification agree on every slot, the NRU clock and
+ *  the occupancy, and the index maps exactly the valid entries. */
+void
+expectSameState(const Tlb &tlb, const NaiveTlb &model, int step)
+{
+    ASSERT_EQ(tlb.nruClock(), model.clock) << "step " << step;
+    ASSERT_EQ(tlb.occupancy(), model.occupancy()) << "step " << step;
+    ASSERT_EQ(tlb.indexSize(), model.occupancy()) << "step " << step;
+    for (unsigned s = 0; s < tlb.capacity(); ++s) {
+        const TlbEntry &got = tlb.entryAt(s);
+        const TlbEntry &want = model.entries[s];
+        ASSERT_EQ(got.valid, want.valid) << "step " << step << " slot " << s;
+        if (!want.valid)
+            continue;
+        ASSERT_EQ(got.vbase, want.vbase) << "step " << step << " slot " << s;
+        ASSERT_EQ(got.pbase, want.pbase) << "step " << step << " slot " << s;
+        ASSERT_EQ(got.sizeClass, want.sizeClass)
+            << "step " << step << " slot " << s;
+        ASSERT_EQ(got.prot, want.prot) << "step " << step << " slot " << s;
+        ASSERT_EQ(got.referenced, want.referenced)
+            << "step " << step << " slot " << s;
+        ASSERT_EQ(tlb.indexedSlot(got.vbase, got.sizeClass),
+                  static_cast<int>(s))
+            << "step " << step << " slot " << s;
+    }
+}
+
+/** Look @p vaddr up in both and compare hit, translation and
+ *  writability. */
+void
+expectSameLookup(Tlb &tlb, NaiveTlb &model, Addr vaddr, int step)
+{
+    const TlbLookupResult got =
+        tlb.lookup(vaddr, AccessType::Read, AccessMode::User);
+    const TlbLookupResult want = model.lookup(vaddr);
+    ASSERT_EQ(got.hit, want.hit) << "step " << step << " va " << vaddr;
+    if (!want.hit)
+        return;
+    ASSERT_EQ(got.paddr, want.paddr) << "step " << step;
+    ASSERT_EQ(got.writable, want.writable) << "step " << step;
+}
+
+/** Drive a Tlb of @p entries and its specification through one
+ *  seeded schedule over a small virtual window, so that base pages
+ *  land under live superpages and superpages over live base pages. */
+void
+runDifferential(unsigned entries, std::uint64_t seed, int steps)
+{
+    stats::StatGroup g("t");
+    Tlb tlb(entries, "tlb", g);
+    NaiveTlb model(entries);
+    Random rng(seed);
+    // 4 MB: 1024 base pages and 16 of the largest (class 3) pages.
+    const Addr window = 4 * 1024 * 1024;
+    unsigned base_under_super = 0, super_over_base = 0;
+
+    for (int step = 0; step < steps; ++step) {
+        const std::uint64_t op = rng.below(100);
+        if (op < 55) {
+            // Base page, sometimes right under a live superpage.
+            const Addr vbase = rng.below(window) & ~(basePageSize - 1);
+            const int owner = model.find(vbase);
+            base_under_super +=
+                owner >= 0 && model.entries[owner].sizeClass > 0;
+            const PageProtection prot{rng.chance(3, 4), true};
+            tlb.insert(vbase, 0x40000000 + vbase, 0, prot);
+            model.insert(vbase, 0x40000000 + vbase, 0, prot);
+        } else if (op < 70) {
+            const auto c = static_cast<unsigned>(rng.inRange(1, 3));
+            const Addr size = pageSizeForClass(c);
+            const Addr vbase = rng.below(window) & ~(size - 1);
+            for (const TlbEntry &e : model.entries) {
+                super_over_base += e.valid && e.sizeClass == 0 &&
+                                   e.vbase >= vbase &&
+                                   e.vbase < vbase + size;
+            }
+            const PageProtection prot{rng.chance(3, 4), true};
+            tlb.insert(vbase, 0x80000000 + vbase, c, prot);
+            model.insert(vbase, 0x80000000 + vbase, c, prot);
+        } else if (op < 95) {
+            expectSameLookup(tlb, model, rng.below(window), step);
+        } else if (op < 99) {
+            const Addr vbase = rng.below(window) & ~(basePageSize - 1);
+            const Addr bytes = basePageSize * rng.inRange(1, 64);
+            tlb.purgeRange(vbase, bytes);
+            model.purgeRange(vbase, bytes);
+        } else {
+            tlb.purgeAll();
+            model.purgeAll();
+        }
+        expectSameState(tlb, model, step);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(base_under_super, 0u);
+    EXPECT_GT(super_over_base, 0u);
+}
+
+} // namespace
+
+TEST(TlbDifferential, EightEntriesMatchTheFullScanModel)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed)
+        runDifferential(8, seed, 20000);
+}
+
+TEST(TlbDifferential, SixtyFourEntriesMatchTheFullScanModel)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed)
+        runDifferential(64, seed, 20000);
+}
+
+TEST(TlbDifferential, ChurnInsideOneWrappingProbeCluster)
+{
+    // Base pages whose index homes sit at the table's last slots and
+    // its first: inserted together they form one probe cluster that
+    // wraps around the end, and dropping members from its middle
+    // exercises every backward-shift case, wrap included.
+    stats::StatGroup g("t");
+    Tlb tlb(8, "tlb", g);
+    NaiveTlb model(8);
+    const unsigned cap = tlb.indexCapacity();
+    ASSERT_EQ(cap, 16u);
+    auto home = [&tlb](Addr va) { return tlb.indexHomeOf(va, 0); };
+    std::vector<Addr> pool;
+    for (Addr vpn = 1; pool.size() < 24; ++vpn) {
+        const Addr va = vpn << basePageShift;
+        if (home(va) >= cap - 2 || home(va) <= 1)
+            pool.push_back(va);
+    }
+    // One cluster from slot cap-2 round to slot 1: two keys share
+    // each of the end slot's and slot 0's homes.
+    std::vector<Addr> pages;
+    for (const unsigned h : {cap - 2, cap - 1, cap - 1, 0u, 0u, 1u}) {
+        const auto it =
+            std::find_if(pool.begin(), pool.end(), [&](Addr va) {
+                return home(va) == h &&
+                       std::find(pages.begin(), pages.end(), va) ==
+                           pages.end();
+            });
+        ASSERT_NE(it, pool.end()) << "no spare page homed at " << h;
+        pages.push_back(*it);
+    }
+
+    int step = 0;
+    auto check_all = [&]() {
+        expectSameState(tlb, model, step);
+        for (const Addr va : pool)
+            expectSameLookup(tlb, model, va, step);
+        ++step;
+    };
+    for (const Addr va : pages) {
+        tlb.insert(va, va, 0, rw);
+        model.insert(va, va, 0, rw);
+    }
+    check_all();
+    // Drop the cluster's members one by one, in the middle first.
+    for (const std::size_t i : {2u, 0u, 4u, 1u, 5u, 3u}) {
+        tlb.purgeRange(pages[i], basePageSize);
+        model.purgeRange(pages[i], basePageSize);
+        check_all();
+        ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    }
+    // Then churn the pool through the 8-entry TLB: evictions and
+    // purges keep deleting from inside the wrapping cluster.
+    Random rng(7);
+    for (int i = 0; i < 4000; ++i) {
+        const Addr va = pool[rng.below(pool.size())];
+        if (rng.chance(1, 4)) {
+            tlb.purgeRange(va, basePageSize);
+            model.purgeRange(va, basePageSize);
+        } else {
+            tlb.insert(va, va ^ 0x40000000, 0, rw);
+            model.insert(va, va ^ 0x40000000, 0, rw);
+        }
+        check_all();
+        ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    }
+}
+
+TEST(TlbCapacity, AbsurdCapacityIsFatal)
+{
+    stats::StatGroup g("t");
+    EXPECT_THROW(Tlb(0, "tlb", g), FatalError);
+    EXPECT_THROW(Tlb(Tlb::maxEntries + 1, "tlb", g), FatalError);
+    EXPECT_THROW(Tlb(4294967295u, "tlb", g), FatalError);
 }
 
 TEST(MicroItlbTest, HitsAfterFill)
