@@ -9,6 +9,13 @@
  * access counts; the harness fatals on any divergence, making every
  * speed run double as a behaviour-identity check of the fast path.
  *
+ * A second point times an audited multiprogrammed mix, the shape of
+ * perfbench's mix-audited workload: 8 processes on the 4-core machine
+ * of configs/multicore.cfg with configs/audit.cfg's periodic audit,
+ * at one tenth of the Fig 3 scale. It pays capture, the scheduler,
+ * shootdowns and the auditor, which the single-core Fig 3 rows never
+ * touch, and runs in both modes with the same identity check.
+ *
  * Emits BENCH_simspeed.json as an append-only trajectory: each run
  * APPENDS one entry to the "trajectory" array of an existing report
  * (a legacy single-run report is converted into the first entry), so
@@ -28,6 +35,10 @@
  *                    (e.g. a PR number or commit subject)
  *   --out FILE       read/append the JSON report here (default
  *                    BENCH_simspeed.json in the working directory)
+ *
+ * Exit status: 0 on success; 1 on a bad argument, a malformed --out
+ * file or a divergence between the modes, printed as
+ * "simspeed: <message>".
  */
 
 #include <algorithm>
@@ -46,8 +57,10 @@
 #endif
 
 #include "base/logging.hh"
+#include "sim/config_parser.hh"
 #include "stats/json.hh"
 #include "sweep/matrix.hh"
+#include "workloads/multiprog.hh"
 #include "workloads/workload.hh"
 
 using namespace mtlbsim;
@@ -92,16 +105,50 @@ runMatrixOnce(const sweep::SweepMatrix &matrix, bool batch)
     return r;
 }
 
-/** Min + median wall time over @p reps; simulated counts must
- *  repeat exactly across repetitions. */
+/** The audited mix's machine: configs/multicore.cfg's 4 cores with
+ *  configs/audit.cfg's periodic audit. */
+SystemConfig
+mixMachine()
+{
+    ConfigParser parser;
+    parser.parseFile(SIMSPEED_SOURCE_DIR "/configs/multicore.cfg");
+    parser.parseFile(SIMSPEED_SOURCE_DIR "/configs/audit.cfg");
+    return parser.config();
+}
+
+/** Build the mix's machine, then capture and replay its 8 processes
+ *  under audit, timing the whole run on the host clock. */
 ModeResult
-runMode(const sweep::SweepMatrix &matrix, bool batch, unsigned reps)
+runMixOnce(const SystemConfig &machine, double scale, bool batch)
+{
+    static const std::vector<std::string> programs = {
+        "compress95", "vortex", "radix", "em3d",
+        "cc1",        "compress95", "vortex", "radix"};
+    SystemConfig config = machine;
+    config.cpu.batchEnable = batch;
+    ModeResult r;
+    const auto t0 = std::chrono::steady_clock::now();
+    System sys(config);
+    runMultiprogMix(sys, programs, scale, 0);
+    const auto t1 = std::chrono::steady_clock::now();
+    r.seconds = std::chrono::duration<double>(t1 - t0).count();
+    for (unsigned core = 0; core < sys.numCores(); ++core)
+        r.accesses += sys.cpu(core).dataAccesses();
+    r.simCycles = sys.totalCycles();
+    return r;
+}
+
+/** Min + median wall time of @p once over @p reps; simulated counts
+ *  must repeat exactly across repetitions. */
+template <typename RunOnce>
+ModeResult
+runMode(RunOnce &&once, bool batch, unsigned reps)
 {
     ModeResult best;
     std::vector<double> times;
     times.reserve(reps);
     for (unsigned i = 0; i < reps; ++i) {
-        ModeResult r = runMatrixOnce(matrix, batch);
+        ModeResult r = once();
         times.push_back(r.seconds);
         if (i == 0) {
             best = r;
@@ -222,14 +269,27 @@ hostRecord()
 void
 printModeRow(const char *name, const ModeResult &r)
 {
-    std::printf("%-10s  %9.3f  %9.3f  %16.0f\n", name, r.seconds,
+    std::printf("%-14s  %9.3f  %9.3f  %16.0f\n", name, r.seconds,
                 r.medianSeconds, r.accessesPerSec());
 }
 
-} // namespace
+/** The fast path must not change simulated behaviour; catching a
+ *  divergence here turns every speed run into a regression test. */
+void
+checkIdentical(const char *what, const ModeResult &base,
+               const ModeResult &batch)
+{
+    fatalIf(batch.simCycles != base.simCycles ||
+                batch.accesses != base.accesses,
+            "batch engine changed simulated behaviour on the ", what,
+            ": baseline ", base.simCycles, " cycles / ", base.accesses,
+            " accesses, batch ", batch.simCycles, " cycles / ",
+            batch.accesses, " accesses");
+}
 
+/** The program proper; main() turns its errors into exit status 1. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     double scale = 0.1;
     unsigned reps = 1;
@@ -264,31 +324,41 @@ main(int argc, char **argv)
 
     const auto matrix = sweep::fig3Matrix(scale);
 
-    const ModeResult base = runMode(matrix, false, reps);
-    const ModeResult batch = runMode(matrix, true, reps);
+    const ModeResult base = runMode(
+        [&] { return runMatrixOnce(matrix, false); }, false, reps);
+    const ModeResult batch = runMode(
+        [&] { return runMatrixOnce(matrix, true); }, true, reps);
+    checkIdentical("Fig 3 matrix", base, batch);
 
-    // The fast path must not change simulated behaviour; catching a
-    // divergence here turns every speed run into a regression test.
-    fatalIf(batch.simCycles != base.simCycles ||
-                batch.accesses != base.accesses,
-            "batch engine changed simulated behaviour: baseline ",
-            base.simCycles, " cycles / ", base.accesses,
-            " accesses, batch ", batch.simCycles, " cycles / ",
-            batch.accesses, " accesses");
+    const SystemConfig mix_machine = mixMachine();
+    const double mix_scale = scale / 10;
+    const ModeResult mix_base = runMode(
+        [&] { return runMixOnce(mix_machine, mix_scale, false); }, false,
+        reps);
+    const ModeResult mix_batch = runMode(
+        [&] { return runMixOnce(mix_machine, mix_scale, true); }, true,
+        reps);
+    checkIdentical("audited mix", mix_base, mix_batch);
 
     const double batch_speedup =
         batch.seconds > 0 ? base.seconds / batch.seconds : 0.0;
 
-    std::printf("%-10s  %9s  %9s  %16s\n", "mode", "min sec",
+    std::printf("%-14s  %9s  %9s  %16s\n", "mode", "min sec",
                 "med sec", "accesses/sec");
     printModeRow("baseline", base);
     printModeRow("batch", batch);
+    printModeRow("mix baseline", mix_base);
+    printModeRow("mix batch", mix_batch);
     std::printf("\nspeedup: batch %.2fx\n"
                 "%llu simulated accesses, %llu simulated cycles, "
-                "bit-identical across both modes\n",
+                "bit-identical across both modes\n"
+                "audited mix (scale %.3f): %llu simulated accesses, %llu "
+                "simulated cycles, bit-identical across both modes\n",
                 batch_speedup,
                 static_cast<unsigned long long>(base.accesses),
-                static_cast<unsigned long long>(base.simCycles));
+                static_cast<unsigned long long>(base.simCycles), mix_scale,
+                static_cast<unsigned long long>(mix_base.accesses),
+                static_cast<unsigned long long>(mix_base.simCycles));
 
     json::Value entry = json::Value::object();
     if (!label.empty())
@@ -300,6 +370,11 @@ main(int argc, char **argv)
     entry.set("baseline", modeToJson(base));
     entry.set("batch", modeToJson(batch));
     entry.set("batch_speedup", batch_speedup);
+    json::Value mix = json::Value::object();
+    mix.set("scale", mix_scale);
+    mix.set("baseline", modeToJson(mix_base));
+    mix.set("batch", modeToJson(mix_batch));
+    entry.set("mix", std::move(mix));
 
     json::Value traj = loadTrajectory(out);
     traj.push(std::move(entry));
@@ -315,4 +390,12 @@ main(int argc, char **argv)
     std::printf("appended entry %zu to %s\n",
                 doc.find("trajectory")->items().size(), out.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("simspeed", 1, [&] { return run(argc, argv); });
 }

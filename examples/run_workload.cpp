@@ -21,6 +21,10 @@
  *
  * Config files live in configs/; configs/paper.cfg is the machine of
  * §3.2/§3.4.
+ *
+ * Exit status: 0 on success, 1 on a usage error or bad input (an
+ * unreadable config file, an unknown key or a malformed value),
+ * printed as "run_workload: <message>".
  */
 
 #include <cstdio>
@@ -31,6 +35,7 @@
 #include <vector>
 
 #include "base/debug.hh"
+#include "base/logging.hh"
 #include "sim/config_parser.hh"
 #include "workloads/experiment.hh"
 
@@ -51,10 +56,9 @@ usage()
     std::printf("\n");
 }
 
-} // namespace
-
+/** The program proper; main() turns its errors into exit status 1. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     setInformEnabled(false);
     debug::initFromEnvironment();   // MTLBSIM_DEBUG=MTLB,Kernel,...
@@ -139,4 +143,12 @@ main(int argc, char **argv)
         sys.dumpStats(std::cout);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("run_workload", 1, [&] { return run(argc, argv); });
 }

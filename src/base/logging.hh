@@ -12,6 +12,7 @@
 #ifndef MTLBSIM_BASE_LOGGING_HH
 #define MTLBSIM_BASE_LOGGING_HH
 
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -115,6 +116,27 @@ fatalIf(bool condition, Args &&...args)
 {
     if (condition)
         fatal(std::forward<Args>(args)...);
+}
+
+/**
+ * Run a command-line program's @p body and return its exit status.
+ * A FatalError or PanicError escaping it is printed as
+ * "<program>: <message>" on stderr and @p error_status returned, so
+ * bad input ends the program with an error, never with an uncaught
+ * exception.
+ */
+template <typename Body>
+int
+runMain(const char *program, int error_status, Body &&body)
+{
+    try {
+        return body();
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s: %s\n", program, e.what());
+    } catch (const PanicError &e) {
+        std::fprintf(stderr, "%s: %s\n", program, e.what());
+    }
+    return error_status;
 }
 
 } // namespace mtlbsim

@@ -11,7 +11,8 @@
  * defined (tests/ builds with it); in ordinary builds every call
  * panics, so no production code path can corrupt state "for
  * testing". Header-only: all the state it touches is reachable
- * through public component interfaces.
+ * through public component interfaces, except the HPT's chains, which
+ * Hpt opens to it as a friend.
  */
 
 #ifndef MTLBSIM_CHECK_FAULT_INJECTOR_HH
@@ -176,6 +177,53 @@ class FaultInjector
     {
 #ifdef MTLBSIM_CHECK_TESTING
         sys_.kernel().hpt().remove(pageBase(va), 0);
+#else
+        (void)va;
+        panic("fault injection requires MTLBSIM_CHECK_TESTING");
+#endif
+    }
+
+    /**
+     * Append a second HPT entry for the base page at @p va, a copy of
+     * the one it already has (duplicated HPT entry).
+     */
+    void
+    duplicateHptEntry(Addr va)
+    {
+#ifdef MTLBSIM_CHECK_TESTING
+        Hpt &hpt = sys_.kernel().hpt();
+        const Addr key = Hpt::keyFor(pageFrame(va), 0);
+        auto &chain = hpt.chains_[hpt.bucketOf(key)];
+        for (std::size_t i = 0; i < chain.size(); ++i) {
+            if (chain[i].vpn == key) {
+                Hpt::ChainedEntry copy = chain[i];
+                copy.entryAddr = hpt.allocOverflowEntry();
+                chain.push_back(copy);
+                ++hpt.liveEntries_;
+                return;
+            }
+        }
+        panic("no HPT entry to duplicate at 0x", std::hex, va);
+#else
+        (void)va;
+        panic("fault injection requires MTLBSIM_CHECK_TESTING");
+#endif
+    }
+
+    /**
+     * Drop the one HPT replica that maps the base page at @p va of a
+     * shadow superpage; the superpage's other replicas stay (lost
+     * replica).
+     */
+    void
+    dropHptReplica(Addr va)
+    {
+#ifdef MTLBSIM_CHECK_TESTING
+        const ShadowSuperpage *sp =
+            sys_.kernel().addressSpace().findSuperpage(va);
+        panicIf(sp == nullptr, "no superpage at 0x", std::hex, va);
+        sys_.kernel().hpt().removeOne(Hpt::keyFor(pageFrame(va), 0),
+                                      sp->sizeClass);
 #else
         (void)va;
         panic("fault injection requires MTLBSIM_CHECK_TESTING");

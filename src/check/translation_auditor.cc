@@ -1,8 +1,6 @@
 #include "check/translation_auditor.hh"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "base/logging.hh"
 #include "cache/cache.hh"
@@ -30,7 +28,53 @@ constexpr std::uint8_t markNone = 0;
 constexpr std::uint8_t markFree = 1;
 constexpr std::uint8_t markMapped = 2;
 
+/** checkShadowTable's "no PTE names this frame yet". */
+constexpr Addr noOwner = ~Addr{0};
+
 } // namespace
+
+void
+TranslationAuditor::KeyCounts::clear(std::size_t max_keys)
+{
+    // At most half full, so every probe ends at an empty slot.
+    std::size_t size = 16;
+    while (size < 2 * max_keys)
+        size *= 2;
+    if (slots_.size() < size)
+        slots_.resize(size);
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+}
+
+std::size_t
+TranslationAuditor::KeyCounts::home(Addr key) const
+{
+    const Addr h = key * 0x9e3779b97f4a7c15ULL;
+    return static_cast<std::size_t>(h ^ (h >> 32)) & (slots_.size() - 1);
+}
+
+std::uint64_t
+TranslationAuditor::KeyCounts::add(Addr key)
+{
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = home(key);; i = (i + 1) & mask) {
+        Slot &s = slots_[i];
+        if (s.count == 0)
+            s.key = key;
+        if (s.key == key)
+            return ++s.count;
+    }
+}
+
+std::uint64_t
+TranslationAuditor::KeyCounts::count(Addr key) const
+{
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = home(key);; i = (i + 1) & mask) {
+        const Slot &s = slots_[i];
+        if (s.count == 0 || s.key == key)
+            return s.count;
+    }
+}
 
 TranslationAuditor::TranslationAuditor(const CheckConfig &config,
                                        Cache &cache,
@@ -308,28 +352,31 @@ TranslationAuditor::checkShadowTable(AuditReport &report)
 
     // Shadow page indices covered by some recorded superpage of any
     // process (the shadow region is a machine-wide resource).
-    std::unordered_set<Addr> covered;
+    spiCovered_.assign(static_cast<std::size_t>(table.numEntries()), 0);
     for (unsigned p = 0; p < kernel_.numProcesses(); ++p) {
         const AddressSpace &space = kernel_.processSpace(p);
         for (const auto &[vbase, sp] : space.superpages()) {
             if (physMap_.classify(sp.shadowBase) != AddrKind::Shadow)
                 continue;  // reported by checkSuperpageBacking
             const Addr spi0 = physMap_.shadowPageIndex(sp.shadowBase);
-            for (Addr i = 0; i < sp.numBasePages(); ++i)
-                covered.insert(spi0 + i);
+            const Addr end =
+                std::min(spi0 + sp.numBasePages(), table.numEntries());
+            for (Addr spi = spi0; spi < end; ++spi)
+                spiCovered_[spi] = 1;
         }
     }
 
     // Full table scan: leaked mappings and shadow-to-real
-    // bijectivity. pfnOwner maps a real frame to the first shadow
+    // bijectivity. frameOwner_ maps a real frame to the first shadow
     // page found naming it.
-    std::unordered_map<Addr, Addr> pfnOwner;
+    frameOwner_.assign(static_cast<std::size_t>(physMap_.numRealPages()),
+                       noOwner);
     for (Addr spi = 0; spi < table.numEntries(); ++spi) {
         const ShadowPte &pte = table.entry(spi);
         if (!pte.valid)
             continue;
 
-        if (!covered.count(spi)) {
+        if (!spiCovered_[spi]) {
             violate(report, "shadow-table", "valid PTE at spi 0x",
                     std::hex, spi,
                     " outside every recorded superpage (leaked "
@@ -343,11 +390,13 @@ TranslationAuditor::checkShadowTable(AuditReport &report)
                     " beyond installed DRAM");
             continue;
         }
-        auto [it, inserted] = pfnOwner.emplace(pfn, spi);
-        if (!inserted) {
+        Addr &owner = frameOwner_[pfn];
+        if (owner != noOwner) {
             violate(report, "shadow-table", "frame 0x", std::hex, pfn,
-                    " mapped by both spi 0x", it->second, " and spi 0x",
+                    " mapped by both spi 0x", owner, " and spi 0x",
                     spi, " (double-mapped frame)");
+        } else {
+            owner = spi;
         }
     }
 }
@@ -469,11 +518,13 @@ TranslationAuditor::checkHptCoherence(AuditReport &report)
     const unsigned nproc = kernel_.numProcesses();
 
     // Uniqueness and replica counts are per address space: the HPT
-    // keys entries by (asid, vpn), so the audit does too.
-    std::unordered_set<Addr> vpns;            // Hpt::keyFor(vpn, asid)
-    std::unordered_map<Addr, Addr> replicas;  // keyed superpage -> count
+    // keys entries by (asid, vpn), so the audit does too. Each entry
+    // adds at most one key to either table.
+    const std::vector<Hpt::AuditEntry> entries = kernel_.hpt().auditState();
+    hptKeys_.clear(entries.size());
+    replicas_.clear(entries.size());
 
-    for (const auto &e : kernel_.hpt().auditState()) {
+    for (const auto &e : entries) {
         if (e.asid >= nproc) {
             violate(report, "hpt-coherence", "entry for v=0x", std::hex,
                     e.vpn << basePageShift, " names asid ", std::dec,
@@ -481,7 +532,7 @@ TranslationAuditor::checkHptCoherence(AuditReport &report)
             continue;
         }
         const AddressSpace &space = kernel_.processSpace(e.asid);
-        if (!vpns.insert(Hpt::keyFor(e.vpn, e.asid)).second) {
+        if (hptKeys_.add(Hpt::keyFor(e.vpn, e.asid)) > 1) {
             violate(report, "hpt-coherence", "duplicate entry for v=0x",
                     std::hex, e.vpn << basePageShift);
             continue;
@@ -515,7 +566,7 @@ TranslationAuditor::checkHptCoherence(AuditReport &report)
                         e.mapping.vbase, " s=0x", e.mapping.pbase,
                         " has no matching superpage record");
             } else {
-                ++replicas[Hpt::keyFor(pageFrame(sp->vbase), e.asid)];
+                replicas_.add(Hpt::keyFor(pageFrame(sp->vbase), e.asid));
             }
         } else if (kind == AddrKind::Real) {
             if (e.mapping.sizeClass != 0) {
@@ -549,8 +600,8 @@ TranslationAuditor::checkHptCoherence(AuditReport &report)
     for (unsigned p = 0; p < nproc; ++p) {
         const AddressSpace &space = kernel_.processSpace(p);
         for (const auto &[vbase, sp] : space.superpages()) {
-            const Addr key = Hpt::keyFor(pageFrame(vbase), p);
-            const Addr found = replicas.count(key) ? replicas[key] : 0;
+            const Addr found =
+                replicas_.count(Hpt::keyFor(pageFrame(vbase), p));
             if (found != sp.numBasePages()) {
                 violate(report, "hpt-coherence", "superpage v=0x",
                         std::hex, vbase, " has ", std::dec, found,
@@ -559,7 +610,7 @@ TranslationAuditor::checkHptCoherence(AuditReport &report)
         }
 
         for (const auto &[vpn, pfn] : space.presentPages()) {
-            if (!vpns.count(Hpt::keyFor(vpn, p))) {
+            if (hptKeys_.count(Hpt::keyFor(vpn, p)) == 0) {
                 violate(report, "hpt-coherence", "present page v=0x",
                         std::hex, vpn << basePageShift,
                         " unreachable through the HPT");

@@ -143,6 +143,43 @@ class TranslationAuditor : public Checker
      *  the same way. */
     std::vector<std::pair<Addr, unsigned>> tlbSlots_;
 
+    /**
+     * A flat open-addressed key -> count table with linear probing,
+     * reused across audits like the scratch vectors above: clear()
+     * empties it in place and only ever grows it.
+     */
+    class KeyCounts
+    {
+      public:
+        /** Empty the table, with room for @p max_keys keys. */
+        void clear(std::size_t max_keys);
+        /** Add one to @p key's count. @return the new count. */
+        std::uint64_t add(Addr key);
+        /** @p key's count; 0 when it was never added. */
+        std::uint64_t count(Addr key) const;
+
+      private:
+        /** An empty slot has count 0. */
+        struct Slot
+        {
+            Addr key = 0;
+            std::uint64_t count = 0;
+        };
+        std::size_t home(Addr key) const;
+
+        std::vector<Slot> slots_;
+    };
+
+    /** checkShadowTable's scratch: per shadow page, whether a recorded
+     *  superpage covers it; per real frame, the first shadow page
+     *  whose PTE names it. */
+    std::vector<std::uint8_t> spiCovered_;
+    std::vector<Addr> frameOwner_;
+    /** checkHptCoherence's scratch: entries per (vpn, asid) key, and
+     *  replicas per superpage keyed by its first page. */
+    KeyCounts hptKeys_;
+    KeyCounts replicas_;
+
     stats::StatGroup statGroup_;
     stats::Scalar &audits_;
     stats::Scalar &checks_;

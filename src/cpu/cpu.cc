@@ -3,6 +3,27 @@
 namespace mtlbsim
 {
 
+namespace
+{
+
+const char *
+opName(CpuOpRecord::Kind kind)
+{
+    switch (kind) {
+      case CpuOpRecord::Kind::Load: return "load";
+      case CpuOpRecord::Kind::Store: return "store";
+      case CpuOpRecord::Kind::Execute: return "execute";
+      case CpuOpRecord::Kind::ExecuteAt: return "executeAt";
+      case CpuOpRecord::Kind::Remap: return "remap";
+      case CpuOpRecord::Kind::Sbrk: return "sbrk";
+      case CpuOpRecord::Kind::SetSbrkPrealloc: return "setSbrkPrealloc";
+      case CpuOpRecord::Kind::Recolor: return "recolorPage";
+    }
+    return "op";
+}
+
+} // namespace
+
 Cpu::Cpu(const CpuConfig &config, Tlb &tlb, MicroItlb &uitlb,
          Cache &cache, MemorySystem &memsys, Kernel &kernel,
          stats::StatGroup &parent, unsigned core_id)
@@ -25,6 +46,17 @@ Cpu::Cpu(const CpuConfig &config, Tlb &tlb, MicroItlb &uitlb,
                                          "stall-on-use overlap"))
 {
     parent.addChild(&statGroup_);
+}
+
+void
+Cpu::record(CpuOpRecord::Kind kind, Addr a, std::uint64_t n)
+{
+    constexpr std::uint64_t limit = std::uint64_t{1} << 32;
+    fatalIf(a >= limit || n >= limit, "cannot record ", opName(kind),
+            ": operand 0x", std::hex, a >= limit ? a : n,
+            " does not fit in 32 bits");
+    sink_->push_back({kind, static_cast<std::uint32_t>(a),
+                      static_cast<std::uint32_t>(n)});
 }
 
 Addr
@@ -78,8 +110,8 @@ Cpu::executeAtSlow(Counter n, Addr code_vaddr)
         panicIf(!entry, "ITLB fill lost its unified-TLB entry");
         uitlb_.fill(*entry);
     }
-    // Retire directly rather than through execute(): the public
-    // executeAt() entry already fed the recorder for this op.
+    // Retire directly: executeAt() has already passed the record
+    // sink check that execute() would repeat.
     instructions_ += static_cast<double>(n);
     now_ += n;
 }

@@ -24,7 +24,9 @@
 #ifndef MTLBSIM_CPU_CPU_HH
 #define MTLBSIM_CPU_CPU_HH
 
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "mmc/memsys.hh"
@@ -54,14 +56,16 @@ struct CpuConfig
 };
 
 /**
- * One operation a workload asked of the CPU, as captured by the
- * recorder hook (setRecorder). The multiprogramming runner records a
- * program once on a scratch machine and replays the operation stream
- * under a scheduler (src/workloads/multiprog.*).
+ * One operation a workload asked of the CPU, as appended to a record
+ * sink (Cpu::setRecorder). The multiprogramming runner records a
+ * program once and replays the operation stream under a scheduler
+ * (src/workloads/multiprog.*). The simulated address space is
+ * 32-bit, so every operand fits in 32 bits and a record takes 12
+ * bytes; recording a wider operand is a FatalError.
  */
 struct CpuOpRecord
 {
-    enum class Kind
+    enum class Kind : std::uint8_t
     {
         Load,
         Store,
@@ -74,8 +78,8 @@ struct CpuOpRecord
     };
 
     Kind kind = Kind::Execute;
-    Addr a = 0;             ///< address operand (when the op has one)
-    std::uint64_t n = 0;    ///< count/bytes/color operand
+    std::uint32_t a = 0;    ///< address operand (when the op has one)
+    std::uint32_t n = 0;    ///< count/bytes/color operand
 };
 
 /**
@@ -97,8 +101,8 @@ class Cpu
     void
     execute(Counter n)
     {
-        if (recorder_)
-            recorder_({CpuOpRecord::Kind::Execute, 0, n});
+        if (sink_)
+            return record(CpuOpRecord::Kind::Execute, 0, n);
         instructions_ += static_cast<double>(n);
         now_ += n;
     }
@@ -119,8 +123,8 @@ class Cpu
     void
     executeAt(Counter n, Addr code_vaddr)
     {
-        if (recorder_)
-            recorder_({CpuOpRecord::Kind::ExecuteAt, code_vaddr, n});
+        if (sink_)
+            return record(CpuOpRecord::Kind::ExecuteAt, code_vaddr, n);
         if (config_.batchEnable && uitlb_.covers(code_vaddr) &&
             !(checkInterval_ != 0 && now_ >= nextCheckAt_)) {
             ++batch_.pendingIfetch;
@@ -135,8 +139,8 @@ class Cpu
     void
     load(Addr vaddr)
     {
-        if (recorder_)
-            recorder_({CpuOpRecord::Kind::Load, vaddr, 0});
+        if (sink_)
+            return record(CpuOpRecord::Kind::Load, vaddr, 0);
         if (!tryBatchedAccess(vaddr, false))
             dataAccess(vaddr, AccessType::Read);
     }
@@ -145,8 +149,8 @@ class Cpu
     void
     store(Addr vaddr)
     {
-        if (recorder_)
-            recorder_({CpuOpRecord::Kind::Store, vaddr, 0});
+        if (sink_)
+            return record(CpuOpRecord::Kind::Store, vaddr, 0);
         if (!tryBatchedAccess(vaddr, true))
             dataAccess(vaddr, AccessType::Write);
     }
@@ -156,8 +160,8 @@ class Cpu
     void
     remap(Addr vbase, Addr bytes)
     {
-        if (recorder_)
-            recorder_({CpuOpRecord::Kind::Remap, vbase, bytes});
+        if (sink_)
+            record(CpuOpRecord::Kind::Remap, vbase, bytes);
         flushBatch();
         noteCoreActive();
         now_ += kernel_.remap(vbase, bytes, now_);
@@ -166,8 +170,8 @@ class Cpu
     Addr
     sbrk(Addr bytes)
     {
-        if (recorder_)
-            recorder_({CpuOpRecord::Kind::Sbrk, 0, bytes});
+        if (sink_)
+            record(CpuOpRecord::Kind::Sbrk, 0, bytes);
         flushBatch();
         noteCoreActive();
         SbrkResult r = kernel_.sbrk(bytes, now_);
@@ -178,8 +182,10 @@ class Cpu
     void
     recolorPage(Addr vaddr, unsigned color)
     {
-        if (recorder_)
-            recorder_({CpuOpRecord::Kind::Recolor, vaddr, color});
+        // Recorded only: recoloring needs the page present, and
+        // record-only loads and stores never materialize it.
+        if (sink_)
+            return record(CpuOpRecord::Kind::Recolor, vaddr, color);
         flushBatch();
         noteCoreActive();
         now_ += kernel_.recolorPage(vaddr, color, now_);
@@ -187,27 +193,27 @@ class Cpu
 
     /** Change the kernel's sbrk() preallocation chunk for this
      *  core's process. A zero-cycle libc knob, routed through the
-     *  CPU so the recorder captures it. */
+     *  CPU so a record sink captures it. */
     void
     setSbrkPrealloc(Addr bytes)
     {
-        if (recorder_)
-            recorder_({CpuOpRecord::Kind::SetSbrkPrealloc, 0, bytes});
+        if (sink_)
+            record(CpuOpRecord::Kind::SetSbrkPrealloc, 0, bytes);
         noteCoreActive();
         kernel_.setSbrkPrealloc(bytes);
     }
     /** @} */
 
     /**
-     * Observe every workload-issued operation (before it executes).
-     * Host-side capture support for the multiprogramming runner;
-     * null (the default) costs one predictable branch per op.
+     * Record instead of simulate: while @p sink is set, every
+     * workload-issued operation is appended to it. Loads, stores,
+     * executes and recolors then return without touching the TLB,
+     * cache, memory or clock; the other kernel services still run,
+     * so sbrk() hands back the break the program would see. Host-side
+     * capture support for the multiprogramming runner; null (the
+     * default) costs one predictable branch per op.
      */
-    void
-    setRecorder(std::function<void(const CpuOpRecord &)> recorder)
-    {
-        recorder_ = std::move(recorder);
-    }
+    void setRecorder(std::vector<CpuOpRecord> *sink) { sink_ = sink; }
 
     /**
      * Advance the clock by @p n cycles without retiring work: the
@@ -347,6 +353,10 @@ class Cpu
 
     void dataAccess(Addr vaddr, AccessType type);
 
+    /** Append one op to the record sink; a FatalError naming the op
+     *  when an operand does not fit in 32 bits. */
+    void record(CpuOpRecord::Kind kind, Addr a, std::uint64_t n);
+
     /** executeAt()'s full path: periodic check, micro-ITLB, unified
      *  TLB, per-access statistics. */
     void executeAtSlow(Counter n, Addr code_vaddr);
@@ -399,9 +409,8 @@ class Cpu
     std::function<void(Cycles)> checkHook_;
 
     unsigned coreId_;
-    /** Host-side op capture hook (multiprog runner); null in normal
-     *  runs, where it costs one predictable branch per op. */
-    std::function<void(const CpuOpRecord &)> recorder_;
+    /** Record sink (setRecorder); null in normal runs. */
+    std::vector<CpuOpRecord> *sink_ = nullptr;
 
     stats::StatGroup statGroup_;
     stats::Scalar &instructions_;

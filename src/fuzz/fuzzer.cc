@@ -722,9 +722,8 @@ traceFromJson(const json::Value &v)
                 format->asString() != fztraceFormat,
             "not an ", fztraceFormat, " file");
     const json::Value *version = v.find("version");
-    fatalIf(version == nullptr || !version->isNumber() ||
-                static_cast<unsigned>(version->asNumber()) !=
-                    fztraceVersion,
+    fatalIf(version == nullptr ||
+                traceInteger(*version, "version") != fztraceVersion,
             "unsupported fztrace version");
 
     FuzzTrace trace;
@@ -743,8 +742,8 @@ traceFromJson(const json::Value &v)
                     detail == nullptr,
                 "fztrace: malformed failure record");
         trace.hasFailure = true;
-        trace.failure.opIndex =
-            static_cast<unsigned>(op->asNumber());
+        trace.failure.opIndex = static_cast<unsigned>(
+            traceInteger(*op, "failure.op", ~0u));
         trace.failure.detector = detector->asString();
         trace.failure.detail = detail->asString();
     }

@@ -1,5 +1,8 @@
 #include "fuzz/schedule.hh"
 
+#include <cmath>
+#include <limits>
+
 #include "base/logging.hh"
 #include "base/random.hh"
 
@@ -132,13 +135,15 @@ opKindFromName(const std::string &name)
     fatal("fztrace: unknown op kind '", name, "'");
 }
 
-std::uint64_t
-u64Member(const json::Value &v, const char *key)
+/** The integer member @p key of @p v, checked to fit a @p T. */
+template <typename T>
+T
+intMember(const json::Value &v, const char *key)
 {
     const json::Value *m = v.find(key);
-    fatalIf(m == nullptr || !m->isNumber(),
-            "fztrace: missing numeric member '", key, "'");
-    return static_cast<std::uint64_t>(m->asNumber());
+    fatalIf(m == nullptr, "fztrace: missing numeric member '", key, "'");
+    return static_cast<T>(
+        traceInteger(*m, key, std::numeric_limits<T>::max()));
 }
 
 bool
@@ -177,25 +182,25 @@ FuzzParams
 paramsFromJson(const json::Value &v)
 {
     FuzzParams p;
-    p.seed = u64Member(v, "seed");
-    p.numOps = static_cast<unsigned>(u64Member(v, "num_ops"));
-    p.auditEvery = static_cast<unsigned>(u64Member(v, "audit_every"));
-    p.tlbEntries = static_cast<unsigned>(u64Member(v, "tlb_entries"));
-    p.mtlbEntries = static_cast<unsigned>(u64Member(v, "mtlb_entries"));
-    p.mtlbAssoc = static_cast<unsigned>(u64Member(v, "mtlb_assoc"));
-    p.installedBytes = u64Member(v, "installed_bytes");
-    p.cacheBytes = u64Member(v, "cache_bytes");
+    p.seed = intMember<std::uint64_t>(v, "seed");
+    p.numOps = intMember<unsigned>(v, "num_ops");
+    p.auditEvery = intMember<unsigned>(v, "audit_every");
+    p.tlbEntries = intMember<unsigned>(v, "tlb_entries");
+    p.mtlbEntries = intMember<unsigned>(v, "mtlb_entries");
+    p.mtlbAssoc = intMember<unsigned>(v, "mtlb_assoc");
+    p.installedBytes = intMember<Addr>(v, "installed_bytes");
+    p.cacheBytes = intMember<Addr>(v, "cache_bytes");
     // Optional: traces recorded before the field existed replay with
     // the historical default.
     if (v.find("shadow_bytes") != nullptr)
-        p.shadowBytes = u64Member(v, "shadow_bytes");
+        p.shadowBytes = intMember<Addr>(v, "shadow_bytes");
     if (v.find("batch") != nullptr)
         p.batch = boolMember(v, "batch");
     if (v.find("cores") != nullptr)
-        p.cores = static_cast<unsigned>(u64Member(v, "cores"));
+        p.cores = intMember<unsigned>(v, "cores");
     p.allShadowMode = boolMember(v, "all_shadow");
     p.onlinePromotion = boolMember(v, "online_promotion");
-    p.frameSeed = u64Member(v, "frame_seed");
+    p.frameSeed = intMember<std::uint64_t>(v, "frame_seed");
     return p;
 }
 
@@ -222,13 +227,28 @@ opsFromJson(const json::Value &v)
     for (const json::Value &item : v.items()) {
         fatalIf(!item.isArray() || item.items().size() != 3,
                 "fztrace: each op must be a [kind, a, b] triple");
+        const std::string key = "ops[" + std::to_string(ops.size()) + "]";
         FuzzOp op;
         op.kind = opKindFromName(item.items()[0].asString());
-        op.a = static_cast<std::uint64_t>(item.items()[1].asNumber());
-        op.b = static_cast<std::uint64_t>(item.items()[2].asNumber());
+        op.a = traceInteger(item.items()[1], key + "[1]");
+        op.b = traceInteger(item.items()[2], key + "[2]");
         ops.push_back(op);
     }
     return ops;
+}
+
+std::uint64_t
+traceInteger(const json::Value &v, const std::string &key,
+             std::uint64_t max)
+{
+    // 2^64 is the first double past the uint64 range, and a NaN
+    // fails every comparison; the casts below are then exact.
+    const double d = v.isNumber() ? v.asNumber() : -1.0;
+    fatalIf(!(d >= 0.0 && d < 0x1p64) ||
+                d != std::floor(d) || static_cast<std::uint64_t>(d) > max,
+            "fztrace: '", key, "' must be an integer in [0, ", max,
+            "], not ", v.dumped(0));
+    return static_cast<std::uint64_t>(d);
 }
 
 } // namespace mtlbsim::fuzz

@@ -154,6 +154,14 @@ json::Value paramsToJson(const FuzzParams &params);
 FuzzParams paramsFromJson(const json::Value &v);
 json::Value opsToJson(const std::vector<FuzzOp> &ops);
 std::vector<FuzzOp> opsFromJson(const json::Value &v);
+
+/**
+ * The loaders' one conversion from a JSON number to an integer
+ * field: @p v must be a whole number in [0, @p max], else a
+ * FatalError naming @p key.
+ */
+std::uint64_t traceInteger(const json::Value &v, const std::string &key,
+                           std::uint64_t max = ~std::uint64_t{0});
 /** @} */
 
 } // namespace mtlbsim::fuzz

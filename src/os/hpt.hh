@@ -131,6 +131,10 @@ class Hpt
     }
 
   private:
+    /** Plants HPT corruptions the public interface cannot make
+     *  (check/fault_injector.hh; test builds only). */
+    friend class FaultInjector;
+
     struct ChainedEntry
     {
         Addr vpn;           ///< base-page virtual page number (key)

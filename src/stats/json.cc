@@ -300,10 +300,15 @@ class Parser
     {
         skipWs();
         const char c = peek();
-        if (c == '{')
-            return object();
-        if (c == '[')
-            return array();
+        if (c == '{' || c == '[') {
+            if (++depth_ > maxDepth) {
+                syntaxError("nesting deeper than " +
+                            std::to_string(maxDepth) + " levels");
+            }
+            Value v = c == '{' ? object() : array();
+            --depth_;
+            return v;
+        }
         if (c == '"')
             return Value(string());
         if (consumeLiteral("null"))
@@ -458,8 +463,14 @@ class Parser
         return Value(std::strtod(text_.c_str() + begin, nullptr));
     }
 
+    /** Each nesting level recurses once, so the depth is capped
+     *  well above the printer's deepest documents (about a dozen
+     *  levels) and far below what would overflow the stack. */
+    static constexpr unsigned maxDepth = 64;
+
     const std::string &text_;
     std::size_t pos_ = 0;
+    unsigned depth_ = 0;
 };
 
 } // namespace

@@ -2,7 +2,6 @@
 
 #include <deque>
 #include <map>
-#include <memory>
 
 #include "os/kernel.hh"
 #include "workloads/workload.hh"
@@ -67,45 +66,10 @@ declareLayout(Kernel &kernel, unsigned proc, const ProgramImage &prog)
     }
 }
 
-} // namespace
-
-ProgramImage
-captureProgram(const std::string &workload_name, double scale,
-               std::uint64_t seed, const SystemConfig &machine)
-{
-    // The scratch machine: same knobs, one core, auditing off (the
-    // capture run's correctness is covered wherever the image is
-    // replayed).
-    SystemConfig scratch = machine;
-    scratch.cores = 1;
-    scratch.check.enabled = false;
-
-    ProgramImage image;
-    image.workload = workload_name;
-
-    System sys(scratch);
-    sys.cpu().setRecorder([&image](const CpuOpRecord &op) {
-        image.ops.push_back(op);
-    });
-
-    auto workload = makeWorkload(workload_name, scale, seed);
-    workload->setup(sys);
-    workload->run(sys);
-
-    image.regions = sys.kernel().addressSpace().regions();
-    for (const VmRegion &r : image.regions) {
-        if (r.name == "heap") {
-            image.hasHeap = true;
-            image.heapBase = r.base;
-            image.heapBytes = r.size;
-            break;
-        }
-    }
-    return image;
-}
-
+/** runPrograms() over images held by pointer, so processes running
+ *  the same program share one image. */
 Cycles
-runPrograms(System &sys, const std::vector<ProgramImage> &programs)
+replay(System &sys, const std::vector<const ProgramImage *> &programs)
 {
     Kernel &kernel = sys.kernel();
     const unsigned cores = sys.numCores();
@@ -126,7 +90,7 @@ runPrograms(System &sys, const std::vector<ProgramImage> &programs)
         }
         kernel.bindProcess(0, p);
         kernel.setActiveCore(0);
-        declareLayout(kernel, p, programs[p]);
+        declareLayout(kernel, p, *programs[p]);
     }
 
     // Scheduler state: cores 0..C-1 start with processes 0..C-1 (no
@@ -135,7 +99,17 @@ runPrograms(System &sys, const std::vector<ProgramImage> &programs)
     constexpr unsigned idle = ~0u;
     std::vector<unsigned> running(cores, idle);
     std::vector<Cycles> slice_end(cores, 0);
-    std::vector<std::size_t> cursor(nprog, 0);
+    // Each process's next op and the end of its program's image.
+    struct Stream
+    {
+        const CpuOpRecord *next;
+        const CpuOpRecord *end;
+    };
+    std::vector<Stream> streams(nprog);
+    for (unsigned p = 0; p < nprog; ++p) {
+        const std::vector<CpuOpRecord> &ops = programs[p]->ops;
+        streams[p] = {ops.data(), ops.data() + ops.size()};
+    }
     std::deque<unsigned> ready;
     // Each core's CPU, resolved once: the dispatch loop below reads
     // every core's clock on every operation.
@@ -170,7 +144,7 @@ runPrograms(System &sys, const std::vector<ProgramImage> &programs)
         Cpu &cpu = *cpus[core];
         const unsigned proc = running[core];
 
-        if (cursor[proc] == programs[proc].ops.size()) {
+        if (streams[proc].next == streams[proc].end) {
             // Program done: hand the core to the next waiter.
             if (ready.empty()) {
                 running[core] = idle;
@@ -204,33 +178,77 @@ runPrograms(System &sys, const std::vector<ProgramImage> &programs)
             }
         }
 
-        applyOp(cpu, programs[proc].ops[cursor[proc]++]);
+        applyOp(cpu, *streams[proc].next++);
     }
 
     return sys.totalCycles();
+}
+
+} // namespace
+
+ProgramImage
+captureProgram(const std::string &workload_name, double scale,
+               std::uint64_t seed, const SystemConfig &machine)
+{
+    // The scratch machine: same knobs, one core, auditing off. Its
+    // CPU only records the program's ops; the kernel services it
+    // still runs keep the process's break and layout current.
+    SystemConfig scratch = machine;
+    scratch.cores = 1;
+    scratch.check.enabled = false;
+
+    ProgramImage image;
+    image.workload = workload_name;
+
+    System sys(scratch);
+    sys.cpu().setRecorder(&image.ops);
+
+    auto workload = makeWorkload(workload_name, scale, seed);
+    workload->setup(sys);
+    workload->run(sys);
+    sys.cpu().setRecorder(nullptr);
+
+    image.regions = sys.kernel().addressSpace().regions();
+    for (const VmRegion &r : image.regions) {
+        if (r.name == "heap") {
+            image.hasHeap = true;
+            image.heapBase = r.base;
+            image.heapBytes = r.size;
+            break;
+        }
+    }
+    return image;
+}
+
+Cycles
+runPrograms(System &sys, const std::vector<ProgramImage> &programs)
+{
+    std::vector<const ProgramImage *> images;
+    images.reserve(programs.size());
+    for (const ProgramImage &p : programs)
+        images.push_back(&p);
+    return replay(sys, images);
 }
 
 Cycles
 runMultiprogMix(System &sys, const std::vector<std::string> &workloads,
                 double scale, std::uint64_t seed)
 {
-    // Capture each distinct workload once; repeats share the image
-    // (distinct processes replay it into distinct address spaces).
-    std::map<std::string, std::shared_ptr<const ProgramImage>> cache;
-    std::vector<ProgramImage> programs;
+    // Capture each distinct workload once; every process running it
+    // replays that one image into its own address space.
+    std::map<std::string, ProgramImage> images;
+    std::vector<const ProgramImage *> programs;
     programs.reserve(workloads.size());
     for (const std::string &name : workloads) {
-        auto it = cache.find(name);
-        if (it == cache.end()) {
-            it = cache.emplace(name,
-                               std::make_shared<const ProgramImage>(
-                                   captureProgram(name, scale, seed,
-                                                  sys.config())))
+        auto it = images.find(name);
+        if (it == images.end()) {
+            it = images.emplace(name, captureProgram(name, scale, seed,
+                                                     sys.config()))
                      .first;
         }
-        programs.push_back(*it->second);
+        programs.push_back(&it->second);
     }
-    return runPrograms(sys, programs);
+    return replay(sys, programs);
 }
 
 } // namespace mtlbsim

@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "check/fault_injector.hh"
 #include "check/translation_auditor.hh"
 #include "sim/system.hh"
@@ -63,6 +66,32 @@ residentSuperpageSpi(System &sys)
     sys.cache().invalidateLine(sp.vbase, sp.shadowBase);
     sys.cpu().load(sp.vbase);
     return sys.physmap().shadowPageIndex(sp.shadowBase);
+}
+
+/** @p v in the auditor's "0x..." spelling. */
+std::string
+hex(Addr v)
+{
+    std::ostringstream os;
+    os << "0x" << std::hex << v;
+    return os.str();
+}
+
+/** Violation @p i of @p report is exactly [@p invariant] @p detail. */
+void
+expectViolation(const AuditReport &report, std::size_t i,
+                const std::string &invariant, const std::string &detail)
+{
+    ASSERT_LT(i, report.violations.size());
+    EXPECT_EQ(report.violations[i].invariant, invariant);
+    EXPECT_EQ(report.violations[i].detail, detail);
+}
+
+/** The first superpage warmUp() built (the first MB). */
+const ShadowSuperpage &
+firstSuperpage(System &sys)
+{
+    return sys.kernel().addressSpace().superpages().begin()->second;
 }
 
 } // namespace
@@ -140,6 +169,83 @@ TEST(CheckerTest, DetectsLeakedShadowMapping)
     FaultInjector(sys).leakShadowMapping(last_spi, 3000);
     AuditReport report = sys.auditor().collect();
     EXPECT_TRUE(report.has("shadow-table"));
+}
+
+// The four tests below pin the full text and order of what the
+// shadow-table and HPT checks report, not just the invariant name.
+
+TEST(CheckerTest, ReportsShadowFrameMappedTwice)
+{
+    System sys(machine());
+    warmUp(sys);
+    // A second valid PTE, at a shadow index no superpage covers,
+    // naming the frame behind the superpage's first page.
+    const ShadowSuperpage &sp = firstSuperpage(sys);
+    const Addr spi0 = sys.physmap().shadowPageIndex(sp.shadowBase);
+    const Addr pfn = sys.kernel().addressSpace().frameOf(sp.vbase);
+    const Addr last_spi =
+        sys.physmap().shadowRange().size / basePageSize - 1;
+    FaultInjector(sys).leakShadowMapping(last_spi, pfn);
+
+    const AuditReport report = sys.auditor().collect();
+    ASSERT_EQ(report.violations.size(), 2u);
+    expectViolation(report, 0, "shadow-table",
+                    "valid PTE at spi " + hex(last_spi) +
+                        " outside every recorded superpage (leaked "
+                        "mapping)");
+    expectViolation(report, 1, "shadow-table",
+                    "frame " + hex(pfn) + " mapped by both spi " +
+                        hex(spi0) + " and spi " + hex(last_spi) +
+                        " (double-mapped frame)");
+}
+
+TEST(CheckerTest, ReportsDuplicatedHptEntry)
+{
+    System sys(machine());
+    warmUp(sys);
+    const Addr va = dataBase + MB;     // a loose base page
+    FaultInjector(sys).duplicateHptEntry(va);
+
+    const AuditReport report = sys.auditor().collect();
+    ASSERT_EQ(report.violations.size(), 1u);
+    expectViolation(report, 0, "hpt-coherence",
+                    "duplicate entry for v=" + hex(va));
+}
+
+TEST(CheckerTest, ReportsSuperpageMissingAnHptReplica)
+{
+    System sys(machine());
+    warmUp(sys);
+    // Losing the replica of the superpage's last page also leaves
+    // that present page unreachable.
+    const ShadowSuperpage &sp = firstSuperpage(sys);
+    const Addr last = sp.vbase + sp.size() - basePageSize;
+    FaultInjector(sys).dropHptReplica(last);
+
+    const AuditReport report = sys.auditor().collect();
+    ASSERT_EQ(report.violations.size(), 2u);
+    const Addr n = sp.numBasePages();
+    expectViolation(report, 0, "hpt-coherence",
+                    "superpage v=" + hex(sp.vbase) + " has " +
+                        std::to_string(n - 1) + " of " +
+                        std::to_string(n) + " HPT replicas");
+    expectViolation(report, 1, "hpt-coherence",
+                    "present page v=" + hex(last) +
+                        " unreachable through the HPT");
+}
+
+TEST(CheckerTest, ReportsPresentPageUnreachableThroughHpt)
+{
+    System sys(machine());
+    warmUp(sys);
+    const Addr va = dataBase + MB + 5 * basePageSize;
+    FaultInjector(sys).dropHptEntry(va);
+
+    const AuditReport report = sys.auditor().collect();
+    ASSERT_EQ(report.violations.size(), 1u);
+    expectViolation(report, 0, "hpt-coherence",
+                    "present page v=" + hex(va) +
+                        " unreachable through the HPT");
 }
 
 TEST(CheckerTest, DetectsStaleTlbEntry)

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "fuzz/fuzzer.hh"
 #include "fuzz/oracle.hh"
@@ -208,6 +210,60 @@ TEST(Fuzzer, RejectsMalformedTraces)
     v.set("format", json::Value("not-a-trace"));
     v.set("version", json::Value(1));
     EXPECT_THROW(traceFromJson(v), FatalError);
+
+    // Integer fields: negative, fractional, non-finite and
+    // out-of-range values are errors naming the field, never a
+    // silent truncation or a crash.
+    const json::Value good = traceToJson(
+        generateSchedule(paramsForSeed(1, 4, 2)), RunResult{});
+    ASSERT_NO_THROW(traceFromJson(good));
+    auto with_param = [&good](const char *key, json::Value value) {
+        json::Value t = good;
+        json::Value params = *t.find("params");
+        params.set(key, std::move(value));
+        t.set("params", std::move(params));
+        return t;
+    };
+    auto expect_rejected = [](const json::Value &t, const char *key) {
+        try {
+            traceFromJson(t);
+            ADD_FAILURE() << key << " accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    };
+    expect_rejected(with_param("cores", json::Value(4294967298.0)),
+                    "'cores'");
+    expect_rejected(with_param("cores", json::Value(1.5)), "'cores'");
+    expect_rejected(with_param("cores", json::Value(-1)), "'cores'");
+    expect_rejected(with_param("seed", json::Value(1e30)), "'seed'");
+    expect_rejected(with_param("num_ops", json::Value(std::nan(""))),
+                    "'num_ops'");
+    expect_rejected(with_param("tlb_entries", json::Value("8")),
+                    "'tlb_entries'");
+
+    json::Value bad_op = good;
+    json::Value ops = json::Value::array();
+    json::Value triple = json::Value::array();
+    triple.push(json::Value("load"));
+    triple.push(json::Value(-4096));
+    triple.push(json::Value(0));
+    ops.push(std::move(triple));
+    bad_op.set("ops", std::move(ops));
+    expect_rejected(bad_op, "'ops[0][1]'");
+
+    json::Value bad_version = good;
+    bad_version.set("version", json::Value(1.5));
+    expect_rejected(bad_version, "'version'");
+
+    json::Value bad_failure = good;
+    json::Value failure = json::Value::object();
+    failure.set("op", json::Value(-2));
+    failure.set("detector", json::Value("oracle"));
+    failure.set("detail", json::Value(""));
+    bad_failure.set("failure", std::move(failure));
+    expect_rejected(bad_failure, "'failure.op'");
 }
 
 // Regression: remap() must never build a superpage spanning an

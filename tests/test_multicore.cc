@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -65,18 +66,101 @@ TEST(MulticoreEquivalence, OneCoreOneProcessReplayIsByteIdentical)
 {
     // A 1-core machine replaying a 1-process "mix" must be
     // indistinguishable — cycles, stats text, stats JSON — from the
-    // same machine driving the workload directly.
+    // same machine driving the workload directly. Capture only
+    // records ops, so this is also the proof that the recorded
+    // stream is the one the workload issues.
     const SystemConfig config = multicoreConfig(1);
 
-    const auto direct = testeq::runConfigured(config, [](System &s) {
-        auto w = makeWorkload("em3d", 0.02, 0);
-        w->setup(s);
-        w->run(s);
+    for (const std::string &name : allWorkloadNames()) {
+        const auto direct =
+            testeq::runConfigured(config, [&name](System &s) {
+                auto w = makeWorkload(name, 0.02, 0);
+                w->setup(s);
+                w->run(s);
+            });
+        const auto replay =
+            testeq::runConfigured(config, [&name](System &s) {
+                runMultiprogMix(s, {name}, 0.02, 0);
+            });
+        testeq::expectIdentical(direct, replay, name + " 1x1 replay");
+    }
+}
+
+TEST(MulticoreEquivalence, SharedImagesReplayLikeSeparateCopies)
+{
+    // runMultiprogMix replays one image per distinct program; giving
+    // every process its own captured copy must not change a thing.
+    SystemConfig config = multicoreConfig(2);
+    config.sched.quantum = 200'000;
+    const std::vector<std::string> mix{"em3d", "compress95", "em3d",
+                                       "compress95"};
+
+    const auto shared = testeq::runConfigured(config, [&mix](System &s) {
+        runMultiprogMix(s, mix, 0.02, 0);
     });
-    const auto replay = testeq::runConfigured(config, [](System &s) {
-        runMultiprogMix(s, {"em3d"}, 0.02, 0);
+    const auto copies = testeq::runConfigured(config, [&mix](System &s) {
+        std::vector<ProgramImage> programs;
+        for (const std::string &name : mix)
+            programs.push_back(captureProgram(name, 0.02, 0, s.config()));
+        runPrograms(s, programs);
     });
-    testeq::expectIdentical(direct, replay, "em3d 1x1 replay");
+    testeq::expectIdentical(shared, copies, "shared vs copied images");
+}
+
+// --- Record-only capture -------------------------------------------
+
+static_assert(sizeof(CpuOpRecord) == 12,
+              "a captured op is a 1-byte kind and two 32-bit operands");
+
+TEST(Capture, SinkRecordsOpsWithoutSimulatingThem)
+{
+    auto heap_machine = [] {
+        auto sys = std::make_unique<System>(multicoreConfig(1));
+        addData(*sys);
+        sys->kernel().initHeap(UserLayout::heapBase, 16 * MB);
+        return sys;
+    };
+    auto plain = heap_machine();
+    auto recording = heap_machine();
+    std::vector<CpuOpRecord> ops;
+    Cpu &cpu = recording->cpu();
+    cpu.setRecorder(&ops);
+
+    cpu.load(dataBase);
+    cpu.store(dataBase + 64);
+    cpu.execute(10);
+    cpu.executeAt(5, dataBase + 128);
+    EXPECT_EQ(cpu.dataAccesses(), 0u);
+    EXPECT_EQ(recording->cache().accesses(), 0u);
+    EXPECT_EQ(cpu.now(), 0u);
+
+    // Kernel services still run, so the program sees its real break.
+    for (const Addr bytes : {Addr{4096}, Addr{100}, 3 * MB})
+        EXPECT_EQ(cpu.sbrk(bytes), plain->cpu().sbrk(bytes));
+
+    using Kind = CpuOpRecord::Kind;
+    ASSERT_EQ(ops.size(), 7u);
+    EXPECT_EQ(ops[0].kind, Kind::Load);
+    EXPECT_EQ(ops[0].a, dataBase);
+    EXPECT_EQ(ops[1].kind, Kind::Store);
+    EXPECT_EQ(ops[1].a, dataBase + 64);
+    EXPECT_EQ(ops[2].kind, Kind::Execute);
+    EXPECT_EQ(ops[2].n, 10u);
+    EXPECT_EQ(ops[3].kind, Kind::ExecuteAt);
+    EXPECT_EQ(ops[3].a, dataBase + 128);
+    EXPECT_EQ(ops[3].n, 5u);
+    EXPECT_EQ(ops[6].kind, Kind::Sbrk);
+    EXPECT_EQ(ops[6].n, 3 * MB);
+}
+
+TEST(Capture, OperandWiderThan32BitsIsFatal)
+{
+    System sys(multicoreConfig(1));
+    std::vector<CpuOpRecord> ops;
+    sys.cpu().setRecorder(&ops);
+    EXPECT_THROW(sys.cpu().load(Addr{1} << 32), FatalError);
+    EXPECT_THROW(sys.cpu().execute(Counter{1} << 32), FatalError);
+    EXPECT_TRUE(ops.empty());
 }
 
 TEST(MulticoreEquivalence, SingleCoreConfigHasNoPerCoreGroups)

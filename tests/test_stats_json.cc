@@ -101,6 +101,22 @@ TEST(Json, ParseErrorsAreFatal)
     EXPECT_THROW(json::Value::parse("{\"a\":1} tail"), FatalError);
     EXPECT_THROW(json::Value::parse("\"unterminated"), FatalError);
     EXPECT_THROW(json::Value::parse("1.2.3"), FatalError);
+    // Deep nesting is an error naming the offset, not a stack
+    // overflow.
+    EXPECT_THROW(json::Value::parse(std::string(300000, '[')),
+                 FatalError);
+    std::string objects;
+    for (int i = 0; i < 100000; ++i)
+        objects += "{\"a\":";
+    EXPECT_THROW(json::Value::parse(objects), FatalError);
+    try {
+        json::Value::parse(std::string(100, '['));
+        ADD_FAILURE() << "100 nested arrays parsed";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("at byte 64: nesting"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 /** dump -> parse -> dump is a fixed point for a whole tree. */

@@ -27,7 +27,8 @@
  *
  * Exit status: 0 all runs clean / replay reproduced / self-test
  * passed; 1 mismatch found, replay diverged, or self-test failed;
- * 2 usage error.
+ * 2 usage error or a malformed trace file, printed as
+ * "fuzz: <message>".
  */
 
 #include <cstdio>
@@ -191,10 +192,9 @@ shrinkFile(const std::string &path, bool quiet)
     return 0;
 }
 
-} // namespace
-
+/** The program proper; main() turns its errors into exit status 2. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     setInformEnabled(false);
 
@@ -326,4 +326,12 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(seed),
                 static_cast<unsigned long long>(seed + runs - 1));
     return failures ? 1 : 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("fuzz", 2, [&] { return run(argc, argv); });
 }

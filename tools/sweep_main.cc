@@ -18,7 +18,9 @@
  *       --scale 0.05 --check --golden-dir tests/golden
  *
  * Exit status: 0 on success, 1 when a job fails or --check finds
- * out-of-tolerance drift.
+ * out-of-tolerance drift, 2 on a usage error or on input it cannot
+ * read or parse (a config or golden file), printed as
+ * "sweep: <message>".
  */
 
 #include <cstdio>
@@ -29,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "base/logging.hh"
 #include "sim/config_parser.hh"
 #include "stats/golden.hh"
 #include "sweep/matrix.hh"
@@ -80,10 +83,9 @@ goldenFileName(const std::string &id)
     return stem + ".json";
 }
 
-} // namespace
-
+/** The program proper; main() turns its errors into exit status 2. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     setInformEnabled(false);
 
@@ -254,4 +256,12 @@ main(int argc, char **argv)
         }
     }
     return status;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("sweep", 2, [&] { return run(argc, argv); });
 }
