@@ -132,6 +132,15 @@ class Cache
         accesses_.addCount(n);
         hits_.addCount(n);
     }
+
+    /** Name @p source as the holder of the deferred accesses and
+     *  hits: reading either count realizes it first. */
+    void
+    deferHitsTo(const stats::DeferredSource &source)
+    {
+        accesses_.deferTo(source);
+        hits_.deferTo(source);
+    }
     /** @} */
 
     /**

@@ -10,9 +10,12 @@
  * The mutators are compiled only when MTLBSIM_CHECK_TESTING is
  * defined (tests/ builds with it); in ordinary builds every call
  * panics, so no production code path can corrupt state "for
- * testing". Header-only: all the state it touches is reachable
- * through public component interfaces, except the HPT's chains, which
- * Hpt opens to it as a friend.
+ * testing". Kernel mutators are reached through a detached edit
+ * (os/translation_edit.hh), which neither retires translations nor
+ * notifies the observer: the corruption stays planted. Header-only:
+ * all the state it touches is reachable through public component
+ * interfaces, except the HPT's chains, which Hpt opens to it as a
+ * friend.
  */
 
 #ifndef MTLBSIM_CHECK_FAULT_INJECTOR_HH
@@ -42,7 +45,8 @@ class FaultInjector
     {
 #ifdef MTLBSIM_CHECK_TESTING
         AddressSpace &space = sys_.kernel().addressSpace();
-        space.installFrame(va_dst, space.frameOf(va_src));
+        TranslationEdit edit = detachedEdit();
+        space.installFrame(va_dst, space.frameOf(va_src), edit);
 #else
         (void)va_src;
         (void)va_dst;
@@ -159,8 +163,9 @@ class FaultInjector
     {
 #ifdef MTLBSIM_CHECK_TESTING
         AddressSpace &space = sys_.kernel().addressSpace();
-        space.removeFrame(va);
-        space.installFrame(va, sys_.kernel().frames().allocate());
+        TranslationEdit edit = detachedEdit();
+        space.removeFrame(va, edit);
+        space.installFrame(va, sys_.kernel().frames().allocate(), edit);
 #else
         (void)va;
         panic("fault injection requires MTLBSIM_CHECK_TESTING");

@@ -26,7 +26,8 @@ opName(CpuOpRecord::Kind kind)
 
 Cpu::Cpu(const CpuConfig &config, Tlb &tlb, MicroItlb &uitlb,
          Cache &cache, MemorySystem &memsys, Kernel &kernel,
-         stats::StatGroup &parent, unsigned core_id)
+         stats::StatGroup &parent,
+         const stats::DeferredSource &deferred, unsigned core_id)
     : config_(config), tlb_(tlb), uitlb_(uitlb), cache_(cache),
       memsys_(memsys), kernel_(kernel),
       cacheHitCycles_(cache.config().hitCycles),
@@ -46,6 +47,14 @@ Cpu::Cpu(const CpuConfig &config, Tlb &tlb, MicroItlb &uitlb,
                                          "stall-on-use overlap"))
 {
     parent.addChild(&statGroup_);
+    // Every counter the batch engine defers: reading any of them
+    // realizes every core's pending counts first.
+    for (stats::Scalar *deferred_stat :
+         {&instructions_, &loads_, &stores_, &ifetchChecks_})
+        deferred_stat->deferTo(deferred);
+    tlb_.deferHitsTo(deferred);
+    uitlb_.deferHitsTo(deferred);
+    cache_.deferHitsTo(deferred);
 }
 
 void
@@ -121,9 +130,8 @@ Cpu::dataAccess(Addr vaddr, AccessType type)
 {
     // Deferred counts may stay pending across this access: bulk adds
     // and the direct increments below are exact integer sums, so
-    // their interleaving is irrelevant to every final value, and no
-    // stats reader runs without flushing first (flush points:
-    // flushBatch() callers).
+    // their interleaving is irrelevant to every final value, and
+    // every read of a deferred counter realizes them first.
     noteCoreActive();
     maybeRunCheck();
     const bool is_store = type == AccessType::Write;

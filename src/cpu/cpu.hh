@@ -89,13 +89,18 @@ class Cpu
 {
   public:
     /**
+     * @param deferred the source that realizes the batch engine's
+     *        deferred counts (flushBatch) on every core; each counter
+     *        the engine defers is bound to it, so reading one realizes
+     *        them all
      * @param core_id this core's index in the shared kernel's core
      *        table; the CPU names itself (Kernel::setActiveCore)
      *        before every kernel entry
      */
     Cpu(const CpuConfig &config, Tlb &tlb, MicroItlb &uitlb,
         Cache &cache, MemorySystem &memsys, Kernel &kernel,
-        stats::StatGroup &parent, unsigned core_id = 0);
+        stats::StatGroup &parent,
+        const stats::DeferredSource &deferred, unsigned core_id = 0);
 
     /** Retire @p n non-memory instructions (1 cycle each). */
     void
@@ -117,8 +122,8 @@ class Cpu
      * micro-ITLB hit, no periodic check due — exactly as it does
      * data accesses: time advances eagerly, and the three
      * bookkeeping increments a hit performs (ifetch_checks, the
-     * micro-ITLB hit count, instructions) are deferred and
-     * bulk-added at the next flush point.
+     * micro-ITLB hit count, instructions) are deferred until the
+     * next read of any of them or the next kernel service.
      */
     void
     executeAt(Counter n, Addr code_vaddr)
@@ -218,8 +223,8 @@ class Cpu
     /**
      * Advance the clock by @p n cycles without retiring work: the
      * scheduler's context-switch cost and the kernel's shootdown-IPI
-     * service time both land here. Flushes the batch first so
-     * deferred counts are realized under the pre-advance state.
+     * service time both land here. Realizes the batch first, as every
+     * kernel service does.
      */
     void
     charge(Cycles n)
@@ -231,11 +236,45 @@ class Cpu
     unsigned coreId() const { return coreId_; }
 
     /**
+     * Arrange for @p hook to run once per @p interval simulated
+     * cycles (the src/check periodic audit). The hook fires between
+     * accesses, when all translation state is settled. Interval 0
+     * disables.
+     */
+    void
+    setPeriodicCheck(Cycles interval, std::function<void(Cycles)> hook)
+    {
+        checkInterval_ = interval;
+        checkHook_ = std::move(hook);
+        nextCheckAt_ = now_ + interval;
+    }
+
+    /** Current simulated time in CPU cycles. */
+    Cycles now() const { return now_; }
+
+    Counter
+    instructions() const
+    {
+        return static_cast<Counter>(instructions_.value());
+    }
+
+    std::uint64_t
+    dataAccesses() const
+    {
+        return static_cast<std::uint64_t>(loads_.value() +
+                                          stores_.value());
+    }
+
+  private:
+    /** Realizes every core's deferred counts (its DeferredSource). */
+    friend class System;
+
+    /**
      * Realize the batch engine's deferred statistic counts — CPU
-     * loads/stores, TLB hits, cache accesses/hits — as exact bulk
-     * adds (Scalar::addCount). Must run before any external read of
-     * those statistics: System::rootStats()/dumpStats()/audit(), the
-     * metric collectors, and the fuzzer's checks all call it.
+     * loads/stores/instructions/ifetch checks, TLB and micro-ITLB
+     * hits, cache accesses/hits — as exact bulk adds
+     * (Scalar::addCount). Called by the deferred-count source before
+     * any read of those counters, and by the kernel-service entries.
      * It only moves already-earned counts, so calling it at any
      * point is safe and changes no statistic's final value.
      */
@@ -266,43 +305,10 @@ class Cpu
     }
 
     /**
-     * Arrange for @p hook to run once per @p interval simulated
-     * cycles (the src/check periodic audit). The hook fires between
-     * accesses, when all translation state is settled. Interval 0
-     * disables.
-     */
-    void
-    setPeriodicCheck(Cycles interval, std::function<void(Cycles)> hook)
-    {
-        checkInterval_ = interval;
-        checkHook_ = std::move(hook);
-        nextCheckAt_ = now_ + interval;
-    }
-
-    /** Current simulated time in CPU cycles. */
-    Cycles now() const { return now_; }
-
-    Counter
-    instructions() const
-    {
-        flushBatch();
-        return static_cast<Counter>(instructions_.value());
-    }
-
-    std::uint64_t
-    dataAccesses() const
-    {
-        flushBatch();
-        return static_cast<std::uint64_t>(loads_.value() +
-                                          stores_.value());
-    }
-
-  private:
-    /**
      * The batch engine's deferred statistic counts, accumulated across
      * every memo page (the counts are per-access, not per-page).
-     * Host-side only; mutable so flushBatch() can realize them from
-     * const readers.
+     * Host-side only; mutable so the deferred-count source can
+     * realize them from const readers.
      */
     struct BatchState
     {
@@ -324,8 +330,8 @@ class Cpu
      * Replay is split eager/deferred: simulated time and the line's
      * dirty bit advance immediately (kernel paths read both without
      * CPU involvement), while the five statistic increments a hit
-     * performs are accumulated and bulk-added at the next flush
-     * point (see DESIGN.md §7).
+     * performs are accumulated and bulk-added when one of them is
+     * read or a kernel service runs (see DESIGN.md §7).
      */
     bool
     tryBatchedAccess(Addr vaddr, bool is_store)
@@ -370,7 +376,6 @@ class Cpu
             return;
         while (nextCheckAt_ <= now_)
             nextCheckAt_ += checkInterval_;
-        flushBatch();   // the hook may read or dump statistics
         checkHook_(now_);
     }
 

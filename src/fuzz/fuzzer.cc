@@ -128,11 +128,6 @@ DifferentialFuzzer::run(const std::vector<FuzzOp> &ops)
             applyOp(ops[i], i);
             if (!failure_ &&
                 ((i + 1) % every == 0 || i + 1 == ops.size())) {
-                // Checks read statistics: realize deferred batch
-                // counts on every core so every sweep sees final
-                // values.
-                for (unsigned c = 0; c < sys_->numCores(); ++c)
-                    sys_->cpu(c).flushBatch();
                 runPeriodicChecks(i);
             }
         } catch (const FatalError &e) {

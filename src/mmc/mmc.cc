@@ -145,7 +145,8 @@ Mmc::service(MmcOp op, Addr paddr, Cycles)
 }
 
 Cycles
-Mmc::setShadowMapping(Addr shadow_page_index, Addr real_pfn)
+Mmc::setShadowMapping(Addr shadow_page_index, Addr real_pfn,
+                      TranslationEdit &)
 {
     panicIf(!config_.hasMtlb, "no MTLB to configure");
     ++controlOps_;
@@ -158,7 +159,7 @@ Mmc::setShadowMapping(Addr shadow_page_index, Addr real_pfn)
 }
 
 Cycles
-Mmc::invalidateShadowMapping(Addr shadow_page_index)
+Mmc::invalidateShadowMapping(Addr shadow_page_index, TranslationEdit &)
 {
     panicIf(!config_.hasMtlb, "no MTLB to configure");
     ++controlOps_;
@@ -169,7 +170,7 @@ Mmc::invalidateShadowMapping(Addr shadow_page_index)
 }
 
 Cycles
-Mmc::clearShadowMapping(Addr shadow_page_index)
+Mmc::clearShadowMapping(Addr shadow_page_index, TranslationEdit &)
 {
     panicIf(!config_.hasMtlb, "no MTLB to configure");
     ++controlOps_;

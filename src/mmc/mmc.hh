@@ -34,6 +34,8 @@
 namespace mtlbsim
 {
 
+class TranslationEdit;
+
 /** MMC timing and feature configuration. */
 struct MmcConfig
 {
@@ -104,19 +106,25 @@ class Mmc
      * These model uncached writes/reads to MMC control registers.
      * The *bus* cost of reaching the registers is charged by the
      * caller (MemorySystem::controlOp); these methods perform the
-     * side effects and return the MMC-side cycle cost.
+     * side effects and return the MMC-side cycle cost. The three
+     * that change a mapping take the kernel's TranslationEdit
+     * (os/translation_edit.hh), which retires the CPU-side
+     * translations when it closes.
      * @{
      */
 
     /** Install shadow-page -> real-frame mapping. */
-    Cycles setShadowMapping(Addr shadow_page_index, Addr real_pfn);
+    Cycles setShadowMapping(Addr shadow_page_index, Addr real_pfn,
+                            TranslationEdit &edit);
 
     /** Mark a shadow page's backing frame absent (swap-out). The
      *  MTLB entry is purged so subsequent accesses fault. */
-    Cycles invalidateShadowMapping(Addr shadow_page_index);
+    Cycles invalidateShadowMapping(Addr shadow_page_index,
+                                   TranslationEdit &edit);
 
     /** Remove a mapping entirely (region freed). */
-    Cycles clearShadowMapping(Addr shadow_page_index);
+    Cycles clearShadowMapping(Addr shadow_page_index,
+                              TranslationEdit &edit);
 
     /** Read back an entry with up-to-date R/M bits (syncs the MTLB's
      *  cached bits into the table first). */

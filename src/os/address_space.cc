@@ -83,27 +83,29 @@ AddressSpace::frameOf(Addr vaddr) const
 }
 
 void
-AddressSpace::installFrame(Addr vaddr, Addr pfn)
+AddressSpace::installFrame(Addr vaddr, Addr pfn, MappingEdit &edit)
 {
     const Addr vpn = pageFrame(vaddr);
     panicIf(pages_.count(vpn) > 0,
             "page already present: 0x", std::hex, vaddr);
     pages_[vpn] = pfn;
+    edit.notify(&KernelObserver::onPageMapped, pageBase(vaddr), pfn);
 }
 
 Addr
-AddressSpace::removeFrame(Addr vaddr)
+AddressSpace::removeFrame(Addr vaddr, TranslationEdit &edit)
 {
     auto it = pages_.find(pageFrame(vaddr));
     panicIf(it == pages_.end(),
             "removing absent page: 0x", std::hex, vaddr);
     const Addr pfn = it->second;
     pages_.erase(it);
+    edit.notify(&KernelObserver::onPageUnmapped, pageBase(vaddr), pfn);
     return pfn;
 }
 
 void
-AddressSpace::addSuperpage(const ShadowSuperpage &sp)
+AddressSpace::addSuperpage(const ShadowSuperpage &sp, MappingEdit &edit)
 {
     const Addr size = sp.size();
     fatalIf(sp.vbase & (size - 1),
@@ -113,13 +115,16 @@ AddressSpace::addSuperpage(const ShadowSuperpage &sp)
     auto [it, inserted] = superpages_.emplace(sp.vbase, sp);
     (void)it;
     panicIf(!inserted, "duplicate superpage at 0x", std::hex, sp.vbase);
+    edit.notify(&KernelObserver::onSuperpageCreated, sp.vbase,
+                sp.shadowBase, sp.sizeClass);
 }
 
 void
-AddressSpace::removeSuperpage(Addr vbase)
+AddressSpace::removeSuperpage(Addr vbase, MappingEdit &edit)
 {
     panicIf(superpages_.erase(vbase) == 0,
             "no superpage at 0x", std::hex, vbase);
+    edit.notify(&KernelObserver::onSuperpageDemoted, vbase);
 }
 
 const ShadowSuperpage *

@@ -21,6 +21,7 @@
 #include "base/logging.hh"
 #include "base/types.hh"
 #include "os/hpt.hh"
+#include "os/translation_edit.hh"
 #include "tlb/tlb.hh"
 
 namespace mtlbsim
@@ -96,17 +97,26 @@ class AddressSpace
     /** PFN backing the base page at @p vaddr (page must be present). */
     Addr frameOf(Addr vaddr) const;
 
-    /** Record that @p vaddr's base page is backed by frame @p pfn. */
-    void installFrame(Addr vaddr, Addr pfn);
+    /** @name Mutators
+     *  Each fires its KernelObserver hook through @p edit. */
+    /** @{ */
 
-    /** Remove the frame backing @p vaddr's page; returns the PFN. */
-    Addr removeFrame(Addr vaddr);
+    /** Record that @p vaddr's base page is backed by frame @p pfn
+     *  (onPageMapped). The page had no translation, so a hooks-only
+     *  edit suffices. */
+    void installFrame(Addr vaddr, Addr pfn, MappingEdit &edit);
 
-    /** Record a shadow-backed superpage. */
-    void addSuperpage(const ShadowSuperpage &sp);
+    /** Remove the frame backing @p vaddr's page; returns the PFN
+     *  (onPageUnmapped). */
+    Addr removeFrame(Addr vaddr, TranslationEdit &edit);
 
-    /** Remove a superpage record (e.g. on region teardown). */
-    void removeSuperpage(Addr vbase);
+    /** Record a shadow-backed superpage (onSuperpageCreated). */
+    void addSuperpage(const ShadowSuperpage &sp, MappingEdit &edit);
+
+    /** Remove a superpage record (onSuperpageDemoted). */
+    void removeSuperpage(Addr vbase, MappingEdit &edit);
+
+    /** @} */
 
     /** The shadow superpage covering @p vaddr, if any. */
     const ShadowSuperpage *findSuperpage(Addr vaddr) const;

@@ -31,7 +31,7 @@ FrameAllocator::allocate()
 }
 
 void
-FrameAllocator::free(Addr pfn)
+FrameAllocator::free(Addr pfn, TranslationEdit &)
 {
     panicIf(pfn < firstPfn_ || pfn >= firstPfn_ + numPfns_,
             "freeing a frame outside the allocatable range: ", pfn);

@@ -24,6 +24,8 @@
 namespace mtlbsim
 {
 
+class TranslationEdit;
+
 /**
  * Allocator of 4 KB real physical frames.
  */
@@ -44,8 +46,9 @@ class FrameAllocator
      *  backing ordinary allocations). */
     Addr allocate();
 
-    /** Return a frame to the free pool. */
-    void free(Addr pfn);
+    /** Return a frame to the free pool. The frame may be reused at
+     *  once, so freeing it is a translation edit. */
+    void free(Addr pfn, TranslationEdit &edit);
 
     Addr numFree() const { return freeList_.size(); }
     Addr numTotal() const { return numPfns_; }

@@ -1,5 +1,6 @@
 #include "os/kernel.hh"
 
+#include <exception>
 #include <string>
 
 #include "base/intmath.hh"
@@ -9,8 +10,8 @@ namespace mtlbsim
 {
 
 Kernel::Kernel(const KernelConfig &config, const PhysMap &physmap,
-               Tlb &tlb, MicroItlb &uitlb, Cache &cache,
-               MemorySystem &memsys, stats::StatGroup &parent)
+               Cache &cache, MemorySystem &memsys,
+               stats::StatGroup &parent)
     : config_(config), physMap_(physmap), cache_(cache), memsys_(memsys),
       frames_(KernelLayout::firstUserPfn,
               physmap.numRealPages() - KernelLayout::firstUserPfn,
@@ -74,10 +75,6 @@ Kernel::Kernel(const KernelConfig &config, const PhysMap &physmap,
         std::make_unique<AddressSpace>(KernelLayout::ptPoolBase);
     p0->sbrkPrealloc = config.sbrkPreallocBytes;
     processes_.push_back(std::move(p0));
-
-    // Core 0 wraps the construction-time references; the System
-    // installs every core's IPI hook once its CPU model exists.
-    cores_.push_back(CoreCtx{&tlb, &uitlb, {}, 0});
 }
 
 unsigned
@@ -98,33 +95,37 @@ Kernel::createProcess()
 }
 
 void
-Kernel::attachCore(Tlb *tlb, MicroItlb *uitlb)
+Kernel::attachCore(Tlb &tlb, MicroItlb &uitlb,
+                   std::function<void(Cycles)> charge_ipi)
 {
-    panicIf(tlb == nullptr || uitlb == nullptr,
-            "attachCore needs a TLB and a micro-ITLB");
-    cores_.push_back(CoreCtx{tlb, uitlb, {}, 0});
-
     // Received-shootdown counters exist only on multi-core machines
     // (conditional registration keeps single-core output
     // byte-identical). The second core's arrival registers core 0's
-    // counter too.
-    if (cores_.size() == 2) {
-        shootdownStats_.push_back(&statGroup_.addScalar(
+    // counter too; cores attach before any of them runs, so core 0
+    // is still the active one.
+    const unsigned id = cores_.size();
+    if (id == 1) {
+        panicIf(cores_.activeIndex() != 0,
+                "cores attach before the machine runs");
+        cores_.active().countShootdownsIn(statGroup_.addScalar(
             "shootdowns_core0",
             "TLB shootdown IPIs serviced by core 0"));
     }
-    const unsigned id = static_cast<unsigned>(cores_.size()) - 1;
-    shootdownStats_.push_back(&statGroup_.addScalar(
-        "shootdowns_core" + std::to_string(id),
-        "TLB shootdown IPIs serviced by core " + std::to_string(id)));
+    CoreCtx core(tlb, uitlb, std::move(charge_ipi));
+    if (id != 0) {
+        core.countShootdownsIn(statGroup_.addScalar(
+            "shootdowns_core" + std::to_string(id),
+            "TLB shootdown IPIs serviced by core " + std::to_string(id)));
+    }
+    cores_.add(std::move(core));
 }
 
 bool
 Kernel::bindProcess(unsigned core, unsigned proc)
 {
-    panicIf(core >= cores_.size(), "no core ", core);
+    cores_.activate(core);
     panicIf(proc >= processes_.size(), "no process ", proc);
-    CoreCtx &ctx = cores_[core];
+    CoreCtx &ctx = cores_.active();
     if (ctx.proc == proc)
         return false;
 
@@ -132,8 +133,8 @@ Kernel::bindProcess(unsigned core, unsigned proc)
     // Entries are not ASID-tagged: a context switch flushes the
     // core's whole translation state, page memo included (purgeAll
     // retires it even when the TLB held no purgeable entry).
-    ctx.tlb->purgeAll();
-    ctx.uitlb->invalidate();
+    ctx.tlb().purgeAll();
+    ctx.uitlb().invalidate();
     return true;
 }
 
@@ -144,29 +145,50 @@ Kernel::invalidateTranslation(Addr vbase, Addr bytes, bool inval_uitlb)
     // without residency tracking the kernel cannot rule out that a
     // core still caches something from this address space. A
     // suppressed broadcast (fault injection) spares them all.
-    bool broadcast = cores_.size() > 1;
-    if (broadcast && suppressNextShootdown_) {
+    bool shoot_down = cores_.size() > 1;
+    if (shoot_down && suppressNextShootdown_) {
         suppressNextShootdown_ = false;
-        broadcast = false;
+        shoot_down = false;
     }
-    for (unsigned c = 0; c < cores_.size(); ++c) {
-        const bool remote = c != activeCore_;
-        if (remote && !broadcast)
-            continue;
-        CoreCtx &core = cores_[c];
+    cores_.broadcast([&](CoreCtx &core, bool remote) {
+        if (remote && !shoot_down)
+            return;
         if (bytes > 0)
-            core.tlb->purgeRange(vbase, bytes);
+            core.tlb().purgeRange(vbase, bytes);
         // purgeRange retires only the memo slots of the entries it
         // drops; the bump retires the core's whole page memo, since
         // the change may lie below the TLB (bytes == 0).
-        core.tlb->bumpTranslationEpoch();
+        core.tlb().bumpTranslationEpoch();
         if (inval_uitlb)
-            core.uitlb->invalidate();
-        if (remote) {
-            core.chargeIpi(config_.ipiCycles);
-            ++*shootdownStats_[c];
-        }
-    }
+            core.uitlb().invalidate();
+        if (remote)
+            core.takeIpi(config_.ipiCycles);
+    });
+}
+
+TranslationEdit::TranslationEdit(Kernel &kernel, Addr vbase, Addr bytes,
+                                 bool inval_uitlb)
+    : MappingEdit(kernel.observer_), kernel_(&kernel), vbase_(vbase),
+      bytes_(bytes), invalUitlb_(inval_uitlb),
+      exceptions_(std::uncaught_exceptions())
+{}
+
+TranslationEdit::TranslationEdit(Kernel &kernel, ShadowFault fault)
+    : TranslationEdit(kernel, pageBase(fault.vaddr), 0, false)
+{
+    notify(&KernelObserver::onShadowFault, fault.vaddr);
+}
+
+TranslationEdit::TranslationEdit(Kernel &kernel, SwapOut swap)
+    : TranslationEdit(kernel, swap.vbase, 0, false)
+{
+    notify(&KernelObserver::onSwapOut, swap.vbase, swap.pagewise);
+}
+
+TranslationEdit::~TranslationEdit() noexcept(false)
+{
+    if (kernel_ && std::uncaught_exceptions() == exceptions_)
+        kernel_->invalidateTranslation(vbase_, bytes_, invalUitlb_);
 }
 
 Cycles
@@ -202,9 +224,8 @@ Cycles
 Kernel::materialisePage(Addr vaddr, Cycles now)
 {
     const Addr pfn = frames_.allocate();
-    space().installFrame(vaddr, pfn);
-    if (observer_)
-        observer_->onPageMapped(pageBase(vaddr), pfn);
+    MappingEdit edit(observer_);
+    space().installFrame(vaddr, pfn, edit);
     Cycles cycles = zeroFill(pfn, now);
     // Install the PTE in the two-level page table.
     cycles += kernelAccess(space().l2EntryAddr(vaddr), true,
@@ -250,30 +271,32 @@ Kernel::mapPageToShadow(Addr vbase, Addr shadow_page, Cycles now,
     const Addr pfn = space().frameOf(vbase);
     const Addr spi = physMap_.shadowPageIndex(shadow_page);
 
-    Cycles cycles = memsys_.controlOp(
-        now, [&](Mmc &mmc) { return mmc.setShadowMapping(spi, pfn); });
+    Cycles cycles;
+    {
+        TranslationEdit edit(*this, vbase, basePageSize, false);
+        cycles = memsys_.controlOp(now, [&](Mmc &mmc) {
+            return mmc.setShadowMapping(spi, pfn, edit);
+        });
 
-    // The page's cached lines carry real-address tags (and, in a
-    // physically indexed cache, real-address indices); flush before
-    // the mapping switches. Freshly zeroed pages were never mapped
-    // and have nothing cached.
-    if (!fresh) {
-        cycles += cache_.flushPage(vbase, pfn << basePageShift,
+        // The page's cached lines carry real-address tags (and, in a
+        // physically indexed cache, real-address indices); flush
+        // before the mapping switches. Freshly zeroed pages were
+        // never mapped and have nothing cached.
+        if (!fresh) {
+            cycles += cache_.flushPage(vbase, pfn << basePageShift,
+                                       now + cycles);
+        }
+
+        cycles += chargeHptTouches(hpt_.remove(vbase, 0, asid()), true,
                                    now + cycles);
+        const VmRegion *region = space().findRegion(vbase);
+        panicIf(region == nullptr, "shadow-mapping an unmapped page");
+        cycles += chargeHptTouches(
+            hpt_.insert({vbase, shadow_page, 0, region->prot}, asid()),
+            true, now + cycles);
     }
-
-    cycles += chargeHptTouches(hpt_.remove(vbase, 0, asid()), true,
-                               now + cycles);
-    const VmRegion *region = space().findRegion(vbase);
-    panicIf(region == nullptr, "shadow-mapping an unmapped page");
-    cycles += chargeHptTouches(
-        hpt_.insert({vbase, shadow_page, 0, region->prot}, asid()),
-        true, now + cycles);
-
-    invalidateTranslation(vbase, basePageSize, false);
-    space().addSuperpage({vbase, shadow_page, 0});
-    if (observer_)
-        observer_->onSuperpageCreated(vbase, shadow_page, 0);
+    MappingEdit record(observer_);
+    space().addSuperpage({vbase, shadow_page, 0}, record);
     return cycles;
 }
 
@@ -291,21 +314,22 @@ Kernel::demoteSingleShadowPage(Addr vaddr, Cycles now)
     // Flush shadow-tagged lines, retire the mapping, and republish
     // the page at its real address.
     Cycles cycles = cache_.flushPage(vbase, shadow_page, now);
-    cycles += memsys_.controlOp(
-        now + cycles,
-        [&](Mmc &mmc) { return mmc.clearShadowMapping(spi); });
-    cycles += chargeHptTouches(hpt_.remove(vbase, 0, asid()), true,
-                               now + cycles);
-    cycles += chargeHptTouches(
-        hpt_.insert({vbase, space().frameOf(vbase) << basePageShift,
-                     0, region->prot},
-                    asid()),
-        true, now + cycles);
-    invalidateTranslation(vbase, basePageSize, false);
-    space().removeSuperpage(vbase);
+    {
+        TranslationEdit edit(*this, vbase, basePageSize, false);
+        cycles += memsys_.controlOp(now + cycles, [&](Mmc &mmc) {
+            return mmc.clearShadowMapping(spi, edit);
+        });
+        cycles += chargeHptTouches(hpt_.remove(vbase, 0, asid()), true,
+                                   now + cycles);
+        cycles += chargeHptTouches(
+            hpt_.insert({vbase, space().frameOf(vbase) << basePageShift,
+                         0, region->prot},
+                        asid()),
+            true, now + cycles);
+    }
     pagePool().free(shadow_page);
-    if (observer_)
-        observer_->onSuperpageDemoted(vbase);
+    MappingEdit record(observer_);
+    space().removeSuperpage(vbase, record);
     return cycles;
 }
 
@@ -582,70 +606,73 @@ Kernel::remap(Addr vbase, Addr bytes, Cycles now, bool internal)
         const VmMapping sp_mapping{cursor, *shadow_base, c,
                                    region->prot};
 
-        for (Addr i = 0; i < n_pages; ++i) {
-            const Addr va = cursor + (i << basePageShift);
-            cycles += config_.remapPerPageCycles;
+        {
+            // Closing the edit purges stale TLB and micro-ITLB
+            // mappings for the range on every core.
+            TranslationEdit edit(*this, cursor, sp_size, true);
+            for (Addr i = 0; i < n_pages; ++i) {
+                const Addr va = cursor + (i << basePageShift);
+                cycles += config_.remapPerPageCycles;
 
-            // Retire any single-page shadow mapping first.
-            if (const ShadowSuperpage *single =
-                    space().findSuperpage(va);
-                single && single->sizeClass == 0) {
-                cycles += demoteSingleShadowPage(va, now + cycles);
+                // Retire any single-page shadow mapping first.
+                if (const ShadowSuperpage *single =
+                        space().findSuperpage(va);
+                    single && single->sizeClass == 0) {
+                    cycles += demoteSingleShadowPage(va, now + cycles);
+                }
+
+                // Ensure the base page is materialised (the paper's
+                // runs remapped regions whose pages were already
+                // zero-filled; fresh sbrk chunks are materialised
+                // here instead).
+                const bool fresh = !space().isPagePresent(va);
+                if (fresh) {
+                    inRemap_ = true;
+                    cycles += materialisePage(va, now + cycles);
+                    inRemap_ = false;
+                }
+                const Addr pfn = space().frameOf(va);
+
+                // Install the shadow->real mapping via an uncached
+                // write to the MMC control registers (§2.4).
+                cycles += memsys_.controlOp(now + cycles, [&](Mmc &mmc) {
+                    return mmc.setShadowMapping(spi0 + i, pfn, edit);
+                });
+
+                // Flush every line of the page from the cache: its
+                // tags are about to change from real to shadow
+                // (§2.3). Pages materialised within this very call
+                // were never mapped at any address, so there is
+                // nothing to flush for them.
+                if (!fresh) {
+                    const Cycles flush = cache_.flushPage(
+                        va, pfn << basePageShift, now + cycles);
+                    cycles += flush;
+                    remapFlushCycles_ += static_cast<double>(flush);
+                }
+
+                // Retire the old base-page HPT entry (if any) and
+                // write this page's replica of the superpage mapping
+                // — the PA-RISC HPT hashes at base-page grain, so a
+                // superpage is entered once per base page it covers.
+                cycles += chargeHptTouches(
+                    hpt_.remove(pageBase(va), 0, asid()), true,
+                    now + cycles);
+                cycles += chargeHptTouches(
+                    hpt_.insertBasePageReplica(sp_mapping, va, asid()),
+                    true, now + cycles);
+
+                cycles += config_.shootdownPerPageCycles;
+                ++remapPages_;
             }
-
-            // Ensure the base page is materialised (the paper's runs
-            // remapped regions whose pages were already zero-filled;
-            // fresh sbrk chunks are materialised here instead).
-            const bool fresh = !space().isPagePresent(va);
-            if (fresh) {
-                inRemap_ = true;
-                cycles += materialisePage(va, now + cycles);
-                inRemap_ = false;
-            }
-            const Addr pfn = space().frameOf(va);
-
-            // Install the shadow->real mapping via an uncached write
-            // to the MMC control registers (§2.4).
-            cycles += memsys_.controlOp(
-                now + cycles,
-                [&](Mmc &mmc) { return mmc.setShadowMapping(spi0 + i,
-                                                            pfn); });
-
-            // Flush every line of the page from the cache: its tags
-            // are about to change from real to shadow (§2.3). Pages
-            // materialised within this very call were never mapped
-            // at any address, so there is nothing to flush for them.
-            if (!fresh) {
-                const Cycles flush = cache_.flushPage(
-                    va, pfn << basePageShift, now + cycles);
-                cycles += flush;
-                remapFlushCycles_ += static_cast<double>(flush);
-            }
-
-            // Retire the old base-page HPT entry (if any) and write
-            // this page's replica of the superpage mapping — the
-            // PA-RISC HPT hashes at base-page grain, so a superpage
-            // is entered once per base page it covers.
-            cycles += chargeHptTouches(
-                hpt_.remove(pageBase(va), 0, asid()), true,
-                now + cycles);
-            cycles += chargeHptTouches(
-                hpt_.insertBasePageReplica(sp_mapping, va, asid()),
-                true, now + cycles);
-
-            cycles += config_.shootdownPerPageCycles;
-            ++remapPages_;
         }
 
-        // Purge stale TLB and micro-ITLB mappings for the range on
-        // every core, then publish the superpage mapping.
-        invalidateTranslation(cursor, sp_size, true);
+        // Publish the superpage mapping.
         debugPrintf(traceFlag_, "remap: superpage v=0x", std::hex,
                     cursor, " -> shadow 0x", *shadow_base, std::dec,
                     " class ", c);
-        space().addSuperpage({cursor, *shadow_base, c});
-        if (observer_)
-            observer_->onSuperpageCreated(cursor, *shadow_base, c);
+        MappingEdit record(observer_);
+        space().addSuperpage({cursor, *shadow_base, c}, record);
         ++remapSuperpages_;
 
         cursor += sp_size;
@@ -714,11 +741,13 @@ Kernel::sbrk(Addr bytes, Cycles now)
 Cycles
 Kernel::handleShadowPageFault(Addr vaddr, Cycles now)
 {
-    (void)now;
     ++shadowFaults_;
     ++pagesSwappedIn_;
-    if (observer_)
-        observer_->onShadowFault(vaddr);
+    // Frame reuse + MMC mapping change: the CPU-visible translation
+    // is untouched (§2.1), but closing the edit retires the page
+    // memos anyway so no memoized state can outlive a frame's
+    // identity (epoch only).
+    TranslationEdit edit(*this, TranslationEdit::ShadowFault{vaddr});
 
     const ShadowSuperpage *sp = space().findSuperpage(vaddr);
     panicIf(sp == nullptr,
@@ -730,23 +759,16 @@ Kernel::handleShadowPageFault(Addr vaddr, Cycles now)
 
     // Read the page back from disk into a fresh frame.
     const Addr pfn = frames_.allocate();
-    space().installFrame(vaddr, pfn);
-    if (observer_)
-        observer_->onPageMapped(pageBase(vaddr), pfn);
+    space().installFrame(vaddr, pfn, edit);
     cycles += config_.diskReadCycles;
 
     // Reinstall the shadow mapping; the CPU TLB superpage entry was
     // never disturbed (§2.1), so the faulting access simply retries.
     const Addr spi = physMap_.shadowPageIndex(sp->shadowBase) +
                      ((pageBase(vaddr) - sp->vbase) >> basePageShift);
-    cycles += memsys_.controlOp(
-        now + cycles,
-        [&](Mmc &mmc) { return mmc.setShadowMapping(spi, pfn); });
-
-    // Frame reuse + MMC mapping change: the CPU-visible translation
-    // is untouched (§2.1), but retire the page memos anyway so no
-    // memoized state can outlive a frame's identity (epoch only).
-    invalidateTranslation(pageBase(vaddr), 0, false);
+    cycles += memsys_.controlOp(now + cycles, [&](Mmc &mmc) {
+        return mmc.setShadowMapping(spi, pfn, edit);
+    });
 
     cycles += config_.trapExitCycles;
     return cycles;
@@ -757,8 +779,11 @@ Kernel::swapOutSuperpagePagewise(Addr vbase, Cycles now)
 {
     const ShadowSuperpage *sp = space().findSuperpage(vbase);
     fatalIf(sp == nullptr, "no shadow superpage at 0x", std::hex, vbase);
-    if (observer_)
-        observer_->onSwapOut(sp->vbase, true);
+    // The CPU TLB superpage entry and the HPT mapping stay valid:
+    // the MMC faults precisely on any access to a swapped base page.
+    // The freed frames may be reused, so closing the edit retires
+    // every page memo on every core (epoch only).
+    TranslationEdit edit(*this, TranslationEdit::SwapOut{sp->vbase, true});
 
     SwapOutResult result;
     result.cycles = config_.syscallOverheadCycles;
@@ -800,19 +825,11 @@ Kernel::swapOutSuperpagePagewise(Addr vbase, Cycles now)
 
         result.cycles += memsys_.controlOp(
             now + result.cycles, [&](Mmc &mmc) {
-                return mmc.invalidateShadowMapping(spi0 + i);
+                return mmc.invalidateShadowMapping(spi0 + i, edit);
             });
 
-        const Addr pfn = space().removeFrame(va);
-        if (observer_)
-            observer_->onPageUnmapped(va, pfn);
-        frames_.free(pfn);
+        frames_.free(space().removeFrame(va, edit), edit);
     }
-    // The CPU TLB superpage entry and the HPT mapping stay valid:
-    // the MMC faults precisely on any access to a swapped base page.
-    // The freed frames may be reused, so retire every page memo on
-    // every core (epoch only).
-    invalidateTranslation(vbase, 0, false);
     return result;
 }
 
@@ -821,8 +838,9 @@ Kernel::swapOutSuperpageWhole(Addr vbase, Cycles now)
 {
     const ShadowSuperpage *sp = space().findSuperpage(vbase);
     fatalIf(sp == nullptr, "no shadow superpage at 0x", std::hex, vbase);
-    if (observer_)
-        observer_->onSwapOut(sp->vbase, false);
+    // As in the pagewise path: frames freed here may be reused.
+    TranslationEdit edit(*this,
+                         TranslationEdit::SwapOut{sp->vbase, false});
 
     SwapOutResult result;
     result.cycles = config_.syscallOverheadCycles;
@@ -845,16 +863,11 @@ Kernel::swapOutSuperpageWhole(Addr vbase, Cycles now)
 
         result.cycles += memsys_.controlOp(
             now + result.cycles, [&](Mmc &mmc) {
-                return mmc.invalidateShadowMapping(spi0 + i);
+                return mmc.invalidateShadowMapping(spi0 + i, edit);
             });
 
-        const Addr pfn = space().removeFrame(va);
-        if (observer_)
-            observer_->onPageUnmapped(va, pfn);
-        frames_.free(pfn);
+        frames_.free(space().removeFrame(va, edit), edit);
     }
-    // As in the pagewise path: frames freed here may be reused.
-    invalidateTranslation(vbase, 0, false);
     return result;
 }
 

@@ -39,8 +39,10 @@
 #include "os/address_space.hh"
 #include "os/frame_alloc.hh"
 #include "os/hpt.hh"
+#include "os/per_core.hh"
 #include "os/shadow_alloc.hh"
 #include "os/shadow_page_pool.hh"
+#include "os/translation_edit.hh"
 #include "stats/stats.hh"
 #include "tlb/tlb.hh"
 
@@ -150,71 +152,6 @@ struct KernelLayout
                               perProcessPtPoolBytes);
 };
 
-/**
- * Narrow observer interface over the kernel's mapping events.
- *
- * Every mutation of the ground-truth vpage->frame mapping — and of
- * the superpage records layered over it — is announced through one
- * of these callbacks, at the point where the kernel's own records
- * have just been updated. The lockstep differential fuzzer
- * (src/fuzz) maintains its flat reference model from exactly these
- * events; nothing in the kernel reads the observer back, so
- * attaching one cannot perturb simulated behaviour or statistics.
- *
- * Contract (see docs/manual.md §10):
- *  - onPageMapped fires whenever a base page gains a real frame
- *    (demand-zero materialisation and shadow-fault swap-in). The
- *    page's shadow-table R/D bits, if any, are clean afterwards.
- *  - onPageUnmapped fires whenever a base page loses its frame
- *    (both swap-out flavours), after the kernel dropped its record.
- *  - onSuperpageCreated fires after a shadow superpage record is
- *    installed (remap(), all-shadow single-page mappings, and
- *    recoloring; sizeClass 0 denotes a single-page mapping). Every
- *    covered page's shadow PTE was rewritten, so its R/D bits are
- *    clean.
- *  - onSuperpageDemoted fires after a single-page shadow mapping is
- *    retired and the page republished at its real address.
- *  - onShadowFault fires on entry to the precise-MTLB-fault handler,
- *    before the onPageMapped it will cause.
- *  - onSwapOut fires on entry to either swap-out flavour, before
- *    the per-page onPageUnmapped events.
- */
-class KernelObserver
-{
-  public:
-    virtual ~KernelObserver() = default;
-
-    virtual void onPageMapped(Addr vbase, Addr pfn)
-    {
-        (void)vbase;
-        (void)pfn;
-    }
-
-    virtual void onPageUnmapped(Addr vbase, Addr pfn)
-    {
-        (void)vbase;
-        (void)pfn;
-    }
-
-    virtual void
-    onSuperpageCreated(Addr vbase, Addr shadow_base, unsigned size_class)
-    {
-        (void)vbase;
-        (void)shadow_base;
-        (void)size_class;
-    }
-
-    virtual void onSuperpageDemoted(Addr vbase) { (void)vbase; }
-
-    virtual void onShadowFault(Addr vaddr) { (void)vaddr; }
-
-    virtual void onSwapOut(Addr vbase, bool pagewise)
-    {
-        (void)vbase;
-        (void)pagewise;
-    }
-};
-
 /** Result of an sbrk() call. */
 struct SbrkResult
 {
@@ -256,9 +193,10 @@ struct Process
 class Kernel
 {
   public:
+    /** A kernel with no core yet: attachCore() wires each one. */
     Kernel(const KernelConfig &config, const PhysMap &physmap,
-           Tlb &tlb, MicroItlb &uitlb, Cache &cache,
-           MemorySystem &memsys, stats::StatGroup &parent);
+           Cache &cache, MemorySystem &memsys,
+           stats::StatGroup &parent);
 
     /** @name CPU-side trap entry points */
     /** @{ */
@@ -317,43 +255,25 @@ class Kernel
      *
      * The kernel is shared machine state: every core traps into the
      * same instance, and the CPU model names itself via
-     * setActiveCore() before each kernel entry. Core 0 is the
-     * construction-time TLB/micro-ITLB pair; further cores attach
-     * their private translation structures with attachCore(), and
-     * every core's IPI-service hook is set with setCoreIpi().
-     * Processes are distinct address spaces time-sliced onto cores
-     * by the scheduler (src/workloads/multiprog.*).
+     * setActiveCore() before each kernel entry. Each core attaches
+     * its private translation structures and its IPI-service hook
+     * with attachCore(), core 0 first. Processes are distinct
+     * address spaces time-sliced onto cores by the scheduler
+     * (src/workloads/multiprog.*).
      */
     /** @{ */
 
-    /** Register one more core's private translation structures. */
-    void attachCore(Tlb *tlb, MicroItlb *uitlb);
-
-    /** Set the hook invoked on core @p core's CPU model for every
-     *  shootdown IPI it services. */
-    void
-    setCoreIpi(unsigned core, std::function<void(Cycles)> charge_ipi)
-    {
-        panicIf(core >= cores_.size(), "no core ", core);
-        cores_[core].chargeIpi = std::move(charge_ipi);
-    }
+    /** Register one more core's private translation structures and
+     *  the hook invoked on its CPU model for every shootdown IPI it
+     *  services (never called on a single-core machine). */
+    void attachCore(Tlb &tlb, MicroItlb &uitlb,
+                    std::function<void(Cycles)> charge_ipi);
 
     /** Name the core whose trap/syscall the kernel is servicing.
      *  Called by the CPU model before every kernel entry. */
-    void
-    setActiveCore(unsigned core)
-    {
-        panicIf(core >= cores_.size(), "no core ", core);
-        activeCore_ = core;
-    }
+    void setActiveCore(unsigned core) { cores_.activate(core); }
 
-    unsigned activeCore() const { return activeCore_; }
-
-    unsigned
-    numCores() const
-    {
-        return static_cast<unsigned>(cores_.size());
-    }
+    unsigned numCores() const { return cores_.size(); }
 
     /** Create a new process (empty address space, fresh sbrk state);
      *  returns its index. Bounded by KernelLayout::maxProcesses. */
@@ -366,9 +286,10 @@ class Kernel
     }
 
     /**
-     * Context-switch @p core to @p proc: purge the core's TLB and
-     * micro-ITLB (entries are not ASID-tagged) and retarget its
-     * kernel entries at the new address space.
+     * Context-switch @p core to @p proc: make @p core the active
+     * core, purge its TLB and micro-ITLB (entries are not
+     * ASID-tagged) and retarget its kernel entries at the new
+     * address space.
      *
      * @return true when a switch happened (false if already bound,
      *         letting the scheduler charge switch cost only for real
@@ -376,19 +297,9 @@ class Kernel
      */
     bool bindProcess(unsigned core, unsigned proc);
 
-    unsigned
-    coreProcess(unsigned core) const
-    {
-        panicIf(core >= cores_.size(), "no core ", core);
-        return cores_[core].proc;
-    }
+    unsigned coreProcess(unsigned core) const { return cores_.at(core).proc; }
 
-    const Tlb &
-    coreTlb(unsigned core) const
-    {
-        panicIf(core >= cores_.size(), "no core ", core);
-        return *cores_[core].tlb;
-    }
+    const Tlb &coreTlb(unsigned core) const { return cores_.at(core).tlb(); }
 
     AddressSpace &
     processSpace(unsigned proc)
@@ -405,14 +316,11 @@ class Kernel
     }
 
     /** Shootdown IPIs serviced by @p core (0 on single-core
-     *  machines, where no IPC ever fires). */
+     *  machines, where no IPI ever fires). */
     std::uint64_t
     shootdownsReceived(unsigned core) const
     {
-        if (core >= shootdownStats_.size())
-            return 0;
-        return static_cast<std::uint64_t>(
-            shootdownStats_[core]->value());
+        return cores_.at(core).shootdownsReceived();
     }
 
     /**
@@ -473,7 +381,9 @@ class Kernel
 
     /** Attach (or detach, with nullptr) a mapping-event observer.
      *  At most one observer is supported; it must outlive the
-     *  kernel or be detached first. */
+     *  kernel or be detached first, and it changes only between
+     *  kernel entries (an open edit keeps the observer it opened
+     *  with). */
     void setObserver(KernelObserver *observer) { observer_ = observer; }
 
     const KernelConfig &config() const { return config_; }
@@ -521,6 +431,59 @@ class Kernel
         return static_cast<std::uint64_t>(remapPages_.value());
     }
 
+    /**
+     * One core's private translation structures, as seen by the
+     * shared kernel. Constness is deep: a const CoreCtx yields only
+     * const structures and can neither be charged an IPI nor count
+     * one, so PerCore's read-only view of a remote core cannot change
+     * it. Public only so its confinement can be tested.
+     */
+    class CoreCtx
+    {
+      public:
+        CoreCtx(Tlb &tlb, MicroItlb &uitlb,
+                std::function<void(Cycles)> charge_ipi)
+            : tlb_(&tlb), uitlb_(&uitlb), chargeIpi_(std::move(charge_ipi))
+        {}
+
+        Tlb &tlb() { return *tlb_; }
+        const Tlb &tlb() const { return *tlb_; }
+        MicroItlb &uitlb() { return *uitlb_; }
+
+        /** Service one shootdown IPI: charge its cycles to the core's
+         *  CPU model and count it. */
+        void
+        takeIpi(Cycles cycles)
+        {
+            chargeIpi_(cycles);
+            ++*shootdowns_;
+        }
+
+        /** Register this core's received-shootdown counter. */
+        void
+        countShootdownsIn(stats::Scalar &counter)
+        {
+            shootdowns_ = &counter;
+        }
+
+        std::uint64_t
+        shootdownsReceived() const
+        {
+            return shootdowns_
+                       ? static_cast<std::uint64_t>(shootdowns_->value())
+                       : 0;
+        }
+
+        unsigned proc = 0;  ///< process currently bound to the core
+
+      private:
+        Tlb *tlb_;
+        MicroItlb *uitlb_;
+        std::function<void(Cycles)> chargeIpi_;
+        /** Registered only on multi-core machines. */
+        stats::Scalar *shootdowns_ = nullptr;
+    };
+
   private:
     /** One cached kernel memory access (kernel is identity mapped
      *  through the pinned block TLB entry, so no TLB cost). */
@@ -554,10 +517,13 @@ class Kernel
     /** Highest heap address already granted (and remapped). */
     Addr grantedFrontier() const { return proc().remapFrontier; }
 
+    /** Closing a translation edit is what retires translations. */
+    friend class TranslationEdit;
+
     /**
      * Retire every cached translation of [vbase, vbase+bytes) after a
-     * kernel mutation of translation state — the one call every such
-     * site makes (mtlb-lint R1). On every core it purges the range
+     * kernel mutation of translation state. Called only when a
+     * TranslationEdit closes. On every core it purges the range
      * from the TLB (when bytes > 0), bumps the translation epoch
      * (retiring the page memo), and, with @p inval_uitlb, invalidates
      * the micro-ITLB. bytes == 0 is epoch-only: frame reuse below an
@@ -575,30 +541,19 @@ class Kernel
     Cycles notePromotionCandidate(Addr vaddr, Cycles handler_cycles,
                                   Cycles now);
 
-    /** One core's private translation structures, as seen by the
-     *  shared kernel. */
-    struct CoreCtx
-    {
-        Tlb *tlb = nullptr;
-        MicroItlb *uitlb = nullptr;
-        /** Charges IPI-service cycles to the core's CPU model. */
-        std::function<void(Cycles)> chargeIpi;
-        unsigned proc = 0;  ///< process currently bound to the core
-    };
-
     /** @name Active-core plumbing (all reads go through these) */
     /** @{ */
-    Tlb &activeTlb() { return *cores_[activeCore_].tlb; }
-    Process &proc() { return *processes_[cores_[activeCore_].proc]; }
+    Tlb &activeTlb() { return cores_.active().tlb(); }
+    Process &proc() { return *processes_[cores_.active().proc]; }
     const Process &
     proc() const
     {
-        return *processes_[cores_[activeCore_].proc];
+        return *processes_[cores_.active().proc];
     }
     AddressSpace &space() { return *proc().space; }
     const AddressSpace &space() const { return *proc().space; }
     /** HPT key tag for the active address space. */
-    unsigned asid() const { return cores_[activeCore_].proc; }
+    unsigned asid() const { return cores_.active().proc; }
     /** @} */
 
     KernelConfig config_;
@@ -620,9 +575,8 @@ class Kernel
 
     /** All processes; [0] exists from construction. */
     std::vector<std::unique_ptr<Process>> processes_;
-    /** All cores; [0] wraps the construction-time references. */
-    std::vector<CoreCtx> cores_;
-    unsigned activeCore_ = 0;
+    /** All cores, in attach order. */
+    PerCore<CoreCtx> cores_;
     /** Fault injection (see suppressNextShootdown()). */
     bool suppressNextShootdown_ = false;
 
@@ -648,11 +602,6 @@ class Kernel
     stats::Scalar &pagesSwappedIn_;
     stats::Scalar &recoloredPages_;
     stats::Scalar &allShadowPages_;
-
-    /** Per-core received-shootdown counters; registered only when a
-     *  second core attaches, so single-core stat output is
-     *  byte-identical to the single-core machine's. */
-    std::vector<stats::Scalar *> shootdownStats_;
 };
 
 } // namespace mtlbsim

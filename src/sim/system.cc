@@ -56,9 +56,9 @@ System::System(const SystemConfig &config)
     Core &boot = cores_.front();
     boot.tlb = std::make_unique<Tlb>(config.tlbEntries, "tlb", rootStats_);
     boot.uitlb = std::make_unique<MicroItlb>(rootStats_);
-    kernel_ = std::make_unique<Kernel>(kconfig, physMap_, *boot.tlb,
-                                       *boot.uitlb, *cache_, *memsys_,
-                                       rootStats_);
+    kernel_ = std::make_unique<Kernel>(kconfig, physMap_, *cache_,
+                                       *memsys_, rootStats_);
+    const stats::DeferredSource &deferred = *this;
     unsigned id = 0;
     for (Core &core : cores_) {
         stats::StatGroup *group = &rootStats_;
@@ -70,14 +70,14 @@ System::System(const SystemConfig &config)
             core.tlb =
                 std::make_unique<Tlb>(config.tlbEntries, "tlb", *group);
             core.uitlb = std::make_unique<MicroItlb>(*group);
-            kernel_->attachCore(core.tlb.get(), core.uitlb.get());
         }
         core.cpu = std::make_unique<Cpu>(config.cpu, *core.tlb,
                                          *core.uitlb, *cache_, *memsys_,
-                                         *kernel_, *group, id);
-        kernel_->setCoreIpi(id, [cpu = core.cpu.get()](Cycles n) {
-            cpu->charge(n);
-        });
+                                         *kernel_, *group, deferred, id);
+        kernel_->attachCore(*core.tlb, *core.uitlb,
+                            [cpu = core.cpu.get()](Cycles n) {
+                                cpu->charge(n);
+                            });
         ++id;
     }
     // The MTLB's single port is only observable with rivals.
@@ -95,7 +95,7 @@ System::System(const SystemConfig &config)
         for (Core &core : cores_) {
             core.cpu->setPeriodicCheck(config.check.interval,
                                        [this](Cycles now) {
-                                           periodicAudit(now);
+                                           auditor_->audit(now);
                                        });
         }
     }
@@ -104,7 +104,7 @@ System::System(const SystemConfig &config)
 System::~System() = default;
 
 void
-System::flushAllBatches() const
+System::realize() const
 {
     for (const Core &core : cores_)
         core.cpu->flushBatch();
@@ -113,24 +113,12 @@ System::flushAllBatches() const
 void
 System::audit()
 {
-    // Deferred batch counts must be realized before the auditor
-    // reads any statistic (and so audits see final values, not the
-    // lag-tolerant intermediate ones).
-    flushAllBatches();
     auditor_->audit(totalCycles());
-}
-
-void
-System::periodicAudit(Cycles now)
-{
-    flushAllBatches();
-    auditor_->audit(now);
 }
 
 void
 System::dumpStats(std::ostream &os) const
 {
-    flushAllBatches();
     rootStats_.print(os);
 }
 

@@ -58,7 +58,7 @@ struct SystemConfig
     /** Cores sharing the bus, MMC (+ MTLB), and kernel. Each core
      *  has a private CPU, unified TLB, and micro-ITLB; kernel
      *  mutations of translation state shoot down remote cores
-     *  (docs/manual.md §12). */
+     *  (docs/manual.md §1, "Multi-core machines"). */
     unsigned cores = 1;
     /** Scheduler parameters for multiprogrammed runs. */
     SchedConfig sched;
@@ -91,8 +91,13 @@ struct SystemConfig
 
 /**
  * The assembled machine.
+ *
+ * A System is also the source of its cores' deferred batch counts
+ * (stats::DeferredSource): every counter the batch engine defers is
+ * bound to it, so reading any statistic, dumping the tree, or
+ * resetting it realizes every core's pending counts first.
  */
-class System
+class System : private stats::DeferredSource
 {
   public:
     explicit System(const SystemConfig &config);
@@ -100,26 +105,19 @@ class System
 
     /** Core @p core's CPU (core 0 by default, so single-core callers
      *  read as before). */
-    Cpu &cpu(unsigned core = 0) { return *cores_[core].cpu; }
-    const Cpu &cpu(unsigned core = 0) const { return *cores_[core].cpu; }
+    Cpu &cpu(unsigned core = 0) { return *at(core).cpu; }
+    const Cpu &cpu(unsigned core = 0) const { return *at(core).cpu; }
     Kernel &kernel() { return *kernel_; }
-    Tlb &tlb(unsigned core = 0) { return *cores_[core].tlb; }
-    MicroItlb &uitlb(unsigned core = 0) { return *cores_[core].uitlb; }
+    Tlb &tlb(unsigned core = 0) { return *at(core).tlb; }
+    MicroItlb &uitlb(unsigned core = 0) { return *at(core).uitlb; }
     unsigned numCores() const { return config_.cores; }
     Cache &cache() { return *cache_; }
     MemorySystem &memsys() { return *memsys_; }
     const PhysMap &physmap() const { return physMap_; }
     const SystemConfig &config() const { return config_; }
 
-    /** The statistics tree, with every core's deferred batch counts
-     *  realized first. Meant for run boundaries (dumping, resetting,
-     *  serializing), not for a hot loop. */
-    stats::StatGroup &
-    rootStats()
-    {
-        flushAllBatches();
-        return rootStats_;
-    }
+    /** The statistics tree. */
+    stats::StatGroup &rootStats() { return rootStats_; }
 
     /** The translation-invariant auditor (always constructed; the
      *  check config only gates *periodic* audits). */
@@ -166,16 +164,9 @@ class System
     /** @} */
 
   private:
-    /** Realize every core's deferred batch counters. Count-preserving
-     *  (Cpu::flushBatch() only moves deferred increments into the
-     *  stats), so const. Every deferred-stats reader — rootStats(),
-     *  audit(), dumpStats(), the periodic checks — must run this
-     *  first (mtlb-lint R12). */
-    void flushAllBatches() const;
-
-    /** Periodic-check callback: flush all batches, then audit at
-     *  @p now. */
-    void periodicAudit(Cycles now);
+    /** Realize every core's deferred batch counts (Cpu::flushBatch
+     *  only moves deferred increments into the stats, so const). */
+    void realize() const override;
 
     /** One core's private machinery. Owned via unique_ptr
      *  throughout, so no raw borrowed pointers live outside the
@@ -189,6 +180,13 @@ class System
         std::unique_ptr<MicroItlb> uitlb;
         std::unique_ptr<Cpu> cpu;
     };
+
+    const Core &
+    at(unsigned core) const
+    {
+        panicIf(core >= cores_.size(), "no core ", core);
+        return cores_[core];
+    }
 
     SystemConfig config_;
     stats::StatGroup rootStats_;

@@ -27,7 +27,7 @@ printLine(std::ostream &os, const std::string &prefix,
 void
 Scalar::print(std::ostream &os, const std::string &prefix) const
 {
-    printLine(os, prefix, name(), value_, desc());
+    printLine(os, prefix, name(), value(), desc());
 }
 
 json::Value
@@ -35,7 +35,7 @@ Scalar::toJson() const
 {
     auto v = json::Value::object();
     v.set("kind", "scalar");
-    v.set("value", value_);
+    v.set("value", value());
     return v;
 }
 

@@ -60,11 +60,34 @@ class StatBase
     std::string desc_;
 };
 
+/**
+ * A holder of counts that belong to registered Scalars but are added
+ * in later, in bulk: the batch engine defers its per-access
+ * increments this way (cpu/cpu.hh). A Scalar bound to a source
+ * realizes it before every read and before a reset, so no reader can
+ * see a lagging count and none has to flush first.
+ */
+class DeferredSource
+{
+  public:
+    /** Add every pending count to its Scalar (Scalar::addCount).
+     *  Count-preserving: realizing at any point changes no final
+     *  value. */
+    virtual void realize() const = 0;
+
+  protected:
+    ~DeferredSource() = default;
+};
+
 /** A single scalar counter/value. */
 class Scalar : public StatBase
 {
   public:
     using StatBase::StatBase;
+
+    /** Hold part of this counter in @p source: value(), print(),
+     *  toJson() and reset() realize the source first. */
+    void deferTo(const DeferredSource &source) { source_ = &source; }
 
     Scalar &operator++() { ++value_; return *this; }
     Scalar &operator+=(double v) { value_ += v; return *this; }
@@ -90,14 +113,28 @@ class Scalar : public StatBase
         return *this;
     }
 
-    double value() const { return value_; }
+    double
+    value() const
+    {
+        if (source_)
+            source_->realize();
+        return value_;
+    }
 
-    void reset() override { value_ = 0; }
+    void
+    reset() override
+    {
+        if (source_)
+            source_->realize();
+        value_ = 0;
+    }
+
     void print(std::ostream &os, const std::string &prefix) const override;
     json::Value toJson() const override;
 
   private:
     double value_ = 0;
+    const DeferredSource *source_ = nullptr;
 };
 
 /** Running mean with count, sum, min, and max. */

@@ -296,6 +296,14 @@ class Tlb
      *  entries, so noteMemoHit's argument covers them. */
     void noteBatchedHits(std::uint64_t n) { hits_.addCount(n); }
 
+    /** Name @p source as the holder of the deferred hits: reading the
+     *  hit count realizes it first. */
+    void
+    deferHitsTo(const stats::DeferredSource &source)
+    {
+        hits_.deferTo(source);
+    }
+
     /** Snapshot of every valid entry, for the invariant auditor
      *  (src/check). Does not touch NRU state or statistics. */
     std::vector<TlbEntry> auditState() const;
@@ -416,6 +424,13 @@ class MicroItlb
     noteBatchedHits(std::uint64_t n)
     {
         hits_.addCount(n);
+    }
+
+    /** Name @p source as the holder of the deferred fetch hits. */
+    void
+    deferHitsTo(const stats::DeferredSource &source)
+    {
+        hits_.deferTo(source);
     }
 
     /** Install the translation used by the last fetch. */

@@ -37,11 +37,6 @@ collectMetrics(System &sys, const std::string &workload_name)
 {
     const SystemConfig &config = sys.config();
 
-    // Realize every core's deferred batch counts before reading any
-    // statistic below (or capturing the stats tree afterwards).
-    for (unsigned c = 0; c < sys.numCores(); ++c)
-        sys.cpu(c).flushBatch();
-
     ExperimentResult r;
     r.workload = workload_name;
     r.tlbEntries = config.tlbEntries;

@@ -40,8 +40,8 @@ struct RunOutcome
 
 /**
  * Build a System from @p config, hand it to @p drive, and capture
- * the outcome. dumpStats() realizes any deferred batch counts, so
- * the JSON capture that follows sees final values too.
+ * the outcome. Reading a statistic realizes any deferred batch
+ * counts, so both captures see final values.
  */
 template <typename DriveFn>
 RunOutcome

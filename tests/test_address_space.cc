@@ -16,6 +16,10 @@ makeSpace()
 {
     return AddressSpace(0x00400000);
 }
+
+/** Mapping changes outside a kernel; a detached edit has no state,
+ *  so every test shares this one. */
+TranslationEdit edit = detachedEdit();
 }
 
 TEST(AddressSpaceTest, RegionLookup)
@@ -68,31 +72,31 @@ TEST(AddressSpaceTest, FrameInstallAndRemove)
 {
     AddressSpace as = makeSpace();
     EXPECT_FALSE(as.isPagePresent(0x5000));
-    as.installFrame(0x5000, 0x1234);
+    as.installFrame(0x5000, 0x1234, edit);
     EXPECT_TRUE(as.isPagePresent(0x5123));  // same page
     EXPECT_EQ(as.frameOf(0x5fff), 0x1234u);
-    EXPECT_EQ(as.removeFrame(0x5000), 0x1234u);
+    EXPECT_EQ(as.removeFrame(0x5000, edit), 0x1234u);
     EXPECT_FALSE(as.isPagePresent(0x5000));
 }
 
 TEST(AddressSpaceTest, DoubleInstallPanics)
 {
     AddressSpace as = makeSpace();
-    as.installFrame(0x5000, 1);
-    EXPECT_THROW(as.installFrame(0x5000, 2), PanicError);
+    as.installFrame(0x5000, 1, edit);
+    EXPECT_THROW(as.installFrame(0x5000, 2, edit), PanicError);
 }
 
 TEST(AddressSpaceTest, FrameOfAbsentPagePanics)
 {
     AddressSpace as = makeSpace();
     EXPECT_THROW(as.frameOf(0x5000), PanicError);
-    EXPECT_THROW(as.removeFrame(0x5000), PanicError);
+    EXPECT_THROW(as.removeFrame(0x5000, edit), PanicError);
 }
 
 TEST(AddressSpaceTest, SuperpageRecords)
 {
     AddressSpace as = makeSpace();
-    as.addSuperpage({0x400000, 0x80000000, 4});
+    as.addSuperpage({0x400000, 0x80000000, 4}, edit);
     const ShadowSuperpage *sp = as.findSuperpage(0x4abcde);
     ASSERT_NE(sp, nullptr);
     EXPECT_EQ(sp->vbase, 0x400000u);
@@ -104,8 +108,8 @@ TEST(AddressSpaceTest, SuperpageRecords)
 TEST(AddressSpaceTest, AdjacentSuperpagesResolve)
 {
     AddressSpace as = makeSpace();
-    as.addSuperpage({0x400000, 0x80000000, 4});     // 1 MB
-    as.addSuperpage({0x500000, 0x80100000, 4});     // next 1 MB
+    as.addSuperpage({0x400000, 0x80000000, 4}, edit);     // 1 MB
+    as.addSuperpage({0x500000, 0x80100000, 4}, edit);     // next 1 MB
     EXPECT_EQ(as.findSuperpage(0x4fffff)->vbase, 0x400000u);
     EXPECT_EQ(as.findSuperpage(0x500000)->vbase, 0x500000u);
 }
@@ -113,27 +117,27 @@ TEST(AddressSpaceTest, AdjacentSuperpagesResolve)
 TEST(AddressSpaceTest, SuperpageAlignmentEnforced)
 {
     AddressSpace as = makeSpace();
-    EXPECT_THROW(as.addSuperpage({0x401000, 0x80000000, 4}),
+    EXPECT_THROW(as.addSuperpage({0x401000, 0x80000000, 4}, edit),
                  FatalError);
-    EXPECT_THROW(as.addSuperpage({0x400000, 0x80001000, 4}),
+    EXPECT_THROW(as.addSuperpage({0x400000, 0x80001000, 4}, edit),
                  FatalError);
 }
 
 TEST(AddressSpaceTest, DuplicateSuperpagePanics)
 {
     AddressSpace as = makeSpace();
-    as.addSuperpage({0x400000, 0x80000000, 4});
-    EXPECT_THROW(as.addSuperpage({0x400000, 0x80100000, 4}),
+    as.addSuperpage({0x400000, 0x80000000, 4}, edit);
+    EXPECT_THROW(as.addSuperpage({0x400000, 0x80100000, 4}, edit),
                  PanicError);
 }
 
 TEST(AddressSpaceTest, RemoveSuperpage)
 {
     AddressSpace as = makeSpace();
-    as.addSuperpage({0x400000, 0x80000000, 4});
-    as.removeSuperpage(0x400000);
+    as.addSuperpage({0x400000, 0x80000000, 4}, edit);
+    as.removeSuperpage(0x400000, edit);
     EXPECT_EQ(as.findSuperpage(0x400000), nullptr);
-    EXPECT_THROW(as.removeSuperpage(0x400000), PanicError);
+    EXPECT_THROW(as.removeSuperpage(0x400000, edit), PanicError);
 }
 
 TEST(AddressSpaceTest, PageTableEntryAddresses)
@@ -155,7 +159,7 @@ TEST(AddressSpaceTest, PageTableEntryAddresses)
 TEST(AddressSpaceTest, PresentPageCount)
 {
     AddressSpace as = makeSpace();
-    as.installFrame(0x1000, 1);
-    as.installFrame(0x2000, 2);
+    as.installFrame(0x1000, 1, edit);
+    as.installFrame(0x2000, 2, edit);
     EXPECT_EQ(as.numPresentPages(), 2u);
 }

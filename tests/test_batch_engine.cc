@@ -11,12 +11,13 @@
  * specific batch-breaking event — epoch bump mid-run, TLB purge,
  * promotion, recoloring, swap-out, page crossing, cache-line fill —
  * through the shared harness (tests/equivalence.hh), plus unit checks
- * on the deferred-counter flush discipline itself.
+ * on the deferred counters themselves.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
 
 #include "equivalence.hh"
 #include "sim/system.hh"
@@ -228,7 +229,7 @@ TEST(BatchEngine, PeriodicAuditInterlockFiresIdentically)
 
 TEST(BatchEngine, DeferredCountsFlushOnRead)
 {
-    // Unit check on the flush discipline: a batched run defers the
+    // Unit check on the deferred counts: a batched run defers the
     // per-access counts, dataAccesses() realizes them, and the dirty
     // bit is never deferred (kernel swap paths read it).
     System sys(machine(true));
@@ -245,7 +246,7 @@ TEST(BatchEngine, DeferredCountsFlushOnRead)
     EXPECT_TRUE(sys.cache().probeDirty(dataBase,
                                        entry->translate(dataBase)));
 
-    // dataAccesses() is a flush point: all 100 stores visible.
+    // Reading dataAccesses() realizes them: all 100 stores visible.
     EXPECT_EQ(sys.cpu().dataAccesses(), 100u);
 
     // And the flushed tree satisfies the auditor's identities.
@@ -261,9 +262,54 @@ TEST(BatchEngine, DisabledEngineNeverDefers)
     for (int i = 0; i < 50; ++i)
         sys.cpu().load(dataBase + 8 * i);
     // With the engine off the memo stays empty and nothing is ever
-    // pending: a flush point (dataAccesses) must not move any counter.
+    // pending: a read (dataAccesses) must not move any counter.
     EXPECT_EQ(liveEntry(sys, dataBase), nullptr);
     const double cache_before = sys.cache().accesses();
     EXPECT_EQ(sys.cpu().dataAccesses(), 50u);
     EXPECT_EQ(sys.cache().accesses(), cache_before);
+}
+
+TEST(BatchEngine, DeferredCountsAreExactAtEveryRead)
+{
+    // No reader flushes the batch engine: reading a deferred counter
+    // must realize every pending count by itself. Drive the same ops
+    // on a batch-on and a batch-off machine and compare, at several
+    // points mid-run, first the TLB and cache counters (read before
+    // anything else could have realized them), then the CPU's own
+    // counters and the whole tree, which also holds cpu.ifetch_checks
+    // and the micro-ITLB hits.
+    constexpr Addr textBase = 0x00400000;
+    System on(machine(true));
+    System off(machine(false));
+    for (System *sys : {&on, &off}) {
+        AddressSpace &space = sys->kernel().addressSpace();
+        space.addRegion("text", textBase, MB, {});
+        space.addRegion("data", dataBase, MB, {});
+    }
+    auto drive = [](System &sys, int from, int to) {
+        for (int i = from; i < to; ++i) {
+            sys.cpu().executeAt(3, textBase + (i % 64) * 4);
+            const Addr a = dataBase + (i % 96) * 8 + (i / 700) * 4096;
+            if (i % 5 == 0)
+                sys.cpu().store(a);
+            else
+                sys.cpu().load(a);
+        }
+    };
+
+    int done = 0;
+    for (const int until : {300, 1100, 2600, 4000}) {
+        drive(on, done, until);
+        drive(off, done, until);
+        done = until;
+        SCOPED_TRACE("after " + std::to_string(done) + " ops");
+        EXPECT_GT(on.tlb().hits(), 0u);
+        EXPECT_EQ(on.tlb().hits(), off.tlb().hits());
+        EXPECT_EQ(on.cache().hits(), off.cache().hits());
+        EXPECT_EQ(on.cache().accesses(), off.cache().accesses());
+        EXPECT_EQ(on.cpu().dataAccesses(), off.cpu().dataAccesses());
+        EXPECT_EQ(on.cpu().instructions(), off.cpu().instructions());
+        EXPECT_EQ(on.rootStats().toJson().dumped(2),
+                  off.rootStats().toJson().dumped(2));
+    }
 }

@@ -8,8 +8,16 @@
 #include <set>
 
 #include "os/frame_alloc.hh"
+#include "os/translation_edit.hh"
 
 using namespace mtlbsim;
+
+namespace
+{
+/** Frees outside a kernel; a detached edit has no state, so every
+ *  test shares this one. */
+TranslationEdit edit = detachedEdit();
+}
 
 TEST(FrameAllocTest, AllocatesUniqueFramesInRange)
 {
@@ -36,7 +44,7 @@ TEST(FrameAllocTest, FreeRecycles)
     FrameAllocator alloc(0, 1);
     const Addr pfn = alloc.allocate();
     EXPECT_EQ(alloc.numFree(), 0u);
-    alloc.free(pfn);
+    alloc.free(pfn, edit);
     EXPECT_EQ(alloc.numFree(), 1u);
     EXPECT_EQ(alloc.allocate(), pfn);
 }
@@ -44,8 +52,8 @@ TEST(FrameAllocTest, FreeRecycles)
 TEST(FrameAllocTest, FreeOutOfRangePanics)
 {
     FrameAllocator alloc(100, 10);
-    EXPECT_THROW(alloc.free(99), PanicError);
-    EXPECT_THROW(alloc.free(110), PanicError);
+    EXPECT_THROW(alloc.free(99, edit), PanicError);
+    EXPECT_THROW(alloc.free(110, edit), PanicError);
 }
 
 TEST(FrameAllocTest, FramesAreDispersed)

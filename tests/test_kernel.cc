@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "mmc/memsys.hh"
 #include "os/kernel.hh"
@@ -30,9 +33,10 @@ struct KernelFixture : ::testing::Test
           memsys(BusConfig{}, mmcConfig(with_mtlb), map, group),
           cache(CacheConfig{}, memsys, group),
           tlb(96, "tlb", group), uitlb(group),
-          kernel(KernelConfig{}, map, tlb, uitlb, cache, memsys,
-                 group)
-    {}
+          kernel(KernelConfig{}, map, cache, memsys, group)
+    {
+        kernel.attachCore(tlb, uitlb, {});
+    }
 
     static MmcConfig
     mmcConfig(bool with_mtlb)
@@ -236,7 +240,8 @@ TEST_F(KernelFixture, SuperpagePolicyCanBeDisabled)
     KernelConfig kc;
     kc.superpagesEnabled = false;
     stats::StatGroup g2("t2");
-    Kernel plain(kc, map, tlb, uitlb, cache, memsys, g2);
+    Kernel plain(kc, map, cache, memsys, g2);
+    plain.attachCore(tlb, uitlb, {});
     plain.addressSpace().addRegion("data", 0x10000000, MB, {});
     plain.remap(0x10000000, MB, 0);
     EXPECT_TRUE(plain.addressSpace().superpages().empty());
@@ -491,4 +496,113 @@ TEST_F(KernelFixture, HugeRemapRunsOutOfBucketsGracefully)
     // region for a 16 KB superpage is not possible — fallback goes
     // *down* in size, so it simply fails and stays base-paged).
     EXPECT_EQ(kernel.addressSpace().superpages().size(), 1024u);
+}
+
+namespace
+{
+
+/** Records every KernelObserver event as one line of text. */
+struct EventRecorder : KernelObserver
+{
+    std::vector<std::string> events;
+
+    template <typename... Args>
+    static std::string
+    line(const char *what, Args... args)
+    {
+        std::ostringstream os;
+        os << what << std::hex;
+        ((os << " 0x" << args), ...);
+        return os.str();
+    }
+
+    void
+    onPageMapped(Addr vbase, Addr pfn) override
+    {
+        events.push_back(line("mapped", vbase, pfn));
+    }
+
+    void
+    onPageUnmapped(Addr vbase, Addr pfn) override
+    {
+        events.push_back(line("unmapped", vbase, pfn));
+    }
+
+    void
+    onSuperpageCreated(Addr vbase, Addr shadow, unsigned cls) override
+    {
+        events.push_back(line("created", vbase, shadow, cls));
+    }
+
+    void
+    onSuperpageDemoted(Addr vbase) override
+    {
+        events.push_back(line("demoted", vbase));
+    }
+
+    void
+    onShadowFault(Addr vaddr) override
+    {
+        events.push_back(line("shadow-fault", vaddr));
+    }
+
+    void
+    onSwapOut(Addr vbase, bool pagewise) override
+    {
+        events.push_back(line(pagewise ? "swap-out-pagewise"
+                                       : "swap-out-whole", vbase));
+    }
+};
+
+} // namespace
+
+TEST_F(KernelFixture, ObserverSeesEveryMappingEventInOrder)
+{
+    // One script that reaches every hook, pinned as the exact ordered
+    // event stream: the differential fuzzer's oracle is rebuilt from
+    // nothing else, so a reordered, missing or extra event is a
+    // kernel change even when every count still matches.
+    addData();
+    EventRecorder rec;
+    kernel.setObserver(&rec);
+    AddressSpace &space = kernel.addressSpace();
+    const Addr va = 0x10000000;
+    const Addr page = basePageSize;
+
+    kernel.handleTlbMiss(va + 0x123, AccessType::Read, 0);
+    const Addr pfn0 = space.frameOf(va);
+    kernel.recolorPage(va, 5, 1000);
+    const Addr single = space.findSuperpage(va)->shadowBase;
+    kernel.remap(va, 4 * page, 2000);   // demotes, then covers va
+    const Addr shadow = space.findSuperpage(va)->shadowBase;
+    Addr pfns[4];
+    for (unsigned i = 0; i < 4; ++i)
+        pfns[i] = space.frameOf(va + i * page);
+    kernel.swapOutSuperpagePagewise(va, 10000);
+    kernel.handleShadowPageFault(va + 2 * page + 0x10, 20000);
+    const Addr reloaded = space.frameOf(va + 2 * page);
+    kernel.swapOutSuperpageWhole(va, 30000);
+    kernel.setObserver(nullptr);
+
+    EXPECT_EQ(pfns[0], pfn0);
+    using R = EventRecorder;
+    const std::vector<std::string> expected = {
+        R::line("mapped", va, pfn0),
+        R::line("created", va, single, 0u),
+        R::line("demoted", va),
+        R::line("mapped", va + page, pfns[1]),
+        R::line("mapped", va + 2 * page, pfns[2]),
+        R::line("mapped", va + 3 * page, pfns[3]),
+        R::line("created", va, shadow, 1u),
+        R::line("swap-out-pagewise", va),
+        R::line("unmapped", va, pfns[0]),
+        R::line("unmapped", va + page, pfns[1]),
+        R::line("unmapped", va + 2 * page, pfns[2]),
+        R::line("unmapped", va + 3 * page, pfns[3]),
+        R::line("shadow-fault", va + 2 * page + 0x10),
+        R::line("mapped", va + 2 * page, reloaded),
+        R::line("swap-out-whole", va),
+        R::line("unmapped", va + 2 * page, reloaded),
+    };
+    EXPECT_EQ(rec.events, expected);
 }

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "mmc/memsys.hh"
+#include "mmc/mmc.hh"
+#include "os/translation_edit.hh"
 
 using namespace mtlbsim;
 
@@ -13,6 +15,10 @@ namespace
 {
 
 constexpr Addr MB = 1024 * 1024;
+
+/** Mapping changes outside a kernel; a detached edit has no state,
+ *  so every test shares this one. */
+TranslationEdit edit = detachedEdit();
 
 struct MemsysFixture : ::testing::Test
 {
@@ -54,7 +60,7 @@ TEST_F(MemsysFixture, WriteBackOnlyChargesBusAcceptance)
 TEST_F(MemsysFixture, ShadowFillTranslates)
 {
     memsys.controlOp(0, [&](Mmc &m) {
-        return m.setShadowMapping(0, 0x1234);
+        return m.setShadowMapping(0, 0x1234, edit);
     });
     const Cycles t = memsys.lineFill(0x80000000, false, 0);
     EXPECT_GT(t, 0u);
@@ -72,7 +78,7 @@ TEST_F(MemsysFixture, FaultedFlagTracksLastFill)
 TEST_F(MemsysFixture, ControlOpChargesBusAndMmc)
 {
     const Cycles t = memsys.controlOp(0, [&](Mmc &m) {
-        return m.setShadowMapping(1, 0x42);
+        return m.setShadowMapping(1, 0x42, edit);
     });
     // Uncached bus transfer is 6 CPU cycles; MMC work adds more.
     EXPECT_GT(t, 6u);
@@ -82,7 +88,7 @@ TEST_F(MemsysFixture, ControlOpChargesBusAndMmc)
 TEST_F(MemsysFixture, ExclusiveFillMarksDirtyThroughTheStack)
 {
     memsys.controlOp(0, [&](Mmc &m) {
-        return m.setShadowMapping(2, 0x99);
+        return m.setShadowMapping(2, 0x99, edit);
     });
     memsys.lineFill(0x80002000, true, 0);
     ShadowPte pte{};
@@ -96,7 +102,7 @@ TEST_F(MemsysFixture, ExclusiveFillMarksDirtyThroughTheStack)
 TEST_F(MemsysFixture, MtlbHitsReduceFillLatency)
 {
     memsys.controlOp(0, [&](Mmc &m) {
-        return m.setShadowMapping(3, 0x77);
+        return m.setShadowMapping(3, 0x77, edit);
     });
     const Cycles first = memsys.lineFill(0x80003000, false, 1000);
     const Cycles second = memsys.lineFill(0x80003020, false, 2000);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "mmc/mmc.hh"
+#include "os/translation_edit.hh"
 
 using namespace mtlbsim;
 
@@ -14,6 +15,10 @@ namespace
 {
 
 constexpr Addr MB = 1024 * 1024;
+
+/** Mapping changes outside a kernel; a detached edit has no state,
+ *  so every test shares this one. */
+TranslationEdit edit = detachedEdit();
 
 struct MmcFixture : ::testing::Test
 {
@@ -50,7 +55,7 @@ TEST_F(MmcFixture, ShadowAddressIsRetranslated)
     // Figure 1's worked example: shadow 0x80241040 backed by real
     // frame 0x04012 -> real 0x04012040.
     const Addr spi = map.shadowPageIndex(0x80241000);
-    mmc.setShadowMapping(spi, 0x04012);
+    mmc.setShadowMapping(spi, 0x04012, edit);
     const auto r = mmc.service(MmcOp::SharedFill, 0x80241040);
     EXPECT_FALSE(r.fault);
     EXPECT_EQ(r.realAddr, 0x04012040u);
@@ -74,7 +79,7 @@ TEST_F(MmcFixture, MtlbPresenceAddsShadowCheckCycleToRealOps)
 TEST_F(MmcFixture, MtlbMissCostsExtraTableRead)
 {
     const Addr spi = map.shadowPageIndex(0x80000000);
-    mmc.setShadowMapping(spi, 0x100);
+    mmc.setShadowMapping(spi, 0x100, edit);
     const auto miss = mmc.service(MmcOp::SharedFill, 0x80000000);
     const auto hit = mmc.service(MmcOp::SharedFill, 0x80000000);
     EXPECT_GT(miss.mmcCycles, hit.mmcCycles);
@@ -89,18 +94,18 @@ TEST_F(MmcFixture, InvalidShadowMappingRaisesFault)
 TEST_F(MmcFixture, FaultAfterSwapOut)
 {
     const Addr spi = map.shadowPageIndex(0x80400000);
-    mmc.setShadowMapping(spi, 0x200);
+    mmc.setShadowMapping(spi, 0x200, edit);
     EXPECT_FALSE(mmc.service(MmcOp::SharedFill, 0x80400000).fault);
-    mmc.invalidateShadowMapping(spi);
+    mmc.invalidateShadowMapping(spi, edit);
     EXPECT_TRUE(mmc.service(MmcOp::SharedFill, 0x80400000).fault);
 }
 
 TEST_F(MmcFixture, RemapAfterSwapInRestoresService)
 {
     const Addr spi = map.shadowPageIndex(0x80400000);
-    mmc.setShadowMapping(spi, 0x200);
-    mmc.invalidateShadowMapping(spi);
-    mmc.setShadowMapping(spi, 0x300);   // page back in, new frame
+    mmc.setShadowMapping(spi, 0x200, edit);
+    mmc.invalidateShadowMapping(spi, edit);
+    mmc.setShadowMapping(spi, 0x300, edit);   // page back in, new frame
     const auto r = mmc.service(MmcOp::SharedFill, 0x80400000);
     EXPECT_FALSE(r.fault);
     EXPECT_EQ(r.realAddr, Addr{0x300} << basePageShift);
@@ -110,7 +115,7 @@ TEST_F(MmcFixture, WriteBackToShadowSetsDirtyBit)
 {
     // §2.5: the MTLB notes write-backs and exclusive fills.
     const Addr spi = map.shadowPageIndex(0x80800000);
-    mmc.setShadowMapping(spi, 0x400);
+    mmc.setShadowMapping(spi, 0x400, edit);
     mmc.service(MmcOp::WriteBack, 0x80800000);
     EXPECT_TRUE(mmc.readShadowEntry(spi).modified);
 }
@@ -118,7 +123,7 @@ TEST_F(MmcFixture, WriteBackToShadowSetsDirtyBit)
 TEST_F(MmcFixture, SharedFillDoesNotSetDirty)
 {
     const Addr spi = map.shadowPageIndex(0x80800000);
-    mmc.setShadowMapping(spi, 0x400);
+    mmc.setShadowMapping(spi, 0x400, edit);
     mmc.service(MmcOp::SharedFill, 0x80800000);
     const ShadowPte pte = mmc.readShadowEntry(spi);
     EXPECT_TRUE(pte.referenced);
@@ -128,7 +133,7 @@ TEST_F(MmcFixture, SharedFillDoesNotSetDirty)
 TEST_F(MmcFixture, ReadShadowEntrySyncsMtlbBits)
 {
     const Addr spi = map.shadowPageIndex(0x80800000);
-    mmc.setShadowMapping(spi, 0x400);
+    mmc.setShadowMapping(spi, 0x400, edit);
     mmc.service(MmcOp::ExclusiveFill, 0x80800000);
     // Without sync the table copy would still be clean (§3.4); the
     // control read must return the MTLB's accumulated state.
@@ -168,17 +173,17 @@ TEST_F(MmcFixture, MtlbRequiresShadowRegion)
 
 TEST_F(MmcFixture, ControlOpsReturnNonzeroCost)
 {
-    EXPECT_GT(mmc.setShadowMapping(0, 0x100), 0u);
-    EXPECT_GT(mmc.invalidateShadowMapping(0), 0u);
-    EXPECT_GT(mmc.clearShadowMapping(0), 0u);
+    EXPECT_GT(mmc.setShadowMapping(0, 0x100, edit), 0u);
+    EXPECT_GT(mmc.invalidateShadowMapping(0, edit), 0u);
+    EXPECT_GT(mmc.clearShadowMapping(0, edit), 0u);
 }
 
 TEST_F(MmcFixture, ClearRemovesEverything)
 {
     const Addr spi = 7;
-    mmc.setShadowMapping(spi, 0x100);
+    mmc.setShadowMapping(spi, 0x100, edit);
     mmc.service(MmcOp::ExclusiveFill, 0x80000000 + (spi << 12));
-    mmc.clearShadowMapping(spi);
+    mmc.clearShadowMapping(spi, edit);
     const ShadowPte pte = mmc.shadowTable().entry(spi);
     EXPECT_FALSE(pte.valid);
     EXPECT_FALSE(pte.modified);

@@ -155,8 +155,9 @@ TEST(StreamBufferMmc, WorksDownstreamOfTheMtlb)
 
     // Shadow pages 0 and 1 -> two *consecutive* real frames, so the
     // real-address stream crosses the page boundary seamlessly.
-    mmc.setShadowMapping(0, 0x1000);
-    mmc.setShadowMapping(1, 0x1001);
+    TranslationEdit edit = detachedEdit();
+    mmc.setShadowMapping(0, 0x1000, edit);
+    mmc.setShadowMapping(1, 0x1001, edit);
     unsigned hits = 0;
     for (Addr off = 0; off < 2 * basePageSize; off += cacheLineSize) {
         mmc.service(MmcOp::SharedFill, 0x80000000 + off);

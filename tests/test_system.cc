@@ -184,11 +184,21 @@ TEST(SystemTest, ResetStatsZeroesCounters)
     EXPECT_GT(sys.tlb().hits(), 0u);
     sys.rootStats().resetAll();
     // Batched counts still pending at the reset belong to the old
-    // run: rootStats() realizes them before the tree is zeroed, so a
-    // later flush point (the dump) leaks none into the fresh one.
+    // run: resetting a deferred counter realizes them before it is
+    // zeroed, so a later read (the dump) sees none in the fresh tree.
     std::ostringstream os;
     sys.dumpStats(os);
     EXPECT_EQ(sys.tlb().hits(), 0u);
     EXPECT_EQ(sys.cpu().dataAccesses(), 0u);
     EXPECT_EQ(sys.cache().hits(), 0u);
+}
+
+TEST(SystemTest, PerCoreAccessorsRejectAMissingCore)
+{
+    System sys(config(true));
+    const System &view = sys;
+    EXPECT_THROW(sys.cpu(3), PanicError);
+    EXPECT_THROW(view.cpu(1), PanicError);
+    EXPECT_THROW(sys.tlb(3), PanicError);
+    EXPECT_THROW(sys.uitlb(3), PanicError);
 }

@@ -6,12 +6,10 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
 
-#include "callgraph.hh"
 #include "lexer.hh"
 #include "scopes.hh"
 
@@ -110,214 +108,7 @@ listFiles(const std::string &root, const std::vector<std::string> &dirs,
     return out;
 }
 
-// --------------------------------------------------------------------
-// R1/R2: function extraction over the kernel translation unit.
-// --------------------------------------------------------------------
-
-struct FnEvent
-{
-    enum Kind { Mutator, Bump, Hook, Callee, Return, Call } kind;
-    size_t pos;             ///< token index
-    int line;
-    std::string name;       ///< mutator/hook/callee name
-};
-
-struct FnInfo
-{
-    std::string name;
-    int line = 0;
-    std::vector<FnEvent> events;
-    size_t endPos = 0;      ///< token index of the closing '}'
-};
-
-/** True if the '{' at token index @p j opens a lambda body. */
-bool
-lambdaBrace(const std::vector<Token> &t, size_t j)
-{
-    size_t k = j;
-    // Walk back over specifier / trailing-return-type tokens.
-    while (k > 0) {
-        const Token &p = t[k - 1];
-        if (p.kind == TokKind::Identifier &&
-            (p.text == "mutable" || p.text == "noexcept" ||
-             p.text == "const")) {
-            --k;
-            continue;
-        }
-        if (p.kind == TokKind::Punct &&
-            (p.text == "->" || p.text == "::" || p.text == "&" ||
-             p.text == "*" || p.text == "<" || p.text == ">")) {
-            --k;
-            continue;
-        }
-        if (p.kind == TokKind::Identifier && k >= 2 &&
-            t[k - 2].kind == TokKind::Punct &&
-            (t[k - 2].text == "->" || t[k - 2].text == "::")) {
-            --k;
-            continue;
-        }
-        break;
-    }
-    if (k == 0)
-        return false;
-    const Token &p = t[k - 1];
-    if (p.kind == TokKind::Punct && p.text == "]")
-        return true;
-    if (p.kind == TokKind::Punct && p.text == ")") {
-        int depth = 1;
-        size_t m = k - 1;
-        while (m > 0) {
-            --m;
-            if (t[m].kind != TokKind::Punct)
-                continue;
-            if (t[m].text == ")") {
-                ++depth;
-            } else if (t[m].text == "(") {
-                if (--depth == 0)
-                    break;
-            }
-        }
-        if (depth == 0 && m > 0 && t[m - 1].kind == TokKind::Punct &&
-            t[m - 1].text == "]") {
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-isControlKeyword(const std::string &s)
-{
-    return s == "if" || s == "for" || s == "while" || s == "switch" ||
-           s == "catch" || s == "return" || s == "sizeof";
-}
-
-/**
- * Walk the token stream and extract every function definition with
- * the rule-relevant events inside its body. Function-name detection:
- * the first `identifier (` since the last statement boundary at
- * file/namespace scope names the function whose body brace follows
- * (this also handles constructor initializer lists, where later
- * `member_(...)` groups must not steal the name).
- */
-std::vector<FnInfo>
-extractFunctions(const SourceFile &src, const RulesConfig &cfg)
-{
-    const auto &t = src.tokens;
-    std::vector<FnInfo> fns;
-    // Brace kinds: 0 transparent (namespace/type/init), 1 function
-    // body (outermost), 2 lambda body inside a function.
-    std::vector<int> stack;
-    bool inFunction = false;
-    FnInfo cur;
-    bool haveCandidate = false;
-    std::string candidate;
-    int candidateLine = 0;
-    int lambdaDepth = 0;
-
-    for (size_t i = 0; i < t.size(); ++i) {
-        const Token &tok = t[i];
-        auto nextIs = [&](const char *s) {
-            return i + 1 < t.size() && t[i + 1].kind == TokKind::Punct &&
-                   t[i + 1].text == s;
-        };
-        if (!inFunction) {
-            if (tok.kind == TokKind::Punct) {
-                if (tok.text == ";" || tok.text == "=") {
-                    haveCandidate = false;
-                } else if (tok.text == "}") {
-                    haveCandidate = false;
-                    if (!stack.empty())
-                        stack.pop_back();
-                } else if (tok.text == "{") {
-                    if (haveCandidate) {
-                        inFunction = true;
-                        cur = FnInfo{candidate, candidateLine, {}, 0};
-                        lambdaDepth = 0;
-                        stack.push_back(1);
-                    } else {
-                        stack.push_back(0);
-                    }
-                    haveCandidate = false;
-                }
-            } else if (tok.kind == TokKind::Identifier && !haveCandidate &&
-                       nextIs("(") && !isControlKeyword(tok.text)) {
-                haveCandidate = true;
-                candidate = tok.text;
-                candidateLine = tok.line;
-            }
-            continue;
-        }
-        // Inside a function body.
-        if (tok.kind == TokKind::Punct) {
-            if (tok.text == "{") {
-                bool lam = lambdaBrace(t, i);
-                stack.push_back(lam ? 2 : 0);
-                if (lam)
-                    ++lambdaDepth;
-            } else if (tok.text == "}") {
-                int kind = stack.empty() ? 0 : stack.back();
-                if (!stack.empty())
-                    stack.pop_back();
-                if (kind == 2) {
-                    --lambdaDepth;
-                } else if (kind == 1) {
-                    cur.endPos = i;
-                    fns.push_back(cur);
-                    inFunction = false;
-                }
-            }
-            continue;
-        }
-        if (tok.kind != TokKind::Identifier)
-            continue;
-        bool memberCall =
-            i > 0 && t[i - 1].kind == TokKind::Punct &&
-            (t[i - 1].text == "." || t[i - 1].text == "->");
-        if (tok.text == "return") {
-            if (lambdaDepth == 0)
-                cur.events.push_back({FnEvent::Return, i, tok.line, ""});
-            continue;
-        }
-        if (tok.text == cfg.epochCall && nextIs("(")) {
-            cur.events.push_back({FnEvent::Bump, i, tok.line, tok.text});
-            continue;
-        }
-        if (cfg.hooks.count(tok.text) && memberCall) {
-            cur.events.push_back({FnEvent::Hook, i, tok.line, tok.text});
-            continue;
-        }
-        if (memberCall && nextIs("(")) {
-            for (const auto &m : cfg.mutators) {
-                if (m.method != tok.text)
-                    continue;
-                if (!m.receiver.empty() &&
-                    (i < 2 || t[i - 2].kind != TokKind::Identifier ||
-                     t[i - 2].text != m.receiver)) {
-                    continue;
-                }
-                cur.events.push_back(
-                    {FnEvent::Mutator, i, tok.line, tok.text});
-                break;
-            }
-            for (const auto &p : cfg.pairs) {
-                if (p.first == tok.text) {
-                    cur.events.push_back(
-                        {FnEvent::Callee, i, tok.line, tok.text});
-                    break;
-                }
-            }
-        }
-        // Generic call event: the interprocedural checks substitute
-        // the callee's summary (bump / hook facts) here.
-        if (nextIs("(") && !isControlKeyword(tok.text))
-            cur.events.push_back({FnEvent::Call, i, tok.line, tok.text});
-    }
-    return fns;
-}
-
-// The scope tree (buildScopes and friends) lives in scopes.hh; the
-// interprocedural engine in callgraph.hh.
+// The scope tree (buildScopes and friends) lives in scopes.hh.
 
 /**
  * Statement-level variable-definition detection shared by R6 and R7.
@@ -415,13 +206,6 @@ RulesConfig::load(const std::string &path)
         iss >> dir >> a;
         iss >> b;    // optional second operand
         iss >> c;    // optional third operand
-        auto need2 = [&]() {
-            if (b.empty()) {
-                throw std::runtime_error(
-                    path + ":" + std::to_string(no) + ": '" + dir +
-                    "' needs two operands");
-            }
-        };
         auto need3 = [&]() {
             if (c.empty()) {
                 throw std::runtime_error(
@@ -435,26 +219,6 @@ RulesConfig::load(const std::string &path)
         }
         if (dir == "scan-dir") {
             cfg.scanDirs.push_back(a);
-        } else if (dir == "kernel-file") {
-            cfg.kernelFile = a;
-        } else if (dir == "epoch-call") {
-            cfg.epochCall = a;
-        } else if (dir == "mutator") {
-            auto dot = a.rfind('.');
-            if (dot == std::string::npos) {
-                cfg.mutators.push_back({"", a});
-            } else {
-                cfg.mutators.push_back(
-                    {a.substr(0, dot), a.substr(dot + 1)});
-            }
-        } else if (dir == "hook") {
-            cfg.hooks.insert(a);
-        } else if (dir == "pair") {
-            need2();
-            cfg.pairs.emplace_back(a, b);
-        } else if (dir == "require-hook") {
-            need2();
-            cfg.requireHooks.emplace_back(a, b);
         } else if (dir == "stat-adder") {
             cfg.statAdders.push_back(a);
         } else if (dir == "config-source") {
@@ -493,20 +257,6 @@ RulesConfig::load(const std::string &path)
             cfg.guardedMembers.push_back({a, b, c});
         } else if (dir == "det-sink") {
             cfg.detSinks.insert(a);
-        } else if (dir == "percore-container") {
-            cfg.percoreContainers[a] = b;   // b may be empty
-        } else if (dir == "r11-exempt") {
-            cfg.r11Exempt.insert(a);
-        } else if (dir == "flush-call") {
-            cfg.flushCall = a;
-        } else if (dir == "r12-reader") {
-            auto dot = a.rfind('.');
-            if (dot == std::string::npos) {
-                cfg.r12Readers.push_back({"", a});
-            } else {
-                cfg.r12Readers.push_back(
-                    {a.substr(0, dot), a.substr(dot + 1)});
-            }
         } else if (dir == "banned") {
             cfg.banned.insert(a);
         } else if (dir == "banned-exempt") {
@@ -627,8 +377,6 @@ const std::map<std::string, std::string> &
 ruleNames()
 {
     static const std::map<std::string, std::string> kNames = {
-        {"R1", "epoch-discipline"},
-        {"R2", "observer-discipline"},
         {"R3", "stats-registration"},
         {"R4", "config-key-parity"},
         {"R5", "hygiene"},
@@ -636,8 +384,6 @@ ruleNames()
         {"R7", "ownership-escape"},
         {"R8", "lock-discipline"},
         {"R9", "determinism-taint"},
-        {"R11", "core-confinement"},
-        {"R12", "batch-flush-discipline"},
         {"SA", "stale-allow"},
     };
     return kNames;
@@ -730,7 +476,6 @@ class Linter
 
     const SourceFile &tokens(const std::string &rel);
 
-    void checkKernel();             // R1 + R2
     void checkStats();              // R3
     void checkConfigParity();       // R4
     void checkHygiene();            // R5
@@ -738,15 +483,9 @@ class Linter
     void checkOwnership();          // R7
     void checkLocks();              // R8
     void checkDeterminism();        // R9
-    void checkCoreConfinement();    // R11
-    void checkBatchFlush();         // R12
     void checkStaleAllows();        // SA (after all other checks)
 
     const ScopeTree &scopes(const std::string &rel);
-
-    /** Project-wide call graph with propagated summaries, built
-     *  lazily over every scanned .hh/.cc. */
-    const CallGraph &graph();
 
     std::string expectedGuard(const std::string &rel) const;
 
@@ -756,7 +495,6 @@ class Linter
     const bool keepAllowed_;
     std::map<std::string, SourceFile> cache_;
     std::map<std::string, ScopeTree> scopeCache_;
-    std::unique_ptr<CallGraph> graph_;
     std::vector<Finding> findings_;
     /** Rule ids whose check actually executed (preconditions met). */
     std::set<std::string> assessed_;
@@ -782,166 +520,6 @@ Linter::scopes(const std::string &rel)
         it = scopeCache_.emplace(rel, buildScopes(src.tokens)).first;
     }
     return it->second;
-}
-
-const CallGraph &
-Linter::graph()
-{
-    if (!graph_) {
-        graph_ = std::make_unique<CallGraph>();
-        for (const auto &rel :
-             listFiles(root_, cfg_.scanDirs, {".hh", ".cc"})) {
-            graph_->addFile(tokens(rel), scopes(rel), cfg_);
-        }
-        graph_->propagate(cfg_);
-    }
-    return *graph_;
-}
-
-void
-Linter::checkKernel()
-{
-    if (cfg_.kernelFile.empty() ||
-        !fs::exists(abs(cfg_.kernelFile)) ||
-        (!active("R1") && !active("R2"))) {
-        return;
-    }
-    assessed_.insert("R1");
-    assessed_.insert("R2");
-    const SourceFile &src = tokens(cfg_.kernelFile);
-    auto fns = extractFunctions(src, cfg_);
-    const CallGraph &g = graph();
-
-    // Substitute callee summaries at generic call sites so helper
-    // indirection is transparent: a call that always bumps counts as
-    // a bump, a call that may mutate (without bumping on all paths)
-    // counts as a mutation, and hooks every overload fires count as
-    // fired here.
-    std::vector<std::vector<FnEvent>> synth(fns.size());
-    for (size_t fi = 0; fi < fns.size(); ++fi) {
-        for (const auto &e : fns[fi].events) {
-            if (e.kind != FnEvent::Call)
-                continue;
-            if (g.callMustBump(cfg_.kernelFile, e.name)) {
-                synth[fi].push_back({FnEvent::Bump, e.pos, e.line, e.name});
-            } else if (g.callMayMutate(cfg_.kernelFile, e.name)) {
-                synth[fi].push_back(
-                    {FnEvent::Mutator, e.pos, e.line, e.name});
-            }
-            for (const auto &h : g.callMustHooks(cfg_.kernelFile, e.name))
-                synth[fi].push_back({FnEvent::Hook, e.pos, e.line, h});
-        }
-    }
-
-    for (size_t fi = 0; fi < fns.size(); ++fi) {
-        const auto &fn = fns[fi];
-        std::vector<const FnEvent *> muts, bumps, hooks, callees;
-        std::vector<size_t> exits;
-        auto bucket = [&](const FnEvent &e) {
-            switch (e.kind) {
-              case FnEvent::Mutator: muts.push_back(&e); break;
-              case FnEvent::Bump: bumps.push_back(&e); break;
-              case FnEvent::Hook: hooks.push_back(&e); break;
-              case FnEvent::Callee: callees.push_back(&e); break;
-              case FnEvent::Return: exits.push_back(e.pos); break;
-              case FnEvent::Call: break;
-            }
-        };
-        for (const auto &e : fn.events)
-            bucket(e);
-        for (const auto &e : synth[fi])
-            bucket(e);
-        exits.push_back(fn.endPos);
-
-        if (active("R1") && !muts.empty()) {
-            std::set<int> reported;
-            for (size_t ex : exits) {
-                const FnEvent *last = nullptr;
-                for (const auto *m : muts) {
-                    if (m->pos < ex && (!last || m->pos > last->pos))
-                        last = m;
-                }
-                if (!last)
-                    continue;
-                bool bumped = false;
-                for (const auto *bp : bumps) {
-                    if (bp->pos > last->pos && bp->pos < ex) {
-                        bumped = true;
-                        break;
-                    }
-                }
-                if (!bumped && reported.insert(last->line).second) {
-                    emit(src, last->line, "R1", "epoch-discipline",
-                         "function '" + fn.name +
-                         "' mutates translation state via '" +
-                         last->name + "' but can return without calling " +
-                         cfg_.epochCall + "()");
-                }
-            }
-        }
-
-        if (active("R2")) {
-            if (!muts.empty() && hooks.empty()) {
-                emit(src, muts.front()->line, "R2", "observer-discipline",
-                     "function '" + fn.name +
-                     "' mutates translation state via '" +
-                     muts.front()->name +
-                     "' but fires no KernelObserver hook");
-            }
-            for (const auto &p : cfg_.pairs) {
-                const FnEvent *first = nullptr;
-                for (const auto *c : callees) {
-                    if (c->name == p.first) {
-                        first = c;
-                        break;
-                    }
-                }
-                if (!first)
-                    continue;
-                bool paired = false;
-                for (const auto *h : hooks) {
-                    if (h->name == p.second) {
-                        paired = true;
-                        break;
-                    }
-                }
-                if (!paired) {
-                    emit(src, first->line, "R2", "observer-discipline",
-                         "function '" + fn.name + "' calls '" + p.first +
-                         "' without firing the paired hook '" + p.second +
-                         "'");
-                }
-            }
-        }
-    }
-
-    if (active("R2")) {
-        for (const auto &rh : cfg_.requireHooks) {
-            for (size_t fi = 0; fi < fns.size(); ++fi) {
-                const auto &fn = fns[fi];
-                if (fn.name != rh.first)
-                    continue;
-                bool fired = false;
-                const std::vector<FnEvent> *lists[] = {
-                    &fn.events, &synth[fi]};
-                for (const auto *list : lists) {
-                    for (const auto &e : *list) {
-                        if (e.kind == FnEvent::Hook &&
-                            e.name == rh.second) {
-                            fired = true;
-                            break;
-                        }
-                    }
-                }
-                if (!fired) {
-                    emit(src, fn.line, "R2", "observer-discipline",
-                         "function '" + fn.name +
-                         "' must fire KernelObserver hook '" + rh.second +
-                         "'");
-                }
-            }
-        }
-    }
 }
 
 void
@@ -1753,84 +1331,6 @@ Linter::checkDeterminism()
 }
 
 void
-Linter::checkCoreConfinement()
-{
-    if (!active("R11") || cfg_.percoreContainers.empty())
-        return;
-    assessed_.insert("R11");
-    const CallGraph &g = graph();
-    for (const auto &fn : g.functions()) {
-        if (fn.subscripts.empty() || cfg_.r11Exempt.count(fn.name))
-            continue;
-        for (const auto &sub : fn.subscripts) {
-            const std::string &activeIdx =
-                cfg_.percoreContainers.at(sub.container);
-            if (!activeIdx.empty() && sub.index == activeIdx)
-                continue;
-            emit(tokens(fn.file), sub.line, "R11", "core-confinement",
-                 "function '" + fn.name + "' subscripts per-core "
-                 "container '" + sub.container + "' with '" +
-                 sub.index + "'" +
-                 (activeIdx.empty()
-                      ? ""
-                      : " (not the active-core index '" + activeIdx +
-                            "')") +
-                 "; cross-core state may only be reached through the "
-                 "core-indexed accessors or the shootdown path "
-                 "(rules.cfg r11-exempt)");
-        }
-    }
-}
-
-void
-Linter::checkBatchFlush()
-{
-    if (!active("R12") || cfg_.flushCall.empty() ||
-        cfg_.r12Readers.empty()) {
-        return;
-    }
-    assessed_.insert("R12");
-    const CallGraph &g = graph();
-    for (size_t fi = 0; fi < g.functions().size(); ++fi) {
-        const FnDef &fn = g.functions()[fi];
-        bool flushed = false;
-        for (const auto &c : fn.calls) {
-            if (c.name == cfg_.flushCall || g.callMustFlush(fn.file, c.name)) {
-                flushed = true;
-                continue;
-            }
-            if (flushed)
-                continue;
-            bool direct = false;
-            for (const auto &r : cfg_.r12Readers) {
-                if (r.method == c.name && c.member &&
-                    (r.receiver.empty() || r.receiver == c.receiver)) {
-                    direct = true;
-                    break;
-                }
-            }
-            if (direct) {
-                emit(tokens(fn.file), c.line, "R12",
-                     "batch-flush-discipline",
-                     "function '" + fn.name + "' reads deferred "
-                     "statistics via '" + c.receiver + "." + c.name +
-                     "' with no preceding " + cfg_.flushCall +
-                     "(); per-core batch counters may still be "
-                     "deferred");
-            } else if (g.callMayReadUnprotected(fn.file, c.name)) {
-                emit(tokens(fn.file), c.line, "R12",
-                     "batch-flush-discipline",
-                     "function '" + fn.name + "' calls '" + c.name +
-                     "', which reads deferred statistics, with no "
-                     "preceding " + cfg_.flushCall +
-                     "(); per-core batch counters may still be "
-                     "deferred");
-            }
-        }
-    }
-}
-
-void
 Linter::checkStaleAllows()
 {
     if (!enabled("SA"))
@@ -1859,7 +1359,6 @@ Linter::checkStaleAllows()
 std::vector<Finding>
 Linter::run()
 {
-    checkKernel();
     checkStats();
     checkConfigParity();
     checkHygiene();
@@ -1867,8 +1366,6 @@ Linter::run()
     checkOwnership();
     checkLocks();
     checkDeterminism();
-    checkCoreConfinement();
-    checkBatchFlush();
     checkStaleAllows();     // last: judges the other rules' output
     std::sort(findings_.begin(), findings_.end());
     findings_.erase(std::unique(findings_.begin(), findings_.end(),
@@ -1885,6 +1382,15 @@ std::vector<Finding>
 runLint(const std::string &root, const RulesConfig &cfg,
         const std::set<std::string> &only, bool keepAllowed)
 {
+    for (const std::string &id : only) {
+        if (ruleNames().count(id))
+            continue;
+        std::string known;
+        for (const auto &[rule, name] : ruleNames())
+            known += " " + rule;
+        throw std::runtime_error("mtlb-lint: unknown rule id '" + id +
+                                 "' (rules:" + known + ")");
+    }
     return Linter(root, cfg, only, keepAllowed).run();
 }
 

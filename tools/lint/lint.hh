@@ -2,17 +2,9 @@
  * @file
  * mtlb-lint rule engine.
  *
- * Eleven repo-specific semantic rules (plus the stale-allow
+ * Seven repo-specific semantic rules (plus the stale-allow
  * diagnostic) over the simulator sources:
  *
- *  R1 epoch-discipline      every kernel function that mutates
- *                           translation state below the TLB must call
- *                           the configured epoch call (the repo's
- *                           rules.cfg names invalidateTranslation(),
- *                           which also shoots down remote cores) on
- *                           every path before returning.
- *  R2 observer-discipline   the same mutators must be paired with the
- *                           matching KernelObserver hook.
  *  R3 stats-registration    every stats::* member declared in a
  *                           header must be registered via a stat-group
  *                           add* call in its owner.
@@ -38,37 +30,26 @@
  *  R9 determinism-taint     no iteration over unordered containers or
  *                           pointer-keyed maps in a function that also
  *                           records stats or fires observer hooks.
- *  R11 core-confinement     per-core container subscripts may only
- *                           use the active-core index; any other
- *                           index is a cross-core poke and must live
- *                           in one of the configured accessor /
- *                           shootdown functions.
- *  R12 batch-flush-discipline
- *                           a function reading deferred statistics (a
- *                           configured r12-reader call, directly or
- *                           through its callees) must flush the batch
- *                           counters first (flushBatch(), or a helper
- *                           that always flushes).
  *  SA stale-allow           every `mtlb-lint: allow(<rule>)`
  *                           annotation must still suppress at least
  *                           one finding of an executed rule; stale
  *                           annotations are findings themselves (and
  *                           cannot be allow()ed away).
  *
- * R1/R2/R12 are interprocedural: per-function summaries ("bumps
- * epoch", "flushes batch counters", "reads deferred stats", "fires
- * hook H") are computed over a project-wide
- * call graph (callgraph.hh) and propagated through calls to a
- * fixpoint, so helper indirection needs no `allow()` escapes.
+ * The kernel's protocols that earlier rules checked — translation
+ * retirement (R1), observer hooks (R2), core confinement (R11) and
+ * batch-flush discipline (R12) — are now enforced by types
+ * (os/translation_edit.hh, os/per_core.hh, stats::DeferredSource),
+ * each with a compile-fail test (tests/compile_fail). Selecting a
+ * rule id that does not exist is an error.
  *
- * The rule inputs (mutator list, hook pairs, banned identifiers,
- * owned types, guarded members, per-core containers, reader calls,
+ * The rule inputs (banned identifiers, owned types, guarded members,
  * file locations) live in tools/lint/rules.cfg so the contract is an
  * explicit, reviewable artifact rather than hard-coded heuristics.
  *
  * Findings honour `// mtlb-lint: allow(<rule>)` suppression comments
  * on the same line or the line above; <rule> is either the short id
- * ("R1") or the long name ("epoch-discipline"). R6 additionally
+ * ("R7") or the long name ("ownership-escape"). R6 additionally
  * requires every allowed entry to appear in the committed baseline
  * file (the ratchet): an annotation alone is not enough to grow the
  * global-state inventory, and stale baseline entries are themselves
@@ -78,10 +59,8 @@
 #ifndef MTLBSIM_TOOLS_LINT_LINT_HH
 #define MTLBSIM_TOOLS_LINT_LINT_HH
 
-#include <map>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace mtlblint
@@ -91,23 +70,6 @@ namespace mtlblint
 struct RulesConfig
 {
     std::vector<std::string> scanDirs;
-
-    // R1/R2
-    std::string kernelFile;
-    std::string epochCall = "bumpTranslationEpoch";
-    /** receiver ("" = any) and method name of a translation-state
-     *  mutator call. */
-    struct Mutator
-    {
-        std::string receiver;
-        std::string method;
-    };
-    std::vector<Mutator> mutators;
-    std::set<std::string> hooks;
-    /** callee -> required hook within the same function. */
-    std::vector<std::pair<std::string, std::string>> pairs;
-    /** function name -> hook it must fire somewhere in its body. */
-    std::vector<std::pair<std::string, std::string>> requireHooks;
 
     // R3
     std::vector<std::string> statAdders;
@@ -163,21 +125,6 @@ struct RulesConfig
      *  or observer hooks (`sample`, the KernelObserver hooks, ...). */
     std::set<std::string> detSinks;
 
-    // R11
-    /** Per-core container member -> the only identifier allowed as
-     *  its subscript outside exempt functions ("" = no index is ever
-     *  confined; every subscript needs an exemption). */
-    std::map<std::string, std::string> percoreContainers;
-    /** Functions allowed to index per-core containers freely: the
-     *  core-indexed accessors, core wiring, and the shootdown path. */
-    std::set<std::string> r11Exempt;
-
-    // R12
-    /** The deferred-counter flush call (any receiver). */
-    std::string flushCall;
-    /** receiver ("" = any) and method of a deferred-stats reader. */
-    std::vector<Mutator> r12Readers;
-
     /** Parse a rules.cfg. Throws std::runtime_error on IO/syntax
      *  errors. */
     static RulesConfig load(const std::string &path);
@@ -187,7 +134,7 @@ struct Finding
 {
     std::string file;   ///< repo-relative path
     int line = 0;
-    std::string id;     ///< "R1".."R9", "R11", "R12" / "SA"
+    std::string id;     ///< "R3".."R9" / "SA"
     std::string name;   ///< long rule name
     std::string message;
     /** True when an `allow` annotation (plus, for R6, a baseline
@@ -225,6 +172,7 @@ std::string formatJson(const std::vector<Finding> &findings);
  * @param root  repo root; all RulesConfig paths resolve against it.
  * @param cfg   parsed rules.cfg.
  * @param only  if non-empty, run only rules whose id is in the set.
+ *              An id that names no rule throws std::runtime_error.
  *              "SA" judges suppressions against the other rules'
  *              findings, so selecting it executes every other check
  *              for bookkeeping while reporting only the ids asked

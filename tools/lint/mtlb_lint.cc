@@ -4,7 +4,8 @@
  * sources. See tools/lint/lint.hh for the rule catalogue and
  * docs/manual.md §11 for usage.
  *
- * Exit codes: 0 clean, 1 findings, 2 usage or IO error. Allowed
+ * Exit codes: 0 clean, 1 findings, 2 usage or IO error (an unknown
+ * rule id in --only among them). Allowed
  * (annotated) findings never affect the exit code; they are only
  * reported in --json output.
  */
@@ -23,7 +24,7 @@ namespace
 void
 usage(std::ostream &os)
 {
-    os << "usage: mtlb-lint [--root DIR] [--rules FILE] [--only R1,R2,...]"
+    os << "usage: mtlb-lint [--root DIR] [--rules FILE] [--only R3,R4,...]"
           " [--format text|json|github] [--quiet]\n"
           "  --root DIR     repo root to lint (default: current "
           "directory)\n"
@@ -31,7 +32,7 @@ usage(std::ostream &os)
           "rules.cfg)\n"
           "  --only LIST    comma-separated rule ids to run (default: "
           "all;\n"
-          "                 R1-R9, R11, R12 plus SA, the stale-allow "
+          "                 R3-R9 plus SA, the stale-allow "
           "diagnostic,\n"
           "                 which executes the other checks for "
           "bookkeeping\n"

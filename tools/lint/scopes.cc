@@ -15,7 +15,7 @@ ScopeTree
 buildScopes(const std::vector<Token> &t)
 {
     ScopeTree tree;
-    tree.scopes.push_back({ScopeKind::File, "", 0, t.size(), -1});
+    tree.scopes.push_back({ScopeKind::File, "", -1});
     tree.scopeOf.assign(t.size(), 0);
     std::vector<int> stack = {0};
 
@@ -136,8 +136,6 @@ buildScopes(const std::vector<Token> &t)
             Scope s;
             s.kind = kind;
             s.name = name;
-            s.open = i;
-            s.close = t.size();
             s.parent = stack.back();
             tree.scopes.push_back(s);
             stack.push_back(static_cast<int>(tree.scopes.size() - 1));
@@ -148,7 +146,6 @@ buildScopes(const std::vector<Token> &t)
         if (tok.kind == TokKind::Punct && tok.text == "}") {
             if (stack.size() > 1) {
                 flush();
-                tree.scopes[stack.back()].close = i;
                 const ScopeKind closed = tree.scopes[stack.back()].kind;
                 tree.scopeOf[i] = stack.back();
                 stack.pop_back();

@@ -5,9 +5,7 @@
  * A single structural pass classifying every brace (namespace, class,
  * function body, control-flow block, braced initialiser) and
  * collecting the statements at each scope's own level. Shared by the
- * structural rules (R6-R9) and the interprocedural call-graph engine
- * (callgraph.hh), which walks Func scopes to find every function
- * definition in a translation unit.
+ * structural rules (R6-R9).
  */
 
 #ifndef MTLBSIM_TOOLS_LINT_SCOPES_HH
@@ -35,8 +33,6 @@ struct Scope
 {
     ScopeKind kind = ScopeKind::File;
     std::string name;       ///< class/namespace name when known
-    size_t open = 0;        ///< token index of '{' (0 for File)
-    size_t close = 0;       ///< token index of '}' (n for File)
     int parent = -1;
 };
 
@@ -73,17 +69,6 @@ struct ScopeTree
     {
         for (int s = scope; s != -1; s = scopes[s].parent) {
             if (scopes[s].kind == ScopeKind::Func)
-                return s;
-        }
-        return -1;
-    }
-
-    /** Innermost enclosing Class scope, or -1. */
-    int
-    enclosingClass(int scope) const
-    {
-        for (int s = scope; s != -1; s = scopes[s].parent) {
-            if (scopes[s].kind == ScopeKind::Class)
                 return s;
         }
         return -1;
