@@ -1,8 +1,8 @@
 #include "fuzz/fuzzer.hh"
 
 #include <fstream>
+#include <map>
 #include <sstream>
-#include <unordered_map>
 
 #include "base/logging.hh"
 #include "check/fault_injector.hh"
@@ -402,7 +402,7 @@ DifferentialFuzzer::runPeriodicChecks(unsigned index)
     // inspection, and those stale bits are not claims.
     const PhysMap &pm = sys_->physmap();
     Mmc &mmc = sys_->memsys().mmc();
-    std::unordered_map<Addr, std::pair<bool, bool>> pending;
+    std::map<Addr, std::pair<bool, bool>> pending;
     for (const Mtlb::AuditEntry &e : mmc.mtlb().auditState()) {
         if (e.pte.valid) {
             pending[e.spi] = {e.pte.referenced != 0,

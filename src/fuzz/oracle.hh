@@ -23,9 +23,8 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "base/types.hh"
@@ -119,9 +118,9 @@ class OracleMemory
     Addr vpn(Addr vaddr) const { return vaddr >> basePageShift; }
 
     std::vector<OracleRegion> regions_;
-    std::unordered_map<Addr, Addr> frames_;     ///< vpn -> pfn
-    std::unordered_set<Addr> referenced_;       ///< vpns
-    std::unordered_set<Addr> dirty_;            ///< vpns
+    std::map<Addr, Addr> frames_;   ///< vpn -> pfn
+    std::set<Addr> referenced_;     ///< vpns
+    std::set<Addr> dirty_;          ///< vpns
     std::map<Addr, OracleSuperpage> superpages_;
     std::vector<std::string> eventErrors_;
 };

@@ -1,9 +1,8 @@
 #include "model/modelcheck.hh"
 
-#include <algorithm>
 #include <iostream>
+#include <set>
 #include <sstream>
-#include <unordered_set>
 
 #include "cache/cache.hh"
 #include "mmc/memsys.hh"
@@ -130,12 +129,9 @@ canonicalHash(DifferentialFuzzer &fuzzer)
     AddressSpace &space = sys.kernel().addressSpace();
     StateHasher h;
 
-    // Present pages, sorted (the kernel keeps them in a hash map).
-    std::vector<std::pair<Addr, Addr>> present(
-        space.presentPages().begin(), space.presentPages().end());
-    std::sort(present.begin(), present.end());
-    h.mix(present.size());
-    for (const auto &[vpn, pfn] : present) {
+    // Present pages, in vpn order.
+    h.mix(space.presentPages().size());
+    for (const auto &[vpn, pfn] : space.presentPages()) {
         h.mix(vpn);
         h.mix(pfn);
     }
@@ -234,7 +230,7 @@ canonicalHash(DifferentialFuzzer &fuzzer)
     // present page cannot affect future behaviour at these pages'
     // addresses (documented caveat).
     const Cache &cache = sys.cache();
-    for (const auto &[vpn, pfn] : present) {
+    for (const auto &[vpn, pfn] : space.presentPages()) {
         const Addr vbase = vpn << basePageShift;
         const Addr pbase = pageBackingAddr(space, vbase);
         for (Addr off = 0; off < basePageSize;
@@ -326,7 +322,7 @@ runModelCheck(const ModelConfig &cfg)
     };
 
     ModelResult result;
-    std::unordered_set<std::uint64_t> seen;
+    std::set<std::uint64_t> seen;
     std::vector<std::vector<FuzzOp>> frontier;
 
     {

@@ -25,29 +25,6 @@ AddressSpace::addRegion(const std::string &name, Addr base, Addr size,
     regions_.push_back({name, base, size, prot});
 }
 
-void
-AddressSpace::growRegion(const std::string &name, Addr new_size)
-{
-    for (auto &r : regions_) {
-        if (r.name != name)
-            continue;
-        fatalIf(new_size < r.size, "regions can only grow");
-        fatalIf(new_size & basePageMask,
-                "region size must be a page multiple");
-        for (const auto &other : regions_) {
-            if (&other == &r)
-                continue;
-            fatalIf(r.base < other.end() &&
-                        other.base < r.base + new_size,
-                    "growing region '", name, "' would overlap '",
-                    other.name, "'");
-        }
-        r.size = new_size;
-        return;
-    }
-    fatal("no region named '", name, "'");
-}
-
 const VmRegion *
 AddressSpace::findRegion(Addr vaddr) const
 {

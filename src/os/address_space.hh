@@ -15,7 +15,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/logging.hh"
@@ -80,9 +79,6 @@ class AddressSpace
     void addRegion(const std::string &name, Addr base, Addr size,
                    PageProtection prot);
 
-    /** Grow a region in place (used by sbrk on the heap). */
-    void growRegion(const std::string &name, Addr new_size);
-
     /** The region covering @p vaddr, or null. */
     const VmRegion *findRegion(Addr vaddr) const;
 
@@ -130,9 +126,9 @@ class AddressSpace
     /** Number of materialised base pages. */
     std::size_t numPresentPages() const { return pages_.size(); }
 
-    /** All materialised base pages (vpn -> pfn), for the invariant
-     *  auditor (src/check). */
-    const std::unordered_map<Addr, Addr> &presentPages() const
+    /** All materialised base pages (vpn -> pfn), ordered by vpn, for
+     *  the invariant auditor (src/check). */
+    const std::map<Addr, Addr> &presentPages() const
     {
         return pages_;
     }
@@ -151,13 +147,13 @@ class AddressSpace
 
   private:
     std::vector<VmRegion> regions_;
-    std::unordered_map<Addr, Addr> pages_;  ///< vpn -> pfn
+    std::map<Addr, Addr> pages_;    ///< vpn -> pfn
     std::map<Addr, ShadowSuperpage> superpages_;
 
     Addr ptPoolBase_;
     Addr ptPoolBytes_;  ///< 0 = unbounded
     Addr ptPoolCursor_;
-    std::unordered_map<Addr, Addr> l2Nodes_; ///< l1 index -> node addr
+    std::map<Addr, Addr> l2Nodes_;  ///< l1 index -> node addr
 };
 
 } // namespace mtlbsim

@@ -29,8 +29,8 @@
 #define MTLBSIM_OS_KERNEL_HH
 
 #include <functional>
+#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "base/debug.hh"
@@ -178,7 +178,7 @@ struct Process
 
     /** Online-promotion accounting: chunk base -> accumulated
      *  miss-handler cycles. */
-    std::unordered_map<Addr, Cycles> promotionCredit;
+    std::map<Addr, Cycles> promotionCredit;
 
     /** sbrk state. */
     Addr heapBase = 0;

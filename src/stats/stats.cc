@@ -65,61 +65,10 @@ Average::toJson() const
     return v;
 }
 
-void
-Histogram::print(std::ostream &os, const std::string &prefix) const
-{
-    printLine(os, prefix, name() + ".mean", mean(), desc());
-    printLine(os, prefix, name() + ".count", count(), "");
-    printLine(os, prefix, name() + ".underflow", underflow(), "");
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        std::ostringstream bn;
-        bn << name() << ".bucket[" << lo_ + i * bucketWidth_ << ','
-           << lo_ + (i + 1) * bucketWidth_ << ')';
-        printLine(os, prefix, bn.str(), buckets_[i], "");
-    }
-    printLine(os, prefix, name() + ".overflow", overflow(), "");
-}
-
-json::Value
-Histogram::toJson() const
-{
-    auto v = json::Value::object();
-    v.set("kind", "histogram");
-    v.set("count", count());
-    v.set("sum", sum_);
-    v.set("mean", mean());
-    v.set("lo", lo_);
-    v.set("bucket_width", bucketWidth_);
-    v.set("underflow", underflow());
-    auto buckets = json::Value::array();
-    for (const auto b : buckets_)
-        buckets.push(json::Value(b));
-    v.set("buckets", std::move(buckets));
-    v.set("overflow", overflow());
-    return v;
-}
-
-void
-Formula::print(std::ostream &os, const std::string &prefix) const
-{
-    printLine(os, prefix, name(), value(), desc());
-}
-
-json::Value
-Formula::toJson() const
-{
-    auto v = json::Value::object();
-    v.set("kind", "formula");
-    // A non-finite value (e.g. a ratio over zero events) is stored
-    // as-is; the dumper's NaN-guard turns it into null.
-    v.set("value", value());
-    return v;
-}
-
 Scalar &
 StatGroup::addScalar(const std::string &name, const std::string &desc)
 {
-    auto stat = std::make_unique<Scalar>(name, desc);
+    auto stat = std::make_unique<Scalar>(StatKey{}, name, desc);
     auto &ref = *stat;
     stats_.push_back(std::move(stat));
     return ref;
@@ -128,28 +77,7 @@ StatGroup::addScalar(const std::string &name, const std::string &desc)
 Average &
 StatGroup::addAverage(const std::string &name, const std::string &desc)
 {
-    auto stat = std::make_unique<Average>(name, desc);
-    auto &ref = *stat;
-    stats_.push_back(std::move(stat));
-    return ref;
-}
-
-Histogram &
-StatGroup::addHistogram(const std::string &name, const std::string &desc,
-                        double lo, double bucket_w, unsigned n_buckets)
-{
-    auto stat =
-        std::make_unique<Histogram>(name, desc, lo, bucket_w, n_buckets);
-    auto &ref = *stat;
-    stats_.push_back(std::move(stat));
-    return ref;
-}
-
-Formula &
-StatGroup::addFormula(const std::string &name, const std::string &desc,
-                      std::function<double()> fn)
-{
-    auto stat = std::make_unique<Formula>(name, desc, std::move(fn));
+    auto stat = std::make_unique<Average>(StatKey{}, name, desc);
     auto &ref = *stat;
     stats_.push_back(std::move(stat));
     return ref;

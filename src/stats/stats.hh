@@ -8,15 +8,17 @@
  *
  *  - Scalar:    a single counter or value.
  *  - Average:   a running mean with count/sum/min/max.
- *  - Histogram: fixed-width binned distribution.
- *  - Formula:   a value computed from other stats at dump time.
+ *
+ * A statistic can only be made by StatGroup::add*, which registers
+ * it: every constructor takes a StatKey, which only StatGroup can
+ * create, and a statistic cannot be copied. So no counter can exist
+ * outside the stats tree (tests/compile_fail/stat_only_from_group.cc).
  */
 
 #ifndef MTLBSIM_STATS_STATS_HH
 #define MTLBSIM_STATS_STATS_HH
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <ostream>
@@ -29,13 +31,25 @@
 namespace mtlbsim::stats
 {
 
+class StatGroup;
+
+/** The passkey every statistic's constructor takes; only StatGroup
+ *  can make one, so a statistic exists only once registered. */
+class StatKey
+{
+    friend class StatGroup;
+    StatKey() = default;
+};
+
 /** Abstract named statistic. */
 class StatBase
 {
   public:
-    StatBase(std::string name, std::string desc)
+    StatBase(StatKey, std::string name, std::string desc)
         : name_(std::move(name)), desc_(std::move(desc))
     {}
+    StatBase(const StatBase &) = delete;
+    StatBase &operator=(const StatBase &) = delete;
     virtual ~StatBase() = default;
 
     const std::string &name() const { return name_; }
@@ -181,92 +195,6 @@ class Average : public StatBase
     double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/** Fixed-width binned histogram with underflow/overflow buckets. */
-class Histogram : public StatBase
-{
-  public:
-    /**
-     * @param name      statistic name
-     * @param desc      description
-     * @param lo        lower edge of the first bucket
-     * @param bucket_w  width of each bucket (must be > 0)
-     * @param n_buckets number of in-range buckets (must be > 0)
-     */
-    Histogram(std::string name, std::string desc, double lo,
-              double bucket_w, unsigned n_buckets)
-        : StatBase(std::move(name), std::move(desc)),
-          lo_(lo), bucketWidth_(bucket_w), buckets_(n_buckets, 0)
-    {
-        fatalIf(bucket_w <= 0, "histogram bucket width must be positive");
-        fatalIf(n_buckets == 0, "histogram needs at least one bucket");
-    }
-
-    /** Record one sample. */
-    void
-    sample(double v)
-    {
-        ++count_;
-        sum_ += v;
-        if (v < lo_) {
-            ++underflow_;
-        } else {
-            auto idx = static_cast<std::size_t>((v - lo_) / bucketWidth_);
-            if (idx >= buckets_.size())
-                ++overflow_;
-            else
-                ++buckets_[idx];
-        }
-    }
-
-    std::uint64_t count() const { return count_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t bucket(unsigned i) const { return buckets_.at(i); }
-    unsigned numBuckets() const { return buckets_.size(); }
-
-    void
-    reset() override
-    {
-        count_ = 0;
-        sum_ = 0;
-        underflow_ = overflow_ = 0;
-        std::fill(buckets_.begin(), buckets_.end(), 0);
-    }
-
-    void print(std::ostream &os, const std::string &prefix) const override;
-    json::Value toJson() const override;
-
-  private:
-    double lo_;
-    double bucketWidth_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t count_ = 0;
-    double sum_ = 0;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-};
-
-/** A value computed at dump time from other statistics. */
-class Formula : public StatBase
-{
-  public:
-    Formula(std::string name, std::string desc,
-            std::function<double()> fn)
-        : StatBase(std::move(name), std::move(desc)), fn_(std::move(fn))
-    {}
-
-    double value() const { return fn_(); }
-
-    void reset() override {}
-    void print(std::ostream &os, const std::string &prefix) const override;
-    /** Non-finite formula results (0/0 counters) serialize as null. */
-    json::Value toJson() const override;
-
-  private:
-    std::function<double()> fn_;
-};
-
 /**
  * A named collection of statistics belonging to one component.
  *
@@ -285,11 +213,6 @@ class StatGroup
 
     Scalar &addScalar(const std::string &name, const std::string &desc);
     Average &addAverage(const std::string &name, const std::string &desc);
-    Histogram &addHistogram(const std::string &name,
-                            const std::string &desc, double lo,
-                            double bucket_w, unsigned n_buckets);
-    Formula &addFormula(const std::string &name, const std::string &desc,
-                        std::function<double()> fn);
 
     /** Register a child group (not owned). */
     void addChild(StatGroup *child);

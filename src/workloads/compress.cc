@@ -1,7 +1,5 @@
 #include "workloads/compress.hh"
 
-#include <unordered_map>
-
 #include "base/intmath.hh"
 #include "base/random.hh"
 

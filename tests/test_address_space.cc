@@ -50,24 +50,6 @@ TEST(AddressSpaceTest, UnalignedRegionsRejected)
     EXPECT_THROW(as.addRegion("a", 0x1000, 0, {}), FatalError);
 }
 
-TEST(AddressSpaceTest, GrowRegion)
-{
-    AddressSpace as = makeSpace();
-    as.addRegion("heap", 0x1000, 0x1000, {});
-    as.growRegion("heap", 0x3000);
-    EXPECT_TRUE(as.findRegion(0x3fff) != nullptr);
-    EXPECT_THROW(as.growRegion("heap", 0x1000), FatalError);  // shrink
-    EXPECT_THROW(as.growRegion("nope", 0x1000), FatalError);
-}
-
-TEST(AddressSpaceTest, GrowIntoNeighbourRejected)
-{
-    AddressSpace as = makeSpace();
-    as.addRegion("heap", 0x1000, 0x1000, {});
-    as.addRegion("wall", 0x4000, 0x1000, {});
-    EXPECT_THROW(as.growRegion("heap", 0x4000), FatalError);
-}
-
 TEST(AddressSpaceTest, FrameInstallAndRemove)
 {
     AddressSpace as = makeSpace();

@@ -128,6 +128,33 @@ TEST(CheckerTest, DetectsDoubleMappedFrame)
     EXPECT_TRUE(report.has("frame-accounting"));
 }
 
+TEST(CheckerTest, ReportsPagesInAddressOrder)
+{
+    System sys(machine());
+    warmUp(sys);
+    // Double-map three frames, installing the pages out of address
+    // order (neither first-in nor last-in comes first): the report
+    // follows page order, not installation or hash order.
+    const Addr pages[] = {dataBase + 6 * MB, dataBase + 7 * MB,
+                          dataBase + 5 * MB};
+    FaultInjector inject(sys);
+    for (unsigned i = 0; i < 3; ++i)
+        inject.doubleMapFrame(dataBase + MB + i * basePageSize, pages[i]);
+    const AddressSpace &space = sys.kernel().addressSpace();
+    AuditReport accounting;
+    for (const auto &v : sys.auditor().collect().violations) {
+        if (v.invariant == "frame-accounting")
+            accounting.violations.push_back(v);
+    }
+    ASSERT_EQ(accounting.violations.size(), 3u);
+    const Addr ascending[] = {pages[2], pages[0], pages[1]};
+    for (unsigned i = 0; i < 3; ++i) {
+        expectViolation(accounting, i, "frame-accounting",
+                        "frame " + hex(space.frameOf(ascending[i])) +
+                            " backs two pages (double-mapped frame)");
+    }
+}
+
 TEST(CheckerTest, DetectsLeakedFrame)
 {
     System sys(machine());

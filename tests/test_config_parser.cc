@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "sim/config_parser.hh"
@@ -225,3 +226,71 @@ TEST(ConfigParserTest, FileRoundTrip)
     std::remove(path.c_str());
     EXPECT_THROW(parser.parseFile("/nonexistent.cfg"), FatalError);
 }
+
+#ifdef MTLBSIM_REPO_ROOT
+
+namespace
+{
+
+/** The key column of docs/manual.md §5: every backticked key in the
+ *  first cell of a table row, between the "## 5." heading and the
+ *  next "## " one. */
+std::vector<std::string>
+manualKeys()
+{
+    std::ifstream in(std::string(MTLBSIM_REPO_ROOT) + "/docs/manual.md");
+    EXPECT_TRUE(in.good());
+    std::vector<std::string> keys;
+    bool inSection = false;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("## ", 0) == 0)
+            inSection = line.rfind("## 5.", 0) == 0;
+        if (!inSection || line.rfind("| `", 0) != 0)
+            continue;
+        const std::string cell = line.substr(0, line.find('|', 1));
+        for (auto open = cell.find('`'); open != std::string::npos;) {
+            const auto close = cell.find('`', open + 1);
+            keys.push_back(cell.substr(open + 1, close - open - 1));
+            open = cell.find('`', close + 1);
+        }
+    }
+    return keys;
+}
+
+} // namespace
+
+TEST(ConfigParserTest, ManualAndShippedConfigsAgreeWithTheParser)
+{
+    // Manual §5 lists exactly the keys the parser accepts, each once.
+    auto documented = manualKeys();
+    auto known = ConfigParser::knownKeys();
+    std::sort(documented.begin(), documented.end());
+    std::sort(known.begin(), known.end());
+    std::vector<std::string> undocumented, unknown;
+    std::set_difference(known.begin(), known.end(), documented.begin(),
+                        documented.end(), std::back_inserter(undocumented));
+    std::set_difference(documented.begin(), documented.end(), known.begin(),
+                        known.end(), std::back_inserter(unknown));
+    EXPECT_TRUE(undocumented.empty())
+        << "accepted by the parser, missing from manual §5: "
+        << ::testing::PrintToString(undocumented);
+    EXPECT_TRUE(unknown.empty())
+        << "in manual §5 (or listed twice), unknown to the parser: "
+        << ::testing::PrintToString(unknown);
+
+    // Every shipped config loads; an unknown key there is fatal.
+    std::vector<std::filesystem::path> configs;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::filesystem::path(MTLBSIM_REPO_ROOT) / "configs")) {
+        if (entry.path().extension() == ".cfg")
+            configs.push_back(entry.path());
+    }
+    EXPECT_FALSE(configs.empty());
+    for (const auto &path : configs) {
+        ConfigParser parser;
+        EXPECT_NO_THROW(parser.parseFile(path.string())) << path;
+    }
+}
+
+#endif // MTLBSIM_REPO_ROOT

@@ -74,46 +74,6 @@ TEST(AverageStat, ResetClearsEverything)
     EXPECT_DOUBLE_EQ(a.max(), 1.0);
 }
 
-TEST(HistogramStat, BucketsSamplesCorrectly)
-{
-    StatGroup g("g");
-    Histogram &h = g.addHistogram("h", "", 0, 10, 4);
-    h.sample(-1);       // underflow
-    h.sample(0);        // bucket 0
-    h.sample(9.99);     // bucket 0
-    h.sample(10);       // bucket 1
-    h.sample(35);       // bucket 3
-    h.sample(40);       // overflow
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.bucket(0), 2u);
-    EXPECT_EQ(h.bucket(1), 1u);
-    EXPECT_EQ(h.bucket(2), 0u);
-    EXPECT_EQ(h.bucket(3), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.count(), 6u);
-}
-
-TEST(HistogramStat, RejectsBadGeometry)
-{
-    StatGroup g("g");
-    EXPECT_THROW(g.addHistogram("h", "", 0, 0, 4), FatalError);
-    EXPECT_THROW(g.addHistogram("h", "", 0, 1, 0), FatalError);
-}
-
-TEST(FormulaStat, EvaluatesLazily)
-{
-    StatGroup g("g");
-    Scalar &a = g.addScalar("a", "");
-    Scalar &b = g.addScalar("b", "");
-    Formula &f = g.addFormula("ratio", "", [&] {
-        return b.value() ? a.value() / b.value() : 0.0;
-    });
-    EXPECT_DOUBLE_EQ(f.value(), 0.0);
-    a = 6;
-    b = 3;
-    EXPECT_DOUBLE_EQ(f.value(), 2.0);
-}
-
 TEST(StatGroupTest, FindLocatesByName)
 {
     StatGroup g("g");
@@ -155,16 +115,6 @@ TEST(StatGroupTest, NullChildPanics)
 {
     StatGroup g("g");
     EXPECT_THROW(g.addChild(nullptr), PanicError);
-}
-
-TEST(HistogramStat, MeanMatchesSamples)
-{
-    StatGroup g("g");
-    Histogram &h = g.addHistogram("h", "", 0, 1, 10);
-    h.sample(1);
-    h.sample(2);
-    h.sample(3);
-    EXPECT_DOUBLE_EQ(h.mean(), 2.0);
 }
 
 TEST(AverageStat, PrintIncludesSubfields)

@@ -96,7 +96,7 @@ lint_step() {
     # Per-rule status: run each family on its own so the pre-commit
     # gate says *which* contract broke, then gate on the full run.
     local rule rc=0
-    for rule in R3 R4 R5 R6 R7 R8 R9 SA; do
+    for rule in R5 R6 R7 R8 R9 SA; do
         if build/tools/lint/mtlb-lint --root . \
                 --only "$rule" --quiet >/dev/null 2>&1; then
             printf '  %-4s ok\n' "$rule"

@@ -62,13 +62,6 @@ parseSuppression(const std::string &comment, int line, SourceFile &out)
 
 } // namespace
 
-void
-addSuppressionsFromLine(const std::string &line, int lineNo,
-                        SourceFile &out)
-{
-    parseSuppression(line, lineNo, out);
-}
-
 SourceFile
 tokenize(const std::string &path, const std::string &text)
 {

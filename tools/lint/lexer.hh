@@ -68,14 +68,6 @@ SourceFile tokenizeFile(const std::string &path,
 bool suppressed(const SourceFile &file, int line,
                 const std::string &id, const std::string &name);
 
-/**
- * Scan one raw text line for a `mtlb-lint: allow(...)` directive and
- * record it in @p out. Used for non-C++ inputs (.cfg, .md) where the
- * directive sits in a '#'-style comment instead of a C++ one.
- */
-void addSuppressionsFromLine(const std::string &line, int lineNo,
-                             SourceFile &out);
-
 } // namespace mtlblint
 
 #endif // MTLBSIM_TOOLS_LINT_LEXER_HH

@@ -31,48 +31,6 @@ trim(const std::string &s)
     return s.substr(b, e - b + 1);
 }
 
-/** Dotted lower-case config key: `tlb.entries`, `kernel.frame_seed`. */
-bool
-looksLikeKey(const std::string &s)
-{
-    if (s.empty() || !std::islower(static_cast<unsigned char>(s[0])))
-        return false;
-    bool sawDot = false;
-    char prev = '\0';
-    for (char c : s) {
-        if (c == '.') {
-            if (prev == '\0' || prev == '.')
-                return false;
-            sawDot = true;
-        } else if (!(std::islower(static_cast<unsigned char>(c)) ||
-                     std::isdigit(static_cast<unsigned char>(c)) ||
-                     c == '_')) {
-            return false;
-        }
-        prev = c;
-    }
-    return sawDot && prev != '.';
-}
-
-/** Read a text file into lines; also harvest `mtlb-lint: allow`
- *  directives so .cfg/.md findings can be suppressed in place. */
-SourceFile
-rawFile(const std::string &path, const std::string &displayPath)
-{
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error("mtlb-lint: cannot read " + path);
-    SourceFile out;
-    out.path = displayPath;
-    std::string line;
-    int no = 0;
-    while (std::getline(in, line)) {
-        out.lines.push_back(line);
-        addSuppressionsFromLine(line, ++no, out);
-    }
-    return out;
-}
-
 bool
 underDir(const std::string &rel, const std::string &dir)
 {
@@ -219,25 +177,6 @@ RulesConfig::load(const std::string &path)
         }
         if (dir == "scan-dir") {
             cfg.scanDirs.push_back(a);
-        } else if (dir == "stat-adder") {
-            cfg.statAdders.push_back(a);
-        } else if (dir == "config-source") {
-            cfg.configSource = a;
-        } else if (dir == "config-file") {
-            cfg.configFiles.push_back(a);
-        } else if (dir == "config-dir") {
-            cfg.configDirs.push_back(a);
-        } else if (dir == "doc-file") {
-            cfg.docFile = a;
-        } else if (dir == "doc-section") {
-            cfg.docSection = a;
-            if (!b.empty())
-                cfg.docSection += " " + b;
-            if (!c.empty())
-                cfg.docSection += " " + c;
-            std::string rest;
-            while (iss >> rest)
-                cfg.docSection += " " + rest;
         } else if (dir == "global-dir") {
             cfg.globalDirs.push_back(a);
         } else if (dir == "r6-baseline") {
@@ -255,8 +194,6 @@ RulesConfig::load(const std::string &path)
         } else if (dir == "guarded-member") {
             need3();
             cfg.guardedMembers.push_back({a, b, c});
-        } else if (dir == "det-sink") {
-            cfg.detSinks.insert(a);
         } else if (dir == "banned") {
             cfg.banned.insert(a);
         } else if (dir == "banned-exempt") {
@@ -377,13 +314,11 @@ const std::map<std::string, std::string> &
 ruleNames()
 {
     static const std::map<std::string, std::string> kNames = {
-        {"R3", "stats-registration"},
-        {"R4", "config-key-parity"},
         {"R5", "hygiene"},
         {"R6", "no-mutable-global-state"},
         {"R7", "ownership-escape"},
         {"R8", "lock-discipline"},
-        {"R9", "determinism-taint"},
+        {"R9", "no-hash-ordered-state"},
         {"SA", "stale-allow"},
     };
     return kNames;
@@ -476,8 +411,6 @@ class Linter
 
     const SourceFile &tokens(const std::string &rel);
 
-    void checkStats();              // R3
-    void checkConfigParity();       // R4
     void checkHygiene();            // R5
     void checkGlobals();            // R6
     void checkOwnership();          // R7
@@ -520,228 +453,6 @@ Linter::scopes(const std::string &rel)
         it = scopeCache_.emplace(rel, buildScopes(src.tokens)).first;
     }
     return it->second;
-}
-
-void
-Linter::checkStats()
-{
-    if (!active("R3") || cfg_.statAdders.empty())
-        return;
-    assessed_.insert("R3");
-    static const std::set<std::string> kStatKinds = {
-        "Scalar", "Average", "Histogram", "Formula",
-    };
-
-    auto headers = listFiles(root_, cfg_.scanDirs, {".hh"});
-    auto sources = listFiles(root_, cfg_.scanDirs, {".hh", ".cc"});
-
-    // Pass 1: every name registered anywhere via `name ( ... add* ... )`.
-    std::set<std::string> registered;
-    for (const auto &rel : sources) {
-        const auto &t = tokens(rel).tokens;
-        for (size_t i = 0; i + 1 < t.size(); ++i) {
-            if (t[i].kind != TokKind::Identifier ||
-                t[i + 1].kind != TokKind::Punct || t[i + 1].text != "(") {
-                continue;
-            }
-            int depth = 0;
-            for (size_t j = i + 1; j < t.size(); ++j) {
-                if (t[j].kind == TokKind::Punct) {
-                    if (t[j].text == "(") {
-                        ++depth;
-                    } else if (t[j].text == ")") {
-                        if (--depth == 0)
-                            break;
-                    }
-                } else if (t[j].kind == TokKind::Identifier &&
-                           std::find(cfg_.statAdders.begin(),
-                                     cfg_.statAdders.end(), t[j].text) !=
-                               cfg_.statAdders.end()) {
-                    registered.insert(t[i].text);
-                    break;
-                }
-            }
-        }
-    }
-
-    // Pass 2: member declarations `stats::<Kind> [&] name ;` in headers.
-    for (const auto &rel : headers) {
-        const SourceFile &src = tokens(rel);
-        const auto &t = src.tokens;
-        for (size_t i = 0; i + 3 < t.size(); ++i) {
-            if (!(t[i].kind == TokKind::Identifier && t[i].text == "stats" &&
-                  t[i + 1].kind == TokKind::Punct &&
-                  t[i + 1].text == "::" &&
-                  t[i + 2].kind == TokKind::Identifier &&
-                  kStatKinds.count(t[i + 2].text))) {
-                continue;
-            }
-            size_t j = i + 3;
-            while (j < t.size() && t[j].kind == TokKind::Punct &&
-                   (t[j].text == "&" || t[j].text == "*")) {
-                ++j;
-            }
-            if (j + 1 >= t.size() || t[j].kind != TokKind::Identifier ||
-                t[j + 1].kind != TokKind::Punct || t[j + 1].text != ";") {
-                continue;   // function decl, param, etc.
-            }
-            if (!registered.count(t[j].text)) {
-                emit(src, t[j].line, "R3", "stats-registration",
-                     "stat member '" + t[j].text + "' (stats::" +
-                     t[i + 2].text + ") is never registered via " +
-                     "a stat-group add* call");
-            }
-        }
-    }
-}
-
-void
-Linter::checkConfigParity()
-{
-    if (!active("R4") || cfg_.configSource.empty() ||
-        !fs::exists(abs(cfg_.configSource))) {
-        return;
-    }
-    assessed_.insert("R4");
-
-    struct KeyRef
-    {
-        std::string file;
-        int line;
-    };
-
-    // Keys the parser accepts, from string literals in configSource.
-    const SourceFile &parserSrc = tokens(cfg_.configSource);
-    std::map<std::string, KeyRef> parserKeys;
-    for (const auto &tok : parserSrc.tokens) {
-        if (tok.kind == TokKind::String && looksLikeKey(tok.text)) {
-            parserKeys.emplace(tok.text,
-                               KeyRef{parserSrc.path, tok.line});
-        }
-    }
-
-    // Keys set in .cfg files.
-    std::vector<std::string> cfgFiles = cfg_.configFiles;
-    for (const auto &d : cfg_.configDirs) {
-        for (const auto &rel : listFiles(root_, {d}, {".cfg"}))
-            cfgFiles.push_back(rel);
-    }
-    std::sort(cfgFiles.begin(), cfgFiles.end());
-    cfgFiles.erase(std::unique(cfgFiles.begin(), cfgFiles.end()),
-                   cfgFiles.end());
-
-    std::map<std::string, KeyRef> cfgKeys;
-    std::vector<std::pair<std::string, SourceFile>> cfgSources;
-    for (const auto &rel : cfgFiles) {
-        if (!fs::exists(abs(rel)))
-            continue;
-        cfgSources.emplace_back(rel, rawFile(abs(rel), rel));
-        const SourceFile &src = cfgSources.back().second;
-        for (size_t li = 0; li < src.lines.size(); ++li) {
-            std::string line = src.lines[li];
-            auto hash = line.find('#');
-            if (hash != std::string::npos)
-                line = line.substr(0, hash);
-            auto eq = line.find('=');
-            if (eq == std::string::npos)
-                continue;
-            std::string key = trim(line.substr(0, eq));
-            if (looksLikeKey(key)) {
-                cfgKeys.emplace(key,
-                                KeyRef{rel, static_cast<int>(li + 1)});
-            }
-        }
-    }
-
-    // Keys documented in the manual's key-reference section: backtick
-    // spans that look like keys, between the doc-section heading and
-    // the next same-level heading.
-    std::map<std::string, KeyRef> docKeys;
-    SourceFile docSrc;
-    if (!cfg_.docFile.empty() && fs::exists(abs(cfg_.docFile))) {
-        docSrc = rawFile(abs(cfg_.docFile), cfg_.docFile);
-        bool inSection = cfg_.docSection.empty();
-        bool sectionSeen = cfg_.docSection.empty();
-        // A heading "matches" the configured section when its text
-        // (after the markdown hashes) starts with docSection, e.g.
-        // docSection "5." matches "## 5. Configuration keys".
-        auto headingText = [](const std::string &line) -> std::string {
-            size_t p = 0;
-            while (p < line.size() && line[p] == '#')
-                ++p;
-            if (p == 0)
-                return "";      // not a heading
-            while (p < line.size() && line[p] == ' ')
-                ++p;
-            return line.substr(p);
-        };
-        for (size_t li = 0; li < docSrc.lines.size(); ++li) {
-            const std::string &line = docSrc.lines[li];
-            if (!cfg_.docSection.empty() && !line.empty() &&
-                line[0] == '#') {
-                inSection =
-                    headingText(line).rfind(cfg_.docSection, 0) == 0;
-                sectionSeen = sectionSeen || inSection;
-            }
-            if (!inSection)
-                continue;
-            size_t pos = 0;
-            while ((pos = line.find('`', pos)) != std::string::npos) {
-                auto close = line.find('`', pos + 1);
-                if (close == std::string::npos)
-                    break;
-                std::string span = line.substr(pos + 1, close - pos - 1);
-                if (looksLikeKey(span)) {
-                    docKeys.emplace(span,
-                                    KeyRef{cfg_.docFile,
-                                           static_cast<int>(li + 1)});
-                }
-                pos = close + 1;
-            }
-        }
-        // If the configured heading never matched, the key-reference
-        // scan read nothing — a silently disabled check. Manual
-        // restructuring must update doc-section in rules.cfg.
-        if (!sectionSeen) {
-            emit(docSrc, 1, "R4", "config-key-parity",
-                 "doc-section heading '" + cfg_.docSection +
-                     "' not found in " + cfg_.docFile +
-                     "; the manual key-reference scan matched nothing "
-                     "(update doc-section in rules.cfg)");
-        }
-    }
-
-    // Parser keys must be set somewhere or documented.
-    for (const auto &[key, ref] : parserKeys) {
-        if (!cfgKeys.count(key) && !docKeys.count(key)) {
-            emit(parserSrc, ref.line, "R4", "config-key-parity",
-                 "config key '" + key +
-                 "' is accepted by the parser but neither set in any "
-                 ".cfg nor documented in the manual's key reference");
-        }
-    }
-    // .cfg keys must be accepted by the parser (dead-key detection).
-    for (const auto &[key, ref] : cfgKeys) {
-        if (!parserKeys.count(key)) {
-            for (const auto &[rel, src] : cfgSources) {
-                if (rel == ref.file) {
-                    emit(src, ref.line, "R4", "config-key-parity",
-                         "config key '" + key +
-                         "' is set here but not accepted by the parser "
-                         "(dead key)");
-                    break;
-                }
-            }
-        }
-    }
-    // Documented keys must be accepted by the parser.
-    for (const auto &[key, ref] : docKeys) {
-        if (!parserKeys.count(key)) {
-            emit(docSrc, ref.line, "R4", "config-key-parity",
-                 "manual documents config key '" + key +
-                 "' which the parser does not accept");
-        }
-    }
 }
 
 std::string
@@ -1167,7 +878,7 @@ Linter::checkLocks()
 void
 Linter::checkDeterminism()
 {
-    if (!active("R9") || cfg_.detSinks.empty())
+    if (!active("R9"))
         return;
     assessed_.insert("R9");
 
@@ -1175,157 +886,50 @@ Linter::checkDeterminism()
         "unordered_map", "unordered_set", "unordered_multimap",
         "unordered_multiset"};
 
-    const auto files = listFiles(root_, cfg_.scanDirs, {".hh", ".cc"});
-
-    // Pass A: names of variables/members declared with an unordered
-    // type, functions returning one by reference, and pointer-keyed
-    // ordered maps (iteration order = allocation order: just as
-    // nondeterministic across runs with ASLR or allocator changes).
-    std::set<std::string> unorderedNames;
-    std::map<std::string, std::string> why;     // name -> description
-    for (const auto &rel : files) {
-        const auto &t = tokens(rel).tokens;
-        for (size_t i = 0; i < t.size(); ++i) {
-            if (t[i].kind != TokKind::Identifier)
+    // A pointer-keyed ordered map, `map<T *, ...>`: its order follows
+    // allocation addresses, which vary across runs just as hash order
+    // does.
+    auto pointerKeyed = [](const std::vector<Token> &t, size_t i) {
+        if (i + 1 >= t.size() || t[i + 1].text != "<")
+            return false;
+        int depth = 0;
+        for (size_t j = i + 1; j < t.size(); ++j) {
+            if (t[j].kind != TokKind::Punct)
                 continue;
-            bool unordered = kUnorderedTypes.count(t[i].text) > 0;
-            bool ptrKeyed = false;
-            if (!unordered &&
-                (t[i].text == "map" || t[i].text == "multimap")) {
-                // Pointer-keyed ordered map: `map<T *, ...>`.
-                if (i + 1 < t.size() && t[i + 1].text == "<") {
-                    int depth = 0;
-                    for (size_t j = i + 1; j < t.size(); ++j) {
-                        if (t[j].kind != TokKind::Punct)
-                            continue;
-                        if (t[j].text == "<") {
-                            ++depth;
-                        } else if (t[j].text == ">") {
-                            if (--depth == 0)
-                                break;
-                        } else if (t[j].text == "," && depth == 1) {
-                            break;
-                        } else if (t[j].text == "*" && depth == 1) {
-                            ptrKeyed = true;
-                        } else if (t[j].text == ";") {
-                            break;
-                        }
-                    }
-                }
+            if (t[j].text == "<") {
+                ++depth;
+            } else if (t[j].text == ">") {
+                if (--depth == 0)
+                    return false;
+            } else if ((t[j].text == "," && depth == 1) ||
+                       t[j].text == ";") {
+                return false;
+            } else if (t[j].text == "*" && depth == 1) {
+                return true;
             }
-            if (!unordered && !ptrKeyed)
-                continue;
-            if (i + 1 >= t.size() || t[i + 1].text != "<")
-                continue;
-            size_t j = skipAngles(t, i + 1);
-            while (j < t.size() &&
-                   ((t[j].kind == TokKind::Punct &&
-                     (t[j].text == "&" || t[j].text == "*")) ||
-                    (t[j].kind == TokKind::Identifier &&
-                     t[j].text == "const"))) {
-                ++j;
-            }
-            if (j >= t.size() || t[j].kind != TokKind::Identifier)
-                continue;
-            const std::string &name = t[j].text;
-            unorderedNames.insert(name);
-            why.emplace(name, unordered
-                                  ? "unordered container"
-                                  : "pointer-keyed map (iteration "
-                                    "order tracks allocation)");
         }
-    }
-    if (unorderedNames.empty())
-        return;
+        return false;
+    };
 
-    // Pass B: a function that both iterates one of those names and
-    // reaches a determinism sink (stats recording / observer hook
-    // call) is tainted.
-    for (const auto &rel : files) {
+    for (const auto &rel : listFiles(root_, cfg_.scanDirs, {".hh", ".cc"})) {
         const SourceFile &src = tokens(rel);
-        const ScopeTree &tree = scopes(rel);
         const auto &t = src.tokens;
-
-        struct IterEvent
-        {
-            int func;
-            int line;
-            std::string name;
-        };
-        std::vector<IterEvent> iters;
-        std::set<int> sinkFuncs;
-
         for (size_t i = 0; i < t.size(); ++i) {
             if (t[i].kind != TokKind::Identifier)
                 continue;
-            const int func = tree.enclosingFunc(tree.scopeOf[i]);
-            if (func == -1)
-                continue;
-
-            // Sink: member call of a det-sink name.
-            if (cfg_.detSinks.count(t[i].text) && i > 0 &&
-                t[i - 1].kind == TokKind::Punct &&
-                (t[i - 1].text == "." || t[i - 1].text == "->")) {
-                sinkFuncs.insert(func);
-                continue;
+            if (kUnorderedTypes.count(t[i].text)) {
+                emit(src, t[i].line, "R9", "no-hash-ordered-state",
+                     "'" + t[i].text +
+                         "' iterates in hash order; use std::map, "
+                         "std::set or a flat table so no stat, hook or "
+                         "dump can depend on it");
+            } else if ((t[i].text == "map" || t[i].text == "multimap") &&
+                       pointerKeyed(t, i)) {
+                emit(src, t[i].line, "R9", "no-hash-ordered-state",
+                     "pointer-keyed '" + t[i].text +
+                         "' iterates in allocation order; key it by a "
+                         "stable id");
             }
-
-            // Iteration: range-for whose range expression mentions an
-            // unordered name...
-            if (t[i].text == "for" && i + 1 < t.size() &&
-                t[i + 1].text == "(") {
-                int depth = 0;
-                size_t colon = 0, close = 0;
-                for (size_t j = i + 1; j < t.size(); ++j) {
-                    if (t[j].kind != TokKind::Punct)
-                        continue;
-                    if (t[j].text == "(") {
-                        ++depth;
-                    } else if (t[j].text == ")") {
-                        if (--depth == 0) {
-                            close = j;
-                            break;
-                        }
-                    } else if (t[j].text == ":" && depth == 1 &&
-                               !colon) {
-                        colon = j;
-                    }
-                }
-                if (colon && close) {
-                    for (size_t j = colon + 1; j < close; ++j) {
-                        if (t[j].kind == TokKind::Identifier &&
-                            unorderedNames.count(t[j].text)) {
-                            iters.push_back(
-                                {func, t[j].line, t[j].text});
-                            break;
-                        }
-                    }
-                }
-                continue;
-            }
-
-            // ... or explicit iterator walks: name.begin()/cbegin().
-            if ((t[i].text == "begin" || t[i].text == "cbegin") &&
-                i >= 2 && t[i - 1].kind == TokKind::Punct &&
-                (t[i - 1].text == "." || t[i - 1].text == "->") &&
-                t[i - 2].kind == TokKind::Identifier &&
-                unorderedNames.count(t[i - 2].text)) {
-                iters.push_back({func, t[i].line, t[i - 2].text});
-            }
-        }
-
-        for (const auto &ev : iters) {
-            if (!sinkFuncs.count(ev.func))
-                continue;
-            auto w = why.find(ev.name);
-            emit(src, ev.line, "R9", "determinism-taint",
-                 "iteration over " +
-                     (w == why.end() ? std::string("unordered container")
-                                     : w->second) +
-                     " '" + ev.name +
-                     "' in a function that records stats or fires "
-                     "observer hooks; use an ordered container or "
-                     "sort before iterating");
         }
     }
 }
@@ -1359,8 +963,6 @@ Linter::checkStaleAllows()
 std::vector<Finding>
 Linter::run()
 {
-    checkStats();
-    checkConfigParity();
     checkHygiene();
     checkGlobals();
     checkOwnership();

@@ -2,15 +2,9 @@
  * @file
  * mtlb-lint rule engine.
  *
- * Seven repo-specific semantic rules (plus the stale-allow
+ * Five repo-specific semantic rules (plus the stale-allow
  * diagnostic) over the simulator sources:
  *
- *  R3 stats-registration    every stats::* member declared in a
- *                           header must be registered via a stat-group
- *                           add* call in its owner.
- *  R4 config-key-parity     config keys accepted by the parser, set
- *                           in .cfg files, and documented in the
- *                           manual's key-reference section must agree.
  *  R5 hygiene               banned constructs (naked new,
  *                           nondeterminism sources) and include-guard
  *                           conformance.
@@ -27,21 +21,26 @@
  *                           must hold their mutex, and simulator-core
  *                           directories must be lock-free (hot-path
  *                           purity).
- *  R9 determinism-taint     no iteration over unordered containers or
- *                           pointer-keyed maps in a function that also
- *                           records stats or fires observer hooks.
+ *  R9 no-hash-ordered-state
+ *                           no unordered container or pointer-keyed
+ *                           map type anywhere in the scanned tree,
+ *                           iterated or not: with none declared, no
+ *                           stat, hook or dump can follow hash or
+ *                           allocation order.
  *  SA stale-allow           every `mtlb-lint: allow(<rule>)`
  *                           annotation must still suppress at least
  *                           one finding of an executed rule; stale
  *                           annotations are findings themselves (and
  *                           cannot be allow()ed away).
  *
- * The kernel's protocols that earlier rules checked — translation
- * retirement (R1), observer hooks (R2), core confinement (R11) and
- * batch-flush discipline (R12) — are now enforced by types
- * (os/translation_edit.hh, os/per_core.hh, stats::DeferredSource),
- * each with a compile-fail test (tests/compile_fail). Selecting a
- * rule id that does not exist is an error.
+ * The contracts that earlier rules checked are now enforced where
+ * they live. Translation retirement (R1), observer hooks (R2), core
+ * confinement (R11), batch-flush discipline (R12) and stats
+ * registration (R3) are enforced by types (os/translation_edit.hh,
+ * os/per_core.hh, stats::DeferredSource, stats::StatKey), each with a
+ * compile-fail test (tests/compile_fail). Config-key parity (R4) is
+ * asked of the parser itself by tests/test_config_parser.cc.
+ * Selecting a rule id that does not exist is an error.
  *
  * The rule inputs (banned identifiers, owned types, guarded members,
  * file locations) live in tools/lint/rules.cfg so the contract is an
@@ -70,16 +69,6 @@ namespace mtlblint
 struct RulesConfig
 {
     std::vector<std::string> scanDirs;
-
-    // R3
-    std::vector<std::string> statAdders;
-
-    // R4
-    std::string configSource;
-    std::vector<std::string> configFiles;
-    std::vector<std::string> configDirs;
-    std::string docFile;
-    std::string docSection;
 
     // R5
     std::set<std::string> banned;
@@ -120,11 +109,6 @@ struct RulesConfig
     };
     std::vector<GuardedMember> guardedMembers;
 
-    // R9
-    /** Member calls that mark a function as reaching stats recording
-     *  or observer hooks (`sample`, the KernelObserver hooks, ...). */
-    std::set<std::string> detSinks;
-
     /** Parse a rules.cfg. Throws std::runtime_error on IO/syntax
      *  errors. */
     static RulesConfig load(const std::string &path);
@@ -134,7 +118,7 @@ struct Finding
 {
     std::string file;   ///< repo-relative path
     int line = 0;
-    std::string id;     ///< "R3".."R9" / "SA"
+    std::string id;     ///< "R5".."R9" / "SA"
     std::string name;   ///< long rule name
     std::string message;
     /** True when an `allow` annotation (plus, for R6, a baseline

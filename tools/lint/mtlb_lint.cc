@@ -24,7 +24,7 @@ namespace
 void
 usage(std::ostream &os)
 {
-    os << "usage: mtlb-lint [--root DIR] [--rules FILE] [--only R3,R4,...]"
+    os << "usage: mtlb-lint [--root DIR] [--rules FILE] [--only R5,R6,...]"
           " [--format text|json|github] [--quiet]\n"
           "  --root DIR     repo root to lint (default: current "
           "directory)\n"
@@ -32,7 +32,7 @@ usage(std::ostream &os)
           "rules.cfg)\n"
           "  --only LIST    comma-separated rule ids to run (default: "
           "all;\n"
-          "                 R3-R9 plus SA, the stale-allow "
+          "                 R5-R9 plus SA, the stale-allow "
           "diagnostic,\n"
           "                 which executes the other checks for "
           "bookkeeping\n"
