@@ -75,8 +75,6 @@ run(bool all_shadow, unsigned mtlb_entries)
 int
 main()
 {
-    setInformEnabled(false);
-
     std::printf("=== §4 ablation: all-shadow operation vs mixed "
                 "mode, across MTLB sizes\n    (TLB-friendly 2 MB "
                 "sequential workload; 2-way MTLB)\n\n");

@@ -119,8 +119,6 @@ run(unsigned extra_footprint_mb)
 int
 main()
 {
-    setInformEnabled(false);
-
     std::printf("=== §2.5 open question: fidelity of cache-filtered "
                 "MTLB reference bits for CLOCK\n");
     std::printf("    (1 MB watched superpage, 8 intervals, half the "

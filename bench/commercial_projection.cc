@@ -23,8 +23,6 @@ using namespace mtlbsim;
 int
 main()
 {
-    setInformEnabled(false);
-
     std::printf("=== §1/§6 projection: MTLB benefit vs database "
                 "footprint (128-entry CPU TLB)\n\n");
     std::printf("%-10s %14s %9s %14s %9s %9s\n", "scale",

@@ -68,8 +68,6 @@ deliveredUntilFailure(ShadowAllocator &alloc, std::uint64_t seed)
 int
 main()
 {
-    setInformEnabled(false);
-
     std::printf("=== Figure 2: partitioning of the 512 MB "
                 "pseudo-physical address space\n\n");
     std::printf("%-12s %8s %16s\n", "Superpage", "Count",

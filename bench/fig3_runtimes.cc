@@ -72,7 +72,6 @@ main(int argc, char **argv)
     const double scale = argc > 1 ? std::atof(argv[1]) : 1.0;
     const unsigned jobs =
         argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 0;
-    setInformEnabled(false);
 
     std::printf("=== Figure 3: normalized runtimes, 5 programs x "
                 "{64,96,128}-entry TLB x {no MTLB, 128-entry 2-way "

@@ -38,7 +38,6 @@ main(int argc, char **argv)
     const double scale = argc > 1 ? std::atof(argv[1]) : 1.0;
     const unsigned jobs =
         argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 0;
-    setInformEnabled(false);
 
     const std::vector<unsigned> sizes = {64, 128, 256, 512};
     const std::vector<unsigned> assocs = {1, 2, 4, 8};

@@ -52,7 +52,6 @@ int
 main(int argc, char **argv)
 {
     const double scale = argc > 1 ? std::atof(argv[1]) : 0.5;
-    setInformEnabled(false);
 
     std::printf("=== §5 ablation: online superpage promotion "
                 "(96-entry TLB, 128-entry 2-way MTLB, scale %.2f)\n\n",

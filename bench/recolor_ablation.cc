@@ -110,8 +110,6 @@ copyRecolor(System &sys, Addr va)
 int
 main()
 {
-    setInformEnabled(false);
-
     constexpr unsigned num_pairs = 16;
     constexpr unsigned reps = 2000;
 

@@ -95,7 +95,6 @@ int
 main(int argc, char **argv)
 {
     const double scale = argc > 1 ? std::atof(argv[1]) : 1.0;
-    setInformEnabled(false);
 
     std::printf("=== §3.3: superpage initialisation costs\n\n");
 

@@ -316,7 +316,6 @@ run(int argc, char **argv)
             fatal("unknown argument: ", arg);
     }
     fatalIf(reps == 0, "--reps must be at least 1");
-    setInformEnabled(false);
 
     std::printf("=== simspeed: host throughput over the Fig 3 matrix "
                 "(scale %.3f, %u rep%s)\n\n", scale, reps,

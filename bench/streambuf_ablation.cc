@@ -42,7 +42,6 @@ int
 main(int argc, char **argv)
 {
     const double scale = argc > 1 ? std::atof(argv[1]) : 0.5;
-    setInformEnabled(false);
 
     std::printf("=== §6 ablation: MMC stream buffers on the MTLB "
                 "machine (96-entry TLB, scale %.2f)\n\n", scale);

@@ -74,8 +74,6 @@ runSwap(unsigned dirty_pct, bool pagewise)
 int
 main()
 {
-    setInformEnabled(false);
-
     std::printf("=== §2.5: per-base-page vs whole-superpage "
                 "swap-out of a 1 MB (256-page) shadow superpage\n\n");
     std::printf("%-10s %18s %18s %14s\n", "dirty %",

@@ -57,8 +57,6 @@ sparseChase(Cpu &cpu, Addr arena, Addr arena_bytes, unsigned count,
 int
 main()
 {
-    setInformEnabled(false);
-
     // 1. Describe the machine. Start from defaults (the paper's
     //    §3.2 system) and customise.
     SystemConfig config;

@@ -27,8 +27,6 @@ using namespace mtlbsim;
 int
 main()
 {
-    setInformEnabled(false);
-
     SystemConfig config;
     config.installedBytes = Addr{64} * 1024 * 1024;
     System sys(config);

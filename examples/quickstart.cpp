@@ -58,8 +58,6 @@ main(int argc, char **argv)
     const std::string name = argc > 1 ? argv[1] : "em3d";
     const double scale = argc > 2 ? std::atof(argv[2]) : 0.25;
 
-    setInformEnabled(false);
-
     std::cout << "mtlb-sim quickstart: " << name << " at scale "
               << scale << "\n\n";
 

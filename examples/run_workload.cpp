@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "base/debug.hh"
 #include "base/logging.hh"
 #include "sim/config_parser.hh"
 #include "workloads/experiment.hh"
@@ -60,9 +59,6 @@ usage()
 int
 run(int argc, char **argv)
 {
-    setInformEnabled(false);
-    debug::initFromEnvironment();   // MTLBSIM_DEBUG=MTLB,Kernel,...
-
     ConfigParser parser;
     std::vector<std::string> positional;
     bool dump_stats = false;

@@ -28,7 +28,6 @@ main(int argc, char **argv)
 {
     const std::string name = argc > 1 ? argv[1] : "vortex";
     const double scale = argc > 2 ? std::atof(argv[2]) : 0.25;
-    setInformEnabled(false);
 
     std::printf("TLB reach study: %s at scale %.2f\n", name.c_str(),
                 scale);

@@ -3,166 +3,64 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <sstream>
 
 namespace mtlbsim::debug
 {
 
-Registry &
-Registry::process()
+namespace
 {
-    // The one process-wide registry. A function-local static (rather
-    // than a namespace-scope object) avoids order-of-initialisation
-    // issues with flags constructed during static init; it is the
-    // deliberate, inventoried exception to R6 — debug tracing is
-    // process-wide observability, never simulated behaviour, and a
-    // per-System registry would leave CLI `--debug` unable to reach
-    // Systems constructed later by the sweep's worker threads.
-    static Registry registry;   // mtlb-lint: allow(R6)
-    return registry;
-}
 
-void
-Registry::add(Flag *flag)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    flags_.emplace(flag->name(), flag);
-    if (armed_.count(flag->name()))
-        flag->enable();
-}
+/** The MTLBSIM_DEBUG spelling of each Flag, in enumerator order. */
+constexpr const char *kNames[] = {"Kernel", "MTLB"};
 
-void
-Registry::remove(Flag *flag)
+} // namespace
+
+unsigned
+parseFlags(const std::string &list)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto [lo, hi] = flags_.equal_range(flag->name());
-    for (auto it = lo; it != hi; ++it) {
-        if (it->second == flag) {
-            flags_.erase(it);
-            return;
+    unsigned mask = 0;
+    std::istringstream tokens(list);
+    for (std::string token; std::getline(tokens, token, ',');) {
+        if (token.empty())
+            continue;
+        if (token == "All") {
+            mask |= (1u << std::size(kNames)) - 1;
+            continue;
         }
-    }
-}
-
-void
-Registry::enable(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto [lo, hi] = flags_.equal_range(name);
-    fatalIf(lo == hi, "no debug flag named '", name, "'");
-    for (auto it = lo; it != hi; ++it)
-        it->second->enable();
-    armed_.insert(name);
-}
-
-void
-Registry::disable(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto [lo, hi] = flags_.equal_range(name);
-    fatalIf(lo == hi, "no debug flag named '", name, "'");
-    for (auto it = lo; it != hi; ++it)
-        it->second->disable();
-    armed_.erase(name);
-}
-
-std::vector<std::string>
-Registry::names() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::string> out;
-    for (const auto &[name, flag] : flags_) {
-        if (out.empty() || out.back() != name)
-            out.push_back(name);    // multimap iterates name-sorted
-    }
-    return out;
-}
-
-void
-Registry::enableList(const std::string &list)
-{
-    std::size_t begin = 0;
-    while (begin <= list.size()) {
-        std::size_t end = list.find(',', begin);
-        if (end == std::string::npos)
-            end = list.size();
-        const std::string token = list.substr(begin, end - begin);
-        if (!token.empty()) {
-            if (token == "All") {
-                std::lock_guard<std::mutex> lock(mutex_);
-                for (auto &[name, flag] : flags_) {
-                    flag->enable();
-                    armed_.insert(name);
-                }
-            } else {
-                // Unlike enable(), a list token with no carrier yet
-                // is NOT fatal: MTLBSIM_DEBUG is parsed before any
-                // System (and its component flags) exists, so the
-                // name is armed and late registrations start
-                // enabled.
-                std::lock_guard<std::mutex> lock(mutex_);
-                auto [lo, hi] = flags_.equal_range(token);
-                for (auto it = lo; it != hi; ++it)
-                    it->second->enable();
-                armed_.insert(token);
-            }
+        const auto it =
+            std::find(std::begin(kNames), std::end(kNames), token);
+        if (it == std::end(kNames)) {
+            std::string known;
+            for (const char *name : kNames)
+                known += std::string(name) + ", ";
+            warn("unknown debug flag '", token, "' (known: ", known,
+                 "All)");
+            continue;
         }
-        begin = end + 1;
+        mask |= 1u << (it - std::begin(kNames));
     }
-}
-
-Flag::Flag(const std::string &name) : Flag(name, Registry::process()) {}
-
-Flag::Flag(const std::string &name, Registry &registry)
-    : registry_(registry), name_(name)
-{
-    registry_.add(this);
-}
-
-Flag::~Flag()
-{
-    registry_.remove(this);
-}
-
-void
-enableFlag(const std::string &name)
-{
-    Registry::process().enable(name);
-}
-
-void
-disableFlag(const std::string &name)
-{
-    Registry::process().disable(name);
-}
-
-std::vector<std::string>
-allFlags()
-{
-    return Registry::process().names();
-}
-
-void
-enableFromList(const std::string &list)
-{
-    Registry::process().enableList(list);
-}
-
-void
-initFromEnvironment()
-{
-    // Debug-trace selection is allowed to read the environment: it
-    // only toggles stderr logging, never simulated behaviour.
-    if (const char *env = std::getenv("MTLBSIM_DEBUG")) // mtlb-lint: allow(R5)
-        enableFromList(env);
+    return mask;
 }
 
 namespace detail
 {
 
-void
-emit(const std::string &flag_name, const std::string &msg)
+unsigned
+environmentFlags()
 {
-    std::fprintf(stderr, "%s: %s\n", flag_name.c_str(), msg.c_str());
+    // Debug-trace selection is allowed to read the environment: it
+    // only toggles stderr logging, never simulated behaviour.
+    const char *env = std::getenv("MTLBSIM_DEBUG"); // mtlb-lint: allow(R5)
+    return env ? parseFlags(env) : 0;
+}
+
+void
+emit(Flag flag, const std::string &msg)
+{
+    std::fprintf(stderr, "%s: %s\n", kNames[static_cast<unsigned>(flag)],
+                 msg.c_str());
 }
 
 } // namespace detail

@@ -1,175 +1,66 @@
 /**
  * @file
- * Named debug flags and trace printing (gem5's DPRINTF, miniature).
+ * Debug trace flags and trace printing (gem5's DPRINTF, miniature).
  *
- * Components print through debugPrintf(flag, ...) guarded by a named
- * flag; flags are enabled at runtime (e.g. from MTLBSIM_DEBUG in the
- * environment, or programmatically in tests) so diagnosing a run
- * never requires a rebuild.
+ * Components print through debugPrintf(flag, ...); a line appears on
+ * stderr, as `<flag>: <msg>`, only when the flag is selected by the
+ * MTLBSIM_DEBUG environment variable:
  *
- *     debug::Flag traceMtlb("MTLB");
+ *     MTLBSIM_DEBUG=MTLB,Kernel build/examples/run_workload em3d 0.01
  *     ...
- *     debugPrintf(traceMtlb, "fill spi=", spi, " pfn=", pfn);
+ *     debugPrintf(debug::Flag::Mtlb, "fill spi=", spi, " pfn=", pfn);
  *
- * Disabled flags cost one boolean test.
- *
- * Flags register with an explicit debug::Registry context object —
- * by default the single process-wide one. Several flags may share a
- * name: each System owns its own "Kernel"/"MTLB" trace flag, and
- * enabling a name toggles every System's flag at once (and arms the
- * name, so Systems constructed afterwards start with it enabled).
+ * The variable is read once, on the first check, into an immutable
+ * mask, so every program honours it without an init call and every
+ * System (sweep workers' included) sees the same selection. An
+ * unselected flag costs a test of that mask; the message is never
+ * assembled.
  */
 
 #ifndef MTLBSIM_BASE_DEBUG_HH
 #define MTLBSIM_BASE_DEBUG_HH
 
-#include <atomic>
-#include <map>
-#include <mutex>
-#include <set>
 #include <string>
-#include <vector>
 
 #include "base/logging.hh"
 
 namespace mtlbsim::debug
 {
 
-class Registry;
-
-/**
- * A named, registry-tracked debug flag.
- */
-class Flag
+/** The trace flags, named `Kernel` and `MTLB` in MTLBSIM_DEBUG. */
+enum class Flag : unsigned
 {
-  public:
-    /** Register a flag with the process-wide registry. */
-    explicit Flag(const std::string &name);
-    /** Register a flag with an explicit registry (tests). */
-    Flag(const std::string &name, Registry &registry);
-    ~Flag();
-
-    Flag(const Flag &) = delete;
-    Flag &operator=(const Flag &) = delete;
-
-    const std::string &name() const { return name_; }
-
-    bool
-    enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
-
-    void enable() { enabled_.store(true, std::memory_order_relaxed); }
-    void disable() { enabled_.store(false, std::memory_order_relaxed); }
-
-  private:
-    Registry &registry_;
-    std::string name_;
-    /** Atomic so sweep worker threads may test a flag that the
-     *  driver thread toggles. */
-    std::atomic<bool> enabled_{false};
+    Kernel,
+    Mtlb,
 };
 
-/**
- * A flag registry: the explicit context object flags register with.
- *
- * The registry is thread-safe (the sweep runner constructs Systems —
- * and therefore their member flags — from many worker threads at
- * once) and allows duplicate names: enabling a name enables every
- * flag currently carrying it and *arms* the name so flags registered
- * later start enabled. Disabling disarms and disables all carriers.
- */
-class Registry
+/** The mask bit of @p flag. */
+constexpr unsigned
+bit(Flag flag)
 {
-  public:
-    Registry() = default;
-    Registry(const Registry &) = delete;
-    Registry &operator=(const Registry &) = delete;
-
-    /** Enable every flag named @p name (fatal when none exists) and
-     *  arm the name for flags registered later. */
-    void enable(const std::string &name);
-
-    /** Disable and disarm @p name; fatal when no such flag exists. */
-    void disable(const std::string &name);
-
-    /** Sorted unique names of all registered flags. */
-    std::vector<std::string> names() const;
-
-    /**
-     * Enable flags from a comma-separated list, e.g. "MTLB,Kernel".
-     * The token "All" enables (and arms) every registered name.
-     * Tokens with no carrier yet are armed, not fatal: the list is
-     * parsed from MTLBSIM_DEBUG before any System (and its
-     * component flags) has been constructed.
-     */
-    void enableList(const std::string &list);
-
-    /** The process-wide registry (the default Flag constructor's
-     *  target, and what the by-name helpers below operate on). */
-    static Registry &process();
-
-    /** @name "info" log verbosity latch
-     * Backs setInformEnabled() (base/logging.hh). Lives on the
-     * registry so the process-wide observability state shares the one
-     * inventoried R6 exception instead of adding a second mutable
-     * global. Atomic (not mutex_-guarded): sweep worker threads log
-     * while the driver thread toggles it. */
-    /** @{ */
-    bool
-    informEnabled() const
-    {
-        return inform_.load(std::memory_order_relaxed);
-    }
-
-    void
-    setInformEnabled(bool enabled)
-    {
-        inform_.store(enabled, std::memory_order_relaxed);
-    }
-    /** @} */
-
-  private:
-    friend class Flag;
-
-    void add(Flag *flag);
-    void remove(Flag *flag);
-
-    mutable std::mutex mutex_;
-    /** name -> flag; duplicates are one flag per owning System. */
-    std::multimap<std::string, Flag *> flags_;
-    /** Names enabled by request: late-registered flags with an armed
-     *  name start enabled. */
-    std::set<std::string> armed_;
-    /** "info"-level logging enabled (see informEnabled() above). */
-    std::atomic<bool> inform_{true};
-};
-
-/** Enable a flag by name in the process registry; fatal when no such
- *  flag exists. */
-void enableFlag(const std::string &name);
-
-/** Disable a flag by name in the process registry; fatal when no
- *  such flag exists. */
-void disableFlag(const std::string &name);
-
-/** Names of all flags in the process registry. */
-std::vector<std::string> allFlags();
+    return 1u << static_cast<unsigned>(flag);
+}
 
 /**
- * Enable process-registry flags from a comma-separated list, e.g.
- * "MTLB,Kernel". The token "All" enables everything. Used with the
- * MTLBSIM_DEBUG environment variable by initFromEnvironment().
+ * The mask a comma-separated flag list selects, e.g. "MTLB,Kernel";
+ * "All" selects every flag. An unknown name warns, naming itself and
+ * the known names, and selects nothing.
  */
-void enableFromList(const std::string &list);
-
-/** Read MTLBSIM_DEBUG from the environment (no-op if unset). */
-void initFromEnvironment();
+unsigned parseFlags(const std::string &list);
 
 namespace detail
 {
-void emit(const std::string &flag_name, const std::string &msg);
+/** parseFlags() of MTLBSIM_DEBUG; 0 when it is unset. */
+unsigned environmentFlags();
+void emit(Flag flag, const std::string &msg);
+} // namespace detail
+
+/** Whether MTLBSIM_DEBUG selects @p flag. */
+inline bool
+enabled(Flag flag)
+{
+    static const unsigned selected = detail::environmentFlags();
+    return selected & bit(flag);
 }
 
 } // namespace mtlbsim::debug
@@ -180,13 +71,12 @@ namespace mtlbsim
 /** Print a trace line when @p flag is enabled. */
 template <typename... Args>
 void
-debugPrintf(const debug::Flag &flag, Args &&...args)
+debugPrintf(debug::Flag flag, Args &&...args)
 {
-    if (!flag.enabled())
+    if (!debug::enabled(flag))
         return;
     debug::detail::emit(
-        flag.name(),
-        detail::buildMessage(std::forward<Args>(args)...));
+        flag, detail::buildMessage(std::forward<Args>(args)...));
 }
 
 } // namespace mtlbsim

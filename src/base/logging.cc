@@ -2,15 +2,12 @@
 
 #include <cstdio>
 
-#include "base/debug.hh"
-
 namespace mtlbsim
 {
 
 void
-setInformEnabled(bool enabled)
+setInformEnabled(bool)
 {
-    debug::Registry::process().setInformEnabled(enabled);
 }
 
 namespace detail
@@ -19,9 +16,6 @@ namespace detail
 void
 emitLog(const char *level, const std::string &msg)
 {
-    if (level == std::string("info") &&
-        !debug::Registry::process().informEnabled())
-        return;
     std::fprintf(stderr, "%s: %s\n", level, msg.c_str());
 }
 

@@ -5,8 +5,8 @@
  * Follows the gem5 convention: panic() is for simulator bugs (things
  * that should never happen regardless of user input) and aborts;
  * fatal() is for user errors (bad configuration, invalid arguments)
- * and exits cleanly with an error code; warn() and inform() report
- * conditions without stopping the simulation.
+ * and exits cleanly with an error code; warn() reports conditions
+ * without stopping the simulation.
  */
 
 #ifndef MTLBSIM_BASE_LOGGING_HH
@@ -87,15 +87,7 @@ warn(Args &&...args)
     detail::emitLog("warn", detail::buildMessage(std::forward<Args>(args)...));
 }
 
-/** Provide normal operating status to the user. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::emitLog("info", detail::buildMessage(std::forward<Args>(args)...));
-}
-
-/** Globally enable/disable inform() output (benches silence it). */
+/** A no-op, kept only because perfbench/main.cc still calls it. */
 void setInformEnabled(bool enabled);
 
 /**

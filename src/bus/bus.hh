@@ -80,11 +80,6 @@ class Bus
     {
         return static_cast<std::uint64_t>(requests_.value());
     }
-    std::uint64_t
-    dataReturns() const
-    {
-        return static_cast<std::uint64_t>(dataReturns_.value());
-    }
     /** @} */
 
   private:

@@ -1,12 +1,12 @@
 /**
  * @file
- * Checker interface and configuration for the invariant audit
+ * Configuration and report types for the invariant audit
  * subsystem.
  *
  * The simulator's translation state is spread across five structures
  * that must agree at all times: the CPU TLB, the OS address-space
  * records, the in-DRAM shadow table, the MTLB's cached copies of it,
- * and the frame allocator. A Checker walks them and reports every
+ * and the frame allocator. The auditor walks them and reports every
  * cross-structure disagreement it finds, so that a bug which would
  * otherwise surface as a silently wrong cycle count is caught at the
  * audit boundary instead.
@@ -71,24 +71,6 @@ struct AuditReport
         }
         return false;
     }
-};
-
-/**
- * Interface for invariant checkers.
- *
- * collect() examines state and returns a report without applying any
- * policy; callers decide whether a violation warns, panics, or is
- * asserted on in a test.
- */
-class Checker
-{
-  public:
-    virtual ~Checker() = default;
-
-    virtual std::string name() const = 0;
-
-    /** Run every applicable check once and report the findings. */
-    virtual AuditReport collect() = 0;
 };
 
 } // namespace mtlbsim

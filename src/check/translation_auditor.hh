@@ -79,17 +79,16 @@ class Tlb;
  * a System — so it can be assembled around any component set and the
  * check library stays independent of sim/.
  */
-class TranslationAuditor : public Checker
+class TranslationAuditor
 {
   public:
     TranslationAuditor(const CheckConfig &config, Cache &cache,
                        MemorySystem &memsys, Kernel &kernel,
                        const PhysMap &physmap, stats::StatGroup &parent);
 
-    std::string name() const override { return "translation-auditor"; }
-
-    /** Run all checks; no policy applied. */
-    AuditReport collect() override;
+    /** Run all checks; no policy applied: callers decide whether a
+     *  violation warns, panics, or is asserted on in a test. */
+    AuditReport collect();
 
     /**
      * Run all checks and apply the configured policy: warn() every

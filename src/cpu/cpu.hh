@@ -233,8 +233,6 @@ class Cpu
         now_ += n;
     }
 
-    unsigned coreId() const { return coreId_; }
-
     /**
      * Arrange for @p hook to run once per @p interval simulated
      * cycles (the src/check periodic audit). The hook fires between

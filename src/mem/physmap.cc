@@ -6,8 +6,7 @@ namespace mtlbsim
 {
 
 PhysMap::PhysMap(Addr installed_bytes, AddrRange shadow, unsigned addr_bits)
-    : installedBytes_(installed_bytes), shadow_(shadow),
-      addrBits_(addr_bits)
+    : installedBytes_(installed_bytes), shadow_(shadow)
 {
     fatalIf(installed_bytes == 0, "no DRAM installed");
     fatalIf(installed_bytes & basePageMask,

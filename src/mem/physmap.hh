@@ -79,7 +79,6 @@ class PhysMap
 
     Addr installedBytes() const { return installedBytes_; }
     const AddrRange &shadowRange() const { return shadow_; }
-    unsigned addrBits() const { return addrBits_; }
 
     /** Number of base pages of installed DRAM. */
     Addr numRealPages() const { return installedBytes_ >> basePageShift; }
@@ -108,7 +107,6 @@ class PhysMap
 
     Addr installedBytes_;
     AddrRange shadow_;
-    unsigned addrBits_;
     std::vector<AddrRange> ioHoles_;
 };
 

@@ -1,5 +1,7 @@
 #include "mtlb/mtlb.hh"
 
+#include "base/debug.hh"
+
 namespace mtlbsim
 {
 
@@ -106,7 +108,7 @@ Mtlb::translate(Addr spi, MtlbAccess kind)
         result.hit = true;
     } else {
         ++misses_;
-        debugPrintf(traceFlag_, "miss spi=0x", std::hex, spi,
+        debugPrintf(debug::Flag::Mtlb, "miss spi=0x", std::hex, spi,
                     " (hardware fill)");
         // Hardware fill: one uncached DRAM read of the table entry.
         result.tableReads = 1;
@@ -128,7 +130,7 @@ Mtlb::translate(Addr spi, MtlbAccess kind)
         // precise fault to the CPU (§4). Mark the fault bit so the
         // OS can distinguish this from a real parity error.
         ++faults_;
-        debugPrintf(traceFlag_, "fault spi=0x", std::hex, spi,
+        debugPrintf(debug::Flag::Mtlb, "fault spi=0x", std::hex, spi,
                     " (backing page absent)");
         if (!entry->pte.fault) {
             entry->pte.fault = 1;

@@ -29,7 +29,6 @@
 #include <optional>
 #include <vector>
 
-#include "base/debug.hh"
 #include "base/intmath.hh"
 #include "base/logging.hh"
 #include "base/types.hh"
@@ -145,8 +144,6 @@ class Mtlb
     }
 
   private:
-    /** Per-instance trace flag ("MTLB"): one per System's MTLB. */
-    debug::Flag traceFlag_{"MTLB"};
     struct Entry
     {
         bool valid = false;

@@ -105,7 +105,6 @@ class Hpt
      *  invariant auditor (src/check). */
     std::vector<AuditEntry> auditState() const;
 
-    unsigned numBuckets() const { return numBuckets_; }
     Addr tableBase() const { return tableBase_; }
 
     /** Bytes of the main bucket array (16 B per bucket). */

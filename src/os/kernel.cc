@@ -3,6 +3,7 @@
 #include <exception>
 #include <string>
 
+#include "base/debug.hh"
 #include "base/intmath.hh"
 #include "mmc/mmc.hh"
 
@@ -491,7 +492,8 @@ Kernel::notePromotionCandidate(Addr vaddr, Cycles handler_cycles,
         return 0;
 
     proc().promotionCredit.erase(chunk);
-    debugPrintf(traceFlag_, "promoting chunk 0x", std::hex, chunk);
+    debugPrintf(debug::Flag::Kernel, "promoting chunk 0x", std::hex,
+                chunk);
     const Cycles cost = remap(chunk, chunk_bytes, now, true);
     remapCalls_ += -1;  // kernel-internal, not a user remap()
     return cost;
@@ -668,9 +670,9 @@ Kernel::remap(Addr vbase, Addr bytes, Cycles now, bool internal)
         }
 
         // Publish the superpage mapping.
-        debugPrintf(traceFlag_, "remap: superpage v=0x", std::hex,
-                    cursor, " -> shadow 0x", *shadow_base, std::dec,
-                    " class ", c);
+        debugPrintf(debug::Flag::Kernel, "remap: superpage v=0x",
+                    std::hex, cursor, " -> shadow 0x", *shadow_base,
+                    std::dec, " class ", c);
         MappingEdit record(observer_);
         space().addSuperpage({cursor, *shadow_base, c}, record);
         ++remapSuperpages_;

@@ -33,7 +33,6 @@
 #include <memory>
 #include <vector>
 
-#include "base/debug.hh"
 #include "cache/cache.hh"
 #include "mmc/memsys.hh"
 #include "os/address_space.hh"
@@ -377,7 +376,6 @@ class Kernel
 
     FrameAllocator &frames() { return frames_; }
     Hpt &hpt() { return hpt_; }
-    ShadowAllocator &shadowAllocator() { return *shadowAlloc_; }
 
     /** Attach (or detach, with nullptr) a mapping-event observer.
      *  At most one observer is supported; it must outlive the
@@ -401,13 +399,6 @@ class Kernel
     tlbMissCount() const
     {
         return static_cast<std::uint64_t>(tlbMisses_.value());
-    }
-
-    /** Precise MTLB faults serviced (handleShadowPageFault calls). */
-    std::uint64_t
-    shadowFaultCount() const
-    {
-        return static_cast<std::uint64_t>(shadowFaults_.value());
     }
 
     /** Cycles remap() spent flushing caches (§3.3 breakdown). */
@@ -558,9 +549,6 @@ class Kernel
 
     KernelConfig config_;
     const PhysMap &physMap_;
-    /** Per-instance trace flag: every System's kernel registers its
-     *  own "Kernel" flag (enable-by-name toggles them all). */
-    debug::Flag traceFlag_{"Kernel"};
     KernelObserver *observer_ = nullptr;
     Cache &cache_;
     MemorySystem &memsys_;

@@ -54,8 +54,6 @@ class ShadowPagePool
     /** Return a page to the pool. */
     void free(Addr page);
 
-    unsigned numColors() const { return numColors_; }
-
     /** Color of an address in the target cache. */
     unsigned
     colorOf(Addr addr) const

@@ -9,42 +9,6 @@
 namespace mtlbsim::stats
 {
 
-const Tolerance &
-ToleranceSpec::lookup(const std::string &path) const
-{
-    for (const auto &[pattern, tol] : overrides) {
-        if (globMatch(pattern, path))
-            return tol;
-    }
-    return fallback;
-}
-
-bool
-globMatch(const std::string &pattern, const std::string &text)
-{
-    // Iterative '*' matcher with backtracking to the last star.
-    std::size_t p = 0, t = 0;
-    std::size_t star = std::string::npos, mark = 0;
-    while (t < text.size()) {
-        if (p < pattern.size() &&
-            (pattern[p] == text[t] || pattern[p] == '?')) {
-            ++p;
-            ++t;
-        } else if (p < pattern.size() && pattern[p] == '*') {
-            star = p++;
-            mark = t;
-        } else if (star != std::string::npos) {
-            p = star + 1;
-            t = ++mark;
-        } else {
-            return false;
-        }
-    }
-    while (p < pattern.size() && pattern[p] == '*')
-        ++p;
-    return p == pattern.size();
-}
-
 std::string
 GoldenDiff::describe() const
 {
@@ -123,8 +87,7 @@ flattenNumeric(const json::Value &value)
 }
 
 std::vector<GoldenDiff>
-compareGolden(const json::Value &expected, const json::Value &actual,
-              const ToleranceSpec &spec)
+compareGolden(const json::Value &expected, const json::Value &actual)
 {
     std::map<std::string, Leaf> want, got;
     flattenInto(expected, "", want);
@@ -152,10 +115,7 @@ compareGolden(const json::Value &expected, const json::Value &actual,
         }
         if (std::isnan(w.number) && std::isnan(g.number))
             continue;
-        const Tolerance &tol = spec.lookup(path);
-        const double allowed =
-            tol.abs + tol.rel * std::fabs(w.number);
-        if (!(std::fabs(g.number - w.number) <= allowed))
+        if (g.number != w.number)
             diffs.push_back({path, w.number, g.number});
     }
     for (const auto &[path, g] : got) {

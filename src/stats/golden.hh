@@ -1,7 +1,7 @@
 /**
  * @file
  * Golden-stats files: record a run's structured statistics and
- * compare later runs against them with per-stat tolerances.
+ * compare later runs against them exactly.
  *
  * A golden file is one JSON document (any shape; in practice the
  * sweep runner's per-job result object). Comparison flattens both
@@ -10,10 +10,10 @@
  *     metrics.totalCycles            = 184729
  *     stats.system.kernel.stats.tlb_misses.value = 912
  *
- * — and checks |actual - expected| <= abs + rel * |expected| per
- * leaf. Tolerances come from a spec: a default plus ordered glob
- * overrides ("*.mean" etc.), first match wins. Keys present on only
- * one side are always reported as drift.
+ * — and reports every leaf whose value differs. The simulator is
+ * deterministic, so there is no tolerance: a run either reproduces
+ * its golden bit for bit or it drifted. Keys present on only one
+ * side are reported as drift too.
  *
  * Etiquette: --record rewrites the baselines wholesale; only commit
  * re-recorded goldens together with the change that legitimately
@@ -32,26 +32,7 @@
 namespace mtlbsim::stats
 {
 
-/** Allowed drift for one statistic. */
-struct Tolerance
-{
-    double rel = 0.0;   ///< relative, scaled by |expected|
-    double abs = 0.0;   ///< absolute floor
-};
-
-/** Default tolerance plus ordered glob-pattern overrides. */
-struct ToleranceSpec
-{
-    Tolerance fallback;
-    /** First matching pattern wins; '*' matches any run of
-     *  characters (including '.'). */
-    std::vector<std::pair<std::string, Tolerance>> overrides;
-
-    /** The tolerance applying to a flattened stat path. */
-    const Tolerance &lookup(const std::string &path) const;
-};
-
-/** One out-of-tolerance (or missing) statistic. */
+/** One differing (or missing) statistic. */
 struct GoldenDiff
 {
     std::string path;
@@ -62,9 +43,6 @@ struct GoldenDiff
     std::string describe() const;
 };
 
-/** Minimal '*' glob match (no character classes). */
-bool globMatch(const std::string &pattern, const std::string &text);
-
 /**
  * Flatten every numeric (and null, recorded as NaN) leaf of @p value
  * into dotted-path form. Arrays use the index as the segment.
@@ -73,14 +51,12 @@ bool globMatch(const std::string &pattern, const std::string &text);
 std::map<std::string, double> flattenNumeric(const json::Value &value);
 
 /**
- * Compare @p actual against @p expected under @p spec; returns the
- * out-of-tolerance leaves (empty means the run matches). Non-numeric
- * leaves (strings, bools) are compared for exact equality and report
- * with NaN markers on mismatch.
+ * Compare @p actual against @p expected; returns the differing leaves
+ * (empty means the run matches). Non-numeric leaves (strings, bools)
+ * report with NaN markers on mismatch.
  */
 std::vector<GoldenDiff> compareGolden(const json::Value &expected,
-                                      const json::Value &actual,
-                                      const ToleranceSpec &spec = {});
+                                      const json::Value &actual);
 
 /** Write @p value to @p path (pretty-printed, trailing newline). */
 void writeGoldenFile(const std::string &path, const json::Value &value);

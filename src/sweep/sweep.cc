@@ -64,6 +64,53 @@ SweepRunner::runOne(const SweepJob &job, bool capture_stats)
     return result;
 }
 
+namespace
+{
+
+/**
+ * The caller's progress callback behind the one lock the workers
+ * share. report() is the only way to reach the callback, so no worker
+ * can call it, or count a finished job, without holding the lock.
+ */
+class ProgressReporter
+{
+  public:
+    explicit ProgressReporter(const SweepRunner::Progress &progress)
+        : progress_(progress)
+    {}
+
+    void
+    report(const SweepResult &result, std::size_t total)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++finished_;
+        if (progress_)
+            progress_(result, finished_, total);
+    }
+
+  private:
+    std::mutex mutex_;
+    const SweepRunner::Progress &progress_;
+    std::size_t finished_ = 0;
+};
+
+/** One worker: claim jobs off @p next until none are left. */
+void
+work(const std::vector<SweepJob> &jobs, std::vector<SweepResult> &results,
+     bool capture_stats, std::atomic<std::size_t> &next,
+     ProgressReporter &reporter)
+{
+    for (;;) {
+        const std::size_t i = next.fetch_add(1);
+        if (i >= jobs.size())
+            return;
+        results[i] = SweepRunner::runOne(jobs[i], capture_stats);
+        reporter.report(results[i], jobs.size());
+    }
+}
+
+} // namespace
+
 std::vector<SweepResult>
 SweepRunner::run(const std::vector<SweepJob> &jobs,
                  const Progress &progress) const
@@ -79,24 +126,10 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
         std::min<std::size_t>(workers, jobs.size()));
 
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::mutex progressMutex;
-
-    auto worker = [&] {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= jobs.size())
-                return;
-            results[i] = runOne(jobs[i], options_.captureStats);
-            const std::size_t finished = done.fetch_add(1) + 1;
-            {
-                // The callback is shared across workers: check and
-                // invoke it under the same lock (R8 lock-discipline).
-                std::lock_guard<std::mutex> lock(progressMutex);
-                if (progress)
-                    progress(results[i], finished, jobs.size());
-            }
-        }
+    ProgressReporter reporter(progress);
+    const bool capture = options_.captureStats;
+    auto worker = [&jobs, &results, capture, &next, &reporter] {
+        work(jobs, results, capture, next, reporter);
     };
 
     if (workers == 1) {

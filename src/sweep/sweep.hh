@@ -85,7 +85,8 @@ class SweepRunner
     {}
 
     /** Called after each job completes; @p done counts finished jobs.
-     *  Invoked under a lock, in completion (not job) order. */
+     *  Invoked under a lock, in completion (not job) order, so the
+     *  calls see @p done run 1, 2, ..., total. */
     using Progress = std::function<void(const SweepResult &,
                                         std::size_t done,
                                         std::size_t total)>;

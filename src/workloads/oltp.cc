@@ -65,8 +65,6 @@ OltpWorkload::setup(System &sys)
     logBase_ = cpu.sbrk(4 * 1024 * 1024);
     logCursor_ = logBase_;
 
-    footprint_ = kernel.currentBreak() - UserLayout::heapBase;
-
     // Populate: write every record once (sequential bulk load) and
     // initialise the index nodes.
     for (unsigned r = 0; r < config_.numRecords; ++r) {

@@ -60,9 +60,6 @@ class OltpWorkload : public Workload
     void setup(System &sys) override;
     void run(System &sys) override;
 
-    /** Total simulated bytes the database occupies. */
-    Addr footprintBytes() const { return footprint_; }
-
   private:
     Addr recordAddr(unsigned record) const;
 
@@ -70,7 +67,6 @@ class OltpWorkload : public Workload
     Addr tableBase_ = 0;
     Addr logBase_ = 0;
     Addr logCursor_ = 0;
-    Addr footprint_ = 0;
     Addr codeBase_ = 0;
     /** Index levels, root first (node addresses). */
     std::vector<std::vector<Addr>> treeLevels_;

@@ -46,13 +46,9 @@ TEST(Logging, FatalIfOnlyFiresWhenTrue)
     EXPECT_THROW(fatalIf(true, "yes"), FatalError);
 }
 
-TEST(Logging, WarnAndInformDoNotThrow)
+TEST(Logging, WarnDoesNotThrow)
 {
     EXPECT_NO_THROW(warn("suspicious"));
-    EXPECT_NO_THROW(inform("status"));
-    setInformEnabled(false);
-    EXPECT_NO_THROW(inform("suppressed"));
-    setInformEnabled(true);
 }
 
 TEST(Types, ClockRatio)

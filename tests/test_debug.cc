@@ -1,130 +1,30 @@
 /**
  * @file
- * Tests for the named debug-flag facility.
+ * Tests for debug tracing: the flag-list parser, the mask read once
+ * from MTLBSIM_DEBUG, and debugPrintf's output.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <ostream>
+#include <string>
 
 #include "base/debug.hh"
 
 using namespace mtlbsim;
-
-TEST(DebugFlags, StartDisabled)
-{
-    debug::Flag flag("TestA");
-    EXPECT_FALSE(flag.enabled());
-}
-
-TEST(DebugFlags, EnableDisableByName)
-{
-    debug::Flag flag("TestB");
-    debug::enableFlag("TestB");
-    EXPECT_TRUE(flag.enabled());
-    debug::disableFlag("TestB");
-    EXPECT_FALSE(flag.enabled());
-}
-
-TEST(DebugFlags, UnknownNameIsFatal)
-{
-    EXPECT_THROW(debug::enableFlag("NoSuchFlag"), FatalError);
-    EXPECT_THROW(debug::disableFlag("NoSuchFlag"), FatalError);
-}
-
-TEST(DebugFlags, DuplicateNamesShareEnableState)
-{
-    // Each System owns its own "Kernel"/"MTLB" flag, so duplicate
-    // names are expected: enabling the name toggles every carrier.
-    debug::Flag one("TestC");
-    debug::Flag two("TestC");
-    debug::enableFlag("TestC");
-    EXPECT_TRUE(one.enabled());
-    EXPECT_TRUE(two.enabled());
-    debug::disableFlag("TestC");
-    EXPECT_FALSE(one.enabled());
-    EXPECT_FALSE(two.enabled());
-}
-
-TEST(DebugFlags, ArmedNameEnablesLateRegistrations)
-{
-    // The sweep constructs Systems after --debug is parsed: a flag
-    // registered after its name was enabled must start enabled.
-    debug::Flag early("TestArm");
-    debug::enableFlag("TestArm");
-    debug::Flag late("TestArm");
-    EXPECT_TRUE(late.enabled());
-    debug::disableFlag("TestArm");
-    debug::Flag afterDisable("TestArm");
-    EXPECT_FALSE(afterDisable.enabled());
-}
-
-TEST(DebugFlags, ListArmsNamesWithNoCarrierYet)
-{
-    // MTLBSIM_DEBUG is parsed at driver startup, before any System
-    // exists: a list token with no registered carrier must arm the
-    // name (not fatal) so component flags built later start enabled.
-    debug::enableFromList("TestPreArm");
-    debug::Flag flag("TestPreArm");
-    EXPECT_TRUE(flag.enabled());
-    debug::disableFlag("TestPreArm");
-}
-
-TEST(DebugFlags, ExplicitRegistryIsIndependent)
-{
-    debug::Registry local;
-    debug::Flag mine("TestLocal", local);
-    // The process registry does not know the local flag's name.
-    EXPECT_THROW(debug::enableFlag("TestLocal"), FatalError);
-    local.enable("TestLocal");
-    EXPECT_TRUE(mine.enabled());
-}
-
-TEST(DebugFlags, DestructorUnregisters)
-{
-    {
-        debug::Flag flag("TestD");
-    }
-    // Re-registering the name after destruction is fine.
-    EXPECT_NO_THROW(debug::Flag again("TestD"));
-}
-
-TEST(DebugFlags, ListIncludesComponentFlags)
-{
-    // The library's own trace points register lazily; poke one so
-    // its flag exists, then check the listing. (MTLB registers on
-    // first Mtlb activity — simplest to register a local witness.)
-    debug::Flag flag("TestE");
-    const auto names = debug::allFlags();
-    EXPECT_NE(std::find(names.begin(), names.end(), "TestE"),
-              names.end());
-}
-
-TEST(DebugFlags, EnableFromCommaList)
-{
-    debug::Flag a("TestF");
-    debug::Flag b("TestG");
-    debug::Flag c("TestH");
-    debug::enableFromList("TestF,TestH");
-    EXPECT_TRUE(a.enabled());
-    EXPECT_FALSE(b.enabled());
-    EXPECT_TRUE(c.enabled());
-}
-
-TEST(DebugFlags, AllTokenEnablesEverything)
-{
-    debug::Flag a("TestI");
-    debug::Flag b("TestJ");
-    debug::enableFromList("All");
-    EXPECT_TRUE(a.enabled());
-    EXPECT_TRUE(b.enabled());
-    a.disable();
-    b.disable();
-}
+using debug::Flag;
+using debug::bit;
+using testing::internal::CaptureStderr;
+using testing::internal::GetCapturedStderr;
 
 namespace
 {
+
+// Select Kernel, and not MTLB, before anything reads the mask: it is
+// read once, on the first debug::enabled() call, after this runs.
+const bool kKernelSelected = ::setenv("MTLBSIM_DEBUG", "Kernel", 1) == 0;
 
 /** Streamable probe that records whether it was ever formatted. */
 struct Probe
@@ -141,15 +41,61 @@ operator<<(std::ostream &os, const Probe &p)
 
 } // namespace
 
-TEST(DebugFlags, PrintfIsSilentWhenDisabled)
+TEST(DebugFlags, ParseFlagsReadsACommaList)
 {
-    debug::Flag flag("TestK");
-    // Must not crash or emit through a disabled flag; the lazy
-    // message assembly must never run.
+    EXPECT_EQ(debug::parseFlags("MTLB,Kernel"),
+              bit(Flag::Mtlb) | bit(Flag::Kernel));
+    EXPECT_EQ(debug::parseFlags("MTLB"), bit(Flag::Mtlb));
+    EXPECT_EQ(debug::parseFlags("Kernel,"), bit(Flag::Kernel));
+}
+
+TEST(DebugFlags, ParseFlagsAllSelectsEveryFlag)
+{
+    EXPECT_EQ(debug::parseFlags("All"),
+              bit(Flag::Mtlb) | bit(Flag::Kernel));
+}
+
+TEST(DebugFlags, ParseFlagsEmptySelectsNothing)
+{
+    CaptureStderr();
+    EXPECT_EQ(debug::parseFlags(""), 0u);
+    EXPECT_EQ(debug::parseFlags(","), 0u);
+    EXPECT_EQ(GetCapturedStderr(), "");
+}
+
+TEST(DebugFlags, UnknownNameWarnsOnceAndNamesTheKnownOnes)
+{
+    CaptureStderr();
+    EXPECT_EQ(debug::parseFlags("Bogus,MTLB"), bit(Flag::Mtlb));
+    const std::string err = GetCapturedStderr();
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+    EXPECT_EQ(err.rfind("warn: ", 0), 0u) << err;
+    EXPECT_NE(err.find("'Bogus'"), std::string::npos) << err;
+    EXPECT_NE(err.find("Kernel, MTLB, All"), std::string::npos) << err;
+}
+
+TEST(DebugFlags, EnvironmentSelectsOnlyTheNamedFlags)
+{
+    ASSERT_TRUE(kKernelSelected);
+    EXPECT_TRUE(debug::enabled(Flag::Kernel));
+    EXPECT_FALSE(debug::enabled(Flag::Mtlb));
+}
+
+TEST(DebugFlags, PrintfIsSilentForAnUnselectedFlag)
+{
+    // Nothing reaches stderr, and the message is never assembled.
     bool assembled = false;
-    debugPrintf(flag, Probe{&assembled});
+    CaptureStderr();
+    debugPrintf(Flag::Mtlb, Probe{&assembled});
+    EXPECT_EQ(GetCapturedStderr(), "");
     EXPECT_FALSE(assembled);
-    flag.enable();
-    debugPrintf(flag, Probe{&assembled});
+}
+
+TEST(DebugFlags, PrintfPrefixesTheFlagName)
+{
+    bool assembled = false;
+    CaptureStderr();
+    debugPrintf(Flag::Kernel, "remap ", 3, " pages", Probe{&assembled});
+    EXPECT_EQ(GetCapturedStderr(), "Kernel: remap 3 pages\n");
     EXPECT_TRUE(assembled);
 }

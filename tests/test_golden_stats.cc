@@ -3,8 +3,9 @@
  * Golden-stats regression tests: re-run the five paper workloads on
  * the configs/paper.cfg machine at the recorded scale and compare
  * every statistic against the committed baselines in tests/golden/.
- * Any out-of-tolerance drift — a changed counter, a missing stat, an
- * unexpected new one — fails with a per-stat report.
+ * The comparison is exact: any drift — a changed counter or derived
+ * value, a missing stat, an unexpected new one — fails with a
+ * per-stat report.
  *
  * To re-record after a change that legitimately moves the numbers:
  *
@@ -34,22 +35,6 @@ constexpr double kGoldenScale = 0.05;
 
 const std::string kRepoRoot = MTLBSIM_REPO_ROOT;
 
-/** Tolerances: counters must match exactly; derived floating-point
- *  stats get a hair of slack for cross-compiler rounding. */
-ToleranceSpec
-goldenTolerances()
-{
-    ToleranceSpec spec;
-    spec.fallback = {0.0, 0.0};
-    const Tolerance fp{1e-9, 1e-12};
-    spec.overrides.emplace_back("*.mean", fp);
-    spec.overrides.emplace_back("*_rate", fp);
-    spec.overrides.emplace_back("*fraction*", fp);
-    spec.overrides.emplace_back("*avg*", fp);
-    spec.overrides.emplace_back("meta.scale", fp);
-    return spec;
-}
-
 class GoldenStats : public ::testing::TestWithParam<std::string>
 {
 };
@@ -71,8 +56,8 @@ TEST_P(GoldenStats, MatchesCommittedBaseline)
 
     const auto golden = readGoldenFile(
         kRepoRoot + "/tests/golden/" + workload + ".json");
-    const auto diffs = compareGolden(
-        golden, sweep::resultToJson(result), goldenTolerances());
+    const auto diffs =
+        compareGolden(golden, sweep::resultToJson(result));
 
     std::string report;
     for (const auto &d : diffs)

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "sweep/matrix.hh"
@@ -133,4 +135,33 @@ TEST(SweepDeterminism, FailedJobIsCapturedNotThrown)
     EXPECT_FALSE(results[0].ok);
     EXPECT_NE(results[0].error.find("unknown workload"),
               std::string::npos);
+}
+
+TEST(SweepDeterminism, ProgressReportsEachJobOnce)
+{
+    // The callback takes no lock of its own: the runner serialises
+    // the calls, so plain vectors are safe to fill from it.
+    const auto jobs = mixedJobs();
+    std::vector<std::string> ids;
+    std::vector<std::size_t> finished;
+    SweepOptions options;
+    options.jobs = 4;
+    options.captureStats = false;
+    SweepRunner(options).run(
+        jobs, [&](const SweepResult &r, std::size_t done,
+                  std::size_t total) {
+            EXPECT_EQ(total, jobs.size());
+            ids.push_back(r.id);
+            finished.push_back(done);
+        });
+
+    ASSERT_EQ(finished.size(), jobs.size());
+    for (std::size_t i = 0; i < finished.size(); ++i)
+        EXPECT_EQ(finished[i], i + 1);
+    std::vector<std::string> want;
+    for (const auto &job : jobs)
+        want.push_back(job.id);
+    std::sort(ids.begin(), ids.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(ids, want);
 }

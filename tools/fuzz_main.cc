@@ -196,8 +196,6 @@ shrinkFile(const std::string &path, bool quiet)
 int
 run(int argc, char **argv)
 {
-    setInformEnabled(false);
-
     std::uint64_t seed = 1;
     unsigned runs = 1;
     unsigned ops = 2000;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -160,17 +159,8 @@ RulesConfig::load(const std::string &path)
         if (line.empty())
             continue;
         std::istringstream iss(line);
-        std::string dir, a, b, c;
+        std::string dir, a;
         iss >> dir >> a;
-        iss >> b;    // optional second operand
-        iss >> c;    // optional third operand
-        auto need3 = [&]() {
-            if (c.empty()) {
-                throw std::runtime_error(
-                    path + ":" + std::to_string(no) + ": '" + dir +
-                    "' needs three operands");
-            }
-        };
         if (a.empty()) {
             throw std::runtime_error(path + ":" + std::to_string(no) +
                                      ": '" + dir + "' needs an operand");
@@ -179,8 +169,6 @@ RulesConfig::load(const std::string &path)
             cfg.scanDirs.push_back(a);
         } else if (dir == "global-dir") {
             cfg.globalDirs.push_back(a);
-        } else if (dir == "r6-baseline") {
-            cfg.r6Baseline = a;
         } else if (dir == "nonpod-type") {
             cfg.nonPodTypes.insert(a);
         } else if (dir == "owned-type") {
@@ -191,9 +179,6 @@ RulesConfig::load(const std::string &path)
             cfg.lockFreeDirs.push_back(a);
         } else if (dir == "lock-ident") {
             cfg.lockIdents.insert(a);
-        } else if (dir == "guarded-member") {
-            need3();
-            cfg.guardedMembers.push_back({a, b, c});
         } else if (dir == "banned") {
             cfg.banned.insert(a);
         } else if (dir == "banned-exempt") {
@@ -214,37 +199,8 @@ std::string
 format(const Finding &f)
 {
     return f.file + ":" + std::to_string(f.line) + ": [" + f.id + " " +
-           f.name + "] " + f.message +
-           (f.allowed ? " (allowed)" : "");
+           f.name + "] " + f.message;
 }
-
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 formatGithub(const Finding &f)
@@ -277,28 +233,6 @@ formatGithub(const Finding &f)
            std::to_string(f.line) + ",title=" +
            prop("mtlb-lint " + f.id + " " + f.name) +
            "::" + data(f.message);
-}
-
-std::string
-formatJson(const std::vector<Finding> &findings)
-{
-    std::ostringstream os;
-    os << "{\n  \"findings\": [";
-    size_t live = 0;
-    for (size_t i = 0; i < findings.size(); ++i) {
-        const Finding &f = findings[i];
-        if (!f.allowed)
-            ++live;
-        os << (i ? ",\n    " : "\n    ") << "{\"file\": \""
-           << jsonEscape(f.file) << "\", \"line\": " << f.line
-           << ", \"rule\": \"" << f.id << "\", \"name\": \""
-           << jsonEscape(f.name) << "\", \"message\": \""
-           << jsonEscape(f.message) << "\", \"allowed\": "
-           << (f.allowed ? "true" : "false") << "}";
-    }
-    os << (findings.empty() ? "" : "\n  ") << "],\n  \"count\": " << live
-       << "\n}\n";
-    return os.str();
 }
 
 // --------------------------------------------------------------------
@@ -340,8 +274,8 @@ class Linter
 {
   public:
     Linter(const std::string &root, const RulesConfig &cfg,
-           const std::set<std::string> &only, bool keepAllowed)
-        : root_(root), cfg_(cfg), only_(only), keepAllowed_(keepAllowed)
+           const std::set<std::string> &only)
+        : root_(root), cfg_(cfg), only_(only)
     {}
 
     std::vector<Finding> run();
@@ -381,27 +315,22 @@ class Linter
     void emit(const SourceFile &src, int line, const std::string &id,
               const std::string &name, const std::string &message)
     {
-        const bool allowed = suppressed(src, line, id, name);
-        if (allowed)
+        if (suppressed(src, line, id, name)) {
             noteUse(src, line, id, name);
-        if (!enabled(id))
-            return;     // executed only for stale-allow bookkeeping
-        if (allowed && !keepAllowed_)
             return;
-        findings_.push_back({src.path, line, id, name, message, allowed});
+        }
+        emitRaw(src.path, line, id, name, message);
     }
 
-    /** Emit bypassing the allow-annotation check. R6's ratchet uses
-     *  this: an annotated global that is missing from the committed
-     *  baseline must still be a finding, or annotations alone could
-     *  grow the inventory. SA uses it too: a stale annotation cannot
-     *  allow() itself away. */
+    /** Emit bypassing the allow-annotation check. R6 uses this, so no
+     *  annotation can exempt a mutable global, and so does SA: a
+     *  stale annotation cannot allow() itself away. */
     void emitRaw(const std::string &file, int line, const std::string &id,
                  const std::string &name, const std::string &message)
     {
         if (!enabled(id))
-            return;
-        findings_.push_back({file, line, id, name, message, false});
+            return;     // executed only for stale-allow bookkeeping
+        findings_.push_back({file, line, id, name, message});
     }
 
     std::string abs(const std::string &rel) const
@@ -425,7 +354,6 @@ class Linter
     const std::string root_;
     const RulesConfig &cfg_;
     const std::set<std::string> only_;
-    const bool keepAllowed_;
     std::map<std::string, SourceFile> cache_;
     std::map<std::string, ScopeTree> scopeCache_;
     std::vector<Finding> findings_;
@@ -572,41 +500,6 @@ Linter::checkGlobals()
     if (!active("R6") || cfg_.globalDirs.empty())
         return;
     assessed_.insert("R6");
-
-    // The committed ratchet baseline: `<file> <symbol>` per line.
-    struct BaseEntry
-    {
-        std::string file, symbol;
-        int line = 0;
-        bool used = false;
-    };
-    std::vector<BaseEntry> baseline;
-    const std::string basePath = cfg_.r6Baseline;
-    if (!basePath.empty() && fs::exists(abs(basePath))) {
-        std::ifstream in(abs(basePath));
-        std::string line;
-        int no = 0;
-        while (std::getline(in, line)) {
-            ++no;
-            std::string t = trim(line);
-            if (t.empty() || t[0] == '#')
-                continue;
-            BaseEntry e;
-            std::istringstream iss(t);
-            iss >> e.file >> e.symbol;
-            e.line = no;
-            baseline.push_back(e);
-        }
-    }
-    auto inBaseline = [&](const std::string &file, const std::string &sym) {
-        bool hit = false;
-        for (auto &e : baseline) {
-            if (e.file == file && e.symbol == sym)
-                e.used = hit = true;
-        }
-        return hit;
-    };
-
     for (const auto &rel : listFiles(root_, cfg_.globalDirs,
                                      {".hh", ".cc"})) {
         const SourceFile &src = tokens(rel);
@@ -649,49 +542,16 @@ Linter::checkGlobals()
                 continue;
             if (isConst && !nonPod)
                 continue;       // const POD: immutable after load
-            const std::string sym = t[decl].text;
-            const int line = t[decl].line;
-
-            if (suppressed(src, line, "R6", "no-mutable-global-state")) {
-                noteUse(src, line, "R6", "no-mutable-global-state");
-                if (inBaseline(rel, sym)) {
-                    if (keepAllowed_ && enabled("R6")) {
-                        findings_.push_back(
-                            {rel, line, "R6", "no-mutable-global-state",
-                             "mutable global '" + sym +
-                                 "' (annotated, baselined)",
-                             true});
-                    }
-                } else {
-                    emitRaw(rel, line, "R6", "no-mutable-global-state",
-                            "mutable global '" + sym +
-                                "' is allow-annotated but not in the "
-                                "ratchet baseline " +
-                                basePath +
-                                "; the inventory may only shrink");
-                }
-            } else {
-                emit(src, line, "R6", "no-mutable-global-state",
-                     "mutable " +
-                         std::string(fnScope ? "function-local static"
-                                             : k == ScopeKind::Class
-                                                   ? "static data member"
-                                                   : "namespace-scope "
-                                                     "variable") +
-                         " '" + sym +
-                         "'; move it behind a System-owned context "
-                         "object (or annotate and baseline it)");
-            }
-        }
-    }
-
-    // Stale baseline entries are findings too: the ratchet only turns
-    // one way, so a refactored-away global must also leave the file.
-    for (const auto &e : baseline) {
-        if (!e.used) {
-            emitRaw(basePath, e.line, "R6", "no-mutable-global-state",
-                    "stale baseline entry '" + e.file + " " + e.symbol +
-                        "' has no matching annotated global; delete it");
+            emitRaw(rel, t[decl].line, "R6", "no-mutable-global-state",
+                    "mutable " +
+                        std::string(fnScope ? "function-local static"
+                                            : k == ScopeKind::Class
+                                                  ? "static data member"
+                                                  : "namespace-scope "
+                                                    "variable") +
+                        " '" + t[decl].text +
+                        "'; move it behind a System-owned context "
+                        "object");
         }
     }
 }
@@ -770,106 +630,24 @@ Linter::checkOwnership()
 void
 Linter::checkLocks()
 {
-    if (!active("R8") ||
-        (cfg_.lockIdents.empty() && cfg_.guardedMembers.empty())) {
+    if (!active("R8") || cfg_.lockIdents.empty())
         return;
-    }
     assessed_.insert("R8");
 
-    // Hot-path purity: simulator-core directories are single-threaded
-    // by contract and must not mention locks or atomics at all.
-    if (!cfg_.lockIdents.empty()) {
-        for (const auto &rel : listFiles(root_, cfg_.lockFreeDirs,
-                                         {".hh", ".cc"})) {
-            const SourceFile &src = tokens(rel);
-            for (const auto &tok : src.tokens) {
-                if (tok.kind == TokKind::Identifier &&
-                    cfg_.lockIdents.count(tok.text)) {
-                    emit(src, tok.line, "R8", "lock-discipline",
-                         "'" + tok.text +
-                             "' in simulator-core directory: the hot "
-                             "path is single-threaded by contract and "
-                             "must stay lock- and atomic-free");
-                }
-            }
-        }
-    }
-
-    // Guarded members: every access must be downstream of a
-    // lock_guard/unique_lock/scoped_lock naming the right mutex in an
-    // enclosing scope.
-    static const std::set<std::string> kLockTakers = {
-        "lock_guard", "unique_lock", "scoped_lock"};
-    for (const auto &gm : cfg_.guardedMembers) {
-        if (!fs::exists(abs(gm.file)))
-            continue;
-        const SourceFile &src = tokens(gm.file);
-        const ScopeTree &tree = scopes(gm.file);
-        const auto &t = src.tokens;
-
-        struct LockEvent
-        {
-            size_t pos;
-            int scope;
-        };
-        std::vector<LockEvent> locks;
-        for (size_t i = 0; i < t.size(); ++i) {
-            if (t[i].kind != TokKind::Identifier ||
-                !kLockTakers.count(t[i].text)) {
-                continue;
-            }
-            // Scan the constructor argument list for the mutex name:
-            // find the declaration's opening paren / brace first.
-            size_t open = i;
-            while (open < t.size() &&
-                   !(t[open].kind == TokKind::Punct &&
-                     (t[open].text == "(" || t[open].text == "{")) &&
-                   !(t[open].kind == TokKind::Punct &&
-                     t[open].text == ";")) {
-                ++open;
-            }
-            if (open >= t.size() || t[open].text == ";")
-                continue;
-            bool names = false;
-            int depth = 0;
-            for (size_t k2 = open; k2 < t.size(); ++k2) {
-                if (t[k2].kind == TokKind::Punct) {
-                    if (t[k2].text == "(" || t[k2].text == "{")
-                        ++depth;
-                    else if (t[k2].text == ")" || t[k2].text == "}") {
-                        if (--depth == 0)
-                            break;
-                    }
-                } else if (t[k2].kind == TokKind::Identifier &&
-                           t[k2].text == gm.mutex) {
-                    names = true;
-                }
-            }
-            if (names)
-                locks.push_back({i, tree.scopeOf[i]});
-        }
-
-        for (size_t i = 0; i < t.size(); ++i) {
-            if (t[i].kind != TokKind::Identifier ||
-                t[i].text != gm.member) {
-                continue;
-            }
-            const int sc = tree.scopeOf[i];
-            if (tree.enclosingFunc(sc) == -1)
-                continue;   // declaration / ctor-init, not an access
-            bool held = false;
-            for (const auto &le : locks) {
-                if (le.pos < i && tree.isAncestor(le.scope, sc)) {
-                    held = true;
-                    break;
-                }
-            }
-            if (!held) {
-                emit(src, t[i].line, "R8", "lock-discipline",
-                     "access to guarded member '" + gm.member +
-                         "' without holding '" + gm.mutex +
-                         "' (no lock_guard/unique_lock/scoped_lock in "
-                         "an enclosing scope)");
+    // The lock-free directories (all of src/ but the sweep runner) are
+    // single-threaded by contract and must not mention locks or
+    // atomics at all.
+    for (const auto &rel : listFiles(root_, cfg_.lockFreeDirs,
+                                     {".hh", ".cc"})) {
+        const SourceFile &src = tokens(rel);
+        for (const auto &tok : src.tokens) {
+            if (tok.kind == TokKind::Identifier &&
+                cfg_.lockIdents.count(tok.text)) {
+                emit(src, tok.line, "R8", "lock-discipline",
+                     "'" + tok.text +
+                         "' in a lock-free directory: the simulator is "
+                         "single-threaded by contract (rules.cfg "
+                         "lock-free-dir)");
             }
         }
     }
@@ -982,7 +760,7 @@ Linter::run()
 
 std::vector<Finding>
 runLint(const std::string &root, const RulesConfig &cfg,
-        const std::set<std::string> &only, bool keepAllowed)
+        const std::set<std::string> &only)
 {
     for (const std::string &id : only) {
         if (ruleNames().count(id))
@@ -993,7 +771,7 @@ runLint(const std::string &root, const RulesConfig &cfg,
         throw std::runtime_error("mtlb-lint: unknown rule id '" + id +
                                  "' (rules:" + known + ")");
     }
-    return Linter(root, cfg, only, keepAllowed).run();
+    return Linter(root, cfg, only).run();
 }
 
 } // namespace mtlblint

@@ -9,18 +9,17 @@
  *                           nondeterminism sources) and include-guard
  *                           conformance.
  *  R6 no-mutable-global-state
- *                           every mutable static / namespace-scope
- *                           variable is inventoried against a
- *                           committed baseline that may only shrink;
- *                           constexpr and const-POD are exempt.
+ *                           no mutable static / namespace-scope
+ *                           variable at all; constexpr and const-POD
+ *                           are exempt, and allow() cannot exempt one.
  *  R7 ownership-escape      raw pointer/reference members of
  *                           System-owned component types may only be
  *                           stored in classes transitively owned by a
  *                           System.
- *  R8 lock-discipline       accesses to configured guarded members
- *                           must hold their mutex, and simulator-core
- *                           directories must be lock-free (hot-path
- *                           purity).
+ *  R8 lock-discipline       no lock or atomic in the lock-free
+ *                           directories (all of src/ but src/sweep):
+ *                           the simulator is single-threaded, and the
+ *                           sweep's one lock is owned by a type.
  *  R9 no-hash-ordered-state
  *                           no unordered container or pointer-keyed
  *                           map type anywhere in the scanned tree,
@@ -42,17 +41,14 @@
  * asked of the parser itself by tests/test_config_parser.cc.
  * Selecting a rule id that does not exist is an error.
  *
- * The rule inputs (banned identifiers, owned types, guarded members,
- * file locations) live in tools/lint/rules.cfg so the contract is an
+ * The rule inputs (banned identifiers, owned types, lock-free
+ * directories) live in tools/lint/rules.cfg so the contract is an
  * explicit, reviewable artifact rather than hard-coded heuristics.
  *
  * Findings honour `// mtlb-lint: allow(<rule>)` suppression comments
  * on the same line or the line above; <rule> is either the short id
- * ("R7") or the long name ("ownership-escape"). R6 additionally
- * requires every allowed entry to appear in the committed baseline
- * file (the ratchet): an annotation alone is not enough to grow the
- * global-state inventory, and stale baseline entries are themselves
- * findings so the baseline can only shrink.
+ * ("R7") or the long name ("ownership-escape"). R6 findings ignore
+ * them, so an allow(R6) is always stale.
  */
 
 #ifndef MTLBSIM_TOOLS_LINT_LINT_HH
@@ -77,10 +73,8 @@ struct RulesConfig
     std::vector<std::string> guardStrip;
 
     // R6
-    /** Directories inventoried for mutable global state. */
+    /** Directories that may hold no mutable global state. */
     std::vector<std::string> globalDirs;
-    /** Committed ratchet baseline (`<file> <symbol>` per line). */
-    std::string r6Baseline;
     /** Type identifiers that disqualify a `const` global from the
      *  POD exemption (dynamic initialisation / non-trivial dtor). */
     std::set<std::string> nonPodTypes;
@@ -99,15 +93,6 @@ struct RulesConfig
     std::vector<std::string> lockFreeDirs;
     /** Identifiers whose appearance in a lock-free dir is a finding. */
     std::set<std::string> lockIdents;
-    /** A member in @p file whose every access must happen under a
-     *  lock_guard/unique_lock/scoped_lock naming @p mutex. */
-    struct GuardedMember
-    {
-        std::string file;
-        std::string member;
-        std::string mutex;
-    };
-    std::vector<GuardedMember> guardedMembers;
 
     /** Parse a rules.cfg. Throws std::runtime_error on IO/syntax
      *  errors. */
@@ -121,11 +106,6 @@ struct Finding
     std::string id;     ///< "R5".."R9" / "SA"
     std::string name;   ///< long rule name
     std::string message;
-    /** True when an `allow` annotation (plus, for R6, a baseline
-     *  entry) suppresses the finding. Allowed findings are only
-     *  reported when runLint() is asked to keep them; they never
-     *  affect the exit status. */
-    bool allowed = false;
 
     bool operator<(const Finding &o) const
     {
@@ -145,11 +125,6 @@ std::string format(const Finding &f);
 /** Format a finding as a GitHub Actions workflow annotation. */
 std::string formatGithub(const Finding &f);
 
-/** Format findings as a JSON document:
- *  {"findings": [{file,line,rule,name,message,allowed}...],
- *   "count": <number of non-allowed findings>}. */
-std::string formatJson(const std::vector<Finding> &findings);
-
 /**
  * Run all (or a subset of) rules over the tree rooted at @p root.
  *
@@ -162,14 +137,11 @@ std::string formatJson(const std::vector<Finding> &findings);
  *              for bookkeeping while reporting only the ids asked
  *              for; a suppression is stale only relative to rules
  *              that actually executed.
- * @param keepAllowed  when true, suppressed findings are returned
- *                     too, marked allowed (for --json reporting).
- * @return sorted findings (suppressions applied / marked).
+ * @return sorted findings, suppressions applied.
  */
 std::vector<Finding> runLint(const std::string &root,
                              const RulesConfig &cfg,
-                             const std::set<std::string> &only = {},
-                             bool keepAllowed = false);
+                             const std::set<std::string> &only = {});
 
 } // namespace mtlblint
 

@@ -5,9 +5,7 @@
  * docs/manual.md §11 for usage.
  *
  * Exit codes: 0 clean, 1 findings, 2 usage or IO error (an unknown
- * rule id in --only among them). Allowed
- * (annotated) findings never affect the exit code; they are only
- * reported in --json output.
+ * rule id in --only or an unknown --format among them).
  */
 
 #include <cstring>
@@ -25,7 +23,7 @@ void
 usage(std::ostream &os)
 {
     os << "usage: mtlb-lint [--root DIR] [--rules FILE] [--only R5,R6,...]"
-          " [--format text|json|github] [--quiet]\n"
+          " [--format text|github] [--quiet]\n"
           "  --root DIR     repo root to lint (default: current "
           "directory)\n"
           "  --rules FILE   rules file (default: <root>/tools/lint/"
@@ -38,12 +36,8 @@ usage(std::ostream &os)
           "bookkeeping\n"
           "                 and reports annotations that suppress "
           "nothing)\n"
-          "  --format KIND  output format: text (default), json "
-          "(machine\n"
-          "                 readable, includes allowed findings), or "
-          "github\n"
+          "  --format KIND  output format: text (default) or github\n"
           "                 (workflow error annotations)\n"
-          "  --json         shorthand for --format json\n"
           "  --quiet        suppress the summary line on success\n";
 }
 
@@ -78,13 +72,11 @@ main(int argc, char **argv)
                 only.insert(id);
         } else if (arg == "--format") {
             fmt = value();
-            if (fmt != "text" && fmt != "json" && fmt != "github") {
+            if (fmt != "text" && fmt != "github") {
                 std::cerr << "mtlb-lint: unknown format '" << fmt
                           << "'\n";
                 return 2;
             }
-        } else if (arg == "--json") {
-            fmt = "json";
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -101,30 +93,18 @@ main(int argc, char **argv)
 
     try {
         auto cfg = mtlblint::RulesConfig::load(rules);
-        // JSON output reports allowed findings too (allow-status is
-        // part of the machine-readable record).
-        auto findings =
-            mtlblint::runLint(root, cfg, only, fmt == "json");
-        size_t live = 0;
+        auto findings = mtlblint::runLint(root, cfg, only);
         for (const auto &f : findings) {
-            if (!f.allowed)
-                ++live;
+            std::cout << (fmt == "github" ? mtlblint::formatGithub(f)
+                                          : mtlblint::format(f))
+                      << "\n";
         }
-        if (fmt == "json") {
-            std::cout << mtlblint::formatJson(findings);
-        } else {
-            for (const auto &f : findings) {
-                std::cout << (fmt == "github"
-                                  ? mtlblint::formatGithub(f)
-                                  : mtlblint::format(f))
-                          << "\n";
-            }
-        }
-        if (live) {
-            std::cerr << "mtlb-lint: " << live << " finding(s)\n";
+        if (!findings.empty()) {
+            std::cerr << "mtlb-lint: " << findings.size()
+                      << " finding(s)\n";
             return 1;
         }
-        if (!quiet && fmt != "json")
+        if (!quiet)
             std::cerr << "mtlb-lint: clean\n";
         return 0;
     } catch (const std::exception &e) {

@@ -15,8 +15,7 @@ ScopeTree
 buildScopes(const std::vector<Token> &t)
 {
     ScopeTree tree;
-    tree.scopes.push_back({ScopeKind::File, "", -1});
-    tree.scopeOf.assign(t.size(), 0);
+    tree.scopes.push_back({ScopeKind::File, ""});
     std::vector<int> stack = {0};
 
     // Pending statement (token indices) per open scope.
@@ -32,7 +31,6 @@ buildScopes(const std::vector<Token> &t)
     int ppLine = -1;    // line of an in-flight preprocessor directive
     for (size_t i = 0; i < t.size(); ++i) {
         const Token &tok = t[i];
-        tree.scopeOf[i] = stack.back();
         if (ppLine != -1 && tok.line == ppLine)
             continue;
         ppLine = -1;
@@ -133,21 +131,15 @@ buildScopes(const std::vector<Token> &t)
             else
                 flush();
 
-            Scope s;
-            s.kind = kind;
-            s.name = name;
-            s.parent = stack.back();
-            tree.scopes.push_back(s);
+            tree.scopes.push_back({kind, name});
             stack.push_back(static_cast<int>(tree.scopes.size() - 1));
             pending.emplace_back();
-            tree.scopeOf[i] = stack.back();
             continue;
         }
         if (tok.kind == TokKind::Punct && tok.text == "}") {
             if (stack.size() > 1) {
                 flush();
                 const ScopeKind closed = tree.scopes[stack.back()].kind;
-                tree.scopeOf[i] = stack.back();
                 stack.pop_back();
                 pending.pop_back();
                 // A closed initialiser remains part of the enclosing

@@ -5,7 +5,7 @@
  * A single structural pass classifying every brace (namespace, class,
  * function body, control-flow block, braced initialiser) and
  * collecting the statements at each scope's own level. Shared by the
- * structural rules (R6-R9).
+ * structural rules (R6 and R7).
  */
 
 #ifndef MTLBSIM_TOOLS_LINT_SCOPES_HH
@@ -33,7 +33,6 @@ struct Scope
 {
     ScopeKind kind = ScopeKind::File;
     std::string name;       ///< class/namespace name when known
-    int parent = -1;
 };
 
 /**
@@ -50,29 +49,7 @@ struct Stmt
 struct ScopeTree
 {
     std::vector<Scope> scopes;      ///< [0] is the File scope
-    std::vector<int> scopeOf;       ///< token index -> innermost scope
     std::vector<Stmt> stmts;        ///< namespace/class-level statements
-
-    bool
-    isAncestor(int anc, int scope) const
-    {
-        for (int s = scope; s != -1; s = scopes[s].parent) {
-            if (s == anc)
-                return true;
-        }
-        return false;
-    }
-
-    /** Innermost enclosing Func scope, or -1. */
-    int
-    enclosingFunc(int scope) const
-    {
-        for (int s = scope; s != -1; s = scopes[s].parent) {
-            if (scopes[s].kind == ScopeKind::Func)
-                return s;
-        }
-        return -1;
-    }
 };
 
 /** True for the class-head keywords (class/struct/union/enum). */

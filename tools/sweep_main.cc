@@ -18,9 +18,9 @@
  *       --scale 0.05 --check --golden-dir tests/golden
  *
  * Exit status: 0 on success, 1 when a job fails or --check finds
- * out-of-tolerance drift, 2 on a usage error or on input it cannot
- * read or parse (a config or golden file), printed as
- * "sweep: <message>".
+ * any stat that differs from its golden, 2 on a usage error or on
+ * input it cannot read or parse (a config or golden file), printed
+ * as "sweep: <message>".
  */
 
 #include <cstdio>
@@ -59,14 +59,10 @@ usage()
         "                     override it)\n"
         "  --record           write per-job golden files into "
         "--golden-dir\n"
-        "  --check            compare against golden files; exit 1 "
-        "on drift\n"
+        "  --check            compare against golden files exactly; "
+        "exit 1 on drift\n"
         "  --golden-dir DIR   golden file directory (default "
         "tests/golden)\n"
-        "  --tol-rel X        default relative tolerance for --check "
-        "(default 0)\n"
-        "  --tol-abs X        default absolute tolerance for --check "
-        "(default 0)\n"
         "  --out FILE         write the full sweep JSON to FILE\n"
         "  --quiet            suppress per-job progress on stderr\n");
 }
@@ -87,8 +83,6 @@ goldenFileName(const std::string &id)
 int
 run(int argc, char **argv)
 {
-    setInformEnabled(false);
-
     std::string matrix_name = "golden";
     double scale = 0.05;
     unsigned jobs = 1;
@@ -99,7 +93,6 @@ run(int argc, char **argv)
     std::string golden_dir = "tests/golden";
     std::string out_file;
     bool quiet = false;
-    stats::ToleranceSpec tolerances;
 
     ConfigParser parser;
 
@@ -134,10 +127,6 @@ run(int argc, char **argv)
             check = true;
         } else if (token == "--golden-dir") {
             golden_dir = next_arg(i);
-        } else if (token == "--tol-rel") {
-            tolerances.fallback.rel = std::atof(next_arg(i));
-        } else if (token == "--tol-abs") {
-            tolerances.fallback.abs = std::atof(next_arg(i));
         } else if (token == "--out") {
             out_file = next_arg(i);
         } else if (token == "--quiet") {
@@ -233,8 +222,8 @@ run(int argc, char **argv)
             const std::string path =
                 golden_dir + "/" + goldenFileName(r.id);
             const auto golden = stats::readGoldenFile(path);
-            const auto diffs = stats::compareGolden(
-                golden, sweep::resultToJson(r), tolerances);
+            const auto diffs =
+                stats::compareGolden(golden, sweep::resultToJson(r));
             if (diffs.empty()) {
                 if (!quiet)
                     std::fprintf(stderr, "ok: %s\n", r.id.c_str());
