@@ -51,8 +51,9 @@ unsigned
 environmentFlags()
 {
     // Debug-trace selection is allowed to read the environment: it
-    // only toggles stderr logging, never simulated behaviour.
-    const char *env = std::getenv("MTLBSIM_DEBUG"); // mtlb-lint: allow(R5)
+    // only toggles stderr logging, never simulated behaviour. (This
+    // file is mtlb-lint R5's one getenv exemption, tools/lint/lint.cc.)
+    const char *env = std::getenv("MTLBSIM_DEBUG");
     return env ? parseFlags(env) : 0;
 }
 

@@ -7,19 +7,23 @@
  * normally keep the structures coherent — so tests can assert that
  * the TranslationAuditor detects exactly that corruption class.
  *
- * The mutators are compiled only when MTLBSIM_CHECK_TESTING is
- * defined (tests/ builds with it); in ordinary builds every call
- * panics, so no production code path can corrupt state "for
- * testing". Kernel mutators are reached through a detached edit
+ * Test builds only: the header does not compile without
+ * MTLBSIM_CHECK_TESTING (tests/ and the fuzzer's self-test define
+ * it), so no ordinary program can corrupt state "for testing".
+ * Kernel mutators are reached through a detached edit
  * (os/translation_edit.hh), which neither retires translations nor
  * notifies the observer: the corruption stays planted. Header-only:
  * all the state it touches is reachable through public component
  * interfaces, except the HPT's chains, which Hpt opens to it as a
- * friend.
+ * friend. Every mutator is static and takes the System it corrupts.
  */
 
 #ifndef MTLBSIM_CHECK_FAULT_INJECTOR_HH
 #define MTLBSIM_CHECK_FAULT_INJECTOR_HH
+
+#ifndef MTLBSIM_CHECK_TESTING
+#error "check/fault_injector.hh is test-only: define MTLBSIM_CHECK_TESTING"
+#endif
 
 #include "base/logging.hh"
 #include "sim/system.hh"
@@ -33,25 +37,19 @@ namespace mtlbsim
 class FaultInjector
 {
   public:
-    explicit FaultInjector(System &sys) : sys_(sys) {}
+    FaultInjector() = delete;
 
     /**
      * Back a second virtual page with the frame that already backs
      * @p va_src (double-mapped frame). @p va_dst must be inside a
      * declared region and not yet materialised.
      */
-    void
-    doubleMapFrame(Addr va_src, Addr va_dst)
+    static void
+    doubleMapFrame(System &sys, Addr va_src, Addr va_dst)
     {
-#ifdef MTLBSIM_CHECK_TESTING
-        AddressSpace &space = sys_.kernel().addressSpace();
+        AddressSpace &space = sys.kernel().addressSpace();
         TranslationEdit edit = detachedEdit();
         space.installFrame(va_dst, space.frameOf(va_src), edit);
-#else
-        (void)va_src;
-        (void)va_dst;
-        panic("fault injection requires MTLBSIM_CHECK_TESTING");
-#endif
     }
 
     /**
@@ -59,16 +57,10 @@ class FaultInjector
      * without purging the MTLB — the retranslation the hardware
      * caches goes stale.
      */
-    void
-    staleMtlbEntry(Addr spi, Addr real_pfn)
+    static void
+    staleMtlbEntry(System &sys, Addr spi, Addr real_pfn)
     {
-#ifdef MTLBSIM_CHECK_TESTING
-        sys_.memsys().mmc().shadowTable().set(spi, real_pfn);
-#else
-        (void)spi;
-        (void)real_pfn;
-        panic("fault injection requires MTLBSIM_CHECK_TESTING");
-#endif
+        sys.memsys().mmc().shadowTable().set(spi, real_pfn);
     }
 
     /**
@@ -77,59 +69,38 @@ class FaultInjector
      * seen (R/D desynchronisation). @p spi should be resident in the
      * MTLB with a clean modified bit for the corruption to register.
      */
-    void
-    desyncDirtyBit(Addr spi)
+    static void
+    desyncDirtyBit(System &sys, Addr spi)
     {
-#ifdef MTLBSIM_CHECK_TESTING
-        sys_.memsys().mmc().shadowTable().entry(spi).modified = 1;
-#else
-        (void)spi;
-        panic("fault injection requires MTLBSIM_CHECK_TESTING");
-#endif
+        sys.memsys().mmc().shadowTable().entry(spi).modified = 1;
     }
 
     /**
      * Install a valid shadow-table mapping at @p spi, an index no
      * recorded superpage covers (leaked shadow mapping).
      */
-    void
-    leakShadowMapping(Addr spi, Addr real_pfn)
+    static void
+    leakShadowMapping(System &sys, Addr spi, Addr real_pfn)
     {
-#ifdef MTLBSIM_CHECK_TESTING
-        sys_.memsys().mmc().shadowTable().set(spi, real_pfn);
-#else
-        (void)spi;
-        (void)real_pfn;
-        panic("fault injection requires MTLBSIM_CHECK_TESTING");
-#endif
+        sys.memsys().mmc().shadowTable().set(spi, real_pfn);
     }
 
     /** Allocate a frame and drop it on the floor (leaked frame). */
-    Addr
-    leakFrame()
+    static Addr
+    leakFrame(System &sys)
     {
-#ifdef MTLBSIM_CHECK_TESTING
-        return sys_.kernel().frames().allocate();
-#else
-        panic("fault injection requires MTLBSIM_CHECK_TESTING");
-#endif
+        return sys.kernel().frames().allocate();
     }
 
     /**
      * Insert a base-page TLB entry mapping @p vbase to @p pbase,
      * bypassing the OS records (stale/forged TLB entry).
      */
-    void
-    staleTlbEntry(Addr vbase, Addr pbase)
+    static void
+    staleTlbEntry(System &sys, Addr vbase, Addr pbase)
     {
-#ifdef MTLBSIM_CHECK_TESTING
-        sys_.tlb().insert(pageBase(vbase), pageBase(pbase), 0,
-                          PageProtection{});
-#else
-        (void)vbase;
-        (void)pbase;
-        panic("fault injection requires MTLBSIM_CHECK_TESTING");
-#endif
+        sys.tlb().insert(pageBase(vbase), pageBase(pbase), 0,
+                         PageProtection{});
     }
 
     /**
@@ -137,19 +108,14 @@ class FaultInjector
      * the wrong frame, as a missed epoch bump would (stale memo
      * entry). @p va must currently hit in the memo.
      */
-    void
-    staleMemoEntry(Addr va)
+    static void
+    staleMemoEntry(System &sys, Addr va)
     {
-#ifdef MTLBSIM_CHECK_TESTING
-        PageMemo &memo = sys_.tlb().memo();
-        panicIf(!memo.live(va, sys_.tlb().translationEpoch()),
+        PageMemo &memo = sys.tlb().memo();
+        panicIf(!memo.live(va, sys.tlb().translationEpoch()),
                 "no live memo entry to corrupt at 0x", std::hex, va);
         // Point the entry at the wrong frame.
         memo.slot(va >> basePageShift).pframeBase ^= basePageSize;
-#else
-        (void)va;
-        panic("fault injection requires MTLBSIM_CHECK_TESTING");
-#endif
     }
 
     /**
@@ -158,18 +124,13 @@ class FaultInjector
      * shadow table — the old frame is orphaned and every cached
      * translation names it (rebound frame).
      */
-    void
-    rebindFrame(Addr va)
+    static void
+    rebindFrame(System &sys, Addr va)
     {
-#ifdef MTLBSIM_CHECK_TESTING
-        AddressSpace &space = sys_.kernel().addressSpace();
+        AddressSpace &space = sys.kernel().addressSpace();
         TranslationEdit edit = detachedEdit();
         space.removeFrame(va, edit);
-        space.installFrame(va, sys_.kernel().frames().allocate(), edit);
-#else
-        (void)va;
-        panic("fault injection requires MTLBSIM_CHECK_TESTING");
-#endif
+        space.installFrame(va, sys.kernel().frames().allocate(), edit);
     }
 
     /**
@@ -177,26 +138,20 @@ class FaultInjector
      * page is still materialised but the miss handler can no longer
      * reach it (lost HPT entry).
      */
-    void
-    dropHptEntry(Addr va)
+    static void
+    dropHptEntry(System &sys, Addr va)
     {
-#ifdef MTLBSIM_CHECK_TESTING
-        sys_.kernel().hpt().remove(pageBase(va), 0);
-#else
-        (void)va;
-        panic("fault injection requires MTLBSIM_CHECK_TESTING");
-#endif
+        sys.kernel().hpt().remove(pageBase(va), 0);
     }
 
     /**
      * Append a second HPT entry for the base page at @p va, a copy of
      * the one it already has (duplicated HPT entry).
      */
-    void
-    duplicateHptEntry(Addr va)
+    static void
+    duplicateHptEntry(System &sys, Addr va)
     {
-#ifdef MTLBSIM_CHECK_TESTING
-        Hpt &hpt = sys_.kernel().hpt();
+        Hpt &hpt = sys.kernel().hpt();
         const Addr key = Hpt::keyFor(pageFrame(va), 0);
         auto &chain = hpt.chains_[hpt.bucketOf(key)];
         for (std::size_t i = 0; i < chain.size(); ++i) {
@@ -209,10 +164,6 @@ class FaultInjector
             }
         }
         panic("no HPT entry to duplicate at 0x", std::hex, va);
-#else
-        (void)va;
-        panic("fault injection requires MTLBSIM_CHECK_TESTING");
-#endif
     }
 
     /**
@@ -220,19 +171,14 @@ class FaultInjector
      * shadow superpage; the superpage's other replicas stay (lost
      * replica).
      */
-    void
-    dropHptReplica(Addr va)
+    static void
+    dropHptReplica(System &sys, Addr va)
     {
-#ifdef MTLBSIM_CHECK_TESTING
         const ShadowSuperpage *sp =
-            sys_.kernel().addressSpace().findSuperpage(va);
+            sys.kernel().addressSpace().findSuperpage(va);
         panicIf(sp == nullptr, "no superpage at 0x", std::hex, va);
-        sys_.kernel().hpt().removeOne(Hpt::keyFor(pageFrame(va), 0),
-                                      sp->sizeClass);
-#else
-        (void)va;
-        panic("fault injection requires MTLBSIM_CHECK_TESTING");
-#endif
+        sys.kernel().hpt().removeOne(Hpt::keyFor(pageFrame(va), 0),
+                                     sp->sizeClass);
     }
 
     /**
@@ -243,38 +189,24 @@ class FaultInjector
      * independent reference model — the fuzzer's oracle — catches
      * the clean-page misclassification at swap-out.
      */
-    void
-    clearDirtyBit(Addr spi)
+    static void
+    clearDirtyBit(System &sys, Addr spi)
     {
-#ifdef MTLBSIM_CHECK_TESTING
-        sys_.memsys().mmc().mtlb().purge(spi);
-        sys_.memsys().mmc().shadowTable().entry(spi).modified = 0;
-#else
-        (void)spi;
-        panic("fault injection requires MTLBSIM_CHECK_TESTING");
-#endif
+        sys.memsys().mmc().mtlb().purge(spi);
+        sys.memsys().mmc().shadowTable().entry(spi).modified = 0;
     }
 
     /**
      * Feed one shadow-region address straight to the DRAM model, as
      * a buggy MMC that skipped MTLB translation would (shadow escape).
      */
-    void
-    leakShadowAddressToDram()
+    static void
+    leakShadowAddressToDram(System &sys)
     {
-#ifdef MTLBSIM_CHECK_TESTING
-        const AddrRange &shadow = sys_.physmap().shadowRange();
+        const AddrRange &shadow = sys.physmap().shadowRange();
         panicIf(shadow.size == 0, "machine has no shadow region");
-        sys_.memsys().mmc().dram().access(shadow.base, true);
-#else
-        panic("fault injection requires MTLBSIM_CHECK_TESTING");
-#endif
+        sys.memsys().mmc().dram().access(shadow.base, true);
     }
-
-  private:
-    // Test-only harness: borrows the System for the duration of one
-    // injection campaign and never outlives the test that owns both.
-    System &sys_;   // mtlb-lint: allow(R7)
 };
 
 } // namespace mtlbsim

@@ -458,7 +458,6 @@ DifferentialFuzzer::applyInject(FaultKind kind, unsigned index)
 {
     (void)index;
     System &sys = *sys_;
-    FaultInjector inject(sys);
     AddressSpace &space = sys.kernel().addressSpace();
     const PhysMap &pm = sys.physmap();
 
@@ -480,7 +479,7 @@ DifferentialFuzzer::applyInject(FaultKind kind, unsigned index)
         const Addr dst = fuzzDataBase + 0x80000;
         if (!space.isPagePresent(src) || space.isPagePresent(dst))
             return;
-        inject.doubleMapFrame(src, dst);
+        FaultInjector::doubleMapFrame(sys, src, dst);
         break;
       }
 
@@ -488,8 +487,8 @@ DifferentialFuzzer::applyInject(FaultKind kind, unsigned index)
         const auto spi = spi_of(fuzzDataBase);
         if (!spi || !space.isPagePresent(fuzzDataBase))
             return;
-        inject.staleMtlbEntry(*spi,
-                              space.frameOf(fuzzDataBase) + 1);
+        FaultInjector::staleMtlbEntry(sys, *spi,
+                                      space.frameOf(fuzzDataBase) + 1);
         break;
       }
 
@@ -498,7 +497,7 @@ DifferentialFuzzer::applyInject(FaultKind kind, unsigned index)
         const auto spi = spi_of(va);
         if (!spi || !space.isPagePresent(va) || oracle_.dirty(va))
             return;
-        inject.desyncDirtyBit(*spi);
+        FaultInjector::desyncDirtyBit(sys, *spi);
         break;
       }
 
@@ -506,12 +505,13 @@ DifferentialFuzzer::applyInject(FaultKind kind, unsigned index)
         const Addr spi = pm.numShadowPages() - 1;
         if (sys.memsys().mmc().shadowTable().entry(spi).valid)
             return;
-        inject.leakShadowMapping(spi, KernelLayout::firstUserPfn);
+        FaultInjector::leakShadowMapping(sys, spi,
+                                         KernelLayout::firstUserPfn);
         break;
       }
 
       case FaultKind::LeakFrame:
-        inject.leakFrame();
+        FaultInjector::leakFrame(sys);
         break;
 
       case FaultKind::StaleTlbEntry: {
@@ -520,7 +520,8 @@ DifferentialFuzzer::applyInject(FaultKind kind, unsigned index)
             space.findSuperpage(va) != nullptr) {
             return;
         }
-        inject.staleTlbEntry(va, KernelLayout::framePoolBase);
+        FaultInjector::staleTlbEntry(sys, va,
+                                     KernelLayout::framePoolBase);
         break;
       }
 
@@ -528,18 +529,18 @@ DifferentialFuzzer::applyInject(FaultKind kind, unsigned index)
         const Addr va = fuzzDataBase + 2 * basePageSize;
         if (!sys.tlb().memo().live(va, sys.tlb().translationEpoch()))
             return;
-        inject.staleMemoEntry(va);
+        FaultInjector::staleMemoEntry(sys, va);
         break;
       }
 
       case FaultKind::ShadowEscape:
-        inject.leakShadowAddressToDram();
+        FaultInjector::leakShadowAddressToDram(sys);
         break;
 
       case FaultKind::RebindFrame:
         if (!space.isPagePresent(fuzzDataBase))
             return;
-        inject.rebindFrame(fuzzDataBase);
+        FaultInjector::rebindFrame(sys, fuzzDataBase);
         break;
 
       case FaultKind::DropHptEntry: {
@@ -548,7 +549,7 @@ DifferentialFuzzer::applyInject(FaultKind kind, unsigned index)
             space.findSuperpage(va) != nullptr) {
             return;
         }
-        inject.dropHptEntry(va);
+        FaultInjector::dropHptEntry(sys, va);
         break;
       }
 
@@ -558,7 +559,7 @@ DifferentialFuzzer::applyInject(FaultKind kind, unsigned index)
             !oracle_.dirty(fuzzDataBase)) {
             return;
         }
-        inject.clearDirtyBit(*spi);
+        FaultInjector::clearDirtyBit(sys, *spi);
         break;
       }
 

@@ -779,13 +779,26 @@ Kernel::handleShadowPageFault(Addr vaddr, Cycles now)
 SwapOutResult
 Kernel::swapOutSuperpagePagewise(Addr vbase, Cycles now)
 {
+    return swapOutSuperpage(vbase, now, true);
+}
+
+SwapOutResult
+Kernel::swapOutSuperpageWhole(Addr vbase, Cycles now)
+{
+    return swapOutSuperpage(vbase, now, false);
+}
+
+SwapOutResult
+Kernel::swapOutSuperpage(Addr vbase, Cycles now, bool pagewise)
+{
     const ShadowSuperpage *sp = space().findSuperpage(vbase);
     fatalIf(sp == nullptr, "no shadow superpage at 0x", std::hex, vbase);
     // The CPU TLB superpage entry and the HPT mapping stay valid:
     // the MMC faults precisely on any access to a swapped base page.
     // The freed frames may be reused, so closing the edit retires
     // every page memo on every core (epoch only).
-    TranslationEdit edit(*this, TranslationEdit::SwapOut{sp->vbase, true});
+    TranslationEdit edit(*this,
+                         TranslationEdit::SwapOut{sp->vbase, pagewise});
 
     SwapOutResult result;
     result.cycles = config_.syscallOverheadCycles;
@@ -807,61 +820,26 @@ Kernel::swapOutSuperpagePagewise(Addr vbase, Cycles now)
             va, sp->shadowBase + (i << basePageShift),
             now + result.cycles);
 
-        // Read the per-base-page dirty bit the MTLB maintains (§2.5).
-        ShadowPte pte{};
-        result.cycles += memsys_.controlOp(
-            now + result.cycles, [&](Mmc &mmc) {
-                pte = mmc.readShadowEntry(spi0 + i);
-                return Cycles{8};
-            });
-
-        if (pte.modified) {
-            // Only dirty base pages travel to disk — the payoff of
-            // per-base-page dirty bits (§2.5).
+        // Pagewise, read the per-base-page dirty bit the MTLB
+        // maintains, and only dirty base pages travel to disk — the
+        // payoff of per-base-page dirty bits. A conventional
+        // superpage has a single dirty bit for the whole superpage,
+        // so every base page must be written (§2.5).
+        bool dirty = true;
+        if (pagewise) {
+            result.cycles += memsys_.controlOp(
+                now + result.cycles, [&](Mmc &mmc) {
+                    dirty = mmc.readShadowEntry(spi0 + i).modified;
+                    return Cycles{8};
+                });
+        }
+        if (dirty) {
             result.cycles += config_.diskQueueCycles;
             ++result.pagesWritten;
             ++pagesSwappedOut_;
         } else {
             ++result.pagesClean;
         }
-
-        result.cycles += memsys_.controlOp(
-            now + result.cycles, [&](Mmc &mmc) {
-                return mmc.invalidateShadowMapping(spi0 + i, edit);
-            });
-
-        frames_.free(space().removeFrame(va, edit), edit);
-    }
-    return result;
-}
-
-SwapOutResult
-Kernel::swapOutSuperpageWhole(Addr vbase, Cycles now)
-{
-    const ShadowSuperpage *sp = space().findSuperpage(vbase);
-    fatalIf(sp == nullptr, "no shadow superpage at 0x", std::hex, vbase);
-    // As in the pagewise path: frames freed here may be reused.
-    TranslationEdit edit(*this,
-                         TranslationEdit::SwapOut{sp->vbase, false});
-
-    SwapOutResult result;
-    result.cycles = config_.syscallOverheadCycles;
-
-    const Addr spi0 = physMap_.shadowPageIndex(sp->shadowBase);
-    for (Addr i = 0; i < sp->numBasePages(); ++i) {
-        const Addr va = sp->vbase + (i << basePageShift);
-        if (!space().isPagePresent(va))
-            continue;
-
-        result.cycles += cache_.flushPage(
-            va, sp->shadowBase + (i << basePageShift),
-            now + result.cycles);
-
-        // Conventional superpages have a single dirty bit for the
-        // whole superpage, so every base page must be written (§2.5).
-        result.cycles += config_.diskQueueCycles;
-        ++result.pagesWritten;
-        ++pagesSwappedOut_;
 
         result.cycles += memsys_.controlOp(
             now + result.cycles, [&](Mmc &mmc) {

@@ -241,9 +241,6 @@ class Kernel
     /** Superpage-aware sbrk() (§2.3). */
     SbrkResult sbrk(Addr bytes, Cycles now);
 
-    /** Current program break (of the active process). */
-    Addr currentBreak() const { return proc().brk; }
-
     /** Change the sbrk() preallocation chunk (vortex shrinks it
      *  from 8 MB to 2 MB after building its datasets, §3.1). */
     void setSbrkPrealloc(Addr bytes) { proc().sbrkPrealloc = bytes; }
@@ -497,6 +494,11 @@ class Kernel
 
     /** Undo a single-page shadow mapping (frees the shadow page). */
     Cycles demoteSingleShadowPage(Addr vaddr, Cycles now);
+
+    /** Both swap-outs: flush, then (@p pagewise only) read the
+     *  page's dirty bit, write it to disk if dirty, invalidate its
+     *  shadow mapping and free its frame, page by page. */
+    SwapOutResult swapOutSuperpage(Addr vbase, Cycles now, bool pagewise);
 
     /** Charge HPT-touch costs for a list of entry addresses. */
     Cycles chargeHptTouches(const std::vector<Addr> &addrs, bool write,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -13,6 +15,41 @@
 
 namespace mtlbsim
 {
+
+std::uint64_t
+parseCount(const std::string &what, const std::string &text,
+           std::uint64_t max)
+{
+    // Anything but plain digits is rejected: std::stoull would accept
+    // a leading '-' and wrap it, and atoi stops at the first bad
+    // character without a word.
+    auto is_digit = [](char ch) { return ch >= '0' && ch <= '9'; };
+    fatalIf(text.empty() || !is_digit(text[0]), what, ": '", text,
+            "' is not an unsigned integer");
+    std::uint64_t count = 0;
+    for (const char ch : text) {
+        fatalIf(!is_digit(ch), what, ": trailing characters in '", text,
+                "'");
+        const auto digit = static_cast<std::uint64_t>(ch - '0');
+        fatalIf(count > (max - digit) / 10, what, ": ", text,
+                " is out of range (at most ", max, ")");
+        count = count * 10 + digit;
+    }
+    return count;
+}
+
+double
+parsePositive(const std::string &what, const std::string &text)
+{
+    // strtod alone would skip leading blanks, stop at the first bad
+    // character, and read "inf" and "nan".
+    char *end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    fatalIf(std::isspace(static_cast<unsigned char>(text[0])) ||
+                *end != '\0' || !std::isfinite(value) || !(value > 0.0),
+            what, ": '", text, "' is not a finite number greater than 0");
+    return value;
+}
 
 namespace
 {
@@ -29,10 +66,8 @@ trim(const std::string &s)
 
 /**
  * Store @p value, a decimal count of @p unit-sized units, into
- * @p dest. Anything but plain digits is rejected — std::stoull would
- * accept a leading '-' and wrap it — and so is a count whose scaled
- * value does not fit @p dest's width, which a narrowing cast would
- * truncate silently.
+ * @p dest, rejecting a count whose scaled value does not fit
+ * @p dest's width, which a narrowing cast would truncate silently.
  */
 template <typename T>
 void
@@ -40,20 +75,10 @@ setUnsigned(T &dest, const std::string &key, const std::string &value,
             std::uint64_t unit = 1)
 {
     static_assert(std::is_unsigned_v<T>);
-    auto is_digit = [](char ch) { return ch >= '0' && ch <= '9'; };
-    fatalIf(value.empty() || !is_digit(value[0]), "config key '", key,
-            "': '", value, "' is not an unsigned integer");
-    const std::uint64_t max = std::numeric_limits<T>::max() / unit;
-    std::uint64_t count = 0;
-    for (const char ch : value) {
-        fatalIf(!is_digit(ch), "config key '", key,
-                "': trailing characters in '", value, "'");
-        const auto digit = static_cast<std::uint64_t>(ch - '0');
-        fatalIf(count > (max - digit) / 10, "config key '", key, "': ",
-                value, " is out of range (at most ", max, ")");
-        count = count * 10 + digit;
-    }
-    dest = static_cast<T>(count * unit);
+    dest = static_cast<T>(
+        parseCount("config key '" + key + "'", value,
+                   std::numeric_limits<T>::max() / unit) *
+        unit);
 }
 
 bool

@@ -20,6 +20,7 @@
 #ifndef MTLBSIM_SIM_CONFIG_PARSER_HH
 #define MTLBSIM_SIM_CONFIG_PARSER_HH
 
+#include <cstdint>
 #include <istream>
 #include <string>
 #include <vector>
@@ -28,6 +29,20 @@
 
 namespace mtlbsim
 {
+
+/**
+ * Parse @p text as a plain decimal count no larger than @p max: the
+ * check every unsigned config value and every numeric command-line
+ * flag passes. A sign, a blank, a unit or any other character, and
+ * a larger count, are a FatalError naming @p what (a config key or a
+ * flag).
+ */
+std::uint64_t parseCount(const std::string &what, const std::string &text,
+                         std::uint64_t max);
+
+/** Parse @p text as a finite number greater than 0, with nothing
+ *  after it; anything else is a FatalError naming @p what. */
+double parsePositive(const std::string &what, const std::string &text);
 
 /**
  * Parses option assignments into a SystemConfig.

@@ -37,7 +37,8 @@ System::System(const SystemConfig &config)
       physMap_(config.installedBytes, shadowRangeFrom(config),
                config.physAddrBits)
 {
-    fatalIf(config.cores == 0, "a machine needs at least one core");
+    fatalIf(config.cores == 0 || config.cores > maxCores,
+            "a machine has 1 to ", maxCores, " cores, not ", config.cores);
     memsys_ = std::make_unique<MemorySystem>(
         config.bus, mmcConfigFrom(config), physMap_, rootStats_);
     cache_ = std::make_unique<Cache>(config.cache, *memsys_, rootStats_);

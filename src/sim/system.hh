@@ -100,6 +100,11 @@ struct SystemConfig
 class System : private stats::DeferredSource
 {
   public:
+    /** The most cores a machine may have. Each core costs a TLB with
+     *  its 32 KB page memo and a CPU, so the constructor checks the
+     *  count before it builds any of them. */
+    static constexpr unsigned maxCores = 64;
+
     explicit System(const SystemConfig &config);
     ~System();
 

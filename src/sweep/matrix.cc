@@ -99,12 +99,6 @@ goldenMatrix(double scale, const SystemConfig &machine)
     return m;
 }
 
-std::vector<std::string>
-knownMatrices()
-{
-    return {"fig3", "fig4", "golden"};
-}
-
 SweepMatrix
 makeMatrix(const std::string &name, double scale,
            const SystemConfig &base)

@@ -48,9 +48,6 @@ SweepMatrix fig4Matrix(double scale);
  */
 SweepMatrix goldenMatrix(double scale, const SystemConfig &machine);
 
-/** Matrix names accepted by makeMatrix(). */
-std::vector<std::string> knownMatrices();
-
 /**
  * Build a matrix by name. @p base is the machine for "golden"
  * (ignored by the figure matrices, which define their own machines).

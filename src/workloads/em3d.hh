@@ -55,8 +55,6 @@ class Em3dWorkload : public Workload
     void setup(System &sys) override;
     void run(System &sys) override;
 
-    Addr mappedBytes() const { return mappedBytes_; }
-
   private:
     /** Byte size of one node record: value + count + degree
      *  (neighbour pointer, coefficient) pairs. */

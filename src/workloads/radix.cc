@@ -67,7 +67,6 @@ RadixWorkload::setup(System &sys)
     // configured sizes leave room.
     if (config_.numKeys == 1'048'576 && total < 8'437'760)
         total = 8'437'760;
-    mappedBytes_ = total;
 
     space.addRegion("radix_data", pageBase(base_),
                     roundUp(total + allocOffset, basePageSize),

@@ -50,9 +50,6 @@ class RadixWorkload : public Workload
     void setup(System &sys) override;
     void run(System &sys) override;
 
-    /** Bytes of simulated memory the sort's structures occupy. */
-    Addr mappedBytes() const { return mappedBytes_; }
-
   private:
     Addr keyAddr(bool to_array, std::size_t index) const;
     Addr histAddr(unsigned digit) const;
@@ -67,7 +64,6 @@ class RadixWorkload : public Workload
     Addr toAddr_ = 0;
     Addr histBase_ = 0;
     Addr rankBase_ = 0;
-    Addr mappedBytes_ = 0;
     Addr codeBase_ = 0;
 };
 

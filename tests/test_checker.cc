@@ -5,8 +5,8 @@
  * Strategy: build a real machine, put it into a known-good state,
  * verify the auditor reports it clean — then use the FaultInjector to
  * plant one corruption of each class and assert the auditor pins it
- * to the right invariant. Built with MTLBSIM_CHECK_TESTING so the
- * injector's mutators are compiled in.
+ * to the right invariant. Built with MTLBSIM_CHECK_TESTING, without
+ * which the injector's header does not compile.
  */
 
 #include <gtest/gtest.h>
@@ -122,8 +122,8 @@ TEST(CheckerTest, DetectsDoubleMappedFrame)
     System sys(machine());
     warmUp(sys);
     // Back an untouched page with a frame that already backs another.
-    FaultInjector(sys).doubleMapFrame(dataBase + MB + basePageSize,
-                                      dataBase + 7 * MB);
+    FaultInjector::doubleMapFrame(sys, dataBase + MB + basePageSize,
+                                  dataBase + 7 * MB);
     AuditReport report = sys.auditor().collect();
     EXPECT_TRUE(report.has("frame-accounting"));
 }
@@ -137,9 +137,10 @@ TEST(CheckerTest, ReportsPagesInAddressOrder)
     // follows page order, not installation or hash order.
     const Addr pages[] = {dataBase + 6 * MB, dataBase + 7 * MB,
                           dataBase + 5 * MB};
-    FaultInjector inject(sys);
-    for (unsigned i = 0; i < 3; ++i)
-        inject.doubleMapFrame(dataBase + MB + i * basePageSize, pages[i]);
+    for (unsigned i = 0; i < 3; ++i) {
+        FaultInjector::doubleMapFrame(
+            sys, dataBase + MB + i * basePageSize, pages[i]);
+    }
     const AddressSpace &space = sys.kernel().addressSpace();
     AuditReport accounting;
     for (const auto &v : sys.auditor().collect().violations) {
@@ -159,7 +160,7 @@ TEST(CheckerTest, DetectsLeakedFrame)
 {
     System sys(machine());
     warmUp(sys);
-    FaultInjector(sys).leakFrame();
+    FaultInjector::leakFrame(sys);
     AuditReport report = sys.auditor().collect();
     EXPECT_TRUE(report.has("frame-accounting"));
 }
@@ -170,7 +171,7 @@ TEST(CheckerTest, DetectsStaleMtlbEntry)
     warmUp(sys);
     // Redirect the superpage's first PTE under the MTLB's cached
     // copy: the retranslation the hardware holds is now stale.
-    FaultInjector(sys).staleMtlbEntry(residentSuperpageSpi(sys), 3000);
+    FaultInjector::staleMtlbEntry(sys, residentSuperpageSpi(sys), 3000);
     AuditReport report = sys.auditor().collect();
     EXPECT_TRUE(report.has("mtlb-coherence"));
 }
@@ -181,7 +182,7 @@ TEST(CheckerTest, DetectsRdBitDesync)
     warmUp(sys);
     // The table claims a modified bit the MTLB's copy never saw:
     // R/D state may only run ahead in the cache, never in the table.
-    FaultInjector(sys).desyncDirtyBit(residentSuperpageSpi(sys));
+    FaultInjector::desyncDirtyBit(sys, residentSuperpageSpi(sys));
     AuditReport report = sys.auditor().collect();
     EXPECT_TRUE(report.has("mtlb-coherence"));
 }
@@ -193,7 +194,7 @@ TEST(CheckerTest, DetectsLeakedShadowMapping)
     // A valid PTE at a shadow index no recorded superpage covers.
     const Addr last_spi =
         sys.physmap().shadowRange().size / basePageSize - 1;
-    FaultInjector(sys).leakShadowMapping(last_spi, 3000);
+    FaultInjector::leakShadowMapping(sys, last_spi, 3000);
     AuditReport report = sys.auditor().collect();
     EXPECT_TRUE(report.has("shadow-table"));
 }
@@ -212,7 +213,7 @@ TEST(CheckerTest, ReportsShadowFrameMappedTwice)
     const Addr pfn = sys.kernel().addressSpace().frameOf(sp.vbase);
     const Addr last_spi =
         sys.physmap().shadowRange().size / basePageSize - 1;
-    FaultInjector(sys).leakShadowMapping(last_spi, pfn);
+    FaultInjector::leakShadowMapping(sys, last_spi, pfn);
 
     const AuditReport report = sys.auditor().collect();
     ASSERT_EQ(report.violations.size(), 2u);
@@ -231,7 +232,7 @@ TEST(CheckerTest, ReportsDuplicatedHptEntry)
     System sys(machine());
     warmUp(sys);
     const Addr va = dataBase + MB;     // a loose base page
-    FaultInjector(sys).duplicateHptEntry(va);
+    FaultInjector::duplicateHptEntry(sys, va);
 
     const AuditReport report = sys.auditor().collect();
     ASSERT_EQ(report.violations.size(), 1u);
@@ -247,7 +248,7 @@ TEST(CheckerTest, ReportsSuperpageMissingAnHptReplica)
     // that present page unreachable.
     const ShadowSuperpage &sp = firstSuperpage(sys);
     const Addr last = sp.vbase + sp.size() - basePageSize;
-    FaultInjector(sys).dropHptReplica(last);
+    FaultInjector::dropHptReplica(sys, last);
 
     const AuditReport report = sys.auditor().collect();
     ASSERT_EQ(report.violations.size(), 2u);
@@ -266,7 +267,7 @@ TEST(CheckerTest, ReportsPresentPageUnreachableThroughHpt)
     System sys(machine());
     warmUp(sys);
     const Addr va = dataBase + MB + 5 * basePageSize;
-    FaultInjector(sys).dropHptEntry(va);
+    FaultInjector::dropHptEntry(sys, va);
 
     const AuditReport report = sys.auditor().collect();
     ASSERT_EQ(report.violations.size(), 1u);
@@ -280,7 +281,7 @@ TEST(CheckerTest, DetectsStaleTlbEntry)
     System sys(machine());
     warmUp(sys);
     // A TLB entry for a page the OS never materialised.
-    FaultInjector(sys).staleTlbEntry(dataBase + 6 * MB, 0x01000000);
+    FaultInjector::staleTlbEntry(sys, dataBase + 6 * MB, 0x01000000);
     AuditReport report = sys.auditor().collect();
     EXPECT_TRUE(report.has("tlb-coherence"));
 }
@@ -292,7 +293,7 @@ TEST(CheckerTest, DetectsStaleMemoEntry)
     // Refresh one memo entry, then corrupt its memoized frame as a
     // missed epoch bump would leave it.
     sys.cpu().load(dataBase);
-    FaultInjector(sys).staleMemoEntry(dataBase);
+    FaultInjector::staleMemoEntry(sys, dataBase);
     AuditReport report = sys.auditor().collect();
     EXPECT_TRUE(report.has("memo-coherence"));
 }
@@ -301,7 +302,7 @@ TEST(CheckerTest, DetectsShadowEscapeToDram)
 {
     System sys(machine());
     warmUp(sys);
-    FaultInjector(sys).leakShadowAddressToDram();
+    FaultInjector::leakShadowAddressToDram(sys);
     AuditReport report = sys.auditor().collect();
     EXPECT_TRUE(report.has("dram-guard"));
 }
@@ -311,7 +312,7 @@ TEST(CheckerTest, PanicPolicyThrowsOnViolation)
     System sys(machine());
     warmUp(sys);
     EXPECT_NO_THROW(sys.audit());
-    FaultInjector(sys).leakFrame();
+    FaultInjector::leakFrame(sys);
     EXPECT_THROW(sys.audit(), PanicError);
 }
 
@@ -321,7 +322,7 @@ TEST(CheckerTest, WarnPolicyCountsViolations)
     config.check.panicOnViolation = false;
     System sys(config);
     warmUp(sys);
-    FaultInjector(sys).leakFrame();
+    FaultInjector::leakFrame(sys);
     EXPECT_NO_THROW(sys.audit());
     EXPECT_GE(sys.auditor().violationsFound(), 1u);
     EXPECT_EQ(sys.auditor().auditsRun(), 1u);

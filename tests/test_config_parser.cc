@@ -110,6 +110,26 @@ TEST(ConfigParserTest, ValuesBeyondTheFieldWidthAreFatal)
     EXPECT_EQ(parser.config().cores, 1u);
 }
 
+TEST(ConfigParserTest, CommandLineNumbersPassTheSameCheck)
+{
+    // The tools' numeric flags use the config values' check, with
+    // the flag named in the error.
+    EXPECT_EQ(parseCount("--ops", "10", 100), 10u);
+    EXPECT_THROW(parseCount("--ops", "10x", 100), FatalError);
+    EXPECT_THROW(parseCount("--ops", "-1", 100), FatalError);
+    EXPECT_THROW(parseCount("--ops", "101", 100), FatalError);
+    try {
+        parseCount("--jobs", "banana", 100);
+        FAIL() << "banana parsed";
+    } catch (const FatalError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "--jobs: 'banana' is not an unsigned integer");
+    }
+    EXPECT_EQ(parsePositive("--scale", "0.25"), 0.25);
+    for (const char *bad : {"0.01x", "0", "-0.5", "inf", "nan", " 1", ""})
+        EXPECT_THROW(parsePositive("--scale", bad), FatalError) << bad;
+}
+
 TEST(ConfigParserTest, ValuesAtTheFieldWidthParse)
 {
     ConfigParser parser;

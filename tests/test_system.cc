@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "sim/system.hh"
 
@@ -59,6 +60,21 @@ TEST(SystemTest, ConstructsWithAndWithoutMtlb)
 {
     EXPECT_NO_THROW(System{config(true)});
     EXPECT_NO_THROW(System{config(false)});
+}
+
+TEST(SystemTest, OneCoreMoreThanTheBoundIsFatal)
+{
+    // Checked before any per-core TLB, page memo or CPU is built.
+    SystemConfig c = config(true);
+    c.cores = System::maxCores + 1;
+    try {
+        System sys(c);
+        FAIL() << "a " << c.cores << "-core machine was built";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("1 to 64 cores, not 65"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(SystemTest, StatsDumpContainsAllGroups)

@@ -93,21 +93,8 @@ lint_step() {
     cmake --preset default >/dev/null &&
         cmake --build --preset default -j "$jobs" \
             --target mtlb_lint || return 1
-    # Per-rule status: run each family on its own so the pre-commit
-    # gate says *which* contract broke, then gate on the full run.
-    local rule rc=0
-    for rule in R5 R6 R7 R8 R9 SA; do
-        if build/tools/lint/mtlb-lint --root . \
-                --only "$rule" --quiet >/dev/null 2>&1; then
-            printf '  %-4s ok\n' "$rule"
-        else
-            printf '  %-4s FAIL\n' "$rule"
-            rc=1
-        fi
-    done
-    # Full run last: prints the actual findings for any FAIL above.
-    build/tools/lint/mtlb-lint --root . || rc=1
-    return "$rc"
+    # One run checks every rule and prints each finding with its id.
+    build/tools/lint/mtlb-lint --root .
 }
 
 if [ "$lint_only" = 1 ]; then

@@ -33,6 +33,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,7 @@
 #include "fuzz/fuzzer.hh"
 #include "fuzz/schedule.hh"
 #include "fuzz/shrink.hh"
+#include "sim/config_parser.hh"
 
 using namespace mtlbsim;
 using namespace mtlbsim::fuzz;
@@ -84,6 +86,18 @@ tracePath(const std::string &out_dir, std::uint64_t seed,
 {
     return out_dir + "/fuzz-" + std::to_string(seed) +
            (minimized ? ".min.fztrace" : ".fztrace");
+}
+
+/** Re-run the shrunk @p ops and record them, outcome included. */
+void
+writeMinimized(const std::string &path, const FuzzParams &params,
+               const std::vector<FuzzOp> &ops)
+{
+    Schedule minimized;
+    minimized.params = params;
+    minimized.params.numOps = static_cast<unsigned>(ops.size());
+    minimized.ops = ops;
+    writeTrace(path, minimized, runSchedule(minimized));
 }
 
 int
@@ -173,13 +187,8 @@ shrinkFile(const std::string &path, bool quiet)
         return 1;
     }
 
-    Schedule minimized;
-    minimized.params = trace.schedule.params;
-    minimized.params.numOps = static_cast<unsigned>(sr.ops.size());
-    minimized.ops = sr.ops;
-    const RunResult rerun = runSchedule(minimized);
     const std::string out_path = path + ".min";
-    writeTrace(out_path, minimized, rerun);
+    writeMinimized(out_path, trace.schedule.params, sr.ops);
 
     if (!quiet) {
         std::fprintf(stderr,
@@ -215,6 +224,12 @@ run(int argc, char **argv)
         }
         return argv[i];
     };
+    // A numeric flag's operand passes the config parser's check.
+    auto count = [&]<typename T>(int &i, T &dest) {
+        const std::string flag = argv[i];
+        dest = static_cast<T>(parseCount(flag, next_arg(i),
+                                         std::numeric_limits<T>::max()));
+    };
 
     for (int i = 1; i < argc; ++i) {
         const std::string token = argv[i];
@@ -222,17 +237,15 @@ run(int argc, char **argv)
             usage();
             return 0;
         } else if (token == "--seed") {
-            seed = static_cast<std::uint64_t>(
-                std::strtoull(next_arg(i), nullptr, 0));
+            count(i, seed);
         } else if (token == "--runs") {
-            runs = static_cast<unsigned>(std::atoi(next_arg(i)));
+            count(i, runs);
         } else if (token == "--ops") {
-            ops = static_cast<unsigned>(std::atoi(next_arg(i)));
+            count(i, ops);
         } else if (token == "--audit-every") {
-            audit_every =
-                static_cast<unsigned>(std::atoi(next_arg(i)));
+            count(i, audit_every);
         } else if (token == "--cores") {
-            cores = static_cast<unsigned>(std::atoi(next_arg(i)));
+            count(i, cores);
             if (cores == 0) {
                 std::fprintf(stderr,
                              "--cores wants a positive count\n");
@@ -305,15 +318,9 @@ run(int argc, char **argv)
             shrinkSchedule(schedule.params, schedule.ops,
                            result.failure.detector, 300);
         if (sr.stillFails) {
-            Schedule minimized;
-            minimized.params = schedule.params;
-            minimized.params.numOps =
-                static_cast<unsigned>(sr.ops.size());
-            minimized.ops = sr.ops;
-            const RunResult rerun = runSchedule(minimized);
             const std::string min_path =
                 tracePath(out_dir, run_seed, true);
-            writeTrace(min_path, minimized, rerun);
+            writeMinimized(min_path, schedule.params, sr.ops);
             std::fprintf(stderr, "          minimized to %zu ops: %s\n",
                          sr.ops.size(), min_path.c_str());
         }

@@ -23,43 +23,6 @@ isIdentChar(char c)
     return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
-/**
- * Record a `mtlb-lint: allow(a,b)` directive found in a comment.
- * Tolerates arbitrary whitespace and trailing comment text.
- */
-void
-parseSuppression(const std::string &comment, int line, SourceFile &out)
-{
-    const std::string tag = "mtlb-lint:";
-    auto pos = comment.find(tag);
-    if (pos == std::string::npos)
-        return;
-    pos += tag.size();
-    while (pos < comment.size() && std::isspace(
-               static_cast<unsigned char>(comment[pos]))) {
-        ++pos;
-    }
-    if (comment.compare(pos, 5, "allow") != 0)
-        return;
-    pos = comment.find('(', pos);
-    if (pos == std::string::npos)
-        return;
-    auto close = comment.find(')', pos);
-    if (close == std::string::npos)
-        return;
-    std::string list = comment.substr(pos + 1, close - pos - 1);
-    std::string item;
-    std::istringstream iss(list);
-    while (std::getline(iss, item, ',')) {
-        // Trim whitespace.
-        auto b = item.find_first_not_of(" \t");
-        auto e = item.find_last_not_of(" \t");
-        if (b == std::string::npos)
-            continue;
-        out.suppressions[line].insert(item.substr(b, e - b + 1));
-    }
-}
-
 } // namespace
 
 SourceFile
@@ -67,21 +30,6 @@ tokenize(const std::string &path, const std::string &text)
 {
     SourceFile out;
     out.path = path;
-
-    // Split into raw lines for the line-wise rules.
-    {
-        std::string cur;
-        for (char c : text) {
-            if (c == '\n') {
-                out.lines.push_back(cur);
-                cur.clear();
-            } else {
-                cur.push_back(c);
-            }
-        }
-        if (!cur.empty())
-            out.lines.push_back(cur);
-    }
 
     size_t i = 0;
     const size_t n = text.size();
@@ -109,7 +57,6 @@ tokenize(const std::string &path, const std::string &text)
         // an unescaped newline ends it.
         if (c == '/' && peek(1) == '/') {
             size_t start = i;
-            int startLine = line;
             while (i < n) {
                 if (text[i] == '\n') {
                     size_t back = i;
@@ -124,14 +71,10 @@ tokenize(const std::string &path, const std::string &text)
                 }
                 ++i;
             }
-            parseSuppression(text.substr(start, i - start), startLine,
-                             out);
             continue;
         }
         // Block comment.
         if (c == '/' && peek(1) == '*') {
-            size_t start = i;
-            int startLine = line;
             i += 2;
             while (i < n && !(text[i] == '*' && peek(1) == '/')) {
                 if (text[i] == '\n')
@@ -140,7 +83,6 @@ tokenize(const std::string &path, const std::string &text)
             }
             if (i < n)
                 i += 2;
-            parseSuppression(text.substr(start, i - start), startLine, out);
             continue;
         }
         // Raw string literal: R"delim( ... )delim"
@@ -164,8 +106,7 @@ tokenize(const std::string &path, const std::string &text)
             continue;
         }
         // String / char literal (handles escapes). Contents are kept
-        // verbatim (minus surrounding quotes): R4 matches config-key
-        // literals against them.
+        // verbatim (minus surrounding quotes).
         if (c == '"' || c == '\'') {
             char quote = c;
             int startLine = line;
@@ -240,20 +181,6 @@ tokenizeFile(const std::string &path, const std::string &displayPath)
     std::ostringstream ss;
     ss << in.rdbuf();
     return tokenize(displayPath, ss.str());
-}
-
-bool
-suppressed(const SourceFile &file, int line,
-           const std::string &id, const std::string &name)
-{
-    for (int l : {line, line - 1}) {
-        auto it = file.suppressions.find(l);
-        if (it == file.suppressions.end())
-            continue;
-        if (it->second.count(id) || it->second.count(name))
-            return true;
-    }
-    return false;
 }
 
 } // namespace mtlblint

@@ -10,9 +10,6 @@
  * ('#' is a punctuator), which is exactly what the include-guard
  * check wants.
  *
- * The lexer also collects `// mtlb-lint: allow(rule[,rule...])`
- * suppression comments, keyed by line, so rules can honour them.
- *
  * Dependency-free by design (standard library only): the linter must
  * build and run without the simulator or any third-party library.
  */
@@ -20,8 +17,6 @@
 #ifndef MTLBSIM_TOOLS_LINT_LEXER_HH
 #define MTLBSIM_TOOLS_LINT_LEXER_HH
 
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -44,15 +39,11 @@ struct Token
     int line = 1;
 };
 
-/** A tokenized source file plus its suppression comments. */
+/** A tokenized source file. */
 struct SourceFile
 {
     std::string path;               ///< as given (repo-relative)
     std::vector<Token> tokens;
-    /** line -> rule names allowed on that line (and the next). */
-    std::map<int, std::set<std::string>> suppressions;
-    /** Raw text lines, for rules that work line-wise. */
-    std::vector<std::string> lines;
 };
 
 /** Tokenize @p text as C++ source. @p path is recorded verbatim. */
@@ -62,11 +53,6 @@ SourceFile tokenize(const std::string &path, const std::string &text);
  *  failure. */
 SourceFile tokenizeFile(const std::string &path,
                         const std::string &displayPath);
-
-/** True if the suppression table allows @p rule (either its "R<n>"
- *  id or its long name) at @p line — same line or the line above. */
-bool suppressed(const SourceFile &file, int line,
-                const std::string &id, const std::string &name);
 
 } // namespace mtlblint
 

@@ -5,13 +5,11 @@
  * docs/manual.md §11 for usage.
  *
  * Exit codes: 0 clean, 1 findings, 2 usage or IO error (an unknown
- * rule id in --only or an unknown --format among them).
+ * argument or an unknown --format among them).
  */
 
-#include <cstring>
+#include <cstdlib>
 #include <iostream>
-#include <set>
-#include <sstream>
 #include <string>
 
 #include "lint.hh"
@@ -22,20 +20,10 @@ namespace
 void
 usage(std::ostream &os)
 {
-    os << "usage: mtlb-lint [--root DIR] [--rules FILE] [--only R5,R6,...]"
-          " [--format text|github] [--quiet]\n"
+    os << "usage: mtlb-lint [--root DIR] [--format text|github] "
+          "[--quiet]\n"
           "  --root DIR     repo root to lint (default: current "
           "directory)\n"
-          "  --rules FILE   rules file (default: <root>/tools/lint/"
-          "rules.cfg)\n"
-          "  --only LIST    comma-separated rule ids to run (default: "
-          "all;\n"
-          "                 R5-R9 plus SA, the stale-allow "
-          "diagnostic,\n"
-          "                 which executes the other checks for "
-          "bookkeeping\n"
-          "                 and reports annotations that suppress "
-          "nothing)\n"
           "  --format KIND  output format: text (default) or github\n"
           "                 (workflow error annotations)\n"
           "  --quiet        suppress the summary line on success\n";
@@ -47,9 +35,7 @@ int
 main(int argc, char **argv)
 {
     std::string root = ".";
-    std::string rules;
     std::string fmt = "text";
-    std::set<std::string> only;
     bool quiet = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -63,13 +49,6 @@ main(int argc, char **argv)
         };
         if (arg == "--root") {
             root = value();
-        } else if (arg == "--rules") {
-            rules = value();
-        } else if (arg == "--only") {
-            std::istringstream iss(value());
-            std::string id;
-            while (std::getline(iss, id, ','))
-                only.insert(id);
         } else if (arg == "--format") {
             fmt = value();
             if (fmt != "text" && fmt != "github") {
@@ -88,12 +67,9 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (rules.empty())
-        rules = root + "/tools/lint/rules.cfg";
 
     try {
-        auto cfg = mtlblint::RulesConfig::load(rules);
-        auto findings = mtlblint::runLint(root, cfg, only);
+        const auto findings = mtlblint::runLint(root);
         for (const auto &f : findings) {
             std::cout << (fmt == "github" ? mtlblint::formatGithub(f)
                                           : mtlblint::format(f))

@@ -7,15 +7,18 @@
  *
  * Exit status: 0 when the bounded search finds no violation, 1 when
  * a counterexample was found (it is printed, one op per line), 2 on
- * usage errors.
+ * usage errors, printed as "modelcheck: <message>".
  */
 
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 
+#include "base/logging.hh"
 #include "fuzz/schedule.hh"
 #include "model/modelcheck.hh"
+#include "sim/config_parser.hh"
 
 namespace
 {
@@ -61,13 +64,10 @@ printConfig(const model::ModelConfig &cfg)
         std::cout << "  " << model::opToString(op) << "\n";
 }
 
-} // namespace
-
+/** The program proper; main() turns its errors into exit status 2. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    using namespace mtlbsim;
-
     model::ModelConfig cfg;
     bool show_config = false;
     bool show_stats = false;
@@ -82,10 +82,15 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // A numeric flag's operand passes the config parser's check.
+        const auto count = [&]<typename T>(T &dest) {
+            dest = static_cast<T>(parseCount(
+                arg, operand(), std::numeric_limits<T>::max()));
+        };
         if (arg == "--depth") {
-            cfg.depth = static_cast<unsigned>(std::atoi(operand()));
+            count(cfg.depth);
         } else if (arg == "--cores") {
-            cfg.cores = static_cast<unsigned>(std::atoi(operand()));
+            count(cfg.cores);
             if (cfg.cores == 0) {
                 std::cerr << "modelcheck: --cores wants a positive "
                              "count\n";
@@ -96,8 +101,7 @@ main(int argc, char **argv)
         } else if (arg == "--stats") {
             show_stats = true;
         } else if (arg == "--max-states") {
-            cfg.maxStates =
-                static_cast<std::uint64_t>(std::atoll(operand()));
+            count(cfg.maxStates);
         } else if (arg == "--progress") {
             cfg.progress = true;
         } else if (arg == "--fault") {
@@ -161,4 +165,13 @@ main(int argc, char **argv)
 
     std::cout << "modelcheck: no violations within depth bound\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return mtlbsim::runMain("modelcheck", 2,
+                            [&] { return run(argc, argv); });
 }

@@ -25,9 +25,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -112,9 +112,11 @@ run(int argc, char **argv)
         } else if (token == "--matrix") {
             matrix_name = next_arg(i);
         } else if (token == "--scale") {
-            scale = std::atof(next_arg(i));
+            scale = parsePositive(token, next_arg(i));
         } else if (token == "--jobs") {
-            jobs = static_cast<unsigned>(std::atoi(next_arg(i)));
+            jobs = static_cast<unsigned>(
+                parseCount(token, next_arg(i),
+                           std::numeric_limits<unsigned>::max()));
         } else if (token == "--filter") {
             filter = next_arg(i);
         } else if (token == "--list") {
