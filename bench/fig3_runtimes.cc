@@ -17,11 +17,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "base/logging.hh"
+#include "sim/config_parser.hh"
 #include "sweep/matrix.hh"
 #include "workloads/experiment.hh"
 
@@ -64,14 +66,15 @@ printHeader()
     std::printf("\n");
 }
 
-} // namespace
-
+/** The program proper; main() turns its errors into exit status 1. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    const double scale = argc > 1 ? std::atof(argv[1]) : 1.0;
+    const double scale = argc > 1 ? parsePositive("scale", argv[1]) : 1.0;
     const unsigned jobs =
-        argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 0;
+        argc > 2 ? static_cast<unsigned>(parseCount(
+                       "jobs", argv[2], std::numeric_limits<unsigned>::max()))
+                 : 0;
 
     std::printf("=== Figure 3: normalized runtimes, 5 programs x "
                 "{64,96,128}-entry TLB x {no MTLB, 128-entry 2-way "
@@ -193,4 +196,12 @@ main(int argc, char **argv)
                                   : "128-entry TLB wins");
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("fig3_runtimes", 1, [&] { return run(argc, argv); });
 }

@@ -22,22 +22,30 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "base/logging.hh"
+#include "sim/config_parser.hh"
 #include "sweep/matrix.hh"
 #include "workloads/experiment.hh"
 
 using namespace mtlbsim;
 
-int
-main(int argc, char **argv)
+namespace
 {
-    const double scale = argc > 1 ? std::atof(argv[1]) : 1.0;
+
+/** The program proper; main() turns its errors into exit status 1. */
+int
+run(int argc, char **argv)
+{
+    const double scale = argc > 1 ? parsePositive("scale", argv[1]) : 1.0;
     const unsigned jobs =
-        argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 0;
+        argc > 2 ? static_cast<unsigned>(parseCount(
+                       "jobs", argv[2], std::numeric_limits<unsigned>::max()))
+                 : 0;
 
     const std::vector<unsigned> sizes = {64, 128, 256, 512};
     const std::vector<unsigned> assocs = {1, 2, 4, 8};
@@ -155,4 +163,13 @@ main(int argc, char **argv)
     std::printf("em3d cache hit rate (paper: ~84%%): %.1f%%\n",
                 100.0 * base.cacheHitRate);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("fig4_em3d_sensitivity", 1,
+                   [&] { return run(argc, argv); });
 }

@@ -22,8 +22,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "base/logging.hh"
+#include "sim/config_parser.hh"
 #include "workloads/experiment.hh"
 
 using namespace mtlbsim;
@@ -46,12 +47,11 @@ runMode(const std::string &name, double scale, bool explicit_remap,
     return runExperiment(name, scale, config);
 }
 
-} // namespace
-
+/** The program proper; main() turns its errors into exit status 1. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    const double scale = argc > 1 ? std::atof(argv[1]) : 0.5;
+    const double scale = argc > 1 ? parsePositive("scale", argv[1]) : 0.5;
 
     std::printf("=== §5 ablation: online superpage promotion "
                 "(96-entry TLB, 128-entry 2-way MTLB, scale %.2f)\n\n",
@@ -84,4 +84,12 @@ main(int argc, char **argv)
                 "paper's §5 remark\nabout retuned parameters "
                 "anticipates.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("promotion_ablation", 1, [&] { return run(argc, argv); });
 }

@@ -16,8 +16,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "base/logging.hh"
+#include "sim/config_parser.hh"
 #include "workloads/experiment.hh"
 
 using namespace mtlbsim;
@@ -89,12 +90,11 @@ measureWarmCopyCost()
     return static_cast<double>(sys.cpu().now() - before);
 }
 
-} // namespace
-
+/** The program proper; main() turns its errors into exit status 1. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    const double scale = argc > 1 ? std::atof(argv[1]) : 1.0;
+    const double scale = argc > 1 ? parsePositive("scale", argv[1]) : 1.0;
 
     std::printf("=== §3.3: superpage initialisation costs\n\n");
 
@@ -133,4 +133,12 @@ main(int argc, char **argv)
     std::printf("  superpages used  (paper 16):        %zu\n",
                 em3d.superpages);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("sec33_init_costs", 1, [&] { return run(argc, argv); });
 }

@@ -29,8 +29,8 @@
  *                 [--out FILE]
  *   --quick          tiny datasets (scale 0.02) for CI smoke runs
  *   --scale S        workload scale factor (default 0.1)
- *   --reps N         repetitions per mode; min and median wall
- *                    times are reported (default 1)
+ *   --reps N         repetitions per mode, 1 to 1000; min and
+ *                    median wall times are reported (default 1)
  *   --label T        free-form tag recorded in the trajectory entry
  *                    (e.g. a PR number or commit subject)
  *   --out FILE       read/append the JSON report here (default
@@ -45,7 +45,6 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -287,6 +286,10 @@ checkIdentical(const char *what, const ModeResult &base,
             batch.accesses, " accesses");
 }
 
+/** The most --reps: every rep keeps its wall time, so an unbounded
+ *  count could ask for more memory than the host has. */
+constexpr unsigned kMaxReps = 1000;
+
 /** The program proper; main() turns its errors into exit status 1. */
 int
 run(int argc, char **argv)
@@ -305,9 +308,9 @@ run(int argc, char **argv)
         if (arg == "--quick")
             scale = 0.02;
         else if (arg == "--scale")
-            scale = std::atof(next());
+            scale = parsePositive(arg, next());
         else if (arg == "--reps")
-            reps = static_cast<unsigned>(std::atoi(next()));
+            reps = static_cast<unsigned>(parseCount(arg, next(), kMaxReps));
         else if (arg == "--label")
             label = next();
         else if (arg == "--out")

@@ -11,8 +11,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "base/logging.hh"
+#include "sim/config_parser.hh"
 #include "workloads/experiment.hh"
 
 using namespace mtlbsim;
@@ -36,12 +37,11 @@ runWith(const std::string &name, double scale, unsigned buffers)
     return runExperiment(name, scale, config);
 }
 
-} // namespace
-
+/** The program proper; main() turns its errors into exit status 1. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    const double scale = argc > 1 ? std::atof(argv[1]) : 0.5;
+    const double scale = argc > 1 ? parsePositive("scale", argv[1]) : 0.5;
 
     std::printf("=== §6 ablation: MMC stream buffers on the MTLB "
                 "machine (96-entry TLB, scale %.2f)\n\n", scale);
@@ -66,4 +66,12 @@ main(int argc, char **argv)
                 "buffers — benefit most; pointer-chasers barely "
                 "move.)\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("streambuf_ablation", 1, [&] { return run(argc, argv); });
 }

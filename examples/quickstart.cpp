@@ -13,11 +13,12 @@
  *   scale:    dataset scale in (0,1] (default 0.25 for a fast demo)
  */
 
-#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <string>
 
+#include "base/logging.hh"
+#include "sim/config_parser.hh"
 #include "sim/system.hh"
 #include "workloads/workload.hh"
 
@@ -50,13 +51,12 @@ runOnce(const std::string &workload_name, double scale, bool with_mtlb)
             100.0 * sys.tlbMissFraction(), sys.avgFillLatency()};
 }
 
-} // namespace
-
+/** The program proper; main() turns its errors into exit status 1. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const std::string name = argc > 1 ? argv[1] : "em3d";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 0.25;
+    const double scale = argc > 2 ? parsePositive("scale", argv[2]) : 0.25;
 
     std::cout << "mtlb-sim quickstart: " << name << " at scale "
               << scale << "\n\n";
@@ -89,4 +89,12 @@ main(int argc, char **argv)
     std::cout << "\nMTLB speedup: " << std::setprecision(3) << speedup
               << "x\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("quickstart", 1, [&] { return run(argc, argv); });
 }

@@ -28,7 +28,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -100,7 +99,7 @@ run(int argc, char **argv)
     }
     const std::string workload_name = positional[0];
     const double scale =
-        positional.size() > 1 ? std::atof(positional[1].c_str()) : 1.0;
+        positional.size() > 1 ? parsePositive("scale", positional[1]) : 1.0;
 
     System sys(parser.config());
     auto workload = makeWorkload(workload_name, scale);

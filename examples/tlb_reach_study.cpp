@@ -16,18 +16,23 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "base/logging.hh"
+#include "sim/config_parser.hh"
 #include "workloads/experiment.hh"
 
 using namespace mtlbsim;
 
+namespace
+{
+
+/** The program proper; main() turns its errors into exit status 1. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const std::string name = argc > 1 ? argv[1] : "vortex";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 0.25;
+    const double scale = argc > 2 ? parsePositive("scale", argv[2]) : 0.25;
 
     std::printf("TLB reach study: %s at scale %.2f\n", name.c_str(),
                 scale);
@@ -60,4 +65,12 @@ main(int argc, char **argv)
                 "workload's page working set to a handful of "
                 "entries.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("tlb_reach_study", 1, [&] { return run(argc, argv); });
 }

@@ -52,7 +52,7 @@ environmentFlags()
 {
     // Debug-trace selection is allowed to read the environment: it
     // only toggles stderr logging, never simulated behaviour. (This
-    // file is mtlb-lint R5's one getenv exemption, tools/lint/lint.cc.)
+    // file is R5's one getenv exemption, tools/contract_check.py.)
     const char *env = std::getenv("MTLBSIM_DEBUG");
     return env ? parseFlags(env) : 0;
 }

@@ -17,8 +17,7 @@
  * assembled.
  */
 
-#ifndef MTLBSIM_BASE_DEBUG_HH
-#define MTLBSIM_BASE_DEBUG_HH
+#pragma once
 
 #include <string>
 
@@ -80,5 +79,3 @@ debugPrintf(debug::Flag flag, Args &&...args)
 }
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_BASE_DEBUG_HH

@@ -3,8 +3,7 @@
  * Small integer-math helpers used throughout the simulator.
  */
 
-#ifndef MTLBSIM_BASE_INTMATH_HH
-#define MTLBSIM_BASE_INTMATH_HH
+#pragma once
 
 #include <cstdint>
 
@@ -59,5 +58,3 @@ divCeil(std::uint64_t a, std::uint64_t b)
 }
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_BASE_INTMATH_HH

@@ -9,8 +9,7 @@
  * without stopping the simulation.
  */
 
-#ifndef MTLBSIM_BASE_LOGGING_HH
-#define MTLBSIM_BASE_LOGGING_HH
+#pragma once
 
 #include <cstdio>
 #include <cstdlib>
@@ -132,5 +131,3 @@ runMain(const char *program, int error_status, Body &&body)
 }
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_BASE_LOGGING_HH

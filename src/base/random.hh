@@ -7,8 +7,7 @@
  * important for reproducible experiments.
  */
 
-#ifndef MTLBSIM_BASE_RANDOM_HH
-#define MTLBSIM_BASE_RANDOM_HH
+#pragma once
 
 #include <cstdint>
 #include <initializer_list>
@@ -78,5 +77,3 @@ class Random
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_BASE_RANDOM_HH

@@ -8,8 +8,7 @@
  * CPU cycles; MMC-side components convert at the boundary.
  */
 
-#ifndef MTLBSIM_BASE_TYPES_HH
-#define MTLBSIM_BASE_TYPES_HH
+#pragma once
 
 #include <cstdint>
 
@@ -98,5 +97,3 @@ lineBase(Addr addr)
 }
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_BASE_TYPES_HH

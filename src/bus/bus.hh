@@ -13,8 +13,7 @@
  * realistically.
  */
 
-#ifndef MTLBSIM_BUS_BUS_HH
-#define MTLBSIM_BUS_BUS_HH
+#pragma once
 
 #include "base/types.hh"
 #include "stats/stats.hh"
@@ -98,5 +97,3 @@ class Bus
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_BUS_BUS_HH

@@ -19,8 +19,7 @@
  * exactly like real physical addresses (§1).
  */
 
-#ifndef MTLBSIM_CACHE_CACHE_HH
-#define MTLBSIM_CACHE_CACHE_HH
+#pragma once
 
 #include <vector>
 
@@ -257,5 +256,3 @@ class Cache
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_CACHE_CACHE_HH

@@ -16,8 +16,7 @@
  * implementation into every translation unit.
  */
 
-#ifndef MTLBSIM_CHECK_CHECKER_HH
-#define MTLBSIM_CHECK_CHECKER_HH
+#pragma once
 
 #include <string>
 #include <vector>
@@ -74,5 +73,3 @@ struct AuditReport
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_CHECK_CHECKER_HH

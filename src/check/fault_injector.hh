@@ -18,8 +18,7 @@
  * friend. Every mutator is static and takes the System it corrupts.
  */
 
-#ifndef MTLBSIM_CHECK_FAULT_INJECTOR_HH
-#define MTLBSIM_CHECK_FAULT_INJECTOR_HH
+#pragma once
 
 #ifndef MTLBSIM_CHECK_TESTING
 #error "check/fault_injector.hh is test-only: define MTLBSIM_CHECK_TESTING"
@@ -210,5 +209,3 @@ class FaultInjector
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_CHECK_FAULT_INJECTOR_HH

@@ -53,8 +53,7 @@
  * processes' mappings.
  */
 
-#ifndef MTLBSIM_CHECK_TRANSLATION_AUDITOR_HH
-#define MTLBSIM_CHECK_TRANSLATION_AUDITOR_HH
+#pragma once
 
 #include <cstdint>
 #include <utility>
@@ -186,5 +185,3 @@ class TranslationAuditor
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_CHECK_TRANSLATION_AUDITOR_HH

@@ -21,8 +21,7 @@
  * Figure 3 can be reported.
  */
 
-#ifndef MTLBSIM_CPU_CPU_HH
-#define MTLBSIM_CPU_CPU_HH
+#pragma once
 
 #include <cstdint>
 #include <functional>
@@ -425,5 +424,3 @@ class Cpu
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_CPU_CPU_HH

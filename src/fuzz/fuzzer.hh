@@ -35,8 +35,7 @@
  * FaultInjector corruption class is caught.
  */
 
-#ifndef MTLBSIM_FUZZ_FUZZER_HH
-#define MTLBSIM_FUZZ_FUZZER_HH
+#pragma once
 
 #include <memory>
 #include <optional>
@@ -163,5 +162,3 @@ FuzzTrace loadTrace(const std::string &path);
 /** @} */
 
 } // namespace mtlbsim::fuzz
-
-#endif // MTLBSIM_FUZZ_FUZZER_HH

@@ -17,8 +17,7 @@
  * must stay independent of everything it checks.
  */
 
-#ifndef MTLBSIM_FUZZ_ORACLE_HH
-#define MTLBSIM_FUZZ_ORACLE_HH
+#pragma once
 
 #include <cstdint>
 #include <map>
@@ -126,5 +125,3 @@ class OracleMemory
 };
 
 } // namespace mtlbsim::fuzz
-
-#endif // MTLBSIM_FUZZ_ORACLE_HH

@@ -18,8 +18,7 @@
  * turns its dependents into no-ops instead of crashes.
  */
 
-#ifndef MTLBSIM_FUZZ_SCHEDULE_HH
-#define MTLBSIM_FUZZ_SCHEDULE_HH
+#pragma once
 
 #include <cstdint>
 #include <string>
@@ -165,5 +164,3 @@ std::uint64_t traceInteger(const json::Value &v, const std::string &key,
 /** @} */
 
 } // namespace mtlbsim::fuzz
-
-#endif // MTLBSIM_FUZZ_SCHEDULE_HH

@@ -11,8 +11,7 @@
  * never has to repair the schedule.
  */
 
-#ifndef MTLBSIM_FUZZ_SHRINK_HH
-#define MTLBSIM_FUZZ_SHRINK_HH
+#pragma once
 
 #include <string>
 #include <vector>
@@ -48,5 +47,3 @@ ShrinkResult shrinkSchedule(const FuzzParams &params,
                             unsigned maxTrials = 500);
 
 } // namespace mtlbsim::fuzz
-
-#endif // MTLBSIM_FUZZ_SHRINK_HH

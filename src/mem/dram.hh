@@ -10,8 +10,7 @@
  * cycles at the boundary.
  */
 
-#ifndef MTLBSIM_MEM_DRAM_HH
-#define MTLBSIM_MEM_DRAM_HH
+#pragma once
 
 #include <vector>
 
@@ -91,5 +90,3 @@ class Dram
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_MEM_DRAM_HH

@@ -11,8 +11,7 @@
  * explicit I/O holes that classification checks against.
  */
 
-#ifndef MTLBSIM_MEM_PHYSMAP_HH
-#define MTLBSIM_MEM_PHYSMAP_HH
+#pragma once
 
 #include <vector>
 
@@ -111,5 +110,3 @@ class PhysMap
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_MEM_PHYSMAP_HH

@@ -7,8 +7,7 @@
  * CPU cycles; internally the bus and MMC work in 120 MHz cycles.
  */
 
-#ifndef MTLBSIM_MMC_MEMSYS_HH
-#define MTLBSIM_MMC_MEMSYS_HH
+#pragma once
 
 #include <functional>
 
@@ -174,5 +173,3 @@ class MemorySystem : public MemBackend
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_MMC_MEMSYS_HH

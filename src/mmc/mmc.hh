@@ -16,8 +16,7 @@
  * table base, and reading back per-base-page referenced/dirty bits.
  */
 
-#ifndef MTLBSIM_MMC_MMC_HH
-#define MTLBSIM_MMC_MMC_HH
+#pragma once
 
 #include <memory>
 #include <optional>
@@ -195,5 +194,3 @@ class Mmc
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_MMC_MMC_HH

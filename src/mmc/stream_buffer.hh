@@ -23,8 +23,7 @@
  * the next lines.
  */
 
-#ifndef MTLBSIM_MMC_STREAM_BUFFER_HH
-#define MTLBSIM_MMC_STREAM_BUFFER_HH
+#pragma once
 
 #include <vector>
 
@@ -102,5 +101,3 @@ class StreamBufferBank
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_MMC_STREAM_BUFFER_HH

@@ -30,8 +30,7 @@
  * violation on an explored edge (soundness is per-edge).
  */
 
-#ifndef MTLBSIM_MODEL_MODELCHECK_HH
-#define MTLBSIM_MODEL_MODELCHECK_HH
+#pragma once
 
 #include <cstdint>
 #include <optional>
@@ -122,5 +121,3 @@ std::string opToString(const fuzz::FuzzOp &op);
 ModelResult runModelCheck(const ModelConfig &cfg);
 
 } // namespace mtlbsim::model
-
-#endif // MTLBSIM_MODEL_MODELCHECK_HH

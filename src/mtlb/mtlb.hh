@@ -22,8 +22,7 @@
  * reach the table when an entry is purged or synced.
  */
 
-#ifndef MTLBSIM_MTLB_MTLB_HH
-#define MTLBSIM_MTLB_MTLB_HH
+#pragma once
 
 #include <functional>
 #include <optional>
@@ -173,5 +172,3 @@ class Mtlb
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_MTLB_MTLB_HH

@@ -14,8 +14,7 @@
  * memory.
  */
 
-#ifndef MTLBSIM_MTLB_SHADOW_TABLE_HH
-#define MTLBSIM_MTLB_SHADOW_TABLE_HH
+#pragma once
 
 #include <vector>
 
@@ -131,5 +130,3 @@ class ShadowTable
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_MTLB_SHADOW_TABLE_HH

@@ -9,8 +9,7 @@
  * page-table walks on HPT misses generate realistic memory traffic.
  */
 
-#ifndef MTLBSIM_OS_ADDRESS_SPACE_HH
-#define MTLBSIM_OS_ADDRESS_SPACE_HH
+#pragma once
 
 #include <map>
 #include <optional>
@@ -157,5 +156,3 @@ class AddressSpace
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_OS_ADDRESS_SPACE_HH

@@ -21,8 +21,7 @@
  * callers can charge the daemon's work to the simulated clock.
  */
 
-#ifndef MTLBSIM_OS_CLOCK_DAEMON_HH
-#define MTLBSIM_OS_CLOCK_DAEMON_HH
+#pragma once
 
 #include <vector>
 
@@ -119,5 +118,3 @@ class ClockDaemon
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_OS_CLOCK_DAEMON_HH

@@ -12,8 +12,7 @@
  * frames.
  */
 
-#ifndef MTLBSIM_OS_FRAME_ALLOC_HH
-#define MTLBSIM_OS_FRAME_ALLOC_HH
+#pragma once
 
 #include <vector>
 
@@ -65,5 +64,3 @@ class FrameAllocator
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_OS_FRAME_ALLOC_HH

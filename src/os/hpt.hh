@@ -23,8 +23,7 @@
  * a kernel pool after the main table.
  */
 
-#ifndef MTLBSIM_OS_HPT_HH
-#define MTLBSIM_OS_HPT_HH
+#pragma once
 
 #include <optional>
 #include <vector>
@@ -157,5 +156,3 @@ class Hpt
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_OS_HPT_HH

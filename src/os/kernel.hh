@@ -25,8 +25,7 @@
  * compete with user data for cache space (§3.5).
  */
 
-#ifndef MTLBSIM_OS_KERNEL_HH
-#define MTLBSIM_OS_KERNEL_HH
+#pragma once
 
 #include <functional>
 #include <map>
@@ -595,5 +594,3 @@ class Kernel
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_OS_KERNEL_HH

@@ -13,8 +13,7 @@
  * does).
  */
 
-#ifndef MTLBSIM_OS_PER_CORE_HH
-#define MTLBSIM_OS_PER_CORE_HH
+#pragma once
 
 #include <utility>
 #include <vector>
@@ -77,5 +76,3 @@ class PerCore
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_OS_PER_CORE_HH

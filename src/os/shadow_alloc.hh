@@ -21,8 +21,7 @@
  * shadow backing.
  */
 
-#ifndef MTLBSIM_OS_SHADOW_ALLOC_HH
-#define MTLBSIM_OS_SHADOW_ALLOC_HH
+#pragma once
 
 #include <array>
 #include <map>
@@ -125,5 +124,3 @@ class BuddyShadowAllocator : public ShadowAllocator
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_OS_SHADOW_ALLOC_HH

@@ -17,8 +17,7 @@
  * color = (addr >> 12) % (cache_size / page_size).
  */
 
-#ifndef MTLBSIM_OS_SHADOW_PAGE_POOL_HH
-#define MTLBSIM_OS_SHADOW_PAGE_POOL_HH
+#pragma once
 
 #include <array>
 #include <optional>
@@ -82,5 +81,3 @@ class ShadowPagePool
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_OS_SHADOW_PAGE_POOL_HH

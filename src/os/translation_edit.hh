@@ -23,8 +23,7 @@
  * neither invalidates nor notifies.
  */
 
-#ifndef MTLBSIM_OS_TRANSLATION_EDIT_HH
-#define MTLBSIM_OS_TRANSLATION_EDIT_HH
+#pragma once
 
 #include "base/types.hh"
 
@@ -202,5 +201,3 @@ detachedEdit()
 #endif
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_OS_TRANSLATION_EDIT_HH

@@ -101,9 +101,9 @@ using Setter =
 
 /** Build the setter table. Constructed on demand instead of cached
  *  in a function-local static: the table is only consulted while
- *  parsing configuration (never on the simulated hot path), and
- *  keeping it off the R6 global-state inventory is worth the
- *  rebuild. */
+ *  parsing configuration (never on the simulated hot path), and a
+ *  cached table would be a mutable global that the contract check's
+ *  R6 (tools/contract_check.py) reports. */
 std::map<std::string, Setter>
 makeSetters()
 {

@@ -17,8 +17,7 @@
  * plain integers in those units.
  */
 
-#ifndef MTLBSIM_SIM_CONFIG_PARSER_HH
-#define MTLBSIM_SIM_CONFIG_PARSER_HH
+#pragma once
 
 #include <cstdint>
 #include <istream>
@@ -80,5 +79,3 @@ class ConfigParser
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_SIM_CONFIG_PARSER_HH

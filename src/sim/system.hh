@@ -18,8 +18,7 @@
  * either directly or by running one of the bundled workloads.
  */
 
-#ifndef MTLBSIM_SIM_SYSTEM_HH
-#define MTLBSIM_SIM_SYSTEM_HH
+#pragma once
 
 #include <memory>
 #include <ostream>
@@ -204,5 +203,3 @@ class System : private stats::DeferredSource
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_SIM_SYSTEM_HH

@@ -20,8 +20,7 @@
  * moved the numbers, and say why in the commit message.
  */
 
-#ifndef MTLBSIM_STATS_GOLDEN_HH
-#define MTLBSIM_STATS_GOLDEN_HH
+#pragma once
 
 #include <map>
 #include <string>
@@ -65,5 +64,3 @@ void writeGoldenFile(const std::string &path, const json::Value &value);
 json::Value readGoldenFile(const std::string &path);
 
 } // namespace mtlbsim::stats
-
-#endif // MTLBSIM_STATS_GOLDEN_HH

@@ -19,8 +19,7 @@
  * errors report fatal() with the byte offset.
  */
 
-#ifndef MTLBSIM_STATS_JSON_HH
-#define MTLBSIM_STATS_JSON_HH
+#pragma once
 
 #include <cstdint>
 #include <istream>
@@ -120,5 +119,3 @@ class Value
 std::string formatNumber(double v);
 
 } // namespace mtlbsim::json
-
-#endif // MTLBSIM_STATS_JSON_HH

@@ -15,8 +15,7 @@
  * outside the stats tree (tests/compile_fail/stat_only_from_group.cc).
  */
 
-#ifndef MTLBSIM_STATS_STATS_HH
-#define MTLBSIM_STATS_STATS_HH
+#pragma once
 
 #include <cstdint>
 #include <limits>
@@ -241,5 +240,3 @@ class StatGroup
 };
 
 } // namespace mtlbsim::stats
-
-#endif // MTLBSIM_STATS_STATS_HH

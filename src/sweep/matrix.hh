@@ -5,8 +5,7 @@
  * the regression tests.
  */
 
-#ifndef MTLBSIM_SWEEP_MATRIX_HH
-#define MTLBSIM_SWEEP_MATRIX_HH
+#pragma once
 
 #include <string>
 #include <vector>
@@ -56,5 +55,3 @@ SweepMatrix makeMatrix(const std::string &name, double scale,
                        const SystemConfig &base);
 
 } // namespace mtlbsim::sweep
-
-#endif // MTLBSIM_SWEEP_MATRIX_HH

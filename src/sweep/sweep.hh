@@ -17,8 +17,7 @@
  * checking alike.
  */
 
-#ifndef MTLBSIM_SWEEP_SWEEP_HH
-#define MTLBSIM_SWEEP_SWEEP_HH
+#pragma once
 
 #include <cstdint>
 #include <functional>
@@ -120,5 +119,3 @@ json::Value resultToJson(const SweepResult &result);
 json::Value sweepToJson(const std::vector<SweepResult> &results);
 
 } // namespace mtlbsim::sweep
-
-#endif // MTLBSIM_SWEEP_SWEEP_HH

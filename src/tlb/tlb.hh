@@ -17,8 +17,7 @@
  * data and is never replaced (§3.2).
  */
 
-#ifndef MTLBSIM_TLB_TLB_HH
-#define MTLBSIM_TLB_TLB_HH
+#pragma once
 
 #include <cstdint>
 #include <optional>
@@ -453,5 +452,3 @@ class MicroItlb
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_TLB_TLB_HH

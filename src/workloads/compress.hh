@@ -21,8 +21,7 @@
  * 25 cycles).
  */
 
-#ifndef MTLBSIM_WORKLOADS_COMPRESS_HH
-#define MTLBSIM_WORKLOADS_COMPRESS_HH
+#pragma once
 
 #include <vector>
 
@@ -81,5 +80,3 @@ class CompressWorkload : public Workload
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_WORKLOADS_COMPRESS_HH

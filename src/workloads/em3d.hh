@@ -18,8 +18,7 @@
  * sensitivity study (Fig 4).
  */
 
-#ifndef MTLBSIM_WORKLOADS_EM3D_HH
-#define MTLBSIM_WORKLOADS_EM3D_HH
+#pragma once
 
 #include <vector>
 
@@ -77,5 +76,3 @@ class Em3dWorkload : public Workload
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_WORKLOADS_EM3D_HH

@@ -6,8 +6,7 @@
  * metrics the paper's tables and figures report.
  */
 
-#ifndef MTLBSIM_WORKLOADS_EXPERIMENT_HH
-#define MTLBSIM_WORKLOADS_EXPERIMENT_HH
+#pragma once
 
 #include <string>
 
@@ -63,5 +62,3 @@ SystemConfig paperConfig(unsigned tlb_entries, bool mtlb_enabled,
                          unsigned mtlb_assoc = 2);
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_WORKLOADS_EXPERIMENT_HH

@@ -19,8 +19,7 @@
  * text segment.
  */
 
-#ifndef MTLBSIM_WORKLOADS_GCC_HH
-#define MTLBSIM_WORKLOADS_GCC_HH
+#pragma once
 
 #include <vector>
 
@@ -75,5 +74,3 @@ class GccWorkload : public Workload
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_WORKLOADS_GCC_HH

@@ -31,8 +31,7 @@
  * pins byte-for-byte.
  */
 
-#ifndef MTLBSIM_WORKLOADS_MULTIPROG_HH
-#define MTLBSIM_WORKLOADS_MULTIPROG_HH
+#pragma once
 
 #include <string>
 #include <vector>
@@ -96,5 +95,3 @@ Cycles runMultiprogMix(System &sys,
                        double scale, std::uint64_t seed);
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_WORKLOADS_MULTIPROG_HH

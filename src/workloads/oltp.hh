@@ -17,8 +17,7 @@
  * cache-friendly but far beyond any CPU TLB's reach.
  */
 
-#ifndef MTLBSIM_WORKLOADS_OLTP_HH
-#define MTLBSIM_WORKLOADS_OLTP_HH
+#pragma once
 
 #include <vector>
 
@@ -73,5 +72,3 @@ class OltpWorkload : public Workload
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_WORKLOADS_OLTP_HH

@@ -15,8 +15,7 @@
  * observation that radix keeps missing even in a 256-entry TLB.
  */
 
-#ifndef MTLBSIM_WORKLOADS_RADIX_HH
-#define MTLBSIM_WORKLOADS_RADIX_HH
+#pragma once
 
 #include <vector>
 
@@ -68,5 +67,3 @@ class RadixWorkload : public Workload
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_WORKLOADS_RADIX_HH

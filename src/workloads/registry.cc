@@ -34,7 +34,8 @@ scaled(T value, double scale, T floor)
 std::unique_ptr<Workload>
 makeWorkload(const std::string &name, double scale, std::uint64_t seed)
 {
-    fatalIf(scale <= 0.0 || scale > 1.0,
+    // Written so that a NaN scale fails too.
+    fatalIf(!(scale > 0.0 && scale <= 1.0),
             "workload scale must be in (0, 1], got ", scale);
 
     if (name == "compress95") {

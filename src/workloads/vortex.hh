@@ -17,8 +17,7 @@
  * simulated heap memory obtained from the kernel's sbrk().
  */
 
-#ifndef MTLBSIM_WORKLOADS_VORTEX_HH
-#define MTLBSIM_WORKLOADS_VORTEX_HH
+#pragma once
 
 #include <vector>
 
@@ -82,5 +81,3 @@ class VortexWorkload : public Workload
 };
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_WORKLOADS_VORTEX_HH

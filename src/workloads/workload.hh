@@ -18,8 +18,7 @@
  * baseline configuration.
  */
 
-#ifndef MTLBSIM_WORKLOADS_WORKLOAD_HH
-#define MTLBSIM_WORKLOADS_WORKLOAD_HH
+#pragma once
 
 #include <memory>
 #include <string>
@@ -80,5 +79,3 @@ std::unique_ptr<Workload> makeWorkload(const std::string &name,
 std::vector<std::string> allWorkloadNames();
 
 } // namespace mtlbsim
-
-#endif // MTLBSIM_WORKLOADS_WORKLOAD_HH

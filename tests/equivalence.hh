@@ -10,13 +10,12 @@
  * to be byte-identical.
  *
  * Used by tests/test_l0_fastpath.cc, tests/test_batch_engine.cc and
- * tests/test_multicore.cc;
+ * tests/test_multicore.cc, which share its machine and helpers;
  * bench/simspeed.cc and the lockstep fuzzer enforce the same
  * contract at scale through their own cycle/final-stats fatals.
  */
 
-#ifndef MTLBSIM_TESTS_EQUIVALENCE_HH
-#define MTLBSIM_TESTS_EQUIVALENCE_HH
+#pragma once
 
 #include <gtest/gtest.h>
 
@@ -28,6 +27,27 @@
 
 namespace mtlbsim::testeq
 {
+
+constexpr Addr MB = 1024 * 1024;
+/** Where the suites map their data region. */
+constexpr Addr dataBase = 0x10000000;
+
+/** A 64 MB machine with the host fast path on or off. */
+inline SystemConfig
+machine(bool batch_on)
+{
+    SystemConfig c;
+    c.installedBytes = 64 * MB;
+    c.cpu.batchEnable = batch_on;
+    return c;
+}
+
+/** Core 0's live memo entry covering @p va, or null. */
+inline const PageMemo::Entry *
+liveEntry(System &sys, Addr va)
+{
+    return sys.tlb().memo().live(va, sys.tlb().translationEpoch());
+}
 
 /** Everything observable a run produces: final simulated time plus
  *  both serializations of the statistics tree. */
@@ -87,5 +107,3 @@ expectConfigsEquivalent(const SystemConfig &reference,
 }
 
 } // namespace mtlbsim::testeq
-
-#endif // MTLBSIM_TESTS_EQUIVALENCE_HH

@@ -23,28 +23,10 @@
 #include "sim/system.hh"
 
 using namespace mtlbsim;
+using namespace mtlbsim::testeq;
 
 namespace
 {
-
-constexpr Addr MB = 1024 * 1024;
-constexpr Addr dataBase = 0x10000000;
-
-SystemConfig
-machine(bool batch_on)
-{
-    SystemConfig c;
-    c.installedBytes = 64 * MB;
-    c.cpu.batchEnable = batch_on;
-    return c;
-}
-
-/** Core 0's live memo entry covering @p va, or null. */
-const PageMemo::Entry *
-liveEntry(System &sys, Addr va)
-{
-    return sys.tlb().memo().live(va, sys.tlb().translationEpoch());
-}
 
 /**
  * The canonical batch-breaking drive: a hot same-page loop long

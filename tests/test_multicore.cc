@@ -27,12 +27,10 @@
 #include "workloads/workload.hh"
 
 using namespace mtlbsim;
+using namespace mtlbsim::testeq;
 
 namespace
 {
-
-constexpr Addr MB = 1024 * 1024;
-constexpr Addr dataBase = 0x10000000;
 
 SystemConfig
 multicoreConfig(unsigned cores)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "sim/system.hh"
 #include "workloads/workload.hh"
@@ -107,6 +108,7 @@ TEST(WorkloadFactory, RejectsBadScale)
 {
     EXPECT_THROW(makeWorkload("radix", 0.0), FatalError);
     EXPECT_THROW(makeWorkload("radix", 1.5), FatalError);
+    EXPECT_THROW(makeWorkload("radix", std::nan("")), FatalError);
 }
 
 TEST(WorkloadFactory, ListsFiveBenchmarks)

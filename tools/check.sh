@@ -3,17 +3,20 @@
 #
 # Runs, in order:
 #   1. the warnings-as-errors build,
-#   2. mtlb-lint over the source tree (tools/lint),
-#   3. the plain test suite,
-#   4. the address+UB-sanitized test suite,
-#   5. (optional, --model) the bounded model checker, depth 4,
-#   6. (optional, --tsan) the thread-sanitized test suite,
-#   7. (optional, --tidy) clang-tidy over src/.
+#   2. the plain test suite, which includes the ownership-contract
+#      check over the build's objects (ctest contract_tree_clean),
+#   3. the address+UB-sanitized test suite,
+#   4. (optional, --model) the bounded model checker, depth 4,
+#   5. (optional, --tsan) the thread-sanitized test suite,
+#   6. (optional, --tidy) clang-tidy over src/.
 #
 # Usage: tools/check.sh [--lint] [--model] [--tsan] [--tidy]
 #                       [--labels L] [-j N]
 #
-# --lint runs ONLY the lint step (the fast pre-commit gate).
+# --lint runs ONLY the `lint` ctest label (the pre-commit gate): the
+# contract check, its fixtures and the compile-fail cases. The check
+# reads compiled objects, so the gate first builds the default preset
+# incrementally; it costs that build.
 # --model appends the model-checker step to the sequence.
 # --labels L restricts every ctest invocation to tests carrying the
 # given ctest LABEL (unit | property | golden | fuzz | lint | model |
@@ -88,20 +91,14 @@ summary() {
 
 # ---- steps ---------------------------------------------------------
 
-lint_step() {
-    step "mtlb-lint"
-    cmake --preset default >/dev/null &&
-        cmake --build --preset default -j "$jobs" \
-            --target mtlb_lint || return 1
-    # One run checks every rule and prints each finding with its id.
-    build/tools/lint/mtlb-lint --root .
-}
-
 if [ "$lint_only" = 1 ]; then
-    if lint_step; then
-        record "mtlb-lint" ok
+    step "contract check (ctest -L lint)"
+    if cmake --preset default >/dev/null &&
+           cmake --build --preset default -j "$jobs" &&
+           ctest --preset default -j "$jobs" -L lint; then
+        record "contract check" ok
     else
-        record "mtlb-lint" FAIL
+        record "contract check" FAIL
     fi
     summary
 fi
@@ -112,12 +109,6 @@ if cmake --preset werror >/dev/null &&
     record "werror build" ok
 else
     record "werror build" FAIL
-fi
-
-if lint_step; then
-    record "mtlb-lint" ok
-else
-    record "mtlb-lint" FAIL
 fi
 
 step "test suite (default build)"
