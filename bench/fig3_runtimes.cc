@@ -70,7 +70,7 @@ printHeader()
 int
 run(int argc, char **argv)
 {
-    const double scale = argc > 1 ? parsePositive("scale", argv[1]) : 1.0;
+    const double scale = argc > 1 ? parseScale("scale", argv[1]) : 1.0;
     const unsigned jobs =
         argc > 2 ? static_cast<unsigned>(parseCount(
                        "jobs", argv[2], std::numeric_limits<unsigned>::max()))

@@ -51,7 +51,7 @@ runMode(const std::string &name, double scale, bool explicit_remap,
 int
 run(int argc, char **argv)
 {
-    const double scale = argc > 1 ? parsePositive("scale", argv[1]) : 0.5;
+    const double scale = argc > 1 ? parseScale("scale", argv[1]) : 0.5;
 
     std::printf("=== §5 ablation: online superpage promotion "
                 "(96-entry TLB, 128-entry 2-way MTLB, scale %.2f)\n\n",

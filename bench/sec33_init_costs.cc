@@ -94,7 +94,7 @@ measureWarmCopyCost()
 int
 run(int argc, char **argv)
 {
-    const double scale = argc > 1 ? parsePositive("scale", argv[1]) : 1.0;
+    const double scale = argc > 1 ? parseScale("scale", argv[1]) : 1.0;
 
     std::printf("=== §3.3: superpage initialisation costs\n\n");
 

@@ -308,7 +308,7 @@ run(int argc, char **argv)
         if (arg == "--quick")
             scale = 0.02;
         else if (arg == "--scale")
-            scale = parsePositive(arg, next());
+            scale = parseScale(arg, next());
         else if (arg == "--reps")
             reps = static_cast<unsigned>(parseCount(arg, next(), kMaxReps));
         else if (arg == "--label")

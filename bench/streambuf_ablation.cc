@@ -41,7 +41,7 @@ runWith(const std::string &name, double scale, unsigned buffers)
 int
 run(int argc, char **argv)
 {
-    const double scale = argc > 1 ? parsePositive("scale", argv[1]) : 0.5;
+    const double scale = argc > 1 ? parseScale("scale", argv[1]) : 0.5;
 
     std::printf("=== §6 ablation: MMC stream buffers on the MTLB "
                 "machine (96-entry TLB, scale %.2f)\n\n", scale);

@@ -56,7 +56,7 @@ int
 run(int argc, char **argv)
 {
     const std::string name = argc > 1 ? argv[1] : "em3d";
-    const double scale = argc > 2 ? parsePositive("scale", argv[2]) : 0.25;
+    const double scale = argc > 2 ? parseScale("scale", argv[2]) : 0.25;
 
     std::cout << "mtlb-sim quickstart: " << name << " at scale "
               << scale << "\n\n";

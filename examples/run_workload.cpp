@@ -99,7 +99,7 @@ run(int argc, char **argv)
     }
     const std::string workload_name = positional[0];
     const double scale =
-        positional.size() > 1 ? parsePositive("scale", positional[1]) : 1.0;
+        positional.size() > 1 ? parseScale("scale", positional[1]) : 1.0;
 
     System sys(parser.config());
     auto workload = makeWorkload(workload_name, scale);

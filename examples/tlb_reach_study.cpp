@@ -32,7 +32,7 @@ int
 run(int argc, char **argv)
 {
     const std::string name = argc > 1 ? argv[1] : "vortex";
-    const double scale = argc > 2 ? parsePositive("scale", argv[2]) : 0.25;
+    const double scale = argc > 2 ? parseScale("scale", argv[2]) : 0.25;
 
     std::printf("TLB reach study: %s at scale %.2f\n", name.c_str(),
                 scale);

@@ -120,14 +120,20 @@ Cache::invalidateAll()
         line.valid = false;
         line.dirty = false;
     }
-    linesInPage_.assign(linesInPage_.size(), 0);
+    for (auto &counts : pageChunks_) {
+        if (counts)
+            counts->fill(0);
+    }
 }
 
 unsigned
 Cache::residentInPage(Addr paddr) const
 {
     const Addr page = pageFrame(paddr);
-    return page < linesInPage_.size() ? linesInPage_[page] : 0;
+    const Addr chunk = page >> chunkShift;
+    return chunk < pageChunks_.size() && pageChunks_[chunk]
+               ? (*pageChunks_[chunk])[slotInChunk(page)]
+               : 0;
 }
 
 bool

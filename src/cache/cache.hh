@@ -21,6 +21,8 @@
 
 #pragma once
 
+#include <array>
+#include <memory>
 #include <vector>
 
 #include "base/intmath.hh"
@@ -214,28 +216,44 @@ class Cache
 
     /** @name Per-page resident-line accounting
      *
-     * linesInPage_[pageFrame(tag)] counts resident lines whose tag
-     * lies in that physical page, so flushPage() can prove "nothing
-     * of this page is cached" in O(1) instead of probing every
-     * candidate slot. Pure host-side bookkeeping: the simulated
-     * cycles charged are unchanged (§3.2's flush loop still runs its
-     * full probe count in simulated time). The vector grows lazily
-     * to the highest page frame ever cached.
+     * Each page's counter holds the resident lines whose tag lies in
+     * that physical page, so flushPage() can prove "nothing of this
+     * page is cached" in O(1) instead of probing every candidate
+     * slot. Pure host-side bookkeeping: the simulated cycles charged
+     * are unchanged (§3.2's flush loop still runs its full probe
+     * count in simulated time). The counters live in chunks of 1024
+     * pages, each allocated when a line of it is first installed:
+     * shadow tags lie far above real memory, and one flat array
+     * would zero-fill every page below the highest one cached.
      */
     /** @{ */
+    static constexpr unsigned chunkShift = 10;
+    using PageChunk = std::array<std::uint32_t, 1u << chunkShift>;
+
+    static std::size_t
+    slotInChunk(Addr page)
+    {
+        return static_cast<std::size_t>(page) & ((1u << chunkShift) - 1);
+    }
+
     void
     noteLineInstalled(Addr tag)
     {
         const Addr page = pageFrame(tag);
-        if (page >= linesInPage_.size())
-            linesInPage_.resize(page + 1, 0);
-        ++linesInPage_[page];
+        const Addr chunk = page >> chunkShift;
+        if (chunk >= pageChunks_.size())
+            pageChunks_.resize(chunk + 1);
+        std::unique_ptr<PageChunk> &counts = pageChunks_[chunk];
+        if (!counts)
+            counts = std::make_unique<PageChunk>();
+        ++(*counts)[slotInChunk(page)];
     }
 
     void
     noteLineDropped(Addr tag)
     {
-        --linesInPage_[pageFrame(tag)];
+        const Addr page = pageFrame(tag);
+        --(*pageChunks_[page >> chunkShift])[slotInChunk(page)];
     }
     /** @} */
 
@@ -244,7 +262,8 @@ class Cache
     unsigned numLines_;
     unsigned indexMask_;
     std::vector<Line> lines_;
-    std::vector<std::uint32_t> linesInPage_;
+    /** Resident lines per page, by chunk; null until first used. */
+    std::vector<std::unique_ptr<PageChunk>> pageChunks_;
 
     stats::StatGroup statGroup_;
     stats::Scalar &accesses_;

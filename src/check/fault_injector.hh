@@ -71,7 +71,7 @@ class FaultInjector
     static void
     desyncDirtyBit(System &sys, Addr spi)
     {
-        sys.memsys().mmc().shadowTable().entry(spi).modified = 1;
+        sys.memsys().mmc().shadowTable().setModified(spi, true);
     }
 
     /**
@@ -192,7 +192,7 @@ class FaultInjector
     clearDirtyBit(System &sys, Addr spi)
     {
         sys.memsys().mmc().mtlb().purge(spi);
-        sys.memsys().mmc().shadowTable().entry(spi).modified = 0;
+        sys.memsys().mmc().shadowTable().setModified(spi, false);
     }
 
     /**

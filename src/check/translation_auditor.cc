@@ -23,14 +23,6 @@ violate(AuditReport &report, const char *invariant, Args &&...args)
         {invariant, detail::buildMessage(std::forward<Args>(args)...)});
 }
 
-/** Frame-mark states for the accounting scan. */
-constexpr std::uint8_t markNone = 0;
-constexpr std::uint8_t markFree = 1;
-constexpr std::uint8_t markMapped = 2;
-
-/** checkShadowTable's "no PTE names this frame yet". */
-constexpr Addr noOwner = ~Addr{0};
-
 } // namespace
 
 void
@@ -98,6 +90,7 @@ AuditReport
 TranslationAuditor::collect()
 {
     AuditReport report;
+    visited_ = 0;
     // First so a missed shootdown names the cross-core invariant in
     // a panicking audit's headline (the stale entry also trips the
     // per-core tlb-coherence check below).
@@ -154,6 +147,7 @@ TranslationAuditor::checkCrossCoreCoherence(AuditReport &report)
         const AddressSpace &space =
             kernel_.processSpace(kernel_.coreProcess(c));
         for (const TlbEntry &e : kernel_.coreTlb(c).auditState()) {
+            ++visited_;
             if (e.pinned)
                 continue;
             if (const ShadowSuperpage *sp =
@@ -204,6 +198,7 @@ TranslationAuditor::checkOneTlb(AuditReport &report, const Tlb &tlb,
     // valid entries overlap.
     tlbSlots_.clear();
     for (unsigned s = 0; s < tlb.capacity(); ++s) {
+        ++visited_;
         const TlbEntry &e = tlb.entryAt(s);
         if (!e.valid)
             continue;
@@ -318,6 +313,7 @@ TranslationAuditor::checkOneSpaceBacking(AuditReport &report,
 
         const Addr spi0 = physMap_.shadowPageIndex(sp.shadowBase);
         for (Addr i = 0; i < sp.numBasePages(); ++i) {
+            ++visited_;
             const Addr va = sp.vbase + (i << basePageShift);
             const ShadowPte &pte = table.entry(spi0 + i);
             const bool present = space.isPagePresent(va);
@@ -350,33 +346,46 @@ TranslationAuditor::checkShadowTable(AuditReport &report)
 
     const ShadowTable &table = memsys_.mmc().shadowTable();
 
-    // Shadow page indices covered by some recorded superpage of any
-    // process (the shadow region is a machine-wide resource).
-    spiCovered_.assign(static_cast<std::size_t>(table.numEntries()), 0);
+    // The shadow page ranges of every process's recorded superpages
+    // (the shadow region is a machine-wide resource), by first page.
+    spiRanges_.clear();
     for (unsigned p = 0; p < kernel_.numProcesses(); ++p) {
         const AddressSpace &space = kernel_.processSpace(p);
         for (const auto &[vbase, sp] : space.superpages()) {
+            ++visited_;
             if (physMap_.classify(sp.shadowBase) != AddrKind::Shadow)
                 continue;  // reported by checkSuperpageBacking
             const Addr spi0 = physMap_.shadowPageIndex(sp.shadowBase);
-            const Addr end =
-                std::min(spi0 + sp.numBasePages(), table.numEntries());
-            for (Addr spi = spi0; spi < end; ++spi)
-                spiCovered_[spi] = 1;
+            spiRanges_.push_back({spi0, spi0 + sp.numBasePages()});
         }
     }
+    std::sort(spiRanges_.begin(), spiRanges_.end());
 
-    // Full table scan: leaked mappings and shadow-to-real
-    // bijectivity. frameOwner_ maps a real frame to the first shadow
-    // page found naming it.
-    frameOwner_.assign(static_cast<std::size_t>(physMap_.numRealPages()),
-                       noOwner);
-    for (Addr spi = 0; spi < table.numEntries(); ++spi) {
-        const ShadowPte &pte = table.entry(spi);
-        if (!pte.valid)
-            continue;
-
-        if (!spiCovered_[spi]) {
+    // Valid PTEs in index order: leaked mappings and shadow-to-real
+    // bijectivity. A PTE is covered when some range starting at or
+    // below it ends above it; covered_end is the furthest such end.
+    // frameRefs_ counts the PTEs naming each frame; only a violation
+    // looks for the first of them.
+    std::size_t next_range = 0;
+    Addr covered_end = 0;
+    frameRefs_.clear(static_cast<std::size_t>(table.numValid()));
+    const auto first_naming = [&table](Addr pfn) {
+        Addr first = ~Addr{0};
+        table.forEachValid([&](Addr spi, const ShadowPte &pte) {
+            if (pte.realPfn == pfn && first == ~Addr{0})
+                first = spi;
+        });
+        return first;
+    };
+    table.forEachValid([&](Addr spi, const ShadowPte &pte) {
+        ++visited_;
+        for (; next_range < spiRanges_.size() &&
+               spiRanges_[next_range].first <= spi;
+             ++next_range) {
+            covered_end =
+                std::max(covered_end, spiRanges_[next_range].second);
+        }
+        if (spi >= covered_end) {
             violate(report, "shadow-table", "valid PTE at spi 0x",
                     std::hex, spi,
                     " outside every recorded superpage (leaked "
@@ -388,17 +397,14 @@ TranslationAuditor::checkShadowTable(AuditReport &report)
             violate(report, "shadow-table", "PTE at spi 0x", std::hex,
                     spi, " names frame 0x", pfn,
                     " beyond installed DRAM");
-            continue;
+            return;
         }
-        Addr &owner = frameOwner_[pfn];
-        if (owner != noOwner) {
+        if (frameRefs_.add(pfn) > 1) {
             violate(report, "shadow-table", "frame 0x", std::hex, pfn,
-                    " mapped by both spi 0x", owner, " and spi 0x",
-                    spi, " (double-mapped frame)");
-        } else {
-            owner = spi;
+                    " mapped by both spi 0x", first_naming(pfn),
+                    " and spi 0x", spi, " (double-mapped frame)");
         }
-    }
+    });
 }
 
 void
@@ -409,52 +415,42 @@ TranslationAuditor::checkFrameAccounting(AuditReport &report)
     const Addr first = frames.firstPfn();
     const Addr total = frames.numTotal();
 
-    frameMarks_.assign(static_cast<std::size_t>(total), markNone);
+    // The allocator refuses to free a frame outside the pool or one
+    // already free, so its free set is exact by construction: only
+    // the mapped frames need marks. All processes' present pages
+    // together partition the pool with the free set: frames are a
+    // machine-wide resource.
+    std::size_t max_mapped = 0;
+    for (unsigned p = 0; p < kernel_.numProcesses(); ++p)
+        max_mapped += kernel_.processSpace(p).numPresentPages();
+    frameMaps_.clear(max_mapped);
 
-    for (const Addr pfn : frames.auditFreeList()) {
-        if (pfn < first || pfn - first >= total) {
-            violate(report, "frame-accounting", "free list holds 0x",
-                    std::hex, pfn, ", outside the user frame pool");
-            continue;
-        }
-        std::uint8_t &mark = frameMarks_[pfn - first];
-        if (mark == markFree) {
-            violate(report, "frame-accounting", "frame 0x", std::hex,
-                    pfn, " appears on the free list twice");
-        }
-        mark = markFree;
-    }
-
-    // All processes' present pages together partition the pool with
-    // the free list: frames are a machine-wide resource.
+    Addr mapped_not_free = 0;
     for (unsigned p = 0; p < kernel_.numProcesses(); ++p) {
         const AddressSpace &space = kernel_.processSpace(p);
-        for (const auto &[vpn, pfn] : space.presentPages()) {
+        space.forEachPresentPage([&](Addr vpn, Addr pfn) {
+            ++visited_;
             if (pfn < first || pfn - first >= total) {
                 violate(report, "frame-accounting", "page v=0x",
                         std::hex, vpn << basePageShift, " backed by 0x",
                         pfn, ", outside the user frame pool");
-                continue;
+                return;
             }
-            std::uint8_t &mark = frameMarks_[pfn - first];
-            if (mark == markFree) {
-                violate(report, "frame-accounting", "frame 0x",
-                        std::hex, pfn, " is both free and mapped at "
-                        "v=0x", vpn << basePageShift);
-            } else if (mark == markMapped) {
+            if (frameMaps_.add(pfn) > 1) {
                 violate(report, "frame-accounting", "frame 0x",
                         std::hex, pfn,
                         " backs two pages (double-mapped frame)");
+            } else if (frames.isFree(pfn)) {
+                violate(report, "frame-accounting", "frame 0x",
+                        std::hex, pfn, " is both free and mapped at "
+                        "v=0x", vpn << basePageShift);
+            } else {
+                ++mapped_not_free;
             }
-            mark = markMapped;
-        }
+        });
     }
 
-    Addr leaked = 0;
-    for (const std::uint8_t mark : frameMarks_) {
-        if (mark == markNone)
-            ++leaked;
-    }
+    const Addr leaked = total - frames.numFree() - mapped_not_free;
     if (leaked > 0) {
         violate(report, "frame-accounting", leaked,
                 " frame(s) neither free nor mapped (leaked)");
@@ -471,6 +467,7 @@ TranslationAuditor::checkMtlbCoherence(AuditReport &report)
     const ShadowTable &table = memsys_.mmc().shadowTable();
 
     for (const auto &e : memsys_.mmc().mtlb().auditState()) {
+        ++visited_;
         if (e.spi >= table.numEntries()) {
             violate(report, "mtlb-coherence", "resident spi 0x",
                     std::hex, e.spi, " beyond the shadow table");
@@ -520,22 +517,23 @@ TranslationAuditor::checkHptCoherence(AuditReport &report)
     // Uniqueness and replica counts are per address space: the HPT
     // keys entries by (asid, vpn), so the audit does too. Each entry
     // adds at most one key to either table.
-    const std::vector<Hpt::AuditEntry> entries = kernel_.hpt().auditState();
-    hptKeys_.clear(entries.size());
-    replicas_.clear(entries.size());
+    const Hpt &hpt = kernel_.hpt();
+    hptKeys_.clear(hpt.size());
+    replicas_.clear(hpt.size());
 
-    for (const auto &e : entries) {
+    hpt.forEachEntry([&](const Hpt::AuditEntry &e) {
+        ++visited_;
         if (e.asid >= nproc) {
             violate(report, "hpt-coherence", "entry for v=0x", std::hex,
                     e.vpn << basePageShift, " names asid ", std::dec,
                     e.asid, ", which no process owns");
-            continue;
+            return;
         }
         const AddressSpace &space = kernel_.processSpace(e.asid);
         if (hptKeys_.add(Hpt::keyFor(e.vpn, e.asid)) > 1) {
             violate(report, "hpt-coherence", "duplicate entry for v=0x",
                     std::hex, e.vpn << basePageShift);
-            continue;
+            return;
         }
 
         const Addr size = pageSizeForClass(e.mapping.sizeClass);
@@ -543,7 +541,7 @@ TranslationAuditor::checkHptCoherence(AuditReport &report)
             violate(report, "hpt-coherence", "mapping v=0x", std::hex,
                     e.mapping.vbase, " not aligned to class ", std::dec,
                     e.mapping.sizeClass);
-            continue;
+            return;
         }
         if (e.vpn < pageFrame(e.mapping.vbase) ||
             e.vpn >= pageFrame(e.mapping.vbase) +
@@ -551,7 +549,7 @@ TranslationAuditor::checkHptCoherence(AuditReport &report)
             violate(report, "hpt-coherence", "replica v=0x", std::hex,
                     e.vpn << basePageShift, " outside its mapping v=0x",
                     e.mapping.vbase);
-            continue;
+            return;
         }
 
         const AddrKind kind = physMap_.classify(e.mapping.pbase);
@@ -574,7 +572,7 @@ TranslationAuditor::checkHptCoherence(AuditReport &report)
                         "real superpage mapping v=0x", std::hex,
                         e.mapping.vbase,
                         " (the kernel only builds shadow superpages)");
-                continue;
+                return;
             }
             const Addr va = e.vpn << basePageShift;
             if (space.findSuperpage(va) != nullptr) {
@@ -595,11 +593,12 @@ TranslationAuditor::checkHptCoherence(AuditReport &report)
                     e.vpn << basePageShift, " maps 0x", e.mapping.pbase,
                     ", which is neither DRAM nor shadow space");
         }
-    }
+    });
 
     for (unsigned p = 0; p < nproc; ++p) {
         const AddressSpace &space = kernel_.processSpace(p);
         for (const auto &[vbase, sp] : space.superpages()) {
+            ++visited_;
             const Addr found =
                 replicas_.count(Hpt::keyFor(pageFrame(vbase), p));
             if (found != sp.numBasePages()) {
@@ -609,13 +608,14 @@ TranslationAuditor::checkHptCoherence(AuditReport &report)
             }
         }
 
-        for (const auto &[vpn, pfn] : space.presentPages()) {
+        space.forEachPresentPage([&](Addr vpn, Addr) {
+            ++visited_;
             if (hptKeys_.count(Hpt::keyFor(vpn, p)) == 0) {
                 violate(report, "hpt-coherence", "present page v=0x",
                         std::hex, vpn << basePageShift,
                         " unreachable through the HPT");
             }
-        }
+        });
     }
 }
 
@@ -692,6 +692,7 @@ TranslationAuditor::checkOneMemo(AuditReport &report, const Tlb &tlb)
                 "translation epoch is 0; the wrap guard must skip it");
     }
     for (const PageMemo::Entry &e : tlb.memo().entries) {
+        ++visited_;
         // Entries are stamped from the current epoch at fill time, so
         // no stamp may run ahead of it — a from-the-future stamp looks
         // dead now yet would spring back to life when the epoch

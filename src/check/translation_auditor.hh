@@ -110,6 +110,11 @@ class TranslationAuditor
         return static_cast<std::uint64_t>(violations_.value());
     }
 
+    /** Entries the last collect() visited, over every structure it
+     *  walked: the pass's work, which follows the live translation
+     *  state and the TLB geometry, not the size of memory. */
+    std::uint64_t entriesVisited() const { return visited_; }
+
   private:
     void checkCrossCoreCoherence(AuditReport &report);
     void checkTlbCoherence(AuditReport &report);
@@ -134,17 +139,15 @@ class TranslationAuditor
     Kernel &kernel_;
     const PhysMap &physMap_;
 
-    /** Scratch mark-vector over the user frame pool, reused across
-     *  audits so periodic auditing does not allocate. */
-    std::vector<std::uint8_t> frameMarks_;
     /** Scratch (vbase, slot) list of one TLB's valid entries, reused
-     *  the same way. */
+     *  across audits so periodic auditing does not allocate. */
     std::vector<std::pair<Addr, unsigned>> tlbSlots_;
 
     /**
      * A flat open-addressed key -> count table with linear probing,
-     * reused across audits like the scratch vectors above: clear()
-     * empties it in place and only ever grows it.
+     * reused across audits like the scratch vector above: clear()
+     * empties it in place and only ever grows it, so its size follows
+     * the most keys one pass has added, never the machine's size.
      */
     class KeyCounts
     {
@@ -168,15 +171,20 @@ class TranslationAuditor
         std::vector<Slot> slots_;
     };
 
-    /** checkShadowTable's scratch: per shadow page, whether a recorded
-     *  superpage covers it; per real frame, the first shadow page
-     *  whose PTE names it. */
-    std::vector<std::uint8_t> spiCovered_;
-    std::vector<Addr> frameOwner_;
+    /** checkShadowTable's scratch: the [first, end) shadow page
+     *  ranges of the recorded superpages, and valid PTEs per real
+     *  frame. */
+    std::vector<std::pair<Addr, Addr>> spiRanges_;
+    KeyCounts frameRefs_;
+    /** checkFrameAccounting's scratch: pages per mapped frame. */
+    KeyCounts frameMaps_;
     /** checkHptCoherence's scratch: entries per (vpn, asid) key, and
      *  replicas per superpage keyed by its first page. */
     KeyCounts hptKeys_;
     KeyCounts replicas_;
+
+    /** Entries the current (or last) collect() visited. */
+    std::uint64_t visited_ = 0;
 
     stats::StatGroup statGroup_;
     stats::Scalar &audits_;

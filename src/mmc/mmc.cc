@@ -186,7 +186,7 @@ Mmc::clearReferencedBit(Addr shadow_page_index)
     panicIf(!config_.hasMtlb, "no MTLB to maintain");
     ++controlOps_;
     mtlb_->purge(shadow_page_index);    // writes accumulated bits back
-    shadowTable_->entry(shadow_page_index).referenced = 0;
+    shadowTable_->setReferenced(shadow_page_index, false);
     return config_.processMmcCycles +
            dram_.tableRead(shadowTable_->entryAddr(shadow_page_index));
 }

@@ -130,11 +130,11 @@ canonicalHash(DifferentialFuzzer &fuzzer)
     StateHasher h;
 
     // Present pages, in vpn order.
-    h.mix(space.presentPages().size());
-    for (const auto &[vpn, pfn] : space.presentPages()) {
+    h.mix(space.numPresentPages());
+    space.forEachPresentPage([&h](Addr vpn, Addr pfn) {
         h.mix(vpn);
         h.mix(pfn);
-    }
+    });
 
     // Superpage records (already an ordered map).
     h.mix(space.superpages().size());
@@ -207,22 +207,23 @@ canonicalHash(DifferentialFuzzer &fuzzer)
 
     // Frame free list *in order*: allocation order determines which
     // frame the next materialisation gets.
-    const auto &free_list = sys.kernel().frames().auditFreeList();
+    const std::vector<Addr> free_list =
+        sys.kernel().frames().allocationOrder();
     h.mix(free_list.size());
     for (Addr pfn : free_list)
         h.mix(pfn);
 
-    // Hashed page table, snapshot order.
-    const auto hpt = sys.kernel().hpt().auditState();
+    // Hashed page table, in bucket-then-chain order.
+    const Hpt &hpt = sys.kernel().hpt();
     h.mix(hpt.size());
-    for (const auto &e : hpt) {
+    hpt.forEachEntry([&h](const Hpt::AuditEntry &e) {
         h.mix(e.vpn);
         h.mix(e.mapping.vbase);
         h.mix(e.mapping.pbase);
         h.mix(static_cast<std::uint64_t>(e.mapping.sizeClass));
         h.mix(e.mapping.prot.writable);
         h.mix(e.mapping.prot.userAccessible);
-    }
+    });
 
     // Cache line presence/dirtiness for every present page under its
     // current tag. Lines of pages that have since been swapped out
@@ -230,7 +231,7 @@ canonicalHash(DifferentialFuzzer &fuzzer)
     // present page cannot affect future behaviour at these pages'
     // addresses (documented caveat).
     const Cache &cache = sys.cache();
-    for (const auto &[vpn, pfn] : space.presentPages()) {
+    space.forEachPresentPage([&](Addr vpn, Addr) {
         const Addr vbase = vpn << basePageShift;
         const Addr pbase = pageBackingAddr(space, vbase);
         for (Addr off = 0; off < basePageSize;
@@ -240,7 +241,7 @@ canonicalHash(DifferentialFuzzer &fuzzer)
             if (there)
                 h.mix(cache.probeDirty(vbase + off, pbase + off));
         }
-    }
+    });
 
     // The oracle mirror over the model pages (it tracks nothing
     // else in a non-failing run).

@@ -68,9 +68,10 @@ Mtlb::writeBackBits(Entry &entry)
 {
     if (!entry.dirtyBits)
         return;
-    ShadowPte &tpte = table_.entry(entry.spi);
-    tpte.referenced |= entry.pte.referenced;
-    tpte.modified |= entry.pte.modified;
+    const ShadowPte &tpte = table_.entry(entry.spi);
+    table_.setReferenced(entry.spi,
+                         tpte.referenced || entry.pte.referenced);
+    table_.setModified(entry.spi, tpte.modified || entry.pte.modified);
     entry.dirtyBits = false;
     ++bitWriteBacks_;
 }
@@ -134,7 +135,7 @@ Mtlb::translate(Addr spi, MtlbAccess kind)
                     " (backing page absent)");
         if (!entry->pte.fault) {
             entry->pte.fault = 1;
-            table_.entry(spi).fault = 1;
+            table_.markFault(spi);
         }
         result.fault = true;
         return result;

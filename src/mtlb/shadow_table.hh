@@ -18,6 +18,7 @@
 
 #include <vector>
 
+#include "base/bitset.hh"
 #include "base/logging.hh"
 #include "base/types.hh"
 
@@ -42,7 +43,10 @@ static_assert(sizeof(ShadowPte) == 4, "shadow PTE must be 4 bytes");
  *
  * Indexed by shadow page index (shadow address minus region base,
  * divided by the base page size). The OS writes entries through MMC
- * control registers; the MTLB fill hardware reads them.
+ * control registers; the MTLB fill hardware reads them. Beside the
+ * entries the table keeps an index of the valid ones, which only
+ * set(), invalidate() and clear() change, so forEachValid() visits
+ * the live mappings without scanning the whole table.
  */
 class ShadowTable
 {
@@ -53,7 +57,8 @@ class ShadowTable
      *                    hardware computes entry addresses from it)
      */
     ShadowTable(Addr num_entries, Addr table_base)
-        : entries_(num_entries), tableBase_(table_base)
+        : entries_(num_entries), valid_(num_entries),
+          tableBase_(table_base)
     {
         fatalIf(num_entries == 0, "empty shadow table");
         fatalIf(table_base & 3, "table base must be 4-byte aligned");
@@ -78,13 +83,6 @@ class ShadowTable
         return entries_[idx];
     }
 
-    ShadowPte &
-    entry(Addr idx)
-    {
-        checkIndex(idx);
-        return entries_[idx];
-    }
-
     /** Install a valid mapping (OS path, via MMC control register). */
     void
     set(Addr idx, Addr real_pfn)
@@ -98,6 +96,9 @@ class ShadowTable
         e.fault = 0;
         e.referenced = 0;
         e.modified = 0;
+        if (!valid_.test(idx))
+            ++numValid_;
+        valid_.set(idx);
     }
 
     /** Invalidate a mapping (e.g. the base page was swapped out).
@@ -107,6 +108,7 @@ class ShadowTable
     {
         checkIndex(idx);
         entries_[idx].valid = 0;
+        unmarkValid(idx);
     }
 
     /** Clear an entry completely (region freed). */
@@ -115,9 +117,62 @@ class ShadowTable
     {
         checkIndex(idx);
         entries_[idx] = ShadowPte{};
+        unmarkValid(idx);
+    }
+
+    /** @name Status-bit writes
+     *  These leave the mapping and its validity alone, so set(),
+     *  invalidate() and clear() are the only writers of the valid
+     *  bit and of forEachValid()'s index. */
+    /** @{ */
+
+    /** Record that an access found the entry invalid (§4). */
+    void
+    markFault(Addr idx)
+    {
+        checkIndex(idx);
+        entries_[idx].fault = 1;
+    }
+
+    void
+    setReferenced(Addr idx, bool referenced)
+    {
+        checkIndex(idx);
+        entries_[idx].referenced = referenced;
+    }
+
+    void
+    setModified(Addr idx, bool modified)
+    {
+        checkIndex(idx);
+        entries_[idx].modified = modified;
+    }
+
+    /** @} */
+
+    Addr numValid() const { return numValid_; }
+
+    /** Call @p fn(idx, pte) for every valid entry, in index order,
+     *  in time proportional to the valid entries plus one word test
+     *  per 64 entries. */
+    template <typename Fn>
+    void
+    forEachValid(Fn &&fn) const
+    {
+        valid_.forEachSet([&](std::size_t idx) {
+            fn(Addr{idx}, entries_[idx]);
+        });
     }
 
   private:
+    void
+    unmarkValid(Addr idx)
+    {
+        if (valid_.test(idx))
+            --numValid_;
+        valid_.reset(idx);
+    }
+
     void
     checkIndex(Addr idx) const
     {
@@ -126,6 +181,9 @@ class ShadowTable
     }
 
     std::vector<ShadowPte> entries_;
+    /** Bit i set exactly when entries_[i].valid. */
+    Bitset valid_;
+    Addr numValid_ = 0;
     Addr tableBase_;
 };
 

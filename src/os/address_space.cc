@@ -3,6 +3,18 @@
 namespace mtlbsim
 {
 
+namespace
+{
+
+/** @p vpn's slot in its leaf node. */
+std::size_t
+slotOf(Addr vpn)
+{
+    return static_cast<std::size_t>(vpn & 0x3ff);
+}
+
+} // namespace
+
 AddressSpace::AddressSpace(Addr pt_pool_base, Addr pool_bytes)
     : ptPoolBase_(pt_pool_base), ptPoolBytes_(pool_bytes),
       ptPoolCursor_(pt_pool_base + basePageSize) // slot 0 is the L1 node
@@ -45,38 +57,70 @@ AddressSpace::findRegionByName(const std::string &name) const
     return nullptr;
 }
 
+const AddressSpace::PageNode *
+AddressSpace::findNode(Addr vpn) const
+{
+    const Addr l1 = vpn >> nodeShift;
+    if (l1 < lowNodes_.size())
+        return lowNodes_[l1].get();
+    auto it = highNodes_.find(l1);
+    return it == highNodes_.end() ? nullptr : it->second.get();
+}
+
+AddressSpace::PageNode &
+AddressSpace::nodeFor(Addr vpn)
+{
+    const Addr l1 = vpn >> nodeShift;
+    std::unique_ptr<PageNode> &node =
+        l1 < lowNodes_.size() ? lowNodes_[l1] : highNodes_[l1];
+    if (!node)
+        node = std::make_unique<PageNode>();
+    return *node;
+}
+
 bool
 AddressSpace::isPagePresent(Addr vaddr) const
 {
-    return pages_.count(pageFrame(vaddr)) > 0;
+    const Addr vpn = pageFrame(vaddr);
+    const PageNode *node = findNode(vpn);
+    return node && node->present.test(slotOf(vpn));
 }
 
 Addr
 AddressSpace::frameOf(Addr vaddr) const
 {
-    auto it = pages_.find(pageFrame(vaddr));
-    panicIf(it == pages_.end(), "page not present: 0x", std::hex, vaddr);
-    return it->second;
+    const Addr vpn = pageFrame(vaddr);
+    const PageNode *node = findNode(vpn);
+    panicIf(!node || !node->present.test(slotOf(vpn)),
+            "page not present: 0x", std::hex, vaddr);
+    return node->pfn[slotOf(vpn)];
 }
 
 void
 AddressSpace::installFrame(Addr vaddr, Addr pfn, MappingEdit &edit)
 {
+    fatalIf(pfn > UINT32_MAX, "PFN 0x", std::hex, pfn,
+            " exceeds the page table's 4-byte entry");
     const Addr vpn = pageFrame(vaddr);
-    panicIf(pages_.count(vpn) > 0,
+    PageNode &node = nodeFor(vpn);
+    panicIf(node.present.test(slotOf(vpn)),
             "page already present: 0x", std::hex, vaddr);
-    pages_[vpn] = pfn;
+    node.present.set(slotOf(vpn));
+    node.pfn[slotOf(vpn)] = static_cast<std::uint32_t>(pfn);
+    ++numPresent_;
     edit.notify(&KernelObserver::onPageMapped, pageBase(vaddr), pfn);
 }
 
 Addr
 AddressSpace::removeFrame(Addr vaddr, TranslationEdit &edit)
 {
-    auto it = pages_.find(pageFrame(vaddr));
-    panicIf(it == pages_.end(),
+    panicIf(!isPagePresent(vaddr),
             "removing absent page: 0x", std::hex, vaddr);
-    const Addr pfn = it->second;
-    pages_.erase(it);
+    const Addr vpn = pageFrame(vaddr);
+    PageNode &node = nodeFor(vpn);
+    node.present.reset(slotOf(vpn));
+    const Addr pfn = node.pfn[slotOf(vpn)];
+    --numPresent_;
     edit.notify(&KernelObserver::onPageUnmapped, pageBase(vaddr), pfn);
     return pfn;
 }

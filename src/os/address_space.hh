@@ -4,18 +4,23 @@
  *
  * Tracks VM regions (text, data, heap, ...), the base pages that have
  * been materialised with real frames, and the shadow-backed
- * superpages created by remap(). Also models the process's two-level
- * page table as kernel data with concrete node addresses, so that
- * page-table walks on HPT misses generate realistic memory traffic.
+ * superpages created by remap(). The present pages live in a
+ * two-level radix table: 1024-entry leaf nodes, each with a presence
+ * mask, under a root indexed by vpn >> 10. The page-table walk model
+ * gives the same shape concrete node addresses in kernel memory, so
+ * that walks on HPT misses generate realistic memory traffic.
  */
 
 #pragma once
 
+#include <array>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "base/bitset.hh"
 #include "base/logging.hh"
 #include "base/types.hh"
 #include "os/hpt.hh"
@@ -123,13 +128,26 @@ class AddressSpace
     }
 
     /** Number of materialised base pages. */
-    std::size_t numPresentPages() const { return pages_.size(); }
+    std::size_t numPresentPages() const { return numPresent_; }
 
-    /** All materialised base pages (vpn -> pfn), ordered by vpn, for
-     *  the invariant auditor (src/check). */
-    const std::map<Addr, Addr> &presentPages() const
+    /** Call @p fn(vpn, pfn) for every materialised base page, in vpn
+     *  order, in time proportional to the present pages plus one word
+     *  test per 64 slots of each leaf node. */
+    template <typename Fn>
+    void
+    forEachPresentPage(Fn &&fn) const
     {
-        return pages_;
+        const auto visit = [&fn](Addr l1, const PageNode &node) {
+            node.present.forEachSet([&](std::size_t slot) {
+                fn((l1 << nodeShift) | slot, node.pfn[slot]);
+            });
+        };
+        for (Addr l1 = 0; l1 < lowNodes_.size(); ++l1) {
+            if (lowNodes_[l1])
+                visit(l1, *lowNodes_[l1]);
+        }
+        for (const auto &[l1, node] : highNodes_)
+            visit(l1, *node);
     }
 
     /**
@@ -145,8 +163,27 @@ class AddressSpace
     /** @} */
 
   private:
+    /** One leaf of the present-page table: vpn[9:0] -> pfn, in
+     *  4-byte entries like the modelled L2 node's. */
+    struct PageNode
+    {
+        static constexpr std::size_t slots = 1024;
+        Bitset present{slots};
+        std::array<std::uint32_t, slots> pfn{};
+    };
+    static constexpr unsigned nodeShift = 10;
+
+    /** The leaf covering @p vpn, or null. */
+    const PageNode *findNode(Addr vpn) const;
+    /** The leaf covering @p vpn, created empty when missing. */
+    PageNode &nodeFor(Addr vpn);
+
     std::vector<VmRegion> regions_;
-    std::map<Addr, Addr> pages_;    ///< vpn -> pfn
+    /** Leaves of the 32-bit space, indexed by vpn >> 10 (O(1)); the
+     *  rare leaves above it are kept in order by the same index. */
+    std::array<std::unique_ptr<PageNode>, 1024> lowNodes_;
+    std::map<Addr, std::unique_ptr<PageNode>> highNodes_;
+    std::size_t numPresent_ = 0;
     std::map<Addr, ShadowSuperpage> superpages_;
 
     Addr ptPoolBase_;

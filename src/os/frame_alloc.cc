@@ -5,28 +5,38 @@ namespace mtlbsim
 
 FrameAllocator::FrameAllocator(Addr first_pfn, Addr num_pfns,
                                std::uint64_t seed)
-    : firstPfn_(first_pfn), numPfns_(num_pfns)
+    : firstPfn_(first_pfn), numPfns_(num_pfns), unshuffled_(num_pfns),
+      rng_(seed), freeBits_(static_cast<std::size_t>(num_pfns), true)
 {
     fatalIf(num_pfns == 0, "frame allocator with no frames");
     freeList_.reserve(num_pfns);
     for (Addr i = 0; i < num_pfns; ++i)
         freeList_.push_back(first_pfn + i);
+}
 
-    // Fisher-Yates shuffle with the deterministic generator: frames
-    // come out dispersed, never contiguous runs.
-    Random rng(seed);
-    for (Addr i = num_pfns - 1; i > 0; --i) {
-        const Addr j = rng.below(i + 1);
-        std::swap(freeList_[i], freeList_[j]);
-    }
+void
+FrameAllocator::shuffleStep(std::vector<Addr> &list, Addr i, Random &rng)
+{
+    // Fisher-Yates with the deterministic generator: frames come out
+    // dispersed, never contiguous runs.
+    if (i > 0)
+        std::swap(list[i], list[rng.below(i + 1)]);
 }
 
 Addr
 FrameAllocator::allocate()
 {
     fatalIf(freeList_.empty(), "out of physical memory");
+    // Frees only append at or above unshuffled_, so the back is
+    // either final or the next position the shuffle reaches.
+    const Addr back = freeList_.size() - 1;
+    if (back < unshuffled_) {
+        shuffleStep(freeList_, back, rng_);
+        unshuffled_ = back;
+    }
     const Addr pfn = freeList_.back();
     freeList_.pop_back();
+    freeBits_.reset(static_cast<std::size_t>(pfn - firstPfn_));
     return pfn;
 }
 
@@ -35,7 +45,19 @@ FrameAllocator::free(Addr pfn, TranslationEdit &)
 {
     panicIf(pfn < firstPfn_ || pfn >= firstPfn_ + numPfns_,
             "freeing a frame outside the allocatable range: ", pfn);
+    panicIf(isFree(pfn), "freeing frame ", pfn, ", which is already free");
     freeList_.push_back(pfn);
+    freeBits_.set(static_cast<std::size_t>(pfn - firstPfn_));
+}
+
+std::vector<Addr>
+FrameAllocator::allocationOrder() const
+{
+    std::vector<Addr> list = freeList_;
+    Random rng = rng_;
+    for (Addr i = unshuffled_; i-- > 1;)
+        shuffleStep(list, i, rng);
+    return list;
 }
 
 } // namespace mtlbsim

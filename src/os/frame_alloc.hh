@@ -10,12 +10,20 @@
  * hands out frames in a deterministically shuffled order rather than
  * sequentially, so no allocation ever receives naturally contiguous
  * frames.
+ *
+ * The shuffle is a Fisher-Yates pass over the free list, performed
+ * lazily: step i runs at the allocation that first takes position i,
+ * with the same draw, in the same order, as an eager pass at
+ * construction would make. Every allocation returns the frame the
+ * eager pass would give it, and a machine that maps a few thousand
+ * pages does not pay for shuffling the whole of memory.
  */
 
 #pragma once
 
 #include <vector>
 
+#include "base/bitset.hh"
 #include "base/logging.hh"
 #include "base/random.hh"
 #include "base/types.hh"
@@ -46,21 +54,42 @@ class FrameAllocator
     Addr allocate();
 
     /** Return a frame to the free pool. The frame may be reused at
-     *  once, so freeing it is a translation edit. */
+     *  once, so freeing it is a translation edit. Freeing a frame
+     *  outside the pool, or one that is already free, panics: the
+     *  free pool never holds a frame twice. */
     void free(Addr pfn, TranslationEdit &edit);
 
     Addr numFree() const { return freeList_.size(); }
     Addr numTotal() const { return numPfns_; }
     Addr firstPfn() const { return firstPfn_; }
 
-    /** The current free list, for the invariant auditor (src/check).
-     *  Order is allocation order; contents are what matters. */
-    const std::vector<Addr> &auditFreeList() const { return freeList_; }
+    /** Is @p pfn, a frame of the pool, free? */
+    bool
+    isFree(Addr pfn) const
+    {
+        return freeBits_.test(static_cast<std::size_t>(pfn - firstPfn_));
+    }
+
+    /** The free list as the eager shuffle would hold it, the next
+     *  frame to be allocated last: the pending shuffle steps are
+     *  finished on a copy. O(frames); for the model checker, whose
+     *  state includes the allocation order. */
+    std::vector<Addr> allocationOrder() const;
 
   private:
+    /** Perform shuffle step i on @p list with @p rng (no draw at
+     *  i = 0, as the eager loop makes none). */
+    static void shuffleStep(std::vector<Addr> &list, Addr i, Random &rng);
+
     Addr firstPfn_;
     Addr numPfns_;
+    /** Positions at and above unshuffled_ are final; below it the
+     *  shuffle steps unshuffled_ - 1 down to 1 are still to run. */
     std::vector<Addr> freeList_;
+    Addr unshuffled_;
+    Random rng_;
+    /** Bit pfn - firstPfn_ set exactly when the frame is free. */
+    Bitset freeBits_;
 };
 
 } // namespace mtlbsim

@@ -7,7 +7,7 @@ namespace mtlbsim
 
 Hpt::Hpt(Addr table_base, unsigned num_buckets)
     : tableBase_(table_base), numBuckets_(num_buckets),
-      chains_(num_buckets),
+      chains_(num_buckets), busy_(num_buckets),
       overflowCursor_(table_base + tableBytes())
 {
     fatalIf(!isPowerOf2(num_buckets), "HPT buckets must be a power of 2");
@@ -87,6 +87,7 @@ Hpt::insertOne(Addr vpn, const VmMapping &mapping)
     }
     touched.push_back(entry.entryAddr);
     chain.push_back(entry);
+    busy_.set(b);
     ++liveEntries_;
     return touched;
 }
@@ -94,7 +95,8 @@ Hpt::insertOne(Addr vpn, const VmMapping &mapping)
 std::vector<Addr>
 Hpt::removeOne(Addr vpn, unsigned size_class)
 {
-    auto &chain = chains_[bucketOf(vpn)];
+    const unsigned b = bucketOf(vpn);
+    auto &chain = chains_[b];
 
     std::vector<Addr> touched;
     for (std::size_t i = 0; i < chain.size(); ++i) {
@@ -112,6 +114,8 @@ Hpt::removeOne(Addr vpn, unsigned size_class)
                 overflowFree_.push_back(chain[i].entryAddr);
             }
             chain.erase(chain.begin() + static_cast<long>(i));
+            if (chain.empty())
+                busy_.reset(b);
             --liveEntries_;
             return touched;
         }
@@ -148,23 +152,6 @@ Hpt::insertBasePageReplica(const VmMapping &mapping, Addr vaddr,
                                              mapping.sizeClass),
             "replica address outside the mapping");
     return insertOne(keyFor(pageFrame(vaddr), asid), mapping);
-}
-
-std::vector<Hpt::AuditEntry>
-Hpt::auditState() const
-{
-    std::vector<AuditEntry> live;
-    live.reserve(liveEntries_);
-    for (const auto &chain : chains_) {
-        for (const auto &entry : chain) {
-            const auto asid =
-                static_cast<unsigned>(entry.vpn >> asidKeyShift);
-            const Addr vpn =
-                entry.vpn & ((Addr{1} << asidKeyShift) - 1);
-            live.push_back({vpn, asid, entry.mapping});
-        }
-    }
-    return live;
 }
 
 std::vector<Addr>

@@ -28,6 +28,7 @@
 #include <optional>
 #include <vector>
 
+#include "base/bitset.hh"
 #include "base/logging.hh"
 #include "base/types.hh"
 #include "tlb/tlb.hh"
@@ -92,7 +93,7 @@ class Hpt
     std::vector<Addr> remove(Addr vbase, unsigned size_class,
                              unsigned asid = 0);
 
-    /** One live entry as seen by the invariant auditor. */
+    /** One live entry, as forEachEntry() presents it. */
     struct AuditEntry
     {
         Addr vpn = 0;       ///< base-page virtual page number (key)
@@ -100,9 +101,26 @@ class Hpt
         VmMapping mapping;  ///< the (possibly superpage) mapping
     };
 
-    /** Snapshot of every live entry, replicas included, for the
-     *  invariant auditor (src/check). */
-    std::vector<AuditEntry> auditState() const;
+    /**
+     * Call @p fn(const AuditEntry &) for every live entry, replicas
+     * included, in bucket order and chain order within a bucket, in
+     * time proportional to the live entries plus one word test per
+     * 64 buckets. For the invariant auditor (src/check) and the model
+     * checker (src/model).
+     */
+    template <typename Fn>
+    void
+    forEachEntry(Fn &&fn) const
+    {
+        busy_.forEachSet([&](std::size_t b) {
+            for (const ChainedEntry &entry : chains_[b]) {
+                fn(AuditEntry{entry.vpn & ((Addr{1} << asidKeyShift) - 1),
+                              static_cast<unsigned>(entry.vpn >>
+                                                    asidKeyShift),
+                              entry.mapping});
+            }
+        });
+    }
 
     Addr tableBase() const { return tableBase_; }
 
@@ -149,6 +167,9 @@ class Hpt
     unsigned numBuckets_;
     /** Per-bucket chains; element 0 occupies the in-table slot. */
     std::vector<std::vector<ChainedEntry>> chains_;
+    /** Bit b set exactly when chains_[b] is nonempty: insertOne()
+     *  sets it and removeOne() clears it. */
+    Bitset busy_;
     /** Bump allocator for overflow entries (recycled via free list). */
     Addr overflowCursor_;
     std::vector<Addr> overflowFree_;

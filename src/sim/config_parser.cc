@@ -51,6 +51,14 @@ parsePositive(const std::string &what, const std::string &text)
     return value;
 }
 
+double
+parseScale(const std::string &what, const std::string &text)
+{
+    const double scale = parsePositive(what, text);
+    fatalIf(scale > 1.0, what, ": '", text, "' is not in (0, 1]");
+    return scale;
+}
+
 namespace
 {
 

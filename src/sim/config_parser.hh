@@ -43,6 +43,11 @@ std::uint64_t parseCount(const std::string &what, const std::string &text,
  *  after it; anything else is a FatalError naming @p what. */
 double parsePositive(const std::string &what, const std::string &text);
 
+/** Parse @p text as a workload scale: what parsePositive() accepts,
+ *  up to 1 (makeWorkload's range), so a command line fails once, up
+ *  front, and not in every job it starts. */
+double parseScale(const std::string &what, const std::string &text);
+
 /**
  * Parses option assignments into a SystemConfig.
  */

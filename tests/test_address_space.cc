@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "base/random.hh"
 #include "os/address_space.hh"
 
 using namespace mtlbsim;
@@ -144,4 +150,64 @@ TEST(AddressSpaceTest, PresentPageCount)
     as.installFrame(0x1000, 1, edit);
     as.installFrame(0x2000, 2, edit);
     EXPECT_EQ(as.numPresentPages(), 2u);
+}
+
+TEST(AddressSpaceTest, RadixTableMatchesMapReference)
+{
+    // Seeded differential test of the present-page table against a
+    // std::map, over vpns around leaf boundaries, across the top of
+    // the 32-bit space and far above it (vpn >= 2^20).
+    AddressSpace as = makeSpace();
+    std::map<Addr, Addr> ref;
+    Random rng(2024);
+    const Addr bases[] = {0, 0x3ff, 0x7fe00, 0xfff00, Addr{1} << 20,
+                          (Addr{1} << 28) + 5};
+    const auto check_vpn = [&](Addr vpn) {
+        const Addr va = (vpn << basePageShift) + 0x123;
+        const auto it = ref.find(vpn);
+        ASSERT_EQ(as.isPagePresent(va), it != ref.end()) << vpn;
+        if (it != ref.end())
+            ASSERT_EQ(as.frameOf(va), it->second) << vpn;
+        else
+            ASSERT_THROW(as.frameOf(va), PanicError) << vpn;
+    };
+    for (int step = 0; step < 6000; ++step) {
+        const Addr vpn = bases[rng.below(std::size(bases))] +
+                         rng.below(0x300);
+        const Addr va = vpn << basePageShift;
+        if (ref.count(vpn) && rng.chance(1, 2)) {
+            ASSERT_EQ(as.removeFrame(va, edit), ref[vpn]);
+            ref.erase(vpn);
+        } else if (!ref.count(vpn)) {
+            const Addr pfn = rng.below(Addr{1} << 24);
+            as.installFrame(va, pfn, edit);
+            ref[vpn] = pfn;
+        }
+        check_vpn(vpn);
+        check_vpn(bases[rng.below(std::size(bases))] + rng.below(0x300));
+    }
+
+    std::vector<std::pair<Addr, Addr>> walked;
+    as.forEachPresentPage(
+        [&](Addr vpn, Addr pfn) { walked.push_back({vpn, pfn}); });
+    EXPECT_EQ(walked,
+              (std::vector<std::pair<Addr, Addr>>(ref.begin(), ref.end())));
+    EXPECT_EQ(as.numPresentPages(), ref.size());
+    // Both sides of the 32-bit space were exercised.
+    EXPECT_NE(ref.lower_bound(Addr{1} << 20), ref.begin());
+    EXPECT_NE(ref.lower_bound(Addr{1} << 20), ref.end());
+}
+
+TEST(AddressSpaceTest, RemovingAnAbsentPagePanics)
+{
+    AddressSpace as = makeSpace();
+    as.installFrame(0x1000, 1, edit);
+    EXPECT_THROW(as.removeFrame(0x2000, edit), PanicError);
+    EXPECT_THROW(as.removeFrame(Addr{1} << 40, edit), PanicError);
+    EXPECT_EQ(as.removeFrame(0x1000, edit), 1u);
+    EXPECT_THROW(as.removeFrame(0x1000, edit), PanicError);
+    EXPECT_EQ(as.numPresentPages(), 0u);
+    // Entries are 4 bytes, like the modelled page table's.
+    EXPECT_THROW(as.installFrame(0x1000, Addr{1} << 32, edit), FatalError);
+    EXPECT_FALSE(as.isPagePresent(0x1000));
 }

@@ -159,6 +159,39 @@ TEST_F(CacheFixture, FlushPageCostIncludesProbes)
     EXPECT_EQ(cache.flushPage(0x3000, 0x7000, 0), probes);
 }
 
+TEST_F(CacheFixture, ResidentCountsSpanChunksAndShadowPages)
+{
+    // The per-page counters come in chunks of 1024 pages: a shadow
+    // page far above real memory, its neighbour in the same chunk and
+    // pages of other chunks count on their own, and an untouched page
+    // (of a chunk that exists or not) reads 0.
+    const Addr shadow = 0x80240000;
+    cache.access(0x0000, shadow, true, 0);
+    cache.access(0x0020, shadow + 0x20, false, 10);
+    cache.access(0x1000, shadow + basePageSize, false, 20);
+    cache.access(0x2000, 0x7000, false, 30);
+    EXPECT_EQ(cache.residentInPage(shadow), 2u);
+    EXPECT_EQ(cache.residentInPage(shadow + basePageSize), 1u);
+    EXPECT_EQ(cache.residentInPage(0x7000), 1u);
+    EXPECT_EQ(cache.residentInPage(shadow + 2 * basePageSize), 0u);
+    EXPECT_EQ(cache.residentInPage(0x40000000), 0u);
+    EXPECT_EQ(cache.residentInPage(Addr{1} << 40), 0u);
+
+    // An eviction drops the victim's count and raises the new tag's.
+    cache.access(0x0000, 0x9000, false, 40);
+    EXPECT_EQ(cache.residentInPage(shadow), 1u);
+    EXPECT_EQ(cache.residentInPage(0x9000), 1u);
+
+    backend.writeBacks.clear();
+    cache.flushPage(0x0000, shadow, 50);
+    EXPECT_EQ(cache.residentInPage(shadow), 0u);
+    EXPECT_TRUE(backend.writeBacks.empty());  // written back at eviction
+    cache.invalidateAll();
+    EXPECT_EQ(cache.residentInPage(shadow + basePageSize), 0u);
+    EXPECT_EQ(cache.residentInPage(0x7000), 0u);
+    EXPECT_EQ(cache.residentInPage(0x9000), 0u);
+}
+
 TEST_F(CacheFixture, FlushPageCostNearPaperValue)
 {
     // §3.3: flushing a 4 KB page averages ~1,400 CPU cycles. With

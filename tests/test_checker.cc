@@ -349,3 +349,31 @@ TEST(CheckerTest, EndToEndEm3dAudited)
     EXPECT_GT(sys.auditor().auditsRun(), 10u);
     EXPECT_EQ(sys.auditor().violationsFound(), 0u);
 }
+
+TEST(CheckerTest, AuditWorkFollowsLiveStateNotMachineSize)
+{
+    // The same audited em3d run on two machines that differ only in
+    // installed and shadow memory (4x the frames, 2x the shadow
+    // PTEs): the final pass visits exactly as many entries on both,
+    // because every walk covers live state (present pages, valid
+    // PTEs, busy HPT buckets, mapped frames) and the TLB geometry,
+    // never the size of memory.
+    const auto final_pass = [](Addr installed_mb, Addr shadow_mb) {
+        SystemConfig config;
+        config.installedBytes = installed_mb * MB;
+        config.shadow.size = shadow_mb * MB;
+        config.check.enabled = true;
+        config.check.interval = 200000;
+        System sys(config);
+        auto workload = makeWorkload("em3d", 0.02);
+        workload->setup(sys);
+        workload->run(sys);
+        sys.audit();
+        EXPECT_EQ(sys.auditor().violationsFound(), 0u);
+        EXPECT_GT(sys.kernel().addressSpace().superpages().size(), 0u);
+        return sys.auditor().entriesVisited();
+    };
+    const std::uint64_t paper_machine = final_pass(256, 512);
+    EXPECT_GT(paper_machine, 0u);
+    EXPECT_EQ(paper_machine, final_pass(1024, 1024));
+}

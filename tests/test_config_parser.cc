@@ -128,6 +128,11 @@ TEST(ConfigParserTest, CommandLineNumbersPassTheSameCheck)
     EXPECT_EQ(parsePositive("--scale", "0.25"), 0.25);
     for (const char *bad : {"0.01x", "0", "-0.5", "inf", "nan", " 1", ""})
         EXPECT_THROW(parsePositive("--scale", bad), FatalError) << bad;
+    // A workload scale is also at most 1.
+    EXPECT_EQ(parseScale("--scale", "1"), 1.0);
+    EXPECT_EQ(parseScale("--scale", "0.05"), 0.05);
+    for (const char *bad : {"1.0001", "2", "1e3", "0", "nan", "0.5x"})
+        EXPECT_THROW(parseScale("--scale", bad), FatalError) << bad;
 }
 
 TEST(ConfigParserTest, ValuesAtTheFieldWidthParse)

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
+#include <tuple>
 #include <vector>
 
+#include "base/random.hh"
 #include "os/hpt.hh"
 
 using namespace mtlbsim;
@@ -245,4 +249,63 @@ TEST(HptTest, PaperGeometry)
 TEST(HptTest, RejectsNonPow2Buckets)
 {
     EXPECT_THROW(Hpt(0x10000, 1000), FatalError);
+}
+
+TEST(HptTest, ForEachEntryFollowsBucketThenChainOrder)
+{
+    // Seeded differential test: after random inserts (base pages and
+    // replicated superpages, two address spaces) and removes, the
+    // visitor yields exactly the live entries, in the order a walk of
+    // every bucket's chain gives. The walk is rebuilt through lookup():
+    // a hit's first probe is its bucket's head slot and its probe
+    // count its place in the chain.
+    Hpt hpt(0x100000, 256);
+    std::map<Addr, VmMapping> live;    // Hpt::keyFor(vpn, asid) -> mapping
+    Random rng(5);
+    for (int step = 0; step < 3000; ++step) {
+        const unsigned asid = static_cast<unsigned>(rng.below(2));
+        const unsigned size_class = rng.chance(1, 4) ? 1 : 0;
+        const Addr pages = pageSizeForClass(size_class) >> basePageShift;
+        const Addr vpn0 = rng.below(512) & ~(pages - 1);
+        if (rng.chance(2, 3)) {
+            const VmMapping m{vpn0 << basePageShift,
+                              rng.below(1u << 20) << basePageShift,
+                              size_class, PageProtection{}};
+            hpt.insert(m, asid);
+            for (Addr i = 0; i < pages; ++i)
+                live[Hpt::keyFor(vpn0 + i, asid)] = m;
+        } else {
+            hpt.remove(vpn0 << basePageShift, size_class, asid);
+            for (Addr i = 0; i < pages; ++i) {
+                const auto it = live.find(Hpt::keyFor(vpn0 + i, asid));
+                if (it != live.end() && it->second.sizeClass == size_class)
+                    live.erase(it);
+            }
+        }
+    }
+    ASSERT_EQ(hpt.size(), live.size());
+
+    // (bucket, place in chain, key) of every live entry.
+    std::vector<std::tuple<Addr, std::size_t, Addr>> chain_walk;
+    std::vector<Addr> probes;
+    for (const auto &[key, mapping] : live) {
+        const Addr vpn = key & ((Addr{1} << Hpt::asidKeyShift) - 1);
+        const auto asid = static_cast<unsigned>(key >> Hpt::asidKeyShift);
+        ASSERT_TRUE(
+            hpt.lookup(vpn << basePageShift, asid, probes).has_value());
+        chain_walk.emplace_back(probes.front(), probes.size(), key);
+    }
+    std::sort(chain_walk.begin(), chain_walk.end());
+
+    std::vector<Hpt::AuditEntry> visited;
+    hpt.forEachEntry(
+        [&](const Hpt::AuditEntry &e) { visited.push_back(e); });
+    ASSERT_EQ(visited.size(), chain_walk.size());
+    for (std::size_t i = 0; i < visited.size(); ++i) {
+        const Addr key = std::get<2>(chain_walk[i]);
+        EXPECT_EQ(Hpt::keyFor(visited[i].vpn, visited[i].asid), key)
+            << "entry " << i;
+        EXPECT_EQ(visited[i].mapping.vbase, live[key].vbase);
+        EXPECT_EQ(visited[i].mapping.pbase, live[key].pbase);
+    }
 }

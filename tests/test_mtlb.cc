@@ -170,7 +170,7 @@ TEST_F(MtlbFixture, EvictionWithoutFreshBitsWritesNothing)
     mtlb.syncAccessBits();                      // R now in the table
     mtlb.purgeAll();
     mtlb.translate(0, MtlbAccess::SharedFill);  // refill; R already set
-    table.entry(0).referenced = 0;              // ECC scrub, say
+    table.setReferenced(0, false);              // ECC scrub, say
     table.set(4, 0x104);
     table.set(8, 0x108);
     mtlb.translate(4, MtlbAccess::SharedFill);

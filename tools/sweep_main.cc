@@ -112,7 +112,7 @@ run(int argc, char **argv)
         } else if (token == "--matrix") {
             matrix_name = next_arg(i);
         } else if (token == "--scale") {
-            scale = parsePositive(token, next_arg(i));
+            scale = parseScale(token, next_arg(i));
         } else if (token == "--jobs") {
             jobs = static_cast<unsigned>(
                 parseCount(token, next_arg(i),
