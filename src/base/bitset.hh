@@ -37,6 +37,26 @@ class Bitset
     void set(std::size_t i) { words_[i / 64] |= bit(i); }
     void reset(std::size_t i) { words_[i / 64] &= ~bit(i); }
 
+    /** No set bit (firstSetFrom). */
+    static constexpr std::size_t npos = ~std::size_t{0};
+
+    /** The first set bit at or after @p i, or npos; one word test per
+     *  64 bits skipped. */
+    std::size_t
+    firstSetFrom(std::size_t i) const
+    {
+        std::size_t w = i / 64;
+        if (w >= words_.size())
+            return npos;
+        std::uint64_t bits = words_[w] & (~std::uint64_t{0} << (i % 64));
+        while (bits == 0) {
+            if (++w == words_.size())
+                return npos;
+            bits = words_[w];
+        }
+        return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+    }
+
     /** Call @p fn(i) for every set bit i, in increasing order. @p fn
      *  must not change this bitset. */
     template <typename Fn>

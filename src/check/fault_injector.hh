@@ -24,6 +24,8 @@
 #error "check/fault_injector.hh is test-only: define MTLBSIM_CHECK_TESTING"
 #endif
 
+#include <vector>
+
 #include "base/logging.hh"
 #include "sim/system.hh"
 
@@ -140,7 +142,8 @@ class FaultInjector
     static void
     dropHptEntry(System &sys, Addr va)
     {
-        sys.kernel().hpt().remove(pageBase(va), 0);
+        std::vector<Addr> touched;
+        sys.kernel().hpt().remove(pageBase(va), 0, 0, touched);
     }
 
     /**
@@ -152,17 +155,19 @@ class FaultInjector
     {
         Hpt &hpt = sys.kernel().hpt();
         const Addr key = Hpt::keyFor(pageFrame(va), 0);
-        auto &chain = hpt.chains_[hpt.bucketOf(key)];
-        for (std::size_t i = 0; i < chain.size(); ++i) {
-            if (chain[i].vpn == key) {
-                Hpt::ChainedEntry copy = chain[i];
-                copy.entryAddr = hpt.allocOverflowEntry();
-                chain.push_back(copy);
-                ++hpt.liveEntries_;
-                return;
-            }
+        const unsigned b = hpt.bucketOf(key);
+        unsigned found = Hpt::noEntry, tail = Hpt::noEntry;
+        for (unsigned i = hpt.heads_[b]; i != Hpt::noEntry;
+             i = hpt.pool_[i].next) {
+            if (hpt.pool_[i].key == key && found == Hpt::noEntry)
+                found = i;
+            tail = i;
         }
-        panic("no HPT entry to duplicate at 0x", std::hex, va);
+        panicIf(found == Hpt::noEntry, "no HPT entry to duplicate at 0x",
+                std::hex, va);
+        const VmMapping mapping = hpt.pool_[found].mapping;
+        hpt.append(b, tail,
+                   hpt.newEntry(key, mapping, hpt.allocOverflowEntry()));
     }
 
     /**
@@ -176,8 +181,9 @@ class FaultInjector
         const ShadowSuperpage *sp =
             sys.kernel().addressSpace().findSuperpage(va);
         panicIf(sp == nullptr, "no superpage at 0x", std::hex, va);
+        std::vector<Addr> touched;
         sys.kernel().hpt().removeOne(Hpt::keyFor(pageFrame(va), 0),
-                                     sp->sizeClass);
+                                     sp->sizeClass, touched);
     }
 
     /**

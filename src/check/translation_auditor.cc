@@ -25,8 +25,9 @@ violate(AuditReport &report, const char *invariant, Args &&...args)
 
 } // namespace
 
+template <typename Value>
 void
-TranslationAuditor::KeyCounts::clear(std::size_t max_keys)
+TranslationAuditor::KeyTable<Value>::clear(std::size_t max_keys)
 {
     // At most half full, so every probe ends at an empty slot.
     std::size_t size = 16;
@@ -34,37 +35,41 @@ TranslationAuditor::KeyCounts::clear(std::size_t max_keys)
         size *= 2;
     if (slots_.size() < size)
         slots_.resize(size);
-    std::fill(slots_.begin(), slots_.end(), Slot{});
+    mask_ = size - 1;
+    std::fill_n(slots_.begin(), size, Slot{});
 }
 
+template <typename Value>
 std::size_t
-TranslationAuditor::KeyCounts::home(Addr key) const
+TranslationAuditor::KeyTable<Value>::home(Addr key) const
 {
     const Addr h = key * 0x9e3779b97f4a7c15ULL;
-    return static_cast<std::size_t>(h ^ (h >> 32)) & (slots_.size() - 1);
+    return static_cast<std::size_t>(h ^ (h >> 32)) & mask_;
 }
 
-std::uint64_t
-TranslationAuditor::KeyCounts::add(Addr key)
+template <typename Value>
+Value &
+TranslationAuditor::KeyTable<Value>::operator[](Addr key)
 {
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = home(key);; i = (i + 1) & mask) {
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
         Slot &s = slots_[i];
-        if (s.count == 0)
+        if (s.key == emptyKey)
             s.key = key;
         if (s.key == key)
-            return ++s.count;
+            return s.value;
     }
 }
 
-std::uint64_t
-TranslationAuditor::KeyCounts::count(Addr key) const
+template <typename Value>
+Value *
+TranslationAuditor::KeyTable<Value>::find(Addr key)
 {
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = home(key);; i = (i + 1) & mask) {
-        const Slot &s = slots_[i];
-        if (s.count == 0 || s.key == key)
-            return s.count;
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+        Slot &s = slots_[i];
+        if (s.key == key)
+            return &s.value;
+        if (s.key == emptyKey)
+            return nullptr;
     }
 }
 
@@ -399,7 +404,7 @@ TranslationAuditor::checkShadowTable(AuditReport &report)
                     " beyond installed DRAM");
             return;
         }
-        if (frameRefs_.add(pfn) > 1) {
+        if (++frameRefs_[pfn] > 1) {
             violate(report, "shadow-table", "frame 0x", std::hex, pfn,
                     " mapped by both spi 0x", first_naming(pfn),
                     " and spi 0x", spi, " (double-mapped frame)");
@@ -436,7 +441,7 @@ TranslationAuditor::checkFrameAccounting(AuditReport &report)
                         pfn, ", outside the user frame pool");
                 return;
             }
-            if (frameMaps_.add(pfn) > 1) {
+            if (++frameMaps_[pfn] > 1) {
                 violate(report, "frame-accounting", "frame 0x",
                         std::hex, pfn,
                         " backs two pages (double-mapped frame)");
@@ -516,10 +521,18 @@ TranslationAuditor::checkHptCoherence(AuditReport &report)
 
     // Uniqueness and replica counts are per address space: the HPT
     // keys entries by (asid, vpn), so the audit does too. Each entry
-    // adds at most one key to either table.
+    // adds at most one key; each superpage record is entered once, so
+    // a replica matches it without a search of the address space.
     const Hpt &hpt = kernel_.hpt();
     hptKeys_.clear(hpt.size());
-    replicas_.clear(hpt.size());
+    std::size_t records = 0;
+    for (unsigned p = 0; p < nproc; ++p)
+        records += kernel_.processSpace(p).superpages().size();
+    replicas_.clear(records);
+    for (unsigned p = 0; p < nproc; ++p) {
+        for (const auto &[vbase, sp] : kernel_.processSpace(p).superpages())
+            replicas_[Hpt::keyFor(pageFrame(vbase), p)].record = &sp;
+    }
 
     hpt.forEachEntry([&](const Hpt::AuditEntry &e) {
         ++visited_;
@@ -530,7 +543,7 @@ TranslationAuditor::checkHptCoherence(AuditReport &report)
             return;
         }
         const AddressSpace &space = kernel_.processSpace(e.asid);
-        if (hptKeys_.add(Hpt::keyFor(e.vpn, e.asid)) > 1) {
+        if (++hptKeys_[Hpt::keyFor(e.vpn, e.asid)] > 1) {
             violate(report, "hpt-coherence", "duplicate entry for v=0x",
                     std::hex, e.vpn << basePageShift);
             return;
@@ -554,17 +567,16 @@ TranslationAuditor::checkHptCoherence(AuditReport &report)
 
         const AddrKind kind = physMap_.classify(e.mapping.pbase);
         if (kind == AddrKind::Shadow) {
-            const ShadowSuperpage *sp =
-                space.findSuperpage(e.mapping.vbase);
-            if (!sp || sp->vbase != e.mapping.vbase ||
-                sp->shadowBase != e.mapping.pbase ||
-                sp->sizeClass != e.mapping.sizeClass) {
+            Replicas *r = replicas_.find(
+                Hpt::keyFor(pageFrame(e.mapping.vbase), e.asid));
+            if (!r || r->record->shadowBase != e.mapping.pbase ||
+                r->record->sizeClass != e.mapping.sizeClass) {
                 violate(report, "hpt-coherence",
                         "shadow mapping v=0x", std::hex,
                         e.mapping.vbase, " s=0x", e.mapping.pbase,
                         " has no matching superpage record");
             } else {
-                replicas_.add(Hpt::keyFor(pageFrame(sp->vbase), e.asid));
+                ++r->matched;
             }
         } else if (kind == AddrKind::Real) {
             if (e.mapping.sizeClass != 0) {
@@ -600,7 +612,7 @@ TranslationAuditor::checkHptCoherence(AuditReport &report)
         for (const auto &[vbase, sp] : space.superpages()) {
             ++visited_;
             const Addr found =
-                replicas_.count(Hpt::keyFor(pageFrame(vbase), p));
+                replicas_.find(Hpt::keyFor(pageFrame(vbase), p))->matched;
             if (found != sp.numBasePages()) {
                 violate(report, "hpt-coherence", "superpage v=0x",
                         std::hex, vbase, " has ", std::dec, found,
@@ -610,7 +622,7 @@ TranslationAuditor::checkHptCoherence(AuditReport &report)
 
         space.forEachPresentPage([&](Addr vpn, Addr) {
             ++visited_;
-            if (hptKeys_.count(Hpt::keyFor(vpn, p)) == 0) {
+            if (!hptKeys_.find(Hpt::keyFor(vpn, p))) {
                 violate(report, "hpt-coherence", "present page v=0x",
                         std::hex, vpn << basePageShift,
                         " unreachable through the HPT");

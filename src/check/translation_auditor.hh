@@ -71,6 +71,7 @@ class Cache;
 class Kernel;
 class MemorySystem;
 class PhysMap;
+struct ShadowSuperpage;
 class Tlb;
 
 /**
@@ -144,32 +145,37 @@ class TranslationAuditor
     std::vector<std::pair<Addr, unsigned>> tlbSlots_;
 
     /**
-     * A flat open-addressed key -> count table with linear probing,
-     * reused across audits like the scratch vector above: clear()
-     * empties it in place and only ever grows it, so its size follows
-     * the most keys one pass has added, never the machine's size.
+     * A flat open-addressed key -> value table with linear probing,
+     * reused across audits like the scratch vector above. clear()
+     * sizes it to the keys the coming pass adds, so clearing and
+     * probing it follow that pass's keys, never the machine's size
+     * nor the largest pass so far; its storage only ever grows.
      */
-    class KeyCounts
+    template <typename Value>
+    class KeyTable
     {
       public:
         /** Empty the table, with room for @p max_keys keys. */
         void clear(std::size_t max_keys);
-        /** Add one to @p key's count. @return the new count. */
-        std::uint64_t add(Addr key);
-        /** @p key's count; 0 when it was never added. */
-        std::uint64_t count(Addr key) const;
+        /** @p key's value, value-initialized when first used. */
+        Value &operator[](Addr key);
+        /** @p key's value; null when it was never used. */
+        Value *find(Addr key);
 
       private:
-        /** An empty slot has count 0. */
+        /** No key is all ones: keys are frame numbers and HPT keys. */
+        static constexpr Addr emptyKey = ~Addr{0};
         struct Slot
         {
-            Addr key = 0;
-            std::uint64_t count = 0;
+            Addr key = emptyKey;
+            Value value{};
         };
         std::size_t home(Addr key) const;
 
         std::vector<Slot> slots_;
+        std::size_t mask_ = 0;  ///< this pass's slots, minus one
     };
+    using KeyCounts = KeyTable<std::uint64_t>;
 
     /** checkShadowTable's scratch: the [first, end) shadow page
      *  ranges of the recorded superpages, and valid PTEs per real
@@ -179,9 +185,15 @@ class TranslationAuditor
     /** checkFrameAccounting's scratch: pages per mapped frame. */
     KeyCounts frameMaps_;
     /** checkHptCoherence's scratch: entries per (vpn, asid) key, and
-     *  replicas per superpage keyed by its first page. */
+     *  each superpage record with the HPT replicas that match it,
+     *  keyed by (first page, asid). */
     KeyCounts hptKeys_;
-    KeyCounts replicas_;
+    struct Replicas
+    {
+        const ShadowSuperpage *record = nullptr;
+        std::uint64_t matched = 0;
+    };
+    KeyTable<Replicas> replicas_;
 
     /** Entries the current (or last) collect() visited. */
     std::uint64_t visited_ = 0;

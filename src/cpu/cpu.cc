@@ -68,7 +68,7 @@ Cpu::record(CpuOpRecord::Kind kind, Addr a, std::uint64_t n)
                       static_cast<std::uint32_t>(n)});
 }
 
-Addr
+Cpu::Translation
 Cpu::translate(Addr vaddr, AccessType type)
 {
     // Memo hit: a live entry is a translation the full lookup below
@@ -81,16 +81,17 @@ Cpu::translate(Addr vaddr, AccessType type)
         memo.live(vaddr, tlb_.translationEpoch());
     if (hit && (type != AccessType::Write || hit->writable)) {
         tlb_.noteMemoHit();
-        return hit->pframeBase | pageOffset(vaddr);
+        return {hit->pframeBase | pageOffset(vaddr), hit->tlbSlot};
     }
 
     TlbLookupResult result = tlb_.lookup(vaddr, type, AccessMode::User);
     if (!result.hit) {
         // Trap to the software miss handler (§3.2). Its cycles are
-        // the Figure 3 "TLB miss time".
-        now_ += kernel_.handleTlbMiss(vaddr, type, now_);
-        result = tlb_.lookup(vaddr, type, AccessMode::User);
-        panicIf(!result.hit, "TLB miss immediately after handler");
+        // the Figure 3 "TLB miss time". The retried access hits the
+        // entry the handler filled, and counts as that hit.
+        const TlbMissResult trap = kernel_.handleTlbMiss(vaddr, type, now_);
+        now_ += trap.cycles;
+        result = tlb_.lookupSlot(trap.slot, vaddr, type, AccessMode::User);
     }
     fatalIf(result.protFault,
             "protection fault at 0x", std::hex, vaddr);
@@ -99,9 +100,10 @@ Cpu::translate(Addr vaddr, AccessType type)
     if (config_.batchEnable) {
         const Addr vpage = vaddr >> basePageShift;
         memo.slot(vpage) = {vpage, pageBase(result.paddr),
-                            tlb_.translationEpoch(), result.writable};
+                            tlb_.translationEpoch(), result.writable,
+                            result.slot};
     }
-    return result.paddr;
+    return {result.paddr, result.slot};
 }
 
 void
@@ -111,13 +113,11 @@ Cpu::executeAtSlow(Counter n, Addr code_vaddr)
     maybeRunCheck();
     ++ifetchChecks_;
     if (!uitlb_.hit(code_vaddr)) {
-        // The unified TLB provides the translation; it may trap.
-        translate(code_vaddr, AccessType::IFetch);
-        // Cache the translation in the micro-ITLB for subsequent
-        // sequential fetches.
-        auto entry = tlb_.probe(code_vaddr);
-        panicIf(!entry, "ITLB fill lost its unified-TLB entry");
-        uitlb_.fill(*entry);
+        // The unified TLB provides the translation (it may trap);
+        // the micro-ITLB caches its entry for subsequent sequential
+        // fetches.
+        uitlb_.fill(tlb_.entryAt(translate(code_vaddr,
+                                           AccessType::IFetch).slot));
     }
     // Retire directly: executeAt() has already passed the record
     // sink check that execute() would repeat.
@@ -140,7 +140,7 @@ Cpu::dataAccess(Addr vaddr, AccessType type)
     else
         ++loads_;
 
-    const Addr paddr = translate(vaddr, type);
+    const Addr paddr = translate(vaddr, type).paddr;
 
     CacheAccessResult r = cache_.access(vaddr, paddr, is_store, now_);
 

@@ -376,10 +376,17 @@ class Cpu
         checkHook_(now_);
     }
 
-    /** Translate @p vaddr to its (possibly shadow) physical address
-     *  through the page memo, or through the TLB — trapping to the
-     *  kernel on a miss — and then fill the memo. */
-    Addr translate(Addr vaddr, AccessType type);
+    /** A translated access: its (possibly shadow) physical address
+     *  and the TLB slot whose entry maps it. */
+    struct Translation
+    {
+        Addr paddr;
+        unsigned slot;
+    };
+
+    /** Translate @p vaddr through the page memo, or through the TLB —
+     *  trapping to the kernel on a miss — and then fill the memo. */
+    Translation translate(Addr vaddr, AccessType type);
 
     /** Name this core as the machine's active requester before any
      *  kernel entry or memory traffic it may generate: the shared

@@ -130,14 +130,16 @@ Mmc::service(MmcOp op, Addr paddr, Cycles)
     // SRAM latency. The buffers sit downstream of the MTLB, so they
     // work on real addresses and shadow-backed streams need no extra
     // translations.
-    if (is_fill && streamBuffers_.lookup(effective)) {
+    if (is_fill && streamBuffers_.enabled() &&
+        streamBuffers_.lookup(effective)) {
         result.mmcCycles += streamBuffers_.config().bufferHitMmcCycles;
     } else {
         result.mmcCycles += dram_.access(effective, is_line);
     }
     // Prefetches occupy DRAM banks but do not delay the demand fill.
-    for (const Addr pf : streamBuffers_.drainPrefetches())
-        dram_.access(pf, true);
+    if (streamBuffers_.enabled())
+        streamBuffers_.drainPrefetches(
+            [this](Addr pf) { dram_.access(pf, true); });
     result.realAddr = effective;
 
     opLatency_.sample(static_cast<double>(result.mmcCycles));

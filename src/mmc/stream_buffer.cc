@@ -84,7 +84,7 @@ std::vector<Addr>
 StreamBufferBank::drainPrefetches()
 {
     std::vector<Addr> out;
-    out.swap(pendingPrefetches_);
+    drainPrefetches([&out](Addr line) { out.push_back(line); });
     return out;
 }
 

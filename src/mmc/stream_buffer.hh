@@ -62,8 +62,21 @@ class StreamBufferBank
      */
     bool lookup(Addr line_addr);
 
-    /** Lines the bank would like to prefetch now (drained by the
-     *  MMC into DRAM-occupancy accounting). */
+    bool enabled() const { return config_.enabled; }
+
+    /** Call @p fn(line) for each line the bank would like to prefetch
+     *  now, in order, and forget them (the MMC drains them into
+     *  DRAM-occupancy accounting). The queue keeps its capacity. */
+    template <typename Fn>
+    void
+    drainPrefetches(Fn &&fn)
+    {
+        for (const Addr line : pendingPrefetches_)
+            fn(line);
+        pendingPrefetches_.clear();
+    }
+
+    /** The lines drainPrefetches(fn) would visit, drained. */
     std::vector<Addr> drainPrefetches();
 
     /** Invalidate all buffers (e.g. on remap-driven flushes the

@@ -5,13 +5,13 @@ namespace mtlbsim
 
 FrameAllocator::FrameAllocator(Addr first_pfn, Addr num_pfns,
                                std::uint64_t seed)
-    : firstPfn_(first_pfn), numPfns_(num_pfns), unshuffled_(num_pfns),
-      rng_(seed), freeBits_(static_cast<std::size_t>(num_pfns), true)
+    : firstPfn_(first_pfn), numPfns_(num_pfns),
+      freeList_(std::make_unique_for_overwrite<Addr[]>(num_pfns)),
+      written_(static_cast<std::size_t>(num_pfns)), numFree_(num_pfns),
+      unshuffled_(num_pfns), rng_(seed),
+      freeBits_(static_cast<std::size_t>(num_pfns), true)
 {
     fatalIf(num_pfns == 0, "frame allocator with no frames");
-    freeList_.reserve(num_pfns);
-    for (Addr i = 0; i < num_pfns; ++i)
-        freeList_.push_back(first_pfn + i);
 }
 
 void
@@ -26,16 +26,21 @@ FrameAllocator::shuffleStep(std::vector<Addr> &list, Addr i, Random &rng)
 Addr
 FrameAllocator::allocate()
 {
-    fatalIf(freeList_.empty(), "out of physical memory");
+    fatalIf(numFree_ == 0, "out of physical memory");
     // Frees only append at or above unshuffled_, so the back is
     // either final or the next position the shuffle reaches.
-    const Addr back = freeList_.size() - 1;
+    const Addr back = --numFree_;
+    Addr pfn = at(back);
     if (back < unshuffled_) {
-        shuffleStep(freeList_, back, rng_);
+        // shuffleStep(back), leaving the popped position unwritten.
+        if (back > 0) {
+            const Addr other = rng_.below(back + 1);
+            const Addr swapped = at(other);
+            put(other, pfn);
+            pfn = swapped;
+        }
         unshuffled_ = back;
     }
-    const Addr pfn = freeList_.back();
-    freeList_.pop_back();
     freeBits_.reset(static_cast<std::size_t>(pfn - firstPfn_));
     return pfn;
 }
@@ -46,14 +51,16 @@ FrameAllocator::free(Addr pfn, TranslationEdit &)
     panicIf(pfn < firstPfn_ || pfn >= firstPfn_ + numPfns_,
             "freeing a frame outside the allocatable range: ", pfn);
     panicIf(isFree(pfn), "freeing frame ", pfn, ", which is already free");
-    freeList_.push_back(pfn);
+    put(numFree_++, pfn);
     freeBits_.set(static_cast<std::size_t>(pfn - firstPfn_));
 }
 
 std::vector<Addr>
 FrameAllocator::allocationOrder() const
 {
-    std::vector<Addr> list = freeList_;
+    std::vector<Addr> list(numFree_);
+    for (Addr k = 0; k < numFree_; ++k)
+        list[k] = at(k);
     Random rng = rng_;
     for (Addr i = unshuffled_; i-- > 1;)
         shuffleStep(list, i, rng);

@@ -16,11 +16,15 @@
  * with the same draw, in the same order, as an eager pass at
  * construction would make. Every allocation returns the frame the
  * eager pass would give it, and a machine that maps a few thousand
- * pages does not pay for shuffling the whole of memory.
+ * pages does not pay for shuffling the whole of memory. Nor does it
+ * pay for writing the identity list the shuffle starts from: a
+ * position the shuffle and the frees have not written still holds
+ * its initial frame, implicitly.
  */
 
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "base/bitset.hh"
@@ -59,7 +63,7 @@ class FrameAllocator
      *  free pool never holds a frame twice. */
     void free(Addr pfn, TranslationEdit &edit);
 
-    Addr numFree() const { return freeList_.size(); }
+    Addr numFree() const { return numFree_; }
     Addr numTotal() const { return numPfns_; }
     Addr firstPfn() const { return firstPfn_; }
 
@@ -81,11 +85,32 @@ class FrameAllocator
      *  i = 0, as the eager loop makes none). */
     static void shuffleStep(std::vector<Addr> &list, Addr i, Random &rng);
 
+    /** The frame at free-list position @p k. */
+    Addr
+    at(Addr k) const
+    {
+        return written_.test(static_cast<std::size_t>(k)) ? freeList_[k]
+                                                           : firstPfn_ + k;
+    }
+
+    /** Store @p pfn at free-list position @p k. */
+    void
+    put(Addr k, Addr pfn)
+    {
+        freeList_[k] = pfn;
+        written_.set(static_cast<std::size_t>(k));
+    }
+
     Addr firstPfn_;
     Addr numPfns_;
-    /** Positions at and above unshuffled_ are final; below it the
+    /** The free list, a stack of numFree_ frames; the next frame to
+     *  allocate is on top. Position k holds freeList_[k] once written
+     *  (bit k of written_), else its initial frame firstPfn_ + k.
+     *  Positions at and above unshuffled_ are final; below it the
      *  shuffle steps unshuffled_ - 1 down to 1 are still to run. */
-    std::vector<Addr> freeList_;
+    std::unique_ptr<Addr[]> freeList_;
+    Bitset written_;
+    Addr numFree_;
     Addr unshuffled_;
     Random rng_;
     /** Bit pfn - firstPfn_ set exactly when the frame is free. */

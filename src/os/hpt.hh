@@ -21,6 +21,11 @@
  * mapping) and the *addresses touched* (so the cache and memory
  * system see the handler's loads). Chained overflow entries live in
  * a kernel pool after the main table.
+ *
+ * On the host the table is flat: one head index per bucket and one
+ * pool of entries linked by index, each carrying the simulated
+ * address it occupies — so building or destroying a table costs one
+ * array, not one container per bucket.
  */
 
 #pragma once
@@ -72,26 +77,26 @@ class Hpt
 
     /**
      * Insert a mapping, replicating one entry per base page it
-     * covers. @return kernel addresses written, for cost accounting.
+     * covers. Appends the kernel address of every entry written to
+     * @p touched, for cost accounting.
      */
-    std::vector<Addr> insert(const VmMapping &mapping,
-                             unsigned asid = 0);
+    void insert(const VmMapping &mapping, unsigned asid,
+                std::vector<Addr> &touched);
 
     /**
      * Insert only the replica for the single base page containing
      * @p vaddr (used by remap()'s per-page loop so costs accrue
-     * per page). @return kernel addresses written.
+     * per page). Appends the addresses written to @p touched.
      */
-    std::vector<Addr> insertBasePageReplica(const VmMapping &mapping,
-                                            Addr vaddr,
-                                            unsigned asid = 0);
+    void insertBasePageReplica(const VmMapping &mapping, Addr vaddr,
+                               unsigned asid, std::vector<Addr> &touched);
 
     /**
      * Remove the mapping with this base and size class (all its
-     * replicas). @return kernel addresses touched.
+     * replicas). Appends the addresses touched to @p touched.
      */
-    std::vector<Addr> remove(Addr vbase, unsigned size_class,
-                             unsigned asid = 0);
+    void remove(Addr vbase, unsigned size_class, unsigned asid,
+                std::vector<Addr> &touched);
 
     /** One live entry, as forEachEntry() presents it. */
     struct AuditEntry
@@ -113,9 +118,10 @@ class Hpt
     forEachEntry(Fn &&fn) const
     {
         busy_.forEachSet([&](std::size_t b) {
-            for (const ChainedEntry &entry : chains_[b]) {
-                fn(AuditEntry{entry.vpn & ((Addr{1} << asidKeyShift) - 1),
-                              static_cast<unsigned>(entry.vpn >>
+            for (unsigned i = heads_[b]; i != noEntry; i = pool_[i].next) {
+                const Entry &entry = pool_[i];
+                fn(AuditEntry{entry.key & ((Addr{1} << asidKeyShift) - 1),
+                              static_cast<unsigned>(entry.key >>
                                                     asidKeyShift),
                               entry.mapping});
             }
@@ -151,24 +157,40 @@ class Hpt
      *  (check/fault_injector.hh; test builds only). */
     friend class FaultInjector;
 
-    struct ChainedEntry
+    /** One entry of a bucket's chain. */
+    struct Entry
     {
-        Addr vpn;           ///< base-page virtual page number (key)
+        Addr key;           ///< keyFor(base-page vpn, asid)
         VmMapping mapping;
         Addr entryAddr;     ///< where this entry lives in memory
+        unsigned next;      ///< next pool index in the chain, or noEntry
     };
+    static constexpr unsigned noEntry = ~0u;
 
-    unsigned bucketOf(Addr vpn) const;
+    unsigned bucketOf(Addr key) const;
     Addr allocOverflowEntry();
-    std::vector<Addr> insertOne(Addr vpn, const VmMapping &mapping);
-    std::vector<Addr> removeOne(Addr vpn, unsigned size_class);
+    /** A pool entry holding (@p key, @p mapping) at @p entry_addr,
+     *  linked to nothing. */
+    unsigned newEntry(Addr key, const VmMapping &mapping, Addr entry_addr);
+    /** Link pool entry @p entry after the chain of bucket @p b, whose
+     *  last entry is @p tail (noEntry when the chain is empty). */
+    void append(unsigned b, unsigned tail, unsigned entry);
+    void insertOne(Addr key, const VmMapping &mapping,
+                   std::vector<Addr> &touched);
+    void removeOne(Addr key, unsigned size_class,
+                   std::vector<Addr> &touched);
 
     Addr tableBase_;
     unsigned numBuckets_;
-    /** Per-bucket chains; element 0 occupies the in-table slot. */
-    std::vector<std::vector<ChainedEntry>> chains_;
-    /** Bit b set exactly when chains_[b] is nonempty: insertOne()
-     *  sets it and removeOne() clears it. */
+    /** Pool index of each bucket's first entry — the one in the
+     *  in-table slot — or noEntry. */
+    std::vector<unsigned> heads_;
+    /** Every entry, live or free; free ones are linked through next
+     *  from freeEntry_. */
+    std::vector<Entry> pool_;
+    unsigned freeEntry_ = noEntry;
+    /** Bit b set exactly when bucket b's chain is nonempty:
+     *  insertOne() sets it and removeOne() clears it. */
     Bitset busy_;
     /** Bump allocator for overflow entries (recycled via free list). */
     Addr overflowCursor_;

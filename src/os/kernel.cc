@@ -288,13 +288,10 @@ Kernel::mapPageToShadow(Addr vbase, Addr shadow_page, Cycles now,
                                        now + cycles);
         }
 
-        cycles += chargeHptTouches(hpt_.remove(vbase, 0, asid()), true,
-                                   now + cycles);
         const VmRegion *region = space().findRegion(vbase);
         panicIf(region == nullptr, "shadow-mapping an unmapped page");
-        cycles += chargeHptTouches(
-            hpt_.insert({vbase, shadow_page, 0, region->prot}, asid()),
-            true, now + cycles);
+        cycles += rewriteHptEntry(
+            vbase, {vbase, shadow_page, 0, region->prot}, now + cycles);
     }
     MappingEdit record(observer_);
     space().addSuperpage({vbase, shadow_page, 0}, record);
@@ -320,13 +317,11 @@ Kernel::demoteSingleShadowPage(Addr vaddr, Cycles now)
         cycles += memsys_.controlOp(now + cycles, [&](Mmc &mmc) {
             return mmc.clearShadowMapping(spi, edit);
         });
-        cycles += chargeHptTouches(hpt_.remove(vbase, 0, asid()), true,
-                                   now + cycles);
-        cycles += chargeHptTouches(
-            hpt_.insert({vbase, space().frameOf(vbase) << basePageShift,
-                         0, region->prot},
-                        asid()),
-            true, now + cycles);
+        cycles += rewriteHptEntry(
+            vbase,
+            {vbase, space().frameOf(vbase) << basePageShift, 0,
+             region->prot},
+            now + cycles);
     }
     pagePool().free(shadow_page);
     MappingEdit record(observer_);
@@ -389,6 +384,15 @@ Kernel::chargeHptTouches(const std::vector<Addr> &addrs, bool write,
     return cycles;
 }
 
+Cycles
+Kernel::rewriteHptEntry(Addr vbase, const VmMapping &mapping, Cycles now)
+{
+    hptTouches_.clear();
+    hpt_.remove(vbase, 0, asid(), hptTouches_);
+    hpt_.insert(mapping, asid(), hptTouches_);
+    return chargeHptTouches(hptTouches_, true, now);
+}
+
 VmMapping
 Kernel::mappingFor(Addr vaddr) const
 {
@@ -403,7 +407,7 @@ Kernel::mappingFor(Addr vaddr) const
             region->prot};
 }
 
-Cycles
+TlbMissResult
 Kernel::handleTlbMiss(Addr vaddr, AccessType type, Cycles now)
 {
     (void)type;
@@ -413,8 +417,8 @@ Kernel::handleTlbMiss(Addr vaddr, AccessType type, Cycles now)
     // Probe the hashed page table; every entry examined is a real
     // cached load.
     std::optional<VmMapping> mapping =
-        hpt_.lookup(vaddr, asid(), hptProbes_);
-    cycles += chargeHptTouches(hptProbes_, false, now + cycles);
+        hpt_.lookup(vaddr, asid(), hptTouches_);
+    cycles += chargeHptTouches(hptTouches_, false, now + cycles);
 
     // Cycles spent in the VM fault path (page-table walk + demand
     // zero). These are kernel time but *not* TLB-miss-handling time
@@ -442,9 +446,10 @@ Kernel::handleTlbMiss(Addr vaddr, AccessType type, Cycles now)
                                             now + cycles + fault_cycles);
 
         mapping = mappingFor(vaddr);
-        fault_cycles += chargeHptTouches(
-            hpt_.insert(*mapping, asid()), true,
-            now + cycles + fault_cycles);
+        hptTouches_.clear();
+        hpt_.insert(*mapping, asid(), hptTouches_);
+        fault_cycles += chargeHptTouches(hptTouches_, true,
+                                         now + cycles + fault_cycles);
         vmFaultCycles_ += static_cast<double>(fault_cycles);
     }
 
@@ -464,10 +469,11 @@ Kernel::handleTlbMiss(Addr vaddr, AccessType type, Cycles now)
     }
 
     const VmMapping &m = *mapping;
-    activeTlb().insert(m.vbase, m.pbase, m.sizeClass, m.prot);
+    const unsigned slot =
+        activeTlb().insert(m.vbase, m.pbase, m.sizeClass, m.prot);
 
     tlbMissCycles_ += static_cast<double>(cycles);
-    return cycles + fault_cycles + promo_cycles;
+    return {cycles + fault_cycles + promo_cycles, slot};
 }
 
 Cycles
@@ -657,12 +663,12 @@ Kernel::remap(Addr vbase, Addr bytes, Cycles now, bool internal)
                 // write this page's replica of the superpage mapping
                 // — the PA-RISC HPT hashes at base-page grain, so a
                 // superpage is entered once per base page it covers.
-                cycles += chargeHptTouches(
-                    hpt_.remove(pageBase(va), 0, asid()), true,
-                    now + cycles);
-                cycles += chargeHptTouches(
-                    hpt_.insertBasePageReplica(sp_mapping, va, asid()),
-                    true, now + cycles);
+                hptTouches_.clear();
+                hpt_.remove(pageBase(va), 0, asid(), hptTouches_);
+                hpt_.insertBasePageReplica(sp_mapping, va, asid(),
+                                           hptTouches_);
+                cycles += chargeHptTouches(hptTouches_, true,
+                                           now + cycles);
 
                 cycles += config_.shootdownPerPageCycles;
                 ++remapPages_;

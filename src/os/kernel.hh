@@ -157,6 +157,13 @@ struct SbrkResult
     Cycles cycles = 0;  ///< CPU cycles the call consumed
 };
 
+/** What a TLB-miss trap did. */
+struct TlbMissResult
+{
+    Cycles cycles = 0;  ///< CPU cycles the handler consumed
+    unsigned slot = 0;  ///< the TLB slot it filled, covering the address
+};
+
 /** Result of swapping a superpage out. */
 struct SwapOutResult
 {
@@ -202,11 +209,11 @@ class Kernel
     /**
      * Service a CPU TLB miss at @p vaddr: probe the HPT, fall back
      * to the VM fault path (page-table walk + demand-zero) when the
-     * translation is absent, and insert the mapping into the TLB.
-     *
-     * @return CPU cycles consumed by the handler
+     * translation is absent, and insert the mapping into the active
+     * core's TLB. Right after that TLB's lookup of @p vaddr missed,
+     * a base-page fill needs no overlap search (Tlb::insert).
      */
-    Cycles handleTlbMiss(Addr vaddr, AccessType type, Cycles now);
+    TlbMissResult handleTlbMiss(Addr vaddr, AccessType type, Cycles now);
 
     /**
      * Service a precise MTLB fault (§4): the base page backing
@@ -503,6 +510,11 @@ class Kernel
     Cycles chargeHptTouches(const std::vector<Addr> &addrs, bool write,
                             Cycles now);
 
+    /** Replace the HPT base-page entry of @p vbase (when there is
+     *  one) with @p mapping, charging every entry write. */
+    Cycles rewriteHptEntry(Addr vbase, const VmMapping &mapping,
+                           Cycles now);
+
     /** Build the mapping the TLB should hold for @p vaddr. */
     VmMapping mappingFor(Addr vaddr) const;
 
@@ -556,9 +568,10 @@ class Kernel
 
     FrameAllocator frames_;
     Hpt hpt_;
-    /** The miss handler's HPT probe addresses, reused across misses
-     *  so a TLB miss allocates no host memory for them. */
-    std::vector<Addr> hptProbes_;
+    /** The HPT entry addresses the miss handler probed or a kernel
+     *  service wrote, reused across calls so touching the HPT
+     *  allocates no host memory. */
+    std::vector<Addr> hptTouches_;
     std::unique_ptr<ShadowAllocator> shadowAlloc_;
     std::unique_ptr<ShadowPagePool> pagePool_;
 

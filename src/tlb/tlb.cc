@@ -34,7 +34,11 @@ checkedCapacity(unsigned num_entries)
 Tlb::Tlb(unsigned num_entries, const std::string &name,
          stats::StatGroup &parent)
     : numEntries_(checkedCapacity(num_entries)),
-      entries_(num_entries),
+      // At least two buckets per entry, so chains stay short.
+      numBuckets_(std::bit_ceil(2 * num_entries)),
+      indexShift_(64 - static_cast<unsigned>(std::countr_zero(numBuckets_))),
+      entries_(num_entries), links_(numBuckets_ + num_entries, noSlot),
+      numFree_(num_entries), nruCandidates_(num_entries),
       statGroup_(name),
       hits_(statGroup_.addScalar("hits", "TLB hits")),
       misses_(statGroup_.addScalar("misses", "TLB misses")),
@@ -45,40 +49,9 @@ Tlb::Tlb(unsigned num_entries, const std::string &name,
                                       "entries evicted by NRU"))
 {
     parent.addChild(&statGroup_);
-    freeList_.reserve(num_entries);
-    for (unsigned i = 0; i < num_entries; ++i)
-        freeList_.push_back(num_entries - 1 - i);
-    // At most half full, so every probe run ends at an empty slot.
-    const unsigned slots = std::bit_ceil(2 * num_entries);
-    index_.resize(slots);
-    indexMask_ = slots - 1;
-    indexShift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
-}
-
-int
-Tlb::findInClass(Addr vaddr, unsigned size_class) const
-{
-    if (liveInClass_[size_class] == 0)
-        return -1;
-    const Addr key = indexKey(vaddr, size_class);
-    for (unsigned i = indexHome(key);; i = (i + 1) & indexMask_) {
-        const IndexSlot &s = index_[i];
-        if (s.key == key)
-            return static_cast<int>(s.entry);
-        if (s.key == emptyKey)
-            return -1;
-    }
-}
-
-int
-Tlb::findEntry(Addr vaddr) const
-{
-    for (unsigned c = 0; c < numPageSizeClasses; ++c) {
-        const int idx = findInClass(vaddr, c);
-        if (idx >= 0)
-            return idx;
-    }
-    return -1;
+    // Slot 0 is handed out first, then 1, 2, ...
+    for (unsigned i = 0; i + 1 < num_entries; ++i)
+        link(i) = i + 1;
 }
 
 int
@@ -86,106 +59,78 @@ Tlb::indexedSlot(Addr vbase, unsigned size_class) const
 {
     panicIf(size_class >= numPageSizeClasses, "illegal page size class ",
             size_class);
+    if (!(liveClasses_ >> size_class & 1))
+        return -1;
     return findInClass(vbase, size_class);
 }
 
 void
-Tlb::indexInsert(Addr key, unsigned entry)
+Tlb::indexUnlink(unsigned slot)
 {
-    unsigned i = indexHome(key);
-    while (index_[i].key != emptyKey) {
-        panicIf(index_[i].key == key, "TLB index holds a key twice");
-        i = (i + 1) & indexMask_;
+    const TlbEntry &e = entries_[slot];
+    unsigned *at = &links_[bucketOf(indexKey(e.vbase, e.sizeClass))];
+    while (*at != slot) {
+        panicIf(*at == noSlot, "TLB index lost a valid entry");
+        at = &link(*at);
     }
-    index_[i] = {key, entry};
-}
-
-void
-Tlb::indexErase(Addr key)
-{
-    unsigned gap = indexHome(key);
-    while (index_[gap].key != key) {
-        panicIf(index_[gap].key == emptyKey,
-                "TLB index lost a valid entry");
-        gap = (gap + 1) & indexMask_;
-    }
-    // Backward-shift deletion: walk the rest of the probe cluster and
-    // move back into the gap every key whose home does not lie
-    // cyclically in (gap, i] — it would be unreachable past the gap.
-    for (unsigned i = (gap + 1) & indexMask_; index_[i].key != emptyKey;
-         i = (i + 1) & indexMask_) {
-        const unsigned home = indexHome(index_[i].key);
-        if (((i - home) & indexMask_) >= ((i - gap) & indexMask_)) {
-            index_[gap] = index_[i];
-            gap = i;
-        }
-    }
-    index_[gap].key = emptyKey;
+    *at = link(slot);
 }
 
 unsigned
 Tlb::indexSize() const
 {
     unsigned keys = 0;
-    for (const IndexSlot &s : index_)
-        keys += s.key != emptyKey;
+    for (unsigned b = 0; b < numBuckets_; ++b) {
+        for (unsigned s = links_[b]; s != noSlot && keys <= numEntries_;
+             s = link(s))
+            ++keys;
+    }
     return keys;
 }
 
 TlbLookupResult
-Tlb::lookup(Addr vaddr, AccessType type, AccessMode mode)
+Tlb::lookupSlot(unsigned slot, Addr vaddr, AccessType type,
+                AccessMode mode)
 {
-    const int idx = findEntry(vaddr);
-    if (idx < 0) {
-        ++misses_;
-        return {};
-    }
-
-    TlbEntry &entry = entries_[idx];
-    entry.referenced = true;
-
-    if (type == AccessType::Write && !entry.prot.writable) {
-        ++protFaults_;
-        return {true, true, 0};
-    }
-    if (mode == AccessMode::User && !entry.prot.userAccessible) {
-        ++protFaults_;
-        return {true, true, 0};
-    }
-
-    ++hits_;
-    return {true, false, entry.translate(vaddr), entry.prot.writable};
+    panicIf(slot >= numEntries_ || !entries_[slot].covers(vaddr),
+            "TLB slot ", slot, " does not cover 0x", std::hex, vaddr);
+    return hit(slot, vaddr, type, mode);
 }
 
 unsigned
 Tlb::pickVictim()
 {
-    // NRU: scan for an unreferenced, unpinned entry starting from a
-    // rotating clock hand; if every candidate is referenced, clear
-    // all reference bits and take the first unpinned entry.
+    // NRU: the first unreferenced, unpinned entry at or after a
+    // rotating clock hand, wrapping round; if every candidate is
+    // referenced, clear all reference bits and search again.
     for (int pass = 0; pass < 2; ++pass) {
-        // Wrap-around scan without division: nruClock_ is always in
-        // [0, numEntries_), so one compare-and-reset per step replaces
-        // the two modulo operations of the obvious formulation.
-        unsigned idx = nruClock_;
-        for (unsigned i = 0; i < numEntries_; ++i) {
-            const TlbEntry &e = entries_[idx];
-            if (e.valid && !e.pinned && !e.referenced) {
-                nruClock_ = idx + 1 == numEntries_ ? 0 : idx + 1;
-                return idx;
-            }
-            idx = idx + 1 == numEntries_ ? 0 : idx + 1;
+        std::size_t idx = nruCandidates_.firstSetFrom(nruClock_);
+        if (idx == Bitset::npos)
+            idx = nruCandidates_.firstSetFrom(0);
+        if (idx != Bitset::npos) {
+            const auto victim = static_cast<unsigned>(idx);
+            nruClock_ = victim + 1 == numEntries_ ? 0 : victim + 1;
+            return victim;
         }
-        // All referenced: age everything (the NRU epoch reset). The
-        // only place referenced bits are cleared, so it retires the
-        // page memo, whose live entries promise a set bit.
-        for (auto &e : entries_) {
-            if (e.valid && !e.pinned)
-                e.referenced = false;
-        }
-        bumpTranslationEpoch();
+        ageAll();
     }
     panic("TLB victim search failed: all entries pinned?");
+}
+
+void
+Tlb::ageAll()
+{
+    // The NRU epoch reset. The only place referenced bits are
+    // cleared, so it retires the page memo, whose live entries
+    // promise a set bit.
+    for (unsigned i = 0; i < numEntries_; ++i) {
+        TlbEntry &e = entries_[i];
+        if (e.valid && !e.pinned) {
+            e.referenced = false;
+            nruCandidates_.set(i);
+        }
+    }
+    bumpTranslationEpoch();
 }
 
 void
@@ -194,11 +139,15 @@ Tlb::dropEntry(unsigned idx)
     TlbEntry &e = entries_[idx];
     panicIf(!e.valid, "dropping an invalid TLB entry");
     const unsigned c = e.sizeClass;
-    indexErase(indexKey(e.vbase, c));
-    --liveInClass_[c];
+    indexUnlink(idx);
+    if (--liveInClass_[c] == 0)
+        liveClasses_ &= ~(1u << c);
+    nruCandidates_.reset(idx);
     e.valid = false;
     e.pinned = false;
-    freeList_.push_back(idx);
+    link(idx) = freeTop_;
+    freeTop_ = idx;
+    ++numFree_;
     // A base-page entry backs at most its own page's memo slot; a
     // superpage entry may back many.
     if (c == 0)
@@ -207,7 +156,7 @@ Tlb::dropEntry(unsigned idx)
         bumpTranslationEpoch();
 }
 
-void
+unsigned
 Tlb::insert(Addr vbase, Addr pbase, unsigned size_class,
             PageProtection prot, bool pinned)
 {
@@ -221,25 +170,26 @@ Tlb::insert(Addr vbase, Addr pbase, unsigned size_class,
 
     // Discard overlapping pre-existing mappings (§2.3). Valid entries
     // never overlap and are base-page aligned, so for a base page the
-    // entry covering vbase (if any) is the only overlap.
+    // entry covering vbase (if any) is the only overlap — and a page
+    // whose lookup was the last to miss has none.
     if (size_class == 0) {
-        const int covering = findEntry(vbase);
-        if (covering >= 0)
-            dropEntry(static_cast<unsigned>(covering));
+        if (vbase >> basePageShift != missedPage_) {
+            const int covering = findEntry(vbase);
+            if (covering >= 0)
+                dropEntry(static_cast<unsigned>(covering));
+        }
     } else {
         purgeRange(vbase, size);
     }
+    missedPage_ = noPage;
 
-    unsigned idx;
-    if (!freeList_.empty()) {
-        idx = freeList_.back();
-        freeList_.pop_back();
-    } else {
-        idx = pickVictim();
+    if (numFree_ == 0) {
         ++evictions_;
-        dropEntry(idx);
-        freeList_.pop_back();
+        dropEntry(pickVictim());
     }
+    const unsigned idx = freeTop_;
+    freeTop_ = link(idx);
+    --numFree_;
 
     TlbEntry &e = entries_[idx];
     e.vbase = vbase;
@@ -250,14 +200,19 @@ Tlb::insert(Addr vbase, Addr pbase, unsigned size_class,
     e.pinned = pinned;
     e.referenced = true;
 
-    indexInsert(indexKey(vbase, size_class), idx);
+    unsigned &head = links_[bucketOf(indexKey(vbase, size_class))];
+    link(idx) = head;
+    head = idx;
     ++liveInClass_[size_class];
+    liveClasses_ |= 1u << size_class;
     ++inserts_;
+    return idx;
 }
 
 void
 Tlb::purgeRange(Addr vbase, Addr bytes)
 {
+    missedPage_ = noPage;
     const Addr vend = vbase + bytes;
     for (unsigned i = 0; i < numEntries_; ++i) {
         TlbEntry &e = entries_[i];
@@ -272,6 +227,7 @@ Tlb::purgeRange(Addr vbase, Addr bytes)
 void
 Tlb::purgeAll()
 {
+    missedPage_ = noPage;
     for (unsigned i = 0; i < numEntries_; ++i) {
         if (entries_[i].valid && !entries_[i].pinned)
             dropEntry(i);
@@ -284,7 +240,7 @@ Tlb::purgeAll()
 unsigned
 Tlb::occupancy() const
 {
-    return numEntries_ - static_cast<unsigned>(freeList_.size());
+    return numEntries_ - numFree_;
 }
 
 std::optional<TlbEntry>

@@ -19,10 +19,12 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "base/bitset.hh"
 #include "base/intmath.hh"
 #include "base/logging.hh"
 #include "base/types.hh"
@@ -102,6 +104,9 @@ struct TlbLookupResult
      *  Cpu::translate() record it in the page memo without a second
      *  probe. */
     bool writable = false;
+    /** The entry's slot (valid on a hit): the micro-ITLB fill reads
+     *  the entry there instead of probing again. */
+    unsigned slot = 0;
 };
 
 /**
@@ -135,6 +140,9 @@ struct PageMemo
         Addr pframeBase = 0;        ///< physical/shadow frame base
         std::uint64_t epoch = 0;    ///< translation epoch at fill
         bool writable = false;      ///< page accepts stores
+        /** The TLB slot of the entry that produced the translation;
+         *  it holds that entry for as long as this one is live. */
+        unsigned tlbSlot = 0;
     };
 
     /** Entries (power of two). Hot sets alternate between pages far
@@ -186,18 +194,33 @@ class Tlb
     TlbLookupResult lookup(Addr vaddr, AccessType type, AccessMode mode);
 
     /**
+     * lookup() for an access whose entry the caller already holds:
+     * slot @p slot must cover @p vaddr, as the slot the miss handler
+     * just filled does. Sets the NRU bit and counts the hit or the
+     * protection fault exactly as lookup() would, without probing
+     * the index.
+     */
+    TlbLookupResult lookupSlot(unsigned slot, Addr vaddr, AccessType type,
+                               AccessMode mode);
+
+    /**
      * Insert a mapping, evicting an NRU victim if full. The caller
      * (the miss handler model) has already charged the trap cost.
      *
      * Pre-existing entries overlapping the same virtual range are
      * discarded first, as on TLBs that auto-purge duplicates (§2.3).
-     * A base-page insert does this in O(1): valid entries never
-     * overlap and are base-page aligned, so the one entry covering
-     * @p vbase is the only possible overlap. A superpage insert scans
-     * every entry (purgeRange).
+     * A base-page insert does this with at most one index probe:
+     * valid entries never overlap and are base-page aligned, so the
+     * one entry covering @p vbase is the only possible overlap. It
+     * skips even that probe when the last lookup missed this very
+     * page and nothing has been inserted or purged since — the miss
+     * handler's fill. A superpage insert scans every entry
+     * (purgeRange).
+     *
+     * @return the slot the mapping now occupies
      */
-    void insert(Addr vbase, Addr pbase, unsigned size_class,
-                PageProtection prot, bool pinned = false);
+    unsigned insert(Addr vbase, Addr pbase, unsigned size_class,
+                    PageProtection prot, bool pinned = false);
 
     /** Remove any entries overlapping [vbase, vbase+bytes). */
     void purgeRange(Addr vbase, Addr bytes);
@@ -219,19 +242,20 @@ class Tlb
      *  maps exactly the valid entries. */
     int indexedSlot(Addr vbase, unsigned size_class) const;
 
-    /** Keys held by the lookup index, counted slot by slot (audit
+    /** Keys held by the lookup index, counted chain by chain (audit
      *  support: equals occupancy() when the index maps exactly the
-     *  valid entries). */
+     *  valid entries; a chain that loops stops the count past
+     *  capacity()). */
     unsigned indexSize() const;
 
-    /** @name Index geometry (test support: lets a test build probe
-     *  clusters that wrap around the table's end) */
+    /** @name Index geometry (test support: lets a test put several
+     *  keys in one bucket) */
     /** @{ */
-    unsigned indexCapacity() const { return indexMask_ + 1; }
+    unsigned indexBuckets() const { return numBuckets_; }
     unsigned
-    indexHomeOf(Addr vbase, unsigned size_class) const
+    indexBucketOf(Addr vbase, unsigned size_class) const
     {
-        return indexHome(indexKey(vbase, size_class));
+        return bucketOf(indexKey(vbase, size_class));
     }
     /** @} */
 
@@ -323,19 +347,17 @@ class Tlb
 
   private:
     /**
-     * One slot of the lookup index, a flat open-addressed hash table
-     * with linear probing keyed by (virtual page number of a size
-     * class, size class). It is sized once, to at least twice the
-     * capacity, so it never fills or rehashes; deletion shifts the
-     * rest of the probe cluster back, so there are no tombstones.
+     * The lookup index is a chained hash table keyed by (virtual page
+     * number of a size class, size class), threaded through the
+     * slots: links_ holds one head per bucket, then one link per
+     * slot. A valid slot's link is the next slot of its bucket's
+     * chain; a free slot's link is the next slot of the free stack.
+     * Sized once, to at least twice the capacity in buckets, so
+     * chains stay short without rehashing; insert and erase relink
+     * one chain and never move another key.
      */
-    struct IndexSlot
-    {
-        Addr key = emptyKey;
-        unsigned entry = 0;     ///< entries_ slot
-    };
-    /** No real key is all ones: a VPN is at most 52 bits. */
-    static constexpr Addr emptyKey = ~Addr{0};
+    static constexpr unsigned noSlot = ~0u;
+    static constexpr Addr noPage = ~Addr{0};
     static constexpr unsigned classKeyBits = 3;
     static_assert(numPageSizeClasses <= 1u << classKeyBits);
 
@@ -348,27 +370,47 @@ class Tlb
 
     /** Fibonacci hash: the key's golden-ratio product, top bits. */
     unsigned
-    indexHome(Addr key) const
+    bucketOf(Addr key) const
     {
         return static_cast<unsigned>((key * 0x9e3779b97f4a7c15ULL) >>
                                      indexShift_);
     }
 
+    unsigned &link(unsigned slot) { return links_[numBuckets_ + slot]; }
+    unsigned
+    link(unsigned slot) const
+    {
+        return links_[numBuckets_ + slot];
+    }
+
     int findInClass(Addr vaddr, unsigned size_class) const;
     int findEntry(Addr vaddr) const;
-    void indexInsert(Addr key, unsigned entry);
-    void indexErase(Addr key);
+    TlbLookupResult hit(unsigned slot, Addr vaddr, AccessType type,
+                        AccessMode mode);
+    void indexUnlink(unsigned slot);
     unsigned pickVictim();
+    void ageAll();
     void dropEntry(unsigned idx);
 
     unsigned numEntries_;
+    unsigned numBuckets_;
+    unsigned indexShift_;       ///< 64 - log2(numBuckets_)
     std::vector<TlbEntry> entries_;
-    std::vector<unsigned> freeList_;
-    std::vector<IndexSlot> index_;
-    unsigned indexMask_;        ///< index_.size() - 1
-    unsigned indexShift_;       ///< 64 - log2(index_.size())
-    /** Live entries per size class: lookups skip empty classes. */
+    /** Bucket heads, then slot links (see above). */
+    std::vector<unsigned> links_;
+    unsigned freeTop_ = 0;      ///< top of the free stack, or noSlot
+    unsigned numFree_;
+    /** Bit s set exactly when slot s is valid, unpinned and
+     *  unreferenced: the NRU victim candidates. Only the first hit
+     *  after an aging pass clears a bit. */
+    Bitset nruCandidates_;
+    /** Live entries per size class, and bit c set when class c has
+     *  any: lookups probe only live classes. */
     unsigned liveInClass_[numPageSizeClasses] = {};
+    unsigned liveClasses_ = 0;
+    /** The page whose lookup missed last, while no insert or purge
+     *  has followed: no valid entry covers it. */
+    Addr missedPage_ = noPage;
     unsigned nruClock_ = 0; ///< rotating start point for victim scan
     /** Translation epoch; starts at 1 so a zero-initialized memo
      *  entry can never appear live. */
@@ -382,6 +424,68 @@ class Tlb
     stats::Scalar &inserts_;
     stats::Scalar &evictions_;
 };
+
+// The lookup path is defined here, where the compiler sees the class
+// loop, the chain walk and the hit accounting as one function: it runs
+// on every access the page memo does not serve.
+
+inline int
+Tlb::findInClass(Addr vaddr, unsigned size_class) const
+{
+    const unsigned shift = pageShiftForClass(size_class);
+    const Addr vpn = vaddr >> shift;
+    for (unsigned s = links_[bucketOf(indexKey(vaddr, size_class))];
+         s != noSlot; s = link(s)) {
+        const TlbEntry &e = entries_[s];
+        if (e.sizeClass == size_class && e.vbase >> shift == vpn)
+            return static_cast<int>(s);
+    }
+    return -1;
+}
+
+inline int
+Tlb::findEntry(Addr vaddr) const
+{
+    for (unsigned live = liveClasses_; live != 0; live &= live - 1) {
+        const int idx = findInClass(
+            vaddr, static_cast<unsigned>(std::countr_zero(live)));
+        if (idx >= 0)
+            return idx;
+    }
+    return -1;
+}
+
+inline TlbLookupResult
+Tlb::hit(unsigned slot, Addr vaddr, AccessType type, AccessMode mode)
+{
+    TlbEntry &entry = entries_[slot];
+    if (!entry.referenced) {
+        entry.referenced = true;
+        nruCandidates_.reset(slot);
+    }
+
+    if ((type == AccessType::Write && !entry.prot.writable) ||
+        (mode == AccessMode::User && !entry.prot.userAccessible)) {
+        ++protFaults_;
+        return {true, true, 0, false, slot};
+    }
+
+    ++hits_;
+    return {true, false, entry.translate(vaddr), entry.prot.writable,
+            slot};
+}
+
+inline TlbLookupResult
+Tlb::lookup(Addr vaddr, AccessType type, AccessMode mode)
+{
+    const int idx = findEntry(vaddr);
+    if (idx < 0) {
+        ++misses_;
+        missedPage_ = vaddr >> basePageShift;
+        return {};
+    }
+    return hit(static_cast<unsigned>(idx), vaddr, type, mode);
+}
 
 /**
  * Single-entry micro-ITLB holding the most recent instruction

@@ -6,17 +6,27 @@
 #
 #   cmake -DCOMPILER=<c++> -DPYTHON=<python3> -DCHECK=<contract_check.py>
 #         -DFIXTURE=<file.cc> -DAT=<src/...> -DROOT=<scratch dir>
-#         [-DDEBUG=<-g flag>] [-DSTATUS=<n>] -P expect_contract_findings.cmake
+#         [-DDEBUG=<-g flag>] [-DSTATUS=<n>]
+#         [-DINCLUDER=<file.cc> -DINCLUDER_AT=<path>]
+#         -P expect_contract_findings.cmake
 #
 # The fixture is compiled as ROOT/AT at -O2 and DEBUG (default -g), the
-# tier-1 level. With STATUS the check must exit with it instead.
+# tier-1 level, with ROOT on the include path. With INCLUDER the
+# fixture is a header: INCLUDER is copied to ROOT/INCLUDER_AT and
+# compiled instead, and the findings expected are still the fixture's.
+# With STATUS the check must exit with it instead.
 if(NOT DEFINED DEBUG)
     set(DEBUG -g)
 endif()
 file(REMOVE_RECURSE "${ROOT}")
 configure_file("${FIXTURE}" "${ROOT}/${AT}" COPYONLY)
+set(source "${ROOT}/${AT}")
+if(DEFINED INCLUDER)
+    configure_file("${INCLUDER}" "${ROOT}/${INCLUDER_AT}" COPYONLY)
+    set(source "${ROOT}/${INCLUDER_AT}")
+endif()
 execute_process(COMMAND "${COMPILER}" -std=c++20 -O2 ${DEBUG}
-                        -c "${ROOT}/${AT}" -o "${ROOT}/fixture.o"
+                        -I "${ROOT}" -c "${source}" -o "${ROOT}/fixture.o"
                 RESULT_VARIABLE status
                 ERROR_VARIABLE err)
 if(NOT status EQUAL 0)

@@ -72,8 +72,8 @@ struct KernelNoMtlbFixture : KernelFixture
 TEST_F(KernelFixture, TlbMissMaterialisesPageAndFillsTlb)
 {
     addData();
-    const Cycles cost = kernel.handleTlbMiss(0x10000123,
-                                             AccessType::Read, 0);
+    const Cycles cost =
+        kernel.handleTlbMiss(0x10000123, AccessType::Read, 0).cycles;
     EXPECT_GT(cost, 0u);
     const auto r = tlb.lookup(0x10000123, AccessType::Read,
                               AccessMode::User);
@@ -84,11 +84,11 @@ TEST_F(KernelFixture, TlbMissMaterialisesPageAndFillsTlb)
 TEST_F(KernelFixture, SecondMissOnSamePageIsCheaper)
 {
     addData();
-    const Cycles first = kernel.handleTlbMiss(0x10000000,
-                                              AccessType::Read, 0);
+    const Cycles first =
+        kernel.handleTlbMiss(0x10000000, AccessType::Read, 0).cycles;
     tlb.purgeAll();
-    const Cycles second = kernel.handleTlbMiss(0x10000000,
-                                               AccessType::Read, 1000);
+    const Cycles second =
+        kernel.handleTlbMiss(0x10000000, AccessType::Read, 1000).cycles;
     // First miss pays demand-zero; the second only probes the HPT.
     EXPECT_LT(second, first / 2);
 }

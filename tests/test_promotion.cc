@@ -8,6 +8,7 @@
 
 #include "base/random.hh"
 #include "sim/system.hh"
+#include "stats/json.hh"
 
 using namespace mtlbsim;
 
@@ -149,6 +150,80 @@ TEST(Promotion, TranslationsCorrectAfterPromotion)
         }
         EXPECT_EQ(real >> basePageShift, frames[p]) << "page " << p;
     }
+}
+
+TEST(Promotion, MissFillsMatchTheFullInsertPath)
+{
+    // Two identical machines take one seeded stream of TLB misses over
+    // base pages and shadow superpages (explicit remaps and online
+    // promotion). Machine `fast` traps as the CPU does, right after
+    // its lookup missed, so a base-page fill skips Tlb::insert's
+    // overlap search. Machine `full` forgets the missed page before
+    // each trap — it purges a range nothing maps — so every fill takes
+    // the full search. Their TLBs must agree slot for slot after every
+    // miss, and their statistics at the end.
+    System fast(promoConfig(true, true));
+    System full(promoConfig(true, true));
+    constexpr Addr base = 0x10000000;
+    constexpr Addr unmapped = 0x70000000;
+    Cycles now = 0;
+    for (System *sys : {&fast, &full})
+        sys->kernel().addressSpace().addRegion("data", base, 4 * MB, {});
+
+    Random rng(11);
+    unsigned base_fills = 0, super_fills = 0;
+    for (int step = 0; step < 6000; ++step) {
+        if (rng.chance(1, 400)) {
+            // An explicit remap of 64 or 256 KB somewhere in the region.
+            const Addr bytes = rng.chance(1, 2) ? 64 * 1024 : 256 * 1024;
+            const Addr at = base + (rng.below(4 * MB) & ~(bytes - 1));
+            for (System *sys : {&fast, &full})
+                sys->kernel().remap(at, bytes, now);
+        }
+        // A hot half megabyte, so the 96-entry TLB keeps missing and
+        // chunks earn their promotion.
+        const Addr va = base + rng.below(MB / 2) + (step % 4) * MB;
+        Cycles cycles[2] = {};
+        for (System *sys : {&fast, &full}) {
+            Tlb &tlb = sys->tlb();
+            if (tlb.lookup(va, AccessType::Read, AccessMode::User).hit)
+                continue;
+            if (sys == &full)
+                tlb.purgeRange(unmapped, basePageSize);
+            const TlbMissResult trap =
+                sys->kernel().handleTlbMiss(va, AccessType::Read, now);
+            ASSERT_TRUE(tlb.lookupSlot(trap.slot, va, AccessType::Read,
+                                       AccessMode::User)
+                            .hit);
+            cycles[sys == &full] = trap.cycles;
+            if (sys == &fast) {
+                ++(tlb.entryAt(trap.slot).sizeClass == 0 ? base_fills
+                                                         : super_fills);
+            }
+        }
+        ASSERT_EQ(cycles[0], cycles[1]) << "step " << step;
+        now += cycles[0] + 10;
+
+        const Tlb &a = fast.tlb();
+        const Tlb &b = full.tlb();
+        ASSERT_EQ(a.nruClock(), b.nruClock()) << "step " << step;
+        for (unsigned s = 0; s < a.capacity(); ++s) {
+            const TlbEntry &x = a.entryAt(s);
+            const TlbEntry &y = b.entryAt(s);
+            ASSERT_EQ(x.valid, y.valid) << "step " << step << " slot " << s;
+            if (!x.valid)
+                continue;
+            ASSERT_EQ(x.vbase, y.vbase) << "step " << step << " slot " << s;
+            ASSERT_EQ(x.pbase, y.pbase) << "step " << step << " slot " << s;
+            ASSERT_EQ(x.sizeClass, y.sizeClass) << "step " << step;
+            ASSERT_EQ(x.referenced, y.referenced) << "step " << step;
+        }
+    }
+    EXPECT_GT(base_fills, 1000u);
+    EXPECT_GT(super_fills, 20u);
+    EXPECT_FALSE(fast.kernel().addressSpace().superpages().empty());
+    EXPECT_EQ(fast.rootStats().toJson().dumped(),
+              full.rootStats().toJson().dumped());
 }
 
 TEST(Promotion, NoPromotionWithoutMtlb)

@@ -253,9 +253,10 @@ namespace
  * The TLB's specification, written the slow and obvious way: the
  * same slot, free-list and NRU discipline as Tlb, but every lookup
  * scans all entries and every insert first purges overlapping entries
- * with a full scan. The differential tests hold Tlb's scan-free
- * base-page insert and flat lookup index to it slot for slot, which
- * also pins the model checker's canonical TLB state.
+ * with a full scan. The differential tests hold Tlb's chained lookup
+ * index, its probe-free fill after a missed lookup and its bit-scan
+ * NRU victim search to it slot for slot, which also pins the model
+ * checker's canonical TLB state.
  */
 class NaiveTlb
 {
@@ -334,6 +335,7 @@ class NaiveTlb
     std::vector<TlbEntry> entries;
     std::vector<unsigned> freeList;
     unsigned clock = 0;
+    unsigned agings = 0;    ///< NRU aging passes so far
 
   private:
     void
@@ -361,6 +363,7 @@ class NaiveTlb
                 if (e.valid && !e.pinned)
                     e.referenced = false;
             }
+            ++agings;
         }
         ADD_FAILURE() << "no NRU victim";
         return 0;
@@ -409,35 +412,55 @@ expectSameLookup(Tlb &tlb, NaiveTlb &model, Addr vaddr, int step)
     ASSERT_EQ(got.writable, want.writable) << "step " << step;
 }
 
-/** Drive a Tlb of @p entries and its specification through one
- *  seeded schedule over a small virtual window, so that base pages
- *  land under live superpages and superpages over live base pages. */
-void
-runDifferential(unsigned entries, std::uint64_t seed, int steps)
+/** The shape of one differential schedule. */
+struct Schedule
+{
+    unsigned entries;       ///< TLB capacity
+    unsigned maxClass;      ///< largest superpage class inserted (0: none)
+    Addr hotBytes;          ///< size of each hot area addresses fall in
+    int steps;
+    bool purges = true;     ///< whether to purge ranges and everything
+};
+
+/** Drive a Tlb and its specification through one seeded schedule.
+ *  Addresses fall in four hot areas, one per 64 MB, so base pages
+ *  land under live superpages (up to class 7, a whole area) and
+ *  superpages over live base pages; half the base-page inserts follow
+ *  a lookup of the same page, as the miss handler's fill does.
+ *  @return NRU aging passes the schedule made */
+unsigned
+runDifferential(const Schedule &sched, std::uint64_t seed)
 {
     stats::StatGroup g("t");
-    Tlb tlb(entries, "tlb", g);
-    NaiveTlb model(entries);
+    Tlb tlb(sched.entries, "tlb", g);
+    NaiveTlb model(sched.entries);
     Random rng(seed);
-    // 4 MB: 1024 base pages and 16 of the largest (class 3) pages.
-    const Addr window = 4 * 1024 * 1024;
-    unsigned base_under_super = 0, super_over_base = 0;
+    const Addr area = pageSizeForClass(7);
+    auto hot = [&]() {
+        return rng.below(4) * area + rng.below(sched.hotBytes);
+    };
+    unsigned base_under_super = 0, super_over_base = 0, fills = 0;
 
-    for (int step = 0; step < steps; ++step) {
+    for (int step = 0; step < sched.steps; ++step) {
         const std::uint64_t op = rng.below(100);
         if (op < 55) {
             // Base page, sometimes right under a live superpage.
-            const Addr vbase = rng.below(window) & ~(basePageSize - 1);
+            const Addr vbase = hot() & ~(basePageSize - 1);
             const int owner = model.find(vbase);
             base_under_super +=
                 owner >= 0 && model.entries[owner].sizeClass > 0;
+            if (rng.chance(1, 2)) {
+                fills += owner < 0;
+                expectSameLookup(tlb, model, vbase, step);
+            }
             const PageProtection prot{rng.chance(3, 4), true};
             tlb.insert(vbase, 0x40000000 + vbase, 0, prot);
             model.insert(vbase, 0x40000000 + vbase, 0, prot);
-        } else if (op < 70) {
-            const auto c = static_cast<unsigned>(rng.inRange(1, 3));
+        } else if (op < 70 && sched.maxClass > 0) {
+            const auto c = static_cast<unsigned>(
+                rng.inRange(1, sched.maxClass));
             const Addr size = pageSizeForClass(c);
-            const Addr vbase = rng.below(window) & ~(size - 1);
+            const Addr vbase = hot() & ~(size - 1);
             for (const TlbEntry &e : model.entries) {
                 super_over_base += e.valid && e.sizeClass == 0 &&
                                    e.vbase >= vbase &&
@@ -446,10 +469,10 @@ runDifferential(unsigned entries, std::uint64_t seed, int steps)
             const PageProtection prot{rng.chance(3, 4), true};
             tlb.insert(vbase, 0x80000000 + vbase, c, prot);
             model.insert(vbase, 0x80000000 + vbase, c, prot);
-        } else if (op < 95) {
-            expectSameLookup(tlb, model, rng.below(window), step);
+        } else if (op < 95 || !sched.purges) {
+            expectSameLookup(tlb, model, hot(), step);
         } else if (op < 99) {
-            const Addr vbase = rng.below(window) & ~(basePageSize - 1);
+            const Addr vbase = hot() & ~(basePageSize - 1);
             const Addr bytes = basePageSize * rng.inRange(1, 64);
             tlb.purgeRange(vbase, bytes);
             model.purgeRange(vbase, bytes);
@@ -459,10 +482,14 @@ runDifferential(unsigned entries, std::uint64_t seed, int steps)
         }
         expectSameState(tlb, model, step);
         if (::testing::Test::HasFatalFailure())
-            return;
+            return model.agings;
     }
-    EXPECT_GT(base_under_super, 0u);
-    EXPECT_GT(super_over_base, 0u);
+    if (sched.maxClass > 0) {
+        EXPECT_GT(base_under_super, 0u);
+        EXPECT_GT(super_over_base, 0u);
+    }
+    EXPECT_GT(fills, 0u);
+    return model.agings;
 }
 
 } // namespace
@@ -470,45 +497,68 @@ runDifferential(unsigned entries, std::uint64_t seed, int steps)
 TEST(TlbDifferential, EightEntriesMatchTheFullScanModel)
 {
     for (std::uint64_t seed = 1; seed <= 4; ++seed)
-        runDifferential(8, seed, 20000);
+        runDifferential({8, 3, 4 * 1024 * 1024, 20000}, seed);
 }
 
 TEST(TlbDifferential, SixtyFourEntriesMatchTheFullScanModel)
 {
     for (std::uint64_t seed = 1; seed <= 4; ++seed)
-        runDifferential(64, seed, 20000);
+        runDifferential({64, 3, 4 * 1024 * 1024, 20000}, seed);
 }
 
-TEST(TlbDifferential, ChurnInsideOneWrappingProbeCluster)
+TEST(TlbDifferential, EveryCapacityAndSizeClassMatchesTheModel)
 {
-    // Base pages whose index homes sit at the table's last slots and
-    // its first: inserted together they form one probe cluster that
-    // wraps around the end, and dropping members from its middle
-    // exercises every backward-shift case, wrap included.
+    // Capacities from a single slot (every insert evicts) to far
+    // beyond the paper's, each over all eight size classes and with
+    // enough hot pages to keep evicting.
+    for (const unsigned entries : {1u, 2u, 96u, 256u, 1000u}) {
+        const Addr hot = std::max<Addr>(2 * 1024 * 1024,
+                                        Addr{entries} * 4 * basePageSize);
+        for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+            SCOPED_TRACE(testing::Message()
+                         << entries << " entries, seed " << seed);
+            runDifferential({entries, 7, hot, entries > 96 ? 6000 : 12000},
+                            seed);
+            ASSERT_FALSE(::testing::Test::HasFatalFailure());
+        }
+    }
+}
+
+TEST(TlbDifferential, LongNruAgingRunsMatchTheModel)
+{
+    // Base pages only, no purges, and twice as many hot pages as
+    // entries: every insert of an absent page evicts, and an aging
+    // pass follows about every capacity-many evictions.
+    for (const unsigned entries : {8u, 64u}) {
+        const unsigned agings = runDifferential(
+            {entries, 0, Addr{entries} * 2 * basePageSize / 4, 60000,
+             false},
+            entries);
+        EXPECT_GT(agings, 100u) << entries << " entries";
+    }
+}
+
+TEST(TlbDifferential, CollisionsInOneBucket)
+{
+    // Keys that share one bucket of the chained index, base pages and
+    // a superpage among them: inserts push onto the chain's head, so
+    // dropping members in chosen orders erases at the head, in the
+    // middle and at the tail, and churn keeps doing so.
     stats::StatGroup g("t");
     Tlb tlb(8, "tlb", g);
     NaiveTlb model(8);
-    const unsigned cap = tlb.indexCapacity();
-    ASSERT_EQ(cap, 16u);
-    auto home = [&tlb](Addr va) { return tlb.indexHomeOf(va, 0); };
+    ASSERT_EQ(tlb.indexBuckets(), 16u);
+    const unsigned bucket = tlb.indexBucketOf(0x1000, 0);
     std::vector<Addr> pool;
-    for (Addr vpn = 1; pool.size() < 24; ++vpn) {
-        const Addr va = vpn << basePageShift;
-        if (home(va) >= cap - 2 || home(va) <= 1)
-            pool.push_back(va);
+    for (Addr vpn = 1; pool.size() < 12; ++vpn) {
+        if (tlb.indexBucketOf(vpn << basePageShift, 0) == bucket)
+            pool.push_back(vpn << basePageShift);
     }
-    // One cluster from slot cap-2 round to slot 1: two keys share
-    // each of the end slot's and slot 0's homes.
-    std::vector<Addr> pages;
-    for (const unsigned h : {cap - 2, cap - 1, cap - 1, 0u, 0u, 1u}) {
-        const auto it =
-            std::find_if(pool.begin(), pool.end(), [&](Addr va) {
-                return home(va) == h &&
-                       std::find(pages.begin(), pages.end(), va) ==
-                           pages.end();
-            });
-        ASSERT_NE(it, pool.end()) << "no spare page homed at " << h;
-        pages.push_back(*it);
+    Addr super = 0;
+    for (Addr n = 1; super == 0; ++n) {
+        const Addr va = n * pageSizeForClass(2) + 0x10000000;
+        if (tlb.indexBucketOf(va, 2) == bucket)
+            super = va;
     }
 
     int step = 0;
@@ -516,31 +566,44 @@ TEST(TlbDifferential, ChurnInsideOneWrappingProbeCluster)
         expectSameState(tlb, model, step);
         for (const Addr va : pool)
             expectSameLookup(tlb, model, va, step);
+        expectSameLookup(tlb, model, super + 0x5000, step);
         ++step;
     };
-    for (const Addr va : pages) {
-        tlb.insert(va, va, 0, rw);
-        model.insert(va, va, 0, rw);
-    }
+    auto both_insert = [&](Addr va, unsigned c) {
+        tlb.insert(va, va ^ 0x40000000, c, rw);
+        model.insert(va, va ^ 0x40000000, c, rw);
+    };
+    auto both_purge = [&](Addr va) {
+        tlb.purgeRange(va, basePageSize);
+        model.purgeRange(va, basePageSize);
+    };
+
+    // Chain, head first: pool[4], super, pool[3], ..., pool[0].
+    for (unsigned i = 0; i < 4; ++i)
+        both_insert(pool[i], 0);
+    both_insert(super, 2);
+    both_insert(pool[4], 0);
     check_all();
-    // Drop the cluster's members one by one, in the middle first.
-    for (const std::size_t i : {2u, 0u, 4u, 1u, 5u, 3u}) {
-        tlb.purgeRange(pages[i], basePageSize);
-        model.purgeRange(pages[i], basePageSize);
+    for (const Addr va : {pool[2], pool[4], pool[0], super, pool[1],
+                          pool[3]}) {  // middle, head, tail, ...
+        both_purge(va);
         check_all();
         ASSERT_FALSE(::testing::Test::HasFatalFailure());
     }
-    // Then churn the pool through the 8-entry TLB: evictions and
-    // purges keep deleting from inside the wrapping cluster.
+    EXPECT_EQ(tlb.indexSize(), 0u);
+
+    // Churn the bucket through the 8-entry TLB: evictions, purges and
+    // missed-lookup fills keep relinking the one chain.
     Random rng(7);
     for (int i = 0; i < 4000; ++i) {
         const Addr va = pool[rng.below(pool.size())];
         if (rng.chance(1, 4)) {
-            tlb.purgeRange(va, basePageSize);
-            model.purgeRange(va, basePageSize);
+            both_purge(va);
+        } else if (rng.chance(1, 8)) {
+            both_insert(super, 2);
         } else {
-            tlb.insert(va, va ^ 0x40000000, 0, rw);
-            model.insert(va, va ^ 0x40000000, 0, rw);
+            expectSameLookup(tlb, model, va, step);
+            both_insert(va, 0);
         }
         check_all();
         ASSERT_FALSE(::testing::Test::HasFatalFailure());

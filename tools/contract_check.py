@@ -10,6 +10,7 @@ usage or IO error, such as a missing file or one without .debug_info.
 """
 
 import argparse
+import bisect
 import itertools
 import os
 import re
@@ -168,8 +169,57 @@ class Obj:
         dirs, _, files = head.partition("The File Name Table")
         entry = r"^\s+(\d+)\t(?:(\d+)\t)?(?:\(.*?\): )?(.+)$"
         dirs = {i: d for i, _, d in re.findall(entry, dirs, re.M)}
-        return {int(i): self.rel(os.path.join(dirs[d], f))
+        # A relative directory is relative to entry 0, the compilation's.
+        return {int(i): self.rel(os.path.join(dirs["0"], dirs[d], f))
                 for i, d, f in re.findall(entry, files, re.M)}
+
+    def line_rows(self):
+        """The line table's rows by section: (address, file, line), from
+        readelf's raw dump, each sequence placed in the section that its
+        set-address relocation names."""
+        relocs, in_line = {}, False
+        for line in output(["readelf", "-rW", self.path],
+                           ("Relocation section", "R_X86_64_64")).splitlines():
+            if line.startswith("Relocation section"):
+                in_line = "'.rela.debug_line'" in line
+            elif in_line:
+                fields = line.split()
+                relocs[int(fields[0], 16)] = fields[4]
+        rows, rows_of = {}, None
+        file, num = 1, 1
+        for line in output(["readelf", "--debug-dump=rawline", self.path],
+                           ("set Address", "Special", "Advance", "Copy",
+                            "Set File", "End of Seq")).splitlines():
+            m = re.match(r"\s*\[0x(\w+)\]\s+(.*)", line)
+            if not m:
+                continue
+            op, last = m[2], m[2].split(" (view")[0].split()[-1]
+            if "set Address" in op:  # the operand follows 3 opcode bytes
+                rows_of = rows.setdefault(relocs.get(int(m[1], 16) + 3), [])
+                addr = int(last, 16)
+            elif op.startswith("Special"):
+                special = re.search(r"to (\w+) and Line by \S+ to (\d+)", op)
+                addr, num = int(special[1], 16), int(special[2])
+                rows_of.append((addr, file, num))
+            elif op.startswith("Advance PC"):
+                addr = int(last, 16)
+            elif op.startswith("Advance Line"):
+                num = int(last)
+            elif op.startswith("Set File"):
+                file = int(op.split()[5])
+            elif op.startswith("Copy"):
+                rows_of.append((addr, file, num))
+            elif "End of Seq" in op:
+                file, num = 1, 1
+        return {sec: sorted(r, key=lambda row: row[0])
+                for sec, r in rows.items()}
+
+    def line_at(self, rows, section, addr):
+        """(tree-relative file, line) of the last row at or before @p addr
+        in @p section, or None."""
+        at = rows.get(section, [])
+        i = bisect.bisect_right(at, addr, key=lambda row: row[0])
+        return (self.files.get(at[i - 1][1], ""), at[i - 1][2]) if i else None
 
     def decl(self, die):
         """(tree-relative file, line) of @p die's declaration or call."""
@@ -247,20 +297,34 @@ def check_globals(o, out):
 
 def check_calls(o, out):
     """R5 over @p o's relocations and the lines they were inlined from."""
-    chain = []  # the source lines of the code that follows, innermost first
+    section, chain, rows = "", [], None  # chain: innermost line first
     for line in output(["objdump", "-dr", "-l", "--inlines", "-C",
                         "--no-show-raw-insn", o.path],
-                       ("/", ": R_")).splitlines():
+                       ("/", ": R_", "Disassembly of")).splitlines():
+        if line.startswith("Disassembly of"):
+            section = line.split()[-1].rstrip(":")
+            continue
         if line[0] in "/i":
             chain = chain + [line] if line[0] == "i" else [line]
             continue
         name = CALLEES.get(re.split(r"[(+-]", line.rsplit("\t", 1)[-1])[0])
-        for frame in chain[:1] if name == "new" else chain if name else []:
-            m = re.match(r"(?:inlined by )?(/.+?):(\d+)", frame)
-            rel = o.rel(m[1]) if m else ""
+        if not name:
+            continue
+        frames = [(o.rel(m[1]), int(m[2])) if m else ("", 0) for m in (
+            re.match(r"(?:inlined by )?(/.+?):(\d+)", f) for f in chain)]
+        # objdump 2.40 puts the leading lines of a DWARF 5 line sequence
+        # in the object's own source (file 0) though they lie in file 1:
+        # where that can change a finding, the innermost line comes from
+        # the decoded line table.
+        if (frames and frames[0][0] == o.files.get(0) and
+                any(o.files.get(f, "").startswith(SCAN_DIRS) for f in (0, 1))):
+            rows = o.line_rows() if rows is None else rows
+            frames[0] = o.line_at(rows, section,
+                                  int(line.split(":")[0], 16)) or frames[0]
+        for rel, num in frames[:1] if name == "new" else frames:
             if rel.startswith(SCAN_DIRS):
                 if (name, rel) not in BANNED_EXEMPTIONS:
-                    out.add((rel, int(m[2]), "R5 hygiene", "naked 'new' (use "
+                    out.add((rel, num, "R5 hygiene", "naked 'new' (use "
                              "make_unique or a container)" if name == "new"
                              else f"banned nondeterminism source '{name}'"))
                 break
