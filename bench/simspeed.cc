@@ -12,7 +12,8 @@
  * A second point times an audited multiprogrammed mix, the shape of
  * perfbench's mix-audited workload: 8 processes on the 4-core machine
  * of configs/multicore.cfg with configs/audit.cfg's periodic audit,
- * at one tenth of the Fig 3 scale. It pays capture, the scheduler,
+ * at one tenth of the Fig 3 scale. It pays the processes' generators
+ * (each streams its ops through a bounded ring), the scheduler,
  * shootdowns and the auditor, which the single-core Fig 3 rows never
  * touch, and runs in both modes with the same identity check.
  *
@@ -115,7 +116,7 @@ mixMachine()
     return parser.config();
 }
 
-/** Build the mix's machine, then capture and replay its 8 processes
+/** Build the mix's machine, then stream and schedule its 8 processes
  *  under audit, timing the whole run on the host clock. */
 ModeResult
 runMixOnce(const SystemConfig &machine, double scale, bool batch)

@@ -5,11 +5,17 @@
  *
  * Usage:
  *   run_workload <workload> [scale] [key=value ...] [options]
+ *   run_workload --mix <workload,...> [scale] [key=value ...] [options]
  *
- *   <workload>   compress95 | vortex | radix | em3d | cc1
+ *   <workload>   compress95 | vortex | radix | em3d | cc1 | oltp
  *   [scale]      dataset scale in (0,1], default 1.0
  *
  * Options (later assignments win, so put --config before overrides):
+ *   --mix <list>      run the comma-separated workloads as a
+ *                     multiprogrammed mix, one process each (repeats
+ *                     welcome), time-sliced over the machine's cores;
+ *                     cores= and sched.quantum= are ordinary
+ *                     assignments. Prints the total cycles.
  *   --config <file>   apply a key=value config file
  *   --dump-stats      print the full statistics tree afterwards
  *   --list-keys       print every accepted config key and exit
@@ -18,13 +24,15 @@
  *
  *   run_workload em3d 0.5 tlb.entries=64 mtlb.entries=256 \
  *       mtlb.assoc=4 stream_buffers.enabled=true --dump-stats
+ *   run_workload --mix compress95,vortex,em3d,compress95 0.05 \
+ *       --config configs/multicore.cfg cores=2
  *
  * Config files live in configs/; configs/paper.cfg is the machine of
  * §3.2/§3.4.
  *
  * Exit status: 0 on success, 1 on a usage error or bad input (an
- * unreadable config file, an unknown key or a malformed value),
- * printed as "run_workload: <message>".
+ * unreadable config file, an unknown key, workload or malformed
+ * value), printed as "run_workload: <message>".
  */
 
 #include <cstdio>
@@ -36,6 +44,7 @@
 #include "base/logging.hh"
 #include "sim/config_parser.hh"
 #include "workloads/experiment.hh"
+#include "workloads/multiprog.hh"
 
 using namespace mtlbsim;
 
@@ -48,10 +57,45 @@ usage()
     std::printf(
         "usage: run_workload <workload> [scale] [key=value ...]\n"
         "       [--config <file>] [--dump-stats] [--list-keys]\n"
+        "       run_workload --mix <workload,...> [scale] ...\n"
         "workloads: ");
     for (const auto &name : allWorkloadNames())
         std::printf("%s ", name.c_str());
     std::printf("\n");
+}
+
+/** Run the comma-separated workloads of @p list as a mix on a
+ *  machine built from @p config. */
+int
+runMix(const SystemConfig &config, const std::string &list, double scale,
+       bool dump_stats)
+{
+    std::vector<std::string> names;
+    for (std::size_t from = 0;;) {
+        const std::size_t comma = list.find(',', from);
+        names.push_back(list.substr(from, comma - from));
+        if (comma == std::string::npos)
+            break;
+        from = comma + 1;
+    }
+
+    System sys(config);
+    runMultiprogMix(sys, names, scale, 0);
+    // An audited mix ends with one more audit, as a sweep job does.
+    if (config.check.enabled)
+        sys.audit();
+
+    std::printf("mix:             %s (scale %.2f)\n", list.c_str(), scale);
+    std::printf("machine:         %u cores, %u-entry TLBs, %s\n",
+                sys.numCores(), sys.config().tlbEntries,
+                sys.config().mtlbEnabled ? "MTLB" : "no MTLB");
+    std::printf("total cycles:    %llu\n",
+                static_cast<unsigned long long>(sys.totalCycles()));
+    if (dump_stats) {
+        std::printf("\n");
+        sys.dumpStats(std::cout);
+    }
+    return 0;
 }
 
 /** The program proper; main() turns its errors into exit status 1. */
@@ -60,6 +104,7 @@ run(int argc, char **argv)
 {
     ConfigParser parser;
     std::vector<std::string> positional;
+    std::string mix;
     bool dump_stats = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -75,6 +120,14 @@ run(int argc, char **argv)
         }
         if (token == "--dump-stats") {
             dump_stats = true;
+            continue;
+        }
+        if (token == "--mix") {
+            if (++i >= argc) {
+                usage();
+                return 1;
+            }
+            mix = argv[i];
             continue;
         }
         if (token == "--config") {
@@ -93,6 +146,16 @@ run(int argc, char **argv)
         positional.push_back(token);
     }
 
+    if (!mix.empty()) {
+        if (positional.size() > 1) {
+            usage();
+            return 1;
+        }
+        const double scale = positional.empty()
+                                 ? 1.0
+                                 : parseScale("scale", positional[0]);
+        return runMix(parser.config(), mix, scale, dump_stats);
+    }
     if (positional.empty()) {
         usage();
         return 1;

@@ -64,8 +64,8 @@ Cpu::record(CpuOpRecord::Kind kind, Addr a, std::uint64_t n)
     fatalIf(a >= limit || n >= limit, "cannot record ", opName(kind),
             ": operand 0x", std::hex, a >= limit ? a : n,
             " does not fit in 32 bits");
-    sink_->push_back({kind, static_cast<std::uint32_t>(a),
-                      static_cast<std::uint32_t>(n)});
+    sink_->push({kind, static_cast<std::uint32_t>(a),
+                 static_cast<std::uint32_t>(n)});
 }
 
 Cpu::Translation

@@ -56,8 +56,8 @@ struct CpuConfig
 
 /**
  * One operation a workload asked of the CPU, as appended to a record
- * sink (Cpu::setRecorder). The multiprogramming runner records a
- * program once and replays the operation stream under a scheduler
+ * sink (Cpu::setRecorder). The multiprogramming runner streams each
+ * process's ops through a sink and replays them under a scheduler
  * (src/workloads/multiprog.*). The simulated address space is
  * 32-bit, so every operand fits in 32 bits and a record takes 12
  * bytes; recording a wider operand is a FatalError.
@@ -79,6 +79,49 @@ struct CpuOpRecord
     Kind kind = Kind::Execute;
     std::uint32_t a = 0;    ///< address operand (when the op has one)
     std::uint32_t n = 0;    ///< count/bytes/color operand
+};
+
+/**
+ * A record sink: a bounded buffer of ops that a CPU appends to
+ * instead of simulating them. When an append fills it, the ring is
+ * handed off (full()), and it is empty again when that returns, so
+ * its memory never grows with the length of the program.
+ */
+class OpRing
+{
+  public:
+    explicit OpRing(std::size_t capacity)
+        : ops_(capacity), next_(ops_.data()),
+          limit_(ops_.data() + capacity)
+    {
+    }
+    virtual ~OpRing() = default;
+    OpRing(const OpRing &) = delete;
+    OpRing &operator=(const OpRing &) = delete;
+
+    /** Append @p op, and hand the ring off if that fills it. */
+    void
+    push(const CpuOpRecord &op)
+    {
+        *next_++ = op;
+        if (next_ == limit_) [[unlikely]]
+            full();
+    }
+
+    /** The ops appended since the last clear(), oldest first. */
+    const CpuOpRecord *data() const { return ops_.data(); }
+    std::size_t size() const { return next_ - ops_.data(); }
+
+    void clear() { next_ = ops_.data(); }
+
+  protected:
+    /** The ring is full: pass its ops on; return with it cleared. */
+    virtual void full() = 0;
+
+  private:
+    std::vector<CpuOpRecord> ops_;
+    CpuOpRecord *next_;
+    CpuOpRecord *limit_;
 };
 
 /**
@@ -209,15 +252,15 @@ class Cpu
     /** @} */
 
     /**
-     * Record instead of simulate: while @p sink is set, every
-     * workload-issued operation is appended to it. Loads, stores,
+     * Record instead of simulate: while @p ring is set, every
+     * workload-issued operation is pushed onto it. Loads, stores,
      * executes and recolors then return without touching the TLB,
      * cache, memory or clock; the other kernel services still run,
-     * so sbrk() hands back the break the program would see. Host-side
-     * capture support for the multiprogramming runner; null (the
-     * default) costs one predictable branch per op.
+     * so sbrk() hands back the break the program would see. The
+     * multiprogramming runner's generator machines run this way;
+     * null (the default) costs one predictable branch per op.
      */
-    void setRecorder(std::vector<CpuOpRecord> *sink) { sink_ = sink; }
+    void setRecorder(OpRing *ring) { sink_ = ring; }
 
     /**
      * Advance the clock by @p n cycles without retiring work: the
@@ -356,8 +399,10 @@ class Cpu
 
     void dataAccess(Addr vaddr, AccessType type);
 
-    /** Append one op to the record sink; a FatalError naming the op
-     *  when an operand does not fit in 32 bits. */
+    /** Push one op onto the record sink; a FatalError naming the op
+     *  when an operand does not fit in 32 bits. Out of line, so that
+     *  load(), store() and the executes stay small enough to inline
+     *  into a workload's loops. */
     void record(CpuOpRecord::Kind kind, Addr a, std::uint64_t n);
 
     /** executeAt()'s full path: periodic check, micro-ITLB, unified
@@ -419,7 +464,7 @@ class Cpu
 
     unsigned coreId_;
     /** Record sink (setRecorder); null in normal runs. */
-    std::vector<CpuOpRecord> *sink_ = nullptr;
+    OpRing *sink_ = nullptr;
 
     stats::StatGroup statGroup_;
     stats::Scalar &instructions_;

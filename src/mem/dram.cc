@@ -6,6 +6,7 @@ namespace mtlbsim
 Dram::Dram(const DramConfig &config, stats::StatGroup &parent)
     : config_(config),
       bankShift_(floorLog2(config.rowBytes)),
+      rowShift_(bankShift_ + floorLog2(config.numBanks)),
       openRow_(config.numBanks, ~Addr{0}),
       statGroup_("dram"),
       accesses_(statGroup_.addScalar("accesses", "total DRAM accesses")),
@@ -33,7 +34,7 @@ Dram::bankOf(Addr addr) const
 Addr
 Dram::rowOf(Addr addr) const
 {
-    return addr >> (bankShift_ + floorLog2(config_.numBanks));
+    return addr >> rowShift_;
 }
 
 Cycles

@@ -79,6 +79,7 @@ class Dram
 
     DramConfig config_;
     unsigned bankShift_;
+    unsigned rowShift_;     ///< bankShift_ plus the bank-index bits
     std::vector<Addr> openRow_;
     const PhysMap *physMap_ = nullptr;  ///< address guard (optional)
 

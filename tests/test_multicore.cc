@@ -1,21 +1,23 @@
 /**
  * @file
  * Multi-core machine-model tests: single-core equivalence of the
- * multiprogramming replay path, shootdown semantics at each of the
- * six kernel mutation sites, scheduler determinism across sweep
- * worker counts, and audited end-to-end multiprogrammed runs.
+ * multiprogramming path, streamed mixes against captured images,
+ * generator failures, shootdown semantics at each of the six kernel
+ * mutation sites, scheduler determinism across sweep worker counts,
+ * and audited end-to-end multiprogrammed runs.
  *
  * The single-core byte-identity against the committed pre-refactor
  * baselines is enforced separately by tests/test_golden_stats.cc;
- * here the equivalence harness proves the capture/replay
- * multiprogramming path is indistinguishable from driving the
- * workload directly when there is nothing to schedule.
+ * here the equivalence harness proves the streamed multiprogramming
+ * path is indistinguishable from driving the workload directly when
+ * there is nothing to schedule.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/translation_auditor.hh"
@@ -56,6 +58,89 @@ warmCore(System &sys, unsigned core, Addr addr)
     ASSERT_TRUE(sys.tlb(core).probe(addr).has_value());
 }
 
+/** A record sink that keeps every op: each time the ring fills, its
+ *  ops move to `kept`. */
+class KeepingRing : public OpRing
+{
+  public:
+    using OpRing::OpRing;
+
+    std::vector<CpuOpRecord> kept;
+    unsigned handoffs = 0;
+
+  protected:
+    void
+    full() override
+    {
+        ++handoffs;
+        kept.insert(kept.end(), data(), data() + size());
+        clear();
+    }
+};
+
+/** A workload of its own: one data region, then @p ops loads, keeping
+ *  every address in a host vector, so that a generator whose frames
+ *  were never unwound leaks it (LeakSanitizer). At op @p at it can
+ *  fail or declare a second region. */
+class LoopWorkload : public Workload
+{
+  public:
+    enum class Fault
+    {
+        None,
+        Throw,
+        LateRegion
+    };
+
+    explicit LoopWorkload(std::uint64_t ops, Fault fault = Fault::None,
+                          std::uint64_t at = 0)
+        : ops_(ops), fault_(fault), at_(at)
+    {
+    }
+
+    std::string name() const override { return "loop"; }
+
+    void
+    setup(System &sys) override
+    {
+        addData(sys);
+    }
+
+    void
+    run(System &sys) override
+    {
+        std::vector<Addr> touched;
+        for (std::uint64_t i = 0; i < ops_; ++i) {
+            if (i == at_ && fault_ == Fault::Throw)
+                fatal("loop workload failed at op ", i);
+            if (i == at_ && fault_ == Fault::LateRegion) {
+                sys.kernel().addressSpace().addRegion(
+                    "late", dataBase + 32 * MB, MB, {});
+            }
+            touched.push_back(dataBase + (i * 64) % (16 * MB));
+            sys.cpu().load(touched.back());
+        }
+    }
+
+  private:
+    std::uint64_t ops_;
+    Fault fault_;
+    std::uint64_t at_;
+};
+
+/** The message of the FatalError @p run throws, or "" if none. */
+template <typename Run>
+std::string
+fatalMessage(Run &&run)
+{
+    try {
+        run();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
 } // namespace
 
 // --- Single-core equivalence -------------------------------------
@@ -84,25 +169,81 @@ TEST(MulticoreEquivalence, OneCoreOneProcessReplayIsByteIdentical)
     }
 }
 
-TEST(MulticoreEquivalence, SharedImagesReplayLikeSeparateCopies)
+TEST(MulticoreEquivalence, StreamedMixMatchesCapturedImages)
 {
-    // runMultiprogMix replays one image per distinct program; giving
-    // every process its own captured copy must not change a thing.
-    SystemConfig config = multicoreConfig(2);
-    config.sched.quantum = 200'000;
+    // A streamed mix generates each process's ops while it runs; the
+    // same programs run from whole captured images must not change a
+    // thing, whatever the core count and the quantum. A quantum of 1
+    // ends a slice inside nearly every burst of the dispatch loop.
     const std::vector<std::string> mix{"em3d", "compress95", "em3d",
                                        "compress95"};
+    std::vector<ProgramImage> images;
+    for (const std::string &name : mix)
+        images.push_back(captureProgram(name, 0.02, 0, multicoreConfig(1)));
 
-    const auto shared = testeq::runConfigured(config, [&mix](System &s) {
-        runMultiprogMix(s, mix, 0.02, 0);
-    });
-    const auto copies = testeq::runConfigured(config, [&mix](System &s) {
-        std::vector<ProgramImage> programs;
-        for (const std::string &name : mix)
-            programs.push_back(captureProgram(name, 0.02, 0, s.config()));
-        runPrograms(s, programs);
-    });
-    testeq::expectIdentical(shared, copies, "shared vs copied images");
+    for (const unsigned cores : {2u, 4u}) {
+        for (const Cycles quantum : {Cycles{0}, Cycles{1}, Cycles{200'000}}) {
+            SystemConfig config = multicoreConfig(cores);
+            config.sched.quantum = quantum;
+            const auto streamed =
+                testeq::runConfigured(config, [&mix](System &s) {
+                    runMultiprogMix(s, mix, 0.02, 0);
+                });
+            const auto captured =
+                testeq::runConfigured(config, [&images](System &s) {
+                    runPrograms(s, images);
+                });
+            testeq::expectIdentical(
+                streamed, captured,
+                "streamed vs captured, " + std::to_string(cores) +
+                    " cores, quantum " + std::to_string(quantum));
+        }
+    }
+}
+
+TEST(MulticoreEquivalence, WorkloadFailureLeavesTheMix)
+{
+    // Process 1 fails during its first ring fill, while process 0 is
+    // suspended with its first ring full and process 2 has not
+    // started: the error leaves the mix, and process 0's frames are
+    // unwound (under LeakSanitizer, its host vector would leak).
+    std::vector<std::unique_ptr<Workload>> workloads;
+    workloads.push_back(std::make_unique<LoopWorkload>(100'000));
+    workloads.push_back(std::make_unique<LoopWorkload>(
+        100'000, LoopWorkload::Fault::Throw, 5'000));
+    workloads.push_back(std::make_unique<LoopWorkload>(100'000));
+    System sys(multicoreConfig(2));
+    EXPECT_EQ(fatalMessage([&] { runWorkloads(sys, std::move(workloads)); }),
+              "loop workload failed at op 5000");
+
+    // The same failure while the scheduler is dispatching: every
+    // other generator is suspended mid-program.
+    workloads.clear();
+    for (unsigned p = 0; p < 3; ++p)
+        workloads.push_back(std::make_unique<LoopWorkload>(100'000));
+    workloads.push_back(std::make_unique<LoopWorkload>(
+        100'000, LoopWorkload::Fault::Throw, 50'000));
+    System mixed(multicoreConfig(2));
+    EXPECT_EQ(
+        fatalMessage([&] { runWorkloads(mixed, std::move(workloads)); }),
+        "loop workload failed at op 50000");
+}
+
+TEST(MulticoreEquivalence, RegionAfterFirstRingIsFatal)
+{
+    // The layout is declared on the mix machine after the first ring
+    // fill; a region declared once ops were handed out would be
+    // missing from it.
+    std::vector<std::unique_ptr<Workload>> workloads;
+    workloads.push_back(std::make_unique<LoopWorkload>(
+        100'000, LoopWorkload::Fault::LateRegion, 20'000));
+    System sys(multicoreConfig(1));
+    const std::string message =
+        fatalMessage([&] { runWorkloads(sys, std::move(workloads)); });
+    EXPECT_NE(message.find("workload 'loop' declared region 'late' after "
+                           "its first ops were handed out"),
+              std::string::npos)
+        << message;
 }
 
 // --- Record-only capture -------------------------------------------
@@ -120,9 +261,10 @@ TEST(Capture, SinkRecordsOpsWithoutSimulatingThem)
     };
     auto plain = heap_machine();
     auto recording = heap_machine();
-    std::vector<CpuOpRecord> ops;
+    // Four ops fill the ring, which hands them off and starts over.
+    KeepingRing ring(4);
     Cpu &cpu = recording->cpu();
-    cpu.setRecorder(&ops);
+    cpu.setRecorder(&ring);
 
     cpu.load(dataBase);
     cpu.store(dataBase + 64);
@@ -131,12 +273,17 @@ TEST(Capture, SinkRecordsOpsWithoutSimulatingThem)
     EXPECT_EQ(cpu.dataAccesses(), 0u);
     EXPECT_EQ(recording->cache().accesses(), 0u);
     EXPECT_EQ(cpu.now(), 0u);
+    EXPECT_EQ(ring.handoffs, 1u);
+    EXPECT_EQ(ring.size(), 0u);
 
     // Kernel services still run, so the program sees its real break.
     for (const Addr bytes : {Addr{4096}, Addr{100}, 3 * MB})
         EXPECT_EQ(cpu.sbrk(bytes), plain->cpu().sbrk(bytes));
 
     using Kind = CpuOpRecord::Kind;
+    ASSERT_EQ(ring.size(), 3u);
+    std::vector<CpuOpRecord> ops = ring.kept;
+    ops.insert(ops.end(), ring.data(), ring.data() + ring.size());
     ASSERT_EQ(ops.size(), 7u);
     EXPECT_EQ(ops[0].kind, Kind::Load);
     EXPECT_EQ(ops[0].a, dataBase);
@@ -154,11 +301,12 @@ TEST(Capture, SinkRecordsOpsWithoutSimulatingThem)
 TEST(Capture, OperandWiderThan32BitsIsFatal)
 {
     System sys(multicoreConfig(1));
-    std::vector<CpuOpRecord> ops;
-    sys.cpu().setRecorder(&ops);
+    KeepingRing ring(4);
+    sys.cpu().setRecorder(&ring);
     EXPECT_THROW(sys.cpu().load(Addr{1} << 32), FatalError);
     EXPECT_THROW(sys.cpu().execute(Counter{1} << 32), FatalError);
-    EXPECT_TRUE(ops.empty());
+    EXPECT_EQ(ring.size(), 0u);
+    EXPECT_TRUE(ring.kept.empty());
 }
 
 TEST(MulticoreEquivalence, SingleCoreConfigHasNoPerCoreGroups)
