@@ -43,7 +43,6 @@
 
 #include "base/logging.hh"
 #include "sim/config_parser.hh"
-#include "workloads/experiment.hh"
 #include "workloads/multiprog.hh"
 
 using namespace mtlbsim;

@@ -20,12 +20,29 @@
 
 #include "base/logging.hh"
 #include "sim/config_parser.hh"
-#include "workloads/experiment.hh"
+#include "sweep/matrix.hh"
 
 using namespace mtlbsim;
 
 namespace
 {
+
+/** Run @p name at @p scale on the paper's machine with @p entries
+ *  TLB entries, with or without the MTLB. */
+sweep::ExperimentResult
+runJob(const std::string &name, double scale, unsigned entries,
+       bool mtlb)
+{
+    sweep::SweepJob job;
+    job.id = name;
+    job.workload = name;
+    job.scale = scale;
+    job.config = sweep::paperConfig(entries, mtlb);
+    const auto result = sweep::SweepRunner::runOne(job);
+    if (!result.ok)
+        throw FatalError(result.error);
+    return result.metrics;
+}
 
 /** The program proper; main() turns its errors into exit status 1. */
 int
@@ -43,10 +60,8 @@ run(int argc, char **argv)
                 "miss%", "speedup");
 
     for (unsigned entries : {32u, 64u, 96u, 128u, 192u, 256u}) {
-        const auto base =
-            runExperiment(name, scale, paperConfig(entries, false));
-        const auto with =
-            runExperiment(name, scale, paperConfig(entries, true));
+        const auto base = runJob(name, scale, entries, false);
+        const auto with = runJob(name, scale, entries, true);
         const Addr reach_kb = Addr{entries} * basePageSize / 1024;
         std::printf("%8u %8lluKB | %14llu %8.1f%% | %14llu %8.1f%% | "
                     "%7.3fx\n",

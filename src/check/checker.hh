@@ -29,9 +29,9 @@ namespace mtlbsim
 /** Audit-subsystem configuration (config keys: check.*). */
 struct CheckConfig
 {
-    /** Run the auditor periodically from the CPU's cycle loop. An
-     *  end-of-run audit is performed by runExperiment() regardless
-     *  whenever this is set. */
+    /** Run the auditor periodically from the CPU's cycle loop. A
+     *  sweep job also audits once at the end of its run whenever
+     *  this is set. */
     bool enabled = false;
     /** Cycles between periodic audits. */
     Cycles interval = 1'000'000;

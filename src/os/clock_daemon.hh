@@ -9,7 +9,7 @@
  * quite active. This could reduce the effectiveness of CLOCK and
  * similar page replacement strategies. Evaluation of the efficacy of
  * this detailed reference information is beyond the scope of this
- * paper." — this daemon (plus bench/clock_fidelity) is that
+ * paper." — this daemon (plus the `clock` sweep matrix) is that
  * evaluation.
  *
  * The daemon keeps a circular list of watched shadow-backed base

@@ -24,8 +24,58 @@ SweepRunner::deriveSeed(const std::string &id)
     return hash ? hash : 0xcbf29ce484222325ULL;
 }
 
+namespace
+{
+
+/** The paper's headline metrics from the driven System @p sys. */
+ExperimentResult
+collectMetrics(System &sys, const std::string &workload_name)
+{
+    const SystemConfig &config = sys.config();
+
+    ExperimentResult r;
+    r.workload = workload_name;
+    r.tlbEntries = config.tlbEntries;
+    r.mtlbEnabled = config.mtlbEnabled;
+    r.mtlbEntries = config.mtlb.numEntries;
+    r.mtlbAssoc = config.mtlb.associativity;
+
+    r.totalCycles = sys.totalCycles();
+    r.tlbMissCycles = sys.tlbMissCycles();
+    r.tlbMissFraction = sys.tlbMissFraction();
+    r.avgFillCycles = sys.avgFillLatency();
+    if (config.mtlbEnabled)
+        r.mtlbHitRate = sys.memsys().mmc().mtlb().hitRate();
+    r.tlbMisses = sys.tlb().misses();
+    r.cacheMisses = sys.cache().misses();
+    const double total_accesses =
+        static_cast<double>(sys.cache().hits() + sys.cache().misses());
+    r.cacheHitRate =
+        total_accesses > 0
+            ? static_cast<double>(sys.cache().hits()) / total_accesses
+            : 0.0;
+
+    r.remapTotalCycles = sys.kernel().remapTotalCycles();
+    r.remapFlushCycles = sys.kernel().remapFlushCycles();
+    r.remapPages = sys.kernel().remapPages();
+    r.superpages = sys.kernel().addressSpace().superpages().size();
+    return r;
+}
+
+} // namespace
+
+double
+SweepResult::value(const std::string &name) const
+{
+    for (const auto &[key, v] : values) {
+        if (key == name)
+            return v;
+    }
+    fatal("job '", id, "' reported no value '", name, "'");
+}
+
 SweepResult
-SweepRunner::runOne(const SweepJob &job, bool capture_stats)
+SweepRunner::runOne(const SweepJob &job)
 {
     SweepResult result;
     result.id = job.id;
@@ -39,7 +89,9 @@ SweepRunner::runOne(const SweepJob &job, bool capture_stats)
             config.kernel.frameSeed = job.seed ^ 0x9e3779b97f4a7c15ULL;
 
         System sys(config);
-        if (job.processes.empty()) {
+        if (job.scenario) {
+            result.values = job.scenario(sys);
+        } else if (job.processes.empty()) {
             auto workload =
                 makeWorkload(job.workload, job.scale, job.seed);
             workload->setup(sys);
@@ -47,15 +99,15 @@ SweepRunner::runOne(const SweepJob &job, bool capture_stats)
         } else {
             runMultiprogMix(sys, job.processes, job.scale, job.seed);
         }
+        // When auditing is on, cover the tail interval the periodic
+        // check missed with one final end-of-run pass.
         if (config.check.enabled)
             sys.audit();
 
         result.metrics = collectMetrics(sys, job.workload);
-        if (capture_stats) {
-            auto stats = json::Value::object();
-            stats.set(sys.rootStats().name(), sys.rootStats().toJson());
-            result.stats = std::move(stats);
-        }
+        auto stats = json::Value::object();
+        stats.set(sys.rootStats().name(), sys.rootStats().toJson());
+        result.stats = std::move(stats);
         result.ok = true;
     } catch (const std::exception &e) {
         result.ok = false;
@@ -97,14 +149,13 @@ class ProgressReporter
 /** One worker: claim jobs off @p next until none are left. */
 void
 work(const std::vector<SweepJob> &jobs, std::vector<SweepResult> &results,
-     bool capture_stats, std::atomic<std::size_t> &next,
-     ProgressReporter &reporter)
+     std::atomic<std::size_t> &next, ProgressReporter &reporter)
 {
     for (;;) {
         const std::size_t i = next.fetch_add(1);
         if (i >= jobs.size())
             return;
-        results[i] = SweepRunner::runOne(jobs[i], capture_stats);
+        results[i] = SweepRunner::runOne(jobs[i]);
         reporter.report(results[i], jobs.size());
     }
 }
@@ -127,9 +178,8 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
 
     std::atomic<std::size_t> next{0};
     ProgressReporter reporter(progress);
-    const bool capture = options_.captureStats;
-    auto worker = [&jobs, &results, capture, &next, &reporter] {
-        work(jobs, results, capture, next, reporter);
+    auto worker = [&jobs, &results, &next, &reporter] {
+        work(jobs, results, next, reporter);
     };
 
     if (workers == 1) {
@@ -189,6 +239,12 @@ resultToJson(const SweepResult &result)
     metrics.set("superpages", m.superpages);
     doc.set("metrics", std::move(metrics));
 
+    if (!result.values.empty()) {
+        auto values = json::Value::object();
+        for (const auto &[name, v] : result.values)
+            values.set(name, v);
+        doc.set("values", std::move(values));
+    }
     doc.set("stats", result.stats);
     return doc;
 }

@@ -4,17 +4,16 @@
  *
  * A sweep fans (workload x machine-configuration) jobs over a thread
  * pool. Every job is hermetic: it constructs its own System, drives
- * its own Workload instance, and derives every random seed from the
- * job itself — never from shared mutable state — so a sweep's results
- * are byte-identical regardless of thread count, schedule, or
- * repetition. Results come back indexed by job position, not by
- * completion order.
+ * its own Workload instance (or scenario), and derives every random
+ * seed from the job itself — never from shared mutable state — so a
+ * sweep's results are byte-identical regardless of thread count,
+ * schedule, or repetition. Results come back indexed by job position,
+ * not by completion order.
  *
- * The figure harnesses (bench/fig3_runtimes, bench/fig4_...) and the
- * tools/sweep CLI all build their job lists from the shared matrices
- * in sweep/matrix.hh, so one definition of each figure's design
- * space serves interactive runs, golden recording, and regression
- * checking alike.
+ * Every paper experiment is a matrix in sweep/matrix.hh, run by
+ * tools/sweep, so one definition of each experiment's design space
+ * serves interactive runs, golden recording, and regression checking
+ * alike.
  */
 
 #pragma once
@@ -22,13 +21,45 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "sim/system.hh"
 #include "stats/json.hh"
-#include "workloads/experiment.hh"
 
 namespace mtlbsim::sweep
 {
+
+/** The paper's headline metrics, read from a driven System. */
+struct ExperimentResult
+{
+    std::string workload;
+    unsigned tlbEntries = 0;
+    bool mtlbEnabled = false;
+    unsigned mtlbEntries = 0;
+    unsigned mtlbAssoc = 0;
+
+    Cycles totalCycles = 0;
+    Cycles tlbMissCycles = 0;       ///< Fig 3's shaded fraction
+    double tlbMissFraction = 0.0;
+    double avgFillCycles = 0.0;     ///< Fig 4(B)'s metric
+    double mtlbHitRate = 0.0;
+    std::uint64_t tlbMisses = 0;
+    std::uint64_t cacheMisses = 0;
+    double cacheHitRate = 0.0;
+
+    Cycles remapTotalCycles = 0;    ///< §3.3 breakdown
+    Cycles remapFlushCycles = 0;
+    std::uint64_t remapPages = 0;
+    std::size_t superpages = 0;
+};
+
+/** Named values a scenario reports, in the order it reports them. */
+using ScenarioValues = std::vector<std::pair<std::string, double>>;
+
+/** Drives a job's System in place of a workload; throwing fails the
+ *  job. */
+using Scenario = std::function<ScenarioValues(System &)>;
 
 /** One hermetic simulation job. */
 struct SweepJob
@@ -47,6 +78,9 @@ struct SweepJob
      *  processes[i] under runMultiprogMix() on a config.cores-core
      *  machine, and `workload` is just the mix's display name. */
     std::vector<std::string> processes;
+    /** Set makes this a scenario job: it drives the System instead
+     *  of a workload, and `workload` is the scenario's name. */
+    Scenario scenario;
 };
 
 /** Outcome of one job. */
@@ -62,18 +96,19 @@ struct SweepResult
     /** Failure message when !ok (fatal/panic text). */
     std::string error;
     ExperimentResult metrics;
-    /** Full structured stats tree ({"system": ...}); null when
-     *  stats capture is off. */
+    /** What the job's scenario reported, when it had one. */
+    ScenarioValues values;
+    /** Full structured stats tree ({"system": ...}). */
     json::Value stats;
+
+    /** The scenario value named @p name; fatal when absent. */
+    double value(const std::string &name) const;
 };
 
 struct SweepOptions
 {
     /** Worker threads; 0 means hardware concurrency. */
     unsigned jobs = 1;
-    /** Capture each job's full stats tree (golden runs need it;
-     *  quick figure sweeps can skip the serialization). */
-    bool captureStats = true;
 };
 
 class SweepRunner
@@ -98,8 +133,7 @@ class SweepRunner
                                  const Progress &progress = {}) const;
 
     /** Run a single job in the calling thread. */
-    static SweepResult runOne(const SweepJob &job,
-                              bool capture_stats = true);
+    static SweepResult runOne(const SweepJob &job);
 
     /** FNV-1a of @p id: a stable per-job seed for sweeps that want
      *  decorrelated (but reproducible) randomness. */
@@ -111,7 +145,8 @@ class SweepRunner
 
 /**
  * Serialize one result as the canonical golden-file document:
- * {"meta": {...}, "metrics": {...}, "stats": {...}}.
+ * {"meta": {...}, "metrics": {...}, "stats": {...}}, with a
+ * "values" object before "stats" for a scenario job.
  */
 json::Value resultToJson(const SweepResult &result);
 

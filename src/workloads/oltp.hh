@@ -7,8 +7,8 @@
  * larger working sets and worse spatial locality, such as is often
  * found in large databases and other commercially important
  * applications [Perl & Sites]". The paper claims its mechanism is
- * "likely to be even more effective" there; bench/commercial_projection
- * quantifies that claim by sweeping this workload's footprint.
+ * "likely to be even more effective" there; the `commercial` sweep
+ * matrix quantifies that claim by sweeping this workload's footprint.
  *
  * The model is a single-node OLTP engine: a tens-of-megabytes table
  * of records indexed by a fanout-32 B-tree, point queries against a

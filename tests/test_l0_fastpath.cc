@@ -22,7 +22,7 @@
 
 #include "equivalence.hh"
 #include "sim/system.hh"
-#include "workloads/experiment.hh"
+#include "sweep/matrix.hh"
 #include "workloads/workload.hh"
 
 using namespace mtlbsim;
@@ -231,7 +231,7 @@ TEST(L0FastPath, DifferentialTlbThrashingStatsIdentical)
     // base pages all the time, so precise memo retirement is on the
     // hot path. The fast path must still be invisible.
     for (const char *name : {"em3d", "compress95"}) {
-        SystemConfig off = paperConfig(64, false);
+        SystemConfig off = sweep::paperConfig(64, false);
         off.cpu.batchEnable = false;
         SystemConfig on = off;
         on.cpu.batchEnable = true;

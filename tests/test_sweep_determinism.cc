@@ -15,8 +15,10 @@
 #include <string>
 #include <vector>
 
+#include "base/logging.hh"
 #include "sweep/matrix.hh"
 #include "sweep/sweep.hh"
+#include "workloads/workload.hh"
 
 using namespace mtlbsim;
 using namespace mtlbsim::sweep;
@@ -25,7 +27,8 @@ namespace
 {
 
 /** A small mixed matrix: every workload plus MTLB on/off variants,
- *  with both default (0) and derived per-job seeds. */
+ *  with both default (0) and derived per-job seeds, and two scenario
+ *  jobs from the paper's experiments. */
 std::vector<SweepJob>
 mixedJobs()
 {
@@ -50,6 +53,9 @@ mixedJobs()
     seeded.id = "det/compress95/seeded";
     seeded.seed = SweepRunner::deriveSeed(seeded.id);
     jobs.push_back(seeded);
+
+    jobs.push_back(makeMatrix("swap", 1.0, {}).job("swap/dirty50/pagewise"));
+    jobs.push_back(makeMatrix("clock", 1.0, {}).job("clock/stream0mb"));
     return jobs;
 }
 
@@ -58,7 +64,6 @@ runSerialized(const std::vector<SweepJob> &jobs, unsigned workers)
 {
     SweepOptions options;
     options.jobs = workers;
-    options.captureStats = true;
     const auto results = SweepRunner(options).run(jobs);
     for (const auto &r : results)
         EXPECT_TRUE(r.ok) << r.id << ": " << r.error;
@@ -130,11 +135,21 @@ TEST(SweepDeterminism, FailedJobIsCapturedNotThrown)
     bad.scale = 0.02;
     bad.config = paperConfig(64, true);
 
-    const auto results = SweepRunner(SweepOptions{}).run({bad});
-    ASSERT_EQ(results.size(), 1u);
+    // A scenario's own check fails its job the same way.
+    SweepJob check;
+    check.id = "bad/scenario-check";
+    check.workload = "check";
+    check.scenario = [](System &) -> ScenarioValues {
+        fatal("not enough conflicts found");
+    };
+
+    const auto results = SweepRunner(SweepOptions{}).run({bad, check});
+    ASSERT_EQ(results.size(), 2u);
     EXPECT_FALSE(results[0].ok);
     EXPECT_NE(results[0].error.find("unknown workload"),
               std::string::npos);
+    EXPECT_FALSE(results[1].ok);
+    EXPECT_EQ(results[1].error, "not enough conflicts found");
 }
 
 TEST(SweepDeterminism, ProgressReportsEachJobOnce)
@@ -146,7 +161,6 @@ TEST(SweepDeterminism, ProgressReportsEachJobOnce)
     std::vector<std::size_t> finished;
     SweepOptions options;
     options.jobs = 4;
-    options.captureStats = false;
     SweepRunner(options).run(
         jobs, [&](const SweepResult &r, std::size_t done,
                   std::size_t total) {

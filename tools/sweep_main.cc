@@ -5,8 +5,12 @@
  *
  * Examples:
  *
- *   # parallel fig3 sweep; stdout JSON is identical for any --jobs
- *   tools/sweep --matrix fig3 --scale 0.05 --jobs 8 --out fig3.json
+ *   # Figure 3's tables on stdout, its JSON in fig3.json; the JSON is
+ *   # identical for any --jobs
+ *   tools/sweep --matrix fig3 --scale 1.0 --jobs 4 --out fig3.json
+ *
+ *   # the paper's whole evaluation as one parallel sweep
+ *   tools/sweep --matrix all --scale 1.0 --jobs 4
  *
  *   # re-record the committed baselines (commit the diff with the
  *   # change that legitimately moved the numbers)
@@ -44,10 +48,20 @@ namespace
 void
 usage()
 {
+    std::printf("usage: sweep [options] [key=value ...]\n"
+                "  --matrix NAME      job matrix (default golden), one "
+                "of:\n");
+    // The names wrap in the description column.
+    std::string line;
+    for (const auto &name : sweep::matrixNames()) {
+        if (!line.empty() && line.size() + name.size() > 50) {
+            std::printf("                    %s\n", line.c_str());
+            line.clear();
+        }
+        line += " " + name;
+    }
+    std::printf("                    %s\n", line.c_str());
     std::printf(
-        "usage: sweep [options] [key=value ...]\n"
-        "  --matrix NAME      job matrix: fig3 | fig4 | golden "
-        "(default golden)\n"
         "  --scale S          dataset scale in (0,1] (default 0.05)\n"
         "  --jobs N           worker threads (default 1; 0 = all "
         "cores)\n"
@@ -64,7 +78,10 @@ usage()
         "  --golden-dir DIR   golden file directory (default "
         "tests/golden)\n"
         "  --out FILE         write the full sweep JSON to FILE\n"
-        "  --quiet            suppress per-job progress on stderr\n");
+        "  --quiet            suppress per-job progress on stderr\n"
+        "A matrix with tables (all but golden) prints them on stdout "
+        "unless --filter is\ngiven; otherwise the JSON goes to stdout "
+        "unless --out, --record or --check is.\n");
 }
 
 /** Golden-file name for a job id: '/' becomes '-'. */
@@ -171,7 +188,6 @@ run(int argc, char **argv)
 
     sweep::SweepOptions options;
     options.jobs = jobs;
-    options.captureStats = true;
 
     sweep::SweepRunner::Progress progress;
     if (!quiet) {
@@ -204,7 +220,13 @@ run(int argc, char **argv)
         }
         sweep::sweepToJson(results).dump(out);
         out << '\n';
-    } else if (!record && !check) {
+    }
+    // Tables read every job of their matrix, so a filtered matrix
+    // prints its JSON instead.
+    if (filter.empty() && !matrix.printers.empty()) {
+        if (status == 0)
+            matrix.printTables(results);
+    } else if (out_file.empty() && !record && !check) {
         sweep::sweepToJson(results).dump(std::cout);
         std::printf("\n");
     }
