@@ -30,8 +30,8 @@ Bus::occupy(Cycles now, Cycles bus_cycles)
         queue = busyUntil_ - now;
     busyUntil_ = now + queue + duration;
 
-    queueCycles_ += static_cast<double>(queue);
-    busyCycles_ += static_cast<double>(duration);
+    queueCycles_ += queue;
+    busyCycles_ += duration;
     return queue + duration;
 }
 

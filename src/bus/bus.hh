@@ -69,16 +69,8 @@ class Bus
 
     /** @name Counters for the stats-identity audits (src/check) */
     /** @{ */
-    std::uint64_t
-    transactions() const
-    {
-        return static_cast<std::uint64_t>(transactions_.value());
-    }
-    std::uint64_t
-    requests() const
-    {
-        return static_cast<std::uint64_t>(requests_.value());
-    }
+    std::uint64_t transactions() const { return transactions_.value(); }
+    std::uint64_t requests() const { return requests_.value(); }
     /** @} */
 
   private:

@@ -56,7 +56,7 @@ Cache::access(Addr vaddr, Addr paddr, bool write, Cycles now)
     }
 
     const Cycles fill = backend_.lineFill(line_tag, write, now + latency);
-    fillLatency_.sample(static_cast<double>(fill));
+    fillLatency_.sample(fill);
     latency += fill;
 
     noteLineInstalled(line_tag);

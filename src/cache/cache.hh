@@ -107,8 +107,8 @@ class Cache
      * accumulates the access/hit counts, replaying them later in one
      * noteBatchedHits() call. The pair is byte-identical to n calls
      * of access() that hit: a hit touches no other cache state, and
-     * Scalar::addCount is exact (see stats.hh). Defined inline —
-     * this is the innermost loop of the whole simulator.
+     * counters are integers. Defined inline — this is the innermost
+     * loop of the whole simulator.
      */
     /** @{ */
 
@@ -130,8 +130,8 @@ class Cache
     void
     noteBatchedHits(std::uint64_t n)
     {
-        accesses_.addCount(n);
-        hits_.addCount(n);
+        accesses_ += n;
+        hits_ += n;
     }
 
     /** Name @p source as the holder of the deferred accesses and
@@ -177,20 +177,11 @@ class Cache
         return fillLatency_.mean();
     }
 
-    std::uint64_t hits() const
-    {
-        return static_cast<std::uint64_t>(hits_.value());
-    }
-    std::uint64_t misses() const
-    {
-        return static_cast<std::uint64_t>(misses_.value());
-    }
+    std::uint64_t hits() const { return hits_.value(); }
+    std::uint64_t misses() const { return misses_.value(); }
     /** Total demand accesses; the auditor checks
      *  accesses == hits + misses (src/check). */
-    std::uint64_t accesses() const
-    {
-        return static_cast<std::uint64_t>(accesses_.value());
-    }
+    std::uint64_t accesses() const { return accesses_.value(); }
 
     /** Resident lines tagged with physical page @p paddr, from the
      *  per-page counters (host-side bookkeeping; test support). */

@@ -117,8 +117,8 @@ TranslationAuditor::audit(Cycles now)
 {
     ++audits_;
     AuditReport report = collect();
-    checks_ += static_cast<double>(report.checksRun);
-    violations_ += static_cast<double>(report.violations.size());
+    checks_ += report.checksRun;
+    violations_ += report.violations.size();
 
     if (report.clean())
         return;

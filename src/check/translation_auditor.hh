@@ -100,16 +100,8 @@ class TranslationAuditor
 
     const CheckConfig &config() const { return config_; }
 
-    std::uint64_t
-    auditsRun() const
-    {
-        return static_cast<std::uint64_t>(audits_.value());
-    }
-    std::uint64_t
-    violationsFound() const
-    {
-        return static_cast<std::uint64_t>(violations_.value());
-    }
+    std::uint64_t auditsRun() const { return audits_.value(); }
+    std::uint64_t violationsFound() const { return violations_.value(); }
 
     /** Entries the last collect() visited, over every structure it
      *  walked: the pass's work, which follows the live translation

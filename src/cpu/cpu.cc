@@ -121,7 +121,7 @@ Cpu::executeAtSlow(Counter n, Addr code_vaddr)
     }
     // Retire directly: executeAt() has already passed the record
     // sink check that execute() would repeat.
-    instructions_ += static_cast<double>(n);
+    instructions_ += n;
     now_ += n;
 }
 
@@ -168,10 +168,10 @@ Cpu::dataAccess(Addr vaddr, AccessType type)
         // the buffer is still draining a previous miss.
         if (now_ < storeBufferBusyUntil_) {
             const Cycles wait = storeBufferBusyUntil_ - now_;
-            stallCycles_ += static_cast<double>(wait);
+            stallCycles_ += wait;
             now_ += wait;
         }
-        hiddenCycles_ += static_cast<double>(r.latency - 1);
+        hiddenCycles_ += r.latency - 1;
         storeBufferBusyUntil_ = now_ + r.latency;
         now_ += 1;
         return;
@@ -182,10 +182,10 @@ Cpu::dataAccess(Addr vaddr, AccessType type)
         const Cycles hidden =
             charged - 1 < config_.loadUseOverlap ? charged - 1
                                                  : config_.loadUseOverlap;
-        hiddenCycles_ += static_cast<double>(hidden);
+        hiddenCycles_ += hidden;
         charged -= hidden;
     }
-    stallCycles_ += static_cast<double>(charged > 1 ? charged - 1 : 0);
+    stallCycles_ += charged > 1 ? charged - 1 : 0;
     now_ += charged;
 }
 

@@ -150,7 +150,7 @@ class Cpu
     {
         if (sink_)
             return record(CpuOpRecord::Kind::Execute, 0, n);
-        instructions_ += static_cast<double>(n);
+        instructions_ += n;
         now_ += n;
     }
 
@@ -292,17 +292,12 @@ class Cpu
     /** Current simulated time in CPU cycles. */
     Cycles now() const { return now_; }
 
-    Counter
-    instructions() const
-    {
-        return static_cast<Counter>(instructions_.value());
-    }
+    Counter instructions() const { return instructions_.value(); }
 
     std::uint64_t
     dataAccesses() const
     {
-        return static_cast<std::uint64_t>(loads_.value() +
-                                          stores_.value());
+        return loads_.value() + stores_.value();
     }
 
   private:
@@ -312,11 +307,11 @@ class Cpu
     /**
      * Realize the batch engine's deferred statistic counts — CPU
      * loads/stores/instructions/ifetch checks, TLB and micro-ITLB
-     * hits, cache accesses/hits — as exact bulk adds
-     * (Scalar::addCount). Called by the deferred-count source before
-     * any read of those counters, and by the kernel-service entries.
-     * It only moves already-earned counts, so calling it at any
-     * point is safe and changes no statistic's final value.
+     * hits, cache accesses/hits — as integer bulk adds. Called by
+     * the deferred-count source before any read of those counters,
+     * and by the kernel-service entries. It only moves already-earned
+     * counts, so calling it at any point is safe and changes no
+     * statistic's final value.
      */
     void
     flushBatch() const
@@ -328,17 +323,17 @@ class Cpu
         const std::uint64_t n =
             batch_.pendingLoads + batch_.pendingStores;
         if (n != 0) {
-            loads_.addCount(batch_.pendingLoads);
-            stores_.addCount(batch_.pendingStores);
+            loads_ += batch_.pendingLoads;
+            stores_ += batch_.pendingStores;
             tlb_.noteBatchedHits(n);
             cache_.noteBatchedHits(n);
             batch_.pendingLoads = 0;
             batch_.pendingStores = 0;
         }
         if (batch_.pendingIfetch != 0) {
-            ifetchChecks_.addCount(batch_.pendingIfetch);
+            ifetchChecks_ += batch_.pendingIfetch;
             uitlb_.noteBatchedHits(batch_.pendingIfetch);
-            instructions_.addCount(batch_.pendingInstructions);
+            instructions_ += batch_.pendingInstructions;
             batch_.pendingIfetch = 0;
             batch_.pendingInstructions = 0;
         }

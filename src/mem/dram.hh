@@ -65,11 +65,7 @@ class Dram
     void setAddressGuard(const PhysMap *map) { physMap_ = map; }
 
     /** Accesses whose address was not installed DRAM. */
-    std::uint64_t
-    shadowEscapes() const
-    {
-        return static_cast<std::uint64_t>(shadowEscapes_.value());
-    }
+    std::uint64_t shadowEscapes() const { return shadowEscapes_.value(); }
 
     const DramConfig &config() const { return config_; }
 

@@ -147,7 +147,7 @@ class MemorySystem : public MemBackend
         if (requester_ != portOwner_ && now < portBusyUntil_) {
             wait = portBusyUntil_ - now;
             ++*portConflicts_;
-            portConflictCycles_->addCount(wait);
+            *portConflictCycles_ += wait;
         }
         portOwner_ = requester_;
         portBusyUntil_ = now + wait + portOccupancy_;

@@ -103,7 +103,7 @@ Mmc::service(MmcOp op, Addr paddr, Cycles)
             // of performing the access.
             ++faultsRaised_;
             result.fault = true;
-            opLatency_.sample(static_cast<double>(result.mmcCycles));
+            opLatency_.sample(result.mmcCycles);
             return result;
         }
 
@@ -115,7 +115,7 @@ Mmc::service(MmcOp op, Addr paddr, Cycles)
         // Modelled I/O space: fixed-latency, no DRAM access.
         result.mmcCycles += 4;
         result.realAddr = paddr;
-        opLatency_.sample(static_cast<double>(result.mmcCycles));
+        opLatency_.sample(result.mmcCycles);
         return result;
 
       case AddrKind::Invalid:
@@ -142,7 +142,7 @@ Mmc::service(MmcOp op, Addr paddr, Cycles)
             [this](Addr pf) { dram_.access(pf, true); });
     result.realAddr = effective;
 
-    opLatency_.sample(static_cast<double>(result.mmcCycles));
+    opLatency_.sample(result.mmcCycles);
     return result;
 }
 

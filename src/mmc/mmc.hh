@@ -141,16 +141,8 @@ class Mmc
 
     /** @name Counters for the stats-identity audits (src/check) */
     /** @{ */
-    std::uint64_t
-    shadowOps() const
-    {
-        return static_cast<std::uint64_t>(shadowOps_.value());
-    }
-    std::uint64_t
-    faultsRaised() const
-    {
-        return static_cast<std::uint64_t>(faultsRaised_.value());
-    }
+    std::uint64_t shadowOps() const { return shadowOps_.value(); }
+    std::uint64_t faultsRaised() const { return faultsRaised_.value(); }
     /** @} */
 
     /** The MTLB (requires hasMtlb()). */

@@ -85,11 +85,7 @@ class StreamBufferBank
 
     const StreamBufferConfig &config() const { return config_; }
 
-    std::uint64_t
-    hits() const
-    {
-        return static_cast<std::uint64_t>(hits_.value());
-    }
+    std::uint64_t hits() const { return hits_.value(); }
 
   private:
     struct Buffer

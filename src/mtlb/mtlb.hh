@@ -123,23 +123,17 @@ class Mtlb
     unsigned numSets() const { return numSets_; }
     const MtlbConfig &config() const { return config_; }
 
-    std::uint64_t hits() const
-    {
-        return static_cast<std::uint64_t>(hits_.value());
-    }
-    std::uint64_t misses() const
-    {
-        return static_cast<std::uint64_t>(misses_.value());
-    }
-    std::uint64_t faults() const
-    {
-        return static_cast<std::uint64_t>(faults_.value());
-    }
+    std::uint64_t hits() const { return hits_.value(); }
+    std::uint64_t misses() const { return misses_.value(); }
+    std::uint64_t faults() const { return faults_.value(); }
     double
     hitRate() const
     {
-        const double total = hits_.value() + misses_.value();
-        return total > 0 ? hits_.value() / total : 0.0;
+        const std::uint64_t hits = hits_.value();
+        const std::uint64_t total = hits + misses_.value();
+        return total ? static_cast<double>(hits) /
+                           static_cast<double>(total)
+                     : 0.0;
     }
 
   private:

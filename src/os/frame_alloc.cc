@@ -3,16 +3,27 @@
 namespace mtlbsim
 {
 
+namespace
+{
+
+/** @p num_pfns, checked before any member is sized by it. */
+Addr
+checkedFrameCount(Addr num_pfns)
+{
+    fatalIf(num_pfns == 0, "frame allocator with no frames");
+    return num_pfns;
+}
+
+} // namespace
+
 FrameAllocator::FrameAllocator(Addr first_pfn, Addr num_pfns,
                                std::uint64_t seed)
-    : firstPfn_(first_pfn), numPfns_(num_pfns),
+    : firstPfn_(first_pfn), numPfns_(checkedFrameCount(num_pfns)),
       freeList_(std::make_unique_for_overwrite<Addr[]>(num_pfns)),
       written_(static_cast<std::size_t>(num_pfns)), numFree_(num_pfns),
       unshuffled_(num_pfns), rng_(seed),
       freeBits_(static_cast<std::size_t>(num_pfns), true)
-{
-    fatalIf(num_pfns == 0, "frame allocator with no frames");
-}
+{}
 
 void
 FrameAllocator::shuffleStep(std::vector<Addr> &list, Addr i, Random &rng)

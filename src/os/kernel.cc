@@ -10,12 +10,26 @@
 namespace mtlbsim
 {
 
+namespace
+{
+
+/** The frames above the kernel's own; fatal when memory cannot hold
+ *  the kernel layout. */
+Addr
+userFrames(const PhysMap &physmap)
+{
+    fatalIf(physmap.numRealPages() <= KernelLayout::firstUserPfn,
+            "installed memory too small for the kernel layout");
+    return physmap.numRealPages() - KernelLayout::firstUserPfn;
+}
+
+} // namespace
+
 Kernel::Kernel(const KernelConfig &config, const PhysMap &physmap,
                Cache &cache, MemorySystem &memsys,
                stats::StatGroup &parent)
     : config_(config), physMap_(physmap), cache_(cache), memsys_(memsys),
-      frames_(KernelLayout::firstUserPfn,
-              physmap.numRealPages() - KernelLayout::firstUserPfn,
+      frames_(KernelLayout::firstUserPfn, userFrames(physmap),
               config.frameSeed),
       hpt_(KernelLayout::hptBase, config.hptBuckets),
       statGroup_("kernel"),
@@ -59,9 +73,6 @@ Kernel::Kernel(const KernelConfig &config, const PhysMap &physmap,
 {
     parent.addChild(&statGroup_);
 
-    fatalIf(physmap.numRealPages() <= KernelLayout::firstUserPfn,
-            "installed memory too small for the kernel layout");
-
     if (physmap.shadowRange().size > 0) {
         shadowAlloc_ = std::make_unique<BucketShadowAllocator>(
             physmap.shadowRange(),
@@ -74,7 +85,6 @@ Kernel::Kernel(const KernelConfig &config, const PhysMap &physmap,
     auto p0 = std::make_unique<Process>();
     p0->space =
         std::make_unique<AddressSpace>(KernelLayout::ptPoolBase);
-    p0->sbrkPrealloc = config.sbrkPreallocBytes;
     processes_.push_back(std::move(p0));
 }
 
@@ -90,7 +100,6 @@ Kernel::createProcess()
         KernelLayout::ptPoolBase +
             Addr{id} * KernelLayout::perProcessPtPoolBytes,
         KernelLayout::perProcessPtPoolBytes);
-    p->sbrkPrealloc = config_.sbrkPreallocBytes;
     processes_.push_back(std::move(p));
     return id;
 }
@@ -450,7 +459,7 @@ Kernel::handleTlbMiss(Addr vaddr, AccessType type, Cycles now)
         hpt_.insert(*mapping, asid(), hptTouches_);
         fault_cycles += chargeHptTouches(hptTouches_, true,
                                          now + cycles + fault_cycles);
-        vmFaultCycles_ += static_cast<double>(fault_cycles);
+        vmFaultCycles_ += fault_cycles;
     }
 
     cycles += config_.tlbInsertCycles + config_.trapExitCycles;
@@ -472,7 +481,7 @@ Kernel::handleTlbMiss(Addr vaddr, AccessType type, Cycles now)
     const unsigned slot =
         activeTlb().insert(m.vbase, m.pbase, m.sizeClass, m.prot);
 
-    tlbMissCycles_ += static_cast<double>(cycles);
+    tlbMissCycles_ += cycles;
     return {cycles + fault_cycles + promo_cycles, slot};
 }
 
@@ -500,9 +509,7 @@ Kernel::notePromotionCandidate(Addr vaddr, Cycles handler_cycles,
     proc().promotionCredit.erase(chunk);
     debugPrintf(debug::Flag::Kernel, "promoting chunk 0x", std::hex,
                 chunk);
-    const Cycles cost = remap(chunk, chunk_bytes, now, true);
-    remapCalls_ += -1;  // kernel-internal, not a user remap()
-    return cost;
+    return remapRange(chunk, chunk_bytes, now, true);
 }
 
 namespace
@@ -524,16 +531,21 @@ maximalClassAt(Addr cursor, Addr end)
 } // namespace
 
 Cycles
-Kernel::remap(Addr vbase, Addr bytes, Cycles now, bool internal)
+Kernel::remap(Addr vbase, Addr bytes, Cycles now)
 {
     ++remapCalls_;
+    return remapRange(vbase, bytes, now, false);
+}
+
+Cycles
+Kernel::remapRange(Addr vbase, Addr bytes, Cycles now, bool internal)
+{
     Cycles cycles = config_.syscallOverheadCycles;
 
-    if (!config_.superpagesEnabled || !shadowAlloc_ ||
-        !memsys_.mmc().hasMtlb() ||
+    if (!shadowAlloc_ || !memsys_.mmc().hasMtlb() ||
         (!internal && !config_.honorExplicitRemap)) {
         // Advisory call on a system without shadow support.
-        remapCycles_ += static_cast<double>(cycles);
+        remapCycles_ += cycles;
         return cycles;
     }
 
@@ -656,7 +668,7 @@ Kernel::remap(Addr vbase, Addr bytes, Cycles now, bool internal)
                     const Cycles flush = cache_.flushPage(
                         va, pfn << basePageShift, now + cycles);
                     cycles += flush;
-                    remapFlushCycles_ += static_cast<double>(flush);
+                    remapFlushCycles_ += flush;
                 }
 
                 // Retire the old base-page HPT entry (if any) and
@@ -686,7 +698,7 @@ Kernel::remap(Addr vbase, Addr bytes, Cycles now, bool internal)
         cursor += sp_size;
     }
 
-    remapCycles_ += static_cast<double>(cycles);
+    remapCycles_ += cycles;
     return cycles;
 }
 
@@ -733,11 +745,9 @@ Kernel::sbrk(Addr bytes, Cycles now)
         if (grantedFrontier() + chunk > heap->end())
             chunk = heap->end() - grantedFrontier();
 
-        if (config_.superpagesEnabled && shadowAlloc_ &&
-            memsys_.mmc().hasMtlb()) {
-            result.cycles += remap(grantedFrontier(), chunk,
-                                   now + result.cycles);
-            remapCalls_ += -1;  // internal call, not a user remap()
+        if (shadowAlloc_ && memsys_.mmc().hasMtlb()) {
+            result.cycles += remapRange(grantedFrontier(), chunk,
+                                        now + result.cycles, false);
         }
         proc().remapFrontier = grantedFrontier() + chunk;
     }

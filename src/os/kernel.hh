@@ -88,11 +88,6 @@ struct KernelConfig
 
     unsigned hptBuckets = 16384;    ///< 16 K entries (§3.2)
 
-    /** Create shadow superpages on remap()/sbrk(). When false the
-     *  calls succeed but leave everything base-paged (the paper's
-     *  no-MTLB baseline runs). */
-    bool superpagesEnabled = true;
-
     /** All-shadow operation (§4): every materialised page is mapped
      *  through a single shadow page, so the machine never exposes
      *  real physical addresses to the CPU — the mode the paper
@@ -121,9 +116,6 @@ struct KernelConfig
      *  (and remap()s it issues internally) still work. */
     bool honorExplicitRemap = true;
     /** @} */
-
-    /** Initial sbrk() preallocation chunk (vortex used 8 MB, §3.1). */
-    Addr sbrkPreallocBytes = 8 * 1024 * 1024;
 
     /** Seed for the frame allocator's free-list shuffle. Sweep jobs
      *  may perturb it to decorrelate physical layouts; runs with the
@@ -189,7 +181,8 @@ struct Process
     Addr heapBase = 0;
     Addr brk = 0;
     Addr remapFrontier = 0;
-    Addr sbrkPrealloc = 0;
+    /** sbrk() preallocation chunk (vortex used 8 MB, §3.1). */
+    Addr sbrkPrealloc = 8 * 1024 * 1024;
 };
 
 /**
@@ -228,14 +221,12 @@ class Kernel
     /** @{ */
 
     /**
-     * remap(): back [vbase, vbase+bytes) with shadow superpages
-     * (§2.4). Sub-16 KB head/tail fragments stay base-paged.
-     *
-     * @param internal true for kernel-originated calls (online
-     *        promotion), which bypass the honorExplicitRemap policy
+     * A program's remap(): back [vbase, vbase+bytes) with shadow
+     * superpages (§2.4). Sub-16 KB head/tail fragments stay
+     * base-paged. Counted in remap_calls; the remaps that sbrk() and
+     * online promotion issue are not.
      */
-    Cycles remap(Addr vbase, Addr bytes, Cycles now,
-                 bool internal = false);
+    Cycles remap(Addr vbase, Addr bytes, Cycles now);
 
     /**
      * Declare the heap: reserves [base, base+max_bytes) as the
@@ -390,40 +381,20 @@ class Kernel
     const KernelConfig &config() const { return config_; }
 
     /** Total cycles spent inside handleTlbMiss (Fig 3's miss time). */
-    Cycles
-    tlbMissCycles() const
-    {
-        return static_cast<Cycles>(tlbMissCycles_.value());
-    }
+    Cycles tlbMissCycles() const { return tlbMissCycles_.value(); }
 
     /** Number of handleTlbMiss invocations; the auditor checks this
      *  against the TLB's own miss counter (src/check). */
-    std::uint64_t
-    tlbMissCount() const
-    {
-        return static_cast<std::uint64_t>(tlbMisses_.value());
-    }
+    std::uint64_t tlbMissCount() const { return tlbMisses_.value(); }
 
     /** Cycles remap() spent flushing caches (§3.3 breakdown). */
-    Cycles
-    remapFlushCycles() const
-    {
-        return static_cast<Cycles>(remapFlushCycles_.value());
-    }
+    Cycles remapFlushCycles() const { return remapFlushCycles_.value(); }
 
     /** Total remap() cycles (§3.3). */
-    Cycles
-    remapTotalCycles() const
-    {
-        return static_cast<Cycles>(remapCycles_.value());
-    }
+    Cycles remapTotalCycles() const { return remapCycles_.value(); }
 
     /** Base pages converted to shadow backing by remap(). */
-    std::uint64_t
-    remapPages() const
-    {
-        return static_cast<std::uint64_t>(remapPages_.value());
-    }
+    std::uint64_t remapPages() const { return remapPages_.value(); }
 
     /**
      * One core's private translation structures, as seen by the
@@ -463,9 +434,7 @@ class Kernel
         std::uint64_t
         shootdownsReceived() const
         {
-            return shootdowns_
-                       ? static_cast<std::uint64_t>(shootdowns_->value())
-                       : 0;
+            return shootdowns_ ? shootdowns_->value() : 0;
         }
 
         unsigned proc = 0;  ///< process currently bound to the core
@@ -538,6 +507,11 @@ class Kernel
      * counts one received shootdown.
      */
     void invalidateTranslation(Addr vbase, Addr bytes, bool inval_uitlb);
+
+    /** remap()'s work, uncounted. @p internal marks the kernel's
+     *  own calls (online promotion), which bypass the
+     *  honorExplicitRemap policy. */
+    Cycles remapRange(Addr vbase, Addr bytes, Cycles now, bool internal);
 
     /** Account a miss against the online-promotion policy and
      *  promote the containing chunk when it crosses the threshold.

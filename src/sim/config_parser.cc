@@ -165,10 +165,6 @@ makeSetters()
          [](SystemConfig &c, const auto &k, const auto &v) {
              setUnsigned(c.shadow.size, k, v, 1024 * 1024);
          }},
-        {"mem.phys_addr_bits",
-         [](SystemConfig &c, const auto &k, const auto &v) {
-             setUnsigned(c.physAddrBits, k, v);
-         }},
         {"cache.size_kb",
          [](SystemConfig &c, const auto &k, const auto &v) {
              setUnsigned(c.cache.sizeBytes, k, v, 1024);
@@ -213,10 +209,6 @@ makeSetters()
          [](SystemConfig &c, const auto &k, const auto &v) {
              c.cpu.batchEnable = parseBool(k, v);
          }},
-        {"kernel.superpages",
-         [](SystemConfig &c, const auto &k, const auto &v) {
-             c.kernel.superpagesEnabled = parseBool(k, v);
-         }},
         {"kernel.all_shadow",
          [](SystemConfig &c, const auto &k, const auto &v) {
              c.kernel.allShadowMode = parseBool(k, v);
@@ -232,10 +224,6 @@ makeSetters()
         {"kernel.honor_explicit_remap",
          [](SystemConfig &c, const auto &k, const auto &v) {
              c.kernel.honorExplicitRemap = parseBool(k, v);
-         }},
-        {"kernel.sbrk_prealloc_kb",
-         [](SystemConfig &c, const auto &k, const auto &v) {
-             setUnsigned(c.kernel.sbrkPreallocBytes, k, v, 1024);
          }},
         {"kernel.frame_seed",
          [](SystemConfig &c, const auto &k, const auto &v) {

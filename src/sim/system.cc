@@ -34,20 +34,13 @@ shadowRangeFrom(const SystemConfig &config)
 System::System(const SystemConfig &config)
     : config_(config),
       rootStats_("system"),
-      physMap_(config.installedBytes, shadowRangeFrom(config),
-               config.physAddrBits)
+      physMap_(config.installedBytes, shadowRangeFrom(config))
 {
     fatalIf(config.cores == 0 || config.cores > maxCores,
             "a machine has 1 to ", maxCores, " cores, not ", config.cores);
     memsys_ = std::make_unique<MemorySystem>(
         config.bus, mmcConfigFrom(config), physMap_, rootStats_);
     cache_ = std::make_unique<Cache>(config.cache, *memsys_, rootStats_);
-
-    KernelConfig kconfig = config.kernel;
-    // Shadow superpages only make sense with an MTLB downstream;
-    // the no-MTLB baseline keeps everything base-paged (§3.4).
-    if (!config.mtlbEnabled)
-        kconfig.superpagesEnabled = false;
 
     // Core 0's TLBs register between the cache and the kernel, its
     // CPU after the kernel, all directly under the root; cores
@@ -57,7 +50,7 @@ System::System(const SystemConfig &config)
     Core &boot = cores_.front();
     boot.tlb = std::make_unique<Tlb>(config.tlbEntries, "tlb", rootStats_);
     boot.uitlb = std::make_unique<MicroItlb>(rootStats_);
-    kernel_ = std::make_unique<Kernel>(kconfig, physMap_, *cache_,
+    kernel_ = std::make_unique<Kernel>(config.kernel, physMap_, *cache_,
                                        *memsys_, rootStats_);
     const stats::DeferredSource &deferred = *this;
     unsigned id = 0;

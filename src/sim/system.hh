@@ -75,7 +75,6 @@ struct SystemConfig
     Addr installedBytes = Addr{256} * 1024 * 1024;
     /** Shadow region; default 512 MB at 0x80000000 (§2.2). */
     AddrRange shadow = {0x80000000, Addr{512} * 1024 * 1024};
-    unsigned physAddrBits = 32;
 
     CacheConfig cache;
     BusConfig bus;

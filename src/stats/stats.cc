@@ -1,7 +1,9 @@
 #include "stats/stats.hh"
 
-#include <algorithm>
 #include <iomanip>
+#include <sstream>
+
+#include "base/logging.hh"
 
 namespace mtlbsim::stats
 {
@@ -9,6 +11,8 @@ namespace mtlbsim::stats
 namespace
 {
 
+/** One "name value # desc" line; the value is spelled as the JSON
+ *  dump spells it, so the two dumps agree digit for digit. */
 void
 printLine(std::ostream &os, const std::string &prefix,
           const std::string &name, double value, const std::string &desc)
@@ -16,7 +20,7 @@ printLine(std::ostream &os, const std::string &prefix,
     std::ostringstream full;
     full << prefix << name;
     os << std::left << std::setw(44) << full.str() << ' '
-       << std::right << std::setw(16) << value;
+       << std::right << std::setw(16) << json::formatNumber(value);
     if (!desc.empty())
         os << "  # " << desc;
     os << '\n';
@@ -56,8 +60,8 @@ Average::toJson() const
     v.set("count", count());
     v.set("sum", sum());
     v.set("mean", mean());
-    // No samples -> the +/-inf tracking sentinels are meaningless;
-    // omit the members rather than serializing them.
+    // No samples, no extremes: omit the members rather than print
+    // the tracking sentinel.
     if (count()) {
         v.set("min", min());
         v.set("max", max());
@@ -88,23 +92,6 @@ StatGroup::addChild(StatGroup *child)
 {
     panicIf(child == nullptr, "null child stat group");
     children_.push_back(child);
-}
-
-const StatBase *
-StatGroup::find(const std::string &name) const
-{
-    auto it = std::find_if(stats_.begin(), stats_.end(),
-                           [&](const auto &s) { return s->name() == name; });
-    return it == stats_.end() ? nullptr : it->get();
-}
-
-void
-StatGroup::resetAll()
-{
-    for (auto &s : stats_)
-        s->reset();
-    for (auto *c : children_)
-        c->resetAll();
 }
 
 void

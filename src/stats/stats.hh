@@ -4,10 +4,16 @@
  *
  * Components register named statistics in a StatGroup; the group can
  * be dumped as text or queried programmatically by the experiment
- * harnesses. Supported statistic kinds:
+ * harnesses. Every statistic is an integer count: bulk adds are plain
+ * integer sums, and the text and JSON dumps spell a value the same
+ * way (json::formatNumber). Supported kinds:
  *
- *  - Scalar:    a single counter or value.
- *  - Average:   a running mean with count/sum/min/max.
+ *  - Scalar:    a counter that only counts up.
+ *  - Average:   integer samples' count/sum/min/max; the mean is the
+ *               one derived (double) value.
+ *
+ * A counter that a DeferredSource holds in part is realized before
+ * every read (value(), print(), toJson()), and at no other time.
  *
  * A statistic can only be made by StatGroup::add*, which registers
  * it: every constructor takes a StatKey, which only StatGroup can
@@ -24,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "base/logging.hh"
 #include "stats/json.hh"
 
 namespace mtlbsim::stats
@@ -54,9 +59,6 @@ class StatBase
     const std::string &name() const { return name_; }
     const std::string &desc() const { return desc_; }
 
-    /** Reset the statistic to its initial state. */
-    virtual void reset() = 0;
-
     /** Print one or more "name value # desc" lines. */
     virtual void print(std::ostream &os, const std::string &prefix)
         const = 0;
@@ -77,13 +79,13 @@ class StatBase
  * A holder of counts that belong to registered Scalars but are added
  * in later, in bulk: the batch engine defers its per-access
  * increments this way (cpu/cpu.hh). A Scalar bound to a source
- * realizes it before every read and before a reset, so no reader can
- * see a lagging count and none has to flush first.
+ * realizes it before every read, so no reader can see a lagging
+ * count and none has to flush first.
  */
 class DeferredSource
 {
   public:
-    /** Add every pending count to its Scalar (Scalar::addCount).
+    /** Add every pending count to its Scalar (Scalar::operator+=).
      *  Count-preserving: realizing at any point changes no final
      *  value. */
     virtual void realize() const = 0;
@@ -92,41 +94,21 @@ class DeferredSource
     ~DeferredSource() = default;
 };
 
-/** A single scalar counter/value. */
+/** A counter: it starts at zero and only counts up. */
 class Scalar : public StatBase
 {
   public:
     using StatBase::StatBase;
 
-    /** Hold part of this counter in @p source: value(), print(),
-     *  toJson() and reset() realize the source first. */
+    /** Hold part of this counter in @p source: value(), print() and
+     *  toJson() realize the source first. */
     void deferTo(const DeferredSource &source) { source_ = &source; }
 
     Scalar &operator++() { ++value_; return *this; }
-    Scalar &operator+=(double v) { value_ += v; return *this; }
-    Scalar &operator=(double v) { value_ = v; return *this; }
+    /** Count @p n at once, the same as @p n increments. */
+    Scalar &operator+=(std::uint64_t n) { value_ += n; return *this; }
 
-    /**
-     * Add @p n as one bulk increment, byte-identical to applying
-     * operator++ @p n times. Exactness rests on IEEE-754 double
-     * addition being exact for integer operands whose sum stays
-     * below 2^53; counters are integral by construction, and the
-     * guard enforces the magnitude bound so a silent rounding can
-     * never decouple a bulk-replayed counter from its per-event
-     * twin (the batch engine's equivalence contract, DESIGN.md §7).
-     */
-    Scalar &
-    addCount(std::uint64_t n)
-    {
-        const double sum = value_ + static_cast<double>(n);
-        panicIf(sum > 9007199254740992.0, // 2^53
-                "bulk increment of ", name(), " by ", n,
-                " exceeds exact-integer range");
-        value_ = sum;
-        return *this;
-    }
-
-    double
+    std::uint64_t
     value() const
     {
         if (source_)
@@ -134,23 +116,15 @@ class Scalar : public StatBase
         return value_;
     }
 
-    void
-    reset() override
-    {
-        if (source_)
-            source_->realize();
-        value_ = 0;
-    }
-
     void print(std::ostream &os, const std::string &prefix) const override;
     json::Value toJson() const override;
 
   private:
-    double value_ = 0;
+    std::uint64_t value_ = 0;
     const DeferredSource *source_ = nullptr;
 };
 
-/** Running mean with count, sum, min, and max. */
+/** Count, sum, min and max of non-negative integer samples. */
 class Average : public StatBase
 {
   public:
@@ -158,7 +132,7 @@ class Average : public StatBase
 
     /** Record one sample. */
     void
-    sample(double v)
+    sample(std::uint64_t v)
     {
         ++count_;
         sum_ += v;
@@ -167,31 +141,27 @@ class Average : public StatBase
     }
 
     std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    /** With no samples the +/-inf tracking sentinels are never
-     *  reported: min()/max() read 0 and toJson() omits the members
-     *  entirely. */
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-
-    void
-    reset() override
+    std::uint64_t sum() const { return sum_; }
+    double
+    mean() const
     {
-        count_ = 0;
-        sum_ = 0;
-        min_ = std::numeric_limits<double>::infinity();
-        max_ = -std::numeric_limits<double>::infinity();
+        return count_ ? static_cast<double>(sum_) /
+                            static_cast<double>(count_)
+                      : 0.0;
     }
+    /** With no samples min() and max() read 0 and toJson() omits
+     *  them. */
+    std::uint64_t min() const { return count_ ? min_ : 0; }
+    std::uint64_t max() const { return max_; }
 
     void print(std::ostream &os, const std::string &prefix) const override;
     json::Value toJson() const override;
 
   private:
     std::uint64_t count_ = 0;
-    double sum_ = 0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
+    std::uint64_t sum_ = 0;
+    std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t max_ = 0;
 };
 
 /**
@@ -215,12 +185,6 @@ class StatGroup
 
     /** Register a child group (not owned). */
     void addChild(StatGroup *child);
-
-    /** Find a statistic by name in this group only; null if absent. */
-    const StatBase *find(const std::string &name) const;
-
-    /** Reset this group's stats and all children. */
-    void resetAll();
 
     /** Dump "group.stat value # desc" lines, recursively. */
     void print(std::ostream &os, const std::string &prefix = "") const;

@@ -314,10 +314,10 @@ class Tlb
      *  keeps statistics bit-identical. */
     void noteMemoHit() { ++hits_; }
 
-    /** Account @p n deferred batched hits in one exact bulk add
-     *  (Scalar::addCount); batched accesses replay on live memo
-     *  entries, so noteMemoHit's argument covers them. */
-    void noteBatchedHits(std::uint64_t n) { hits_.addCount(n); }
+    /** Account @p n deferred batched hits in one integer add;
+     *  batched accesses replay on live memo entries, so
+     *  noteMemoHit's argument covers them. */
+    void noteBatchedHits(std::uint64_t n) { hits_ += n; }
 
     /** Name @p source as the holder of the deferred hits: reading the
      *  hit count realizes it first. */
@@ -331,14 +331,8 @@ class Tlb
      *  (src/check). Does not touch NRU state or statistics. */
     std::vector<TlbEntry> auditState() const;
 
-    std::uint64_t hits() const
-    {
-        return static_cast<std::uint64_t>(hits_.value());
-    }
-    std::uint64_t misses() const
-    {
-        return static_cast<std::uint64_t>(misses_.value());
-    }
+    std::uint64_t hits() const { return hits_.value(); }
+    std::uint64_t misses() const { return misses_.value(); }
 
     /** Largest supported capacity: the index is sized from it, and a
      *  fully associative TLB far beyond the paper's 64-256 entries
@@ -523,11 +517,7 @@ class MicroItlb
     }
 
     /** Account @p n deferred batched fetch hits (see covers()). */
-    void
-    noteBatchedHits(std::uint64_t n)
-    {
-        hits_.addCount(n);
-    }
+    void noteBatchedHits(std::uint64_t n) { hits_ += n; }
 
     /** Name @p source as the holder of the deferred fetch hits. */
     void

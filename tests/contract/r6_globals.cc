@@ -26,6 +26,12 @@ const std::map<int, int> kTable = {{1, 2}}; // R6
 // Per thread is not per System: a sweep worker runs many in turn.
 thread_local int tCounter = 0; // R6
 
+// Never written, so -O2 places it in .data.rel.ro, and -O0 in
+// .data.rel.local; its elements are mutable either way.
+static const char *names[] = {"one", "two"}; // R6
+// Const elements: read-only at every optimisation level.
+static const char *const kNames[] = {"one", "two"};
+
 struct Registry
 {
     static int shared_; // R6
@@ -40,7 +46,8 @@ count(int key)
     static int calls = 0; // R6
     static thread_local int perThread = 0; // R6
     return ++calls + ++perThread + ++tCounter + kSize + kLimit +
-           Registry::kOk + kTable.at(key);
+           Registry::kOk + kTable.at(key) + names[key & 1][0] +
+           kNames[key & 1][0];
 }
 
 } // namespace mtlbsim

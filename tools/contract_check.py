@@ -47,7 +47,9 @@ BANNED_EXEMPTIONS = {("getenv", "src/base/debug.cc")}
 # declared in SIM_DIR. Every System is self-contained, so no state may
 # outlive or span Systems, nor be thread_local: a sweep worker runs one
 # System after another. constexpr and const POD data are read-only; a
-# const global that is not POD is written by its constructor. The one
+# const global that is not POD is written by its constructor. In
+# .data.rel.ro an optimising compiler also places mutable objects it
+# sees are never written, so there the declared type decides. The one
 # exemption is the debug-trace mask: set from MTLBSIM_DEBUG on first
 # use, then only read; it selects stderr logging, never behaviour.
 GLOBAL_EXEMPTIONS = {"mtlbsim::debug::enabled(mtlbsim::debug::Flag)::selected"}
@@ -272,6 +274,14 @@ def check_types(o, out):
                      "order; use an ordered container keyed by a stable id"))
 
 
+def declared_const(o, die):
+    """True when @p die's object, or each element of its array, is const."""
+    t = o.dies.get(o.dies.get(die[6], die)[3] if die[3] is None else die[3])
+    while t and t[0] in ("typedef", "volatile_type", "array_type"):
+        t = o.dies.get(t[3])
+    return bool(t) and t[0] == "const_type"
+
+
 def check_globals(o, out):
     """R6 over @p o's symbol table: objects in writable sections."""
     variables = [d for d in o.dies.values() if d[7] is not None]
@@ -280,15 +290,16 @@ def check_globals(o, out):
                        (" O ", " .tdata", " .tbss")).splitlines():
         m = re.match(r"([0-9a-f]+) .{6}[O ] (\.t?(?:data|bss)(?:\.\S*)?)"
                      r"\s+[0-9a-f]+\s+(?:\.\w+ )?(.+)$", line)
-        if (not m or m[2].startswith(".data.rel.ro")
-                or m[3].startswith(("guard variable ", "DW.ref."))):
+        if not m or m[3].startswith(("guard variable ", "DW.ref.")):
             continue
         at = "tls" if m[2].startswith(".t") else int(m[1], 16)
         for die in (d for d in variables if d[7] == at):
             sym, name = m[3], o.name(die)
             if name and (sym == name or sym.endswith("::" + name)):
                 rel, line = o.decl(die)
-                if rel.startswith(SIM_DIR) and sym not in GLOBAL_EXEMPTIONS:
+                if (rel.startswith(SIM_DIR) and sym not in GLOBAL_EXEMPTIONS
+                        and not (m[2].startswith(".data.rel.ro")
+                                 and declared_const(o, die))):
                     out.add((rel, line, "R6 no-mutable-global-state",
                              f"mutable global '{sym}' in {m[2]}; move it "
                              "behind a System-owned context object"))

@@ -32,7 +32,7 @@ usage()
         << "usage: modelcheck [options]\n"
            "  --depth N      bound the op-sequence length (default 6)\n"
            "  --cores N      model-machine cores; ops dispatch on\n"
-           "                 core i %% N (default 1)\n"
+           "                 core i % N (default 1)\n"
            "  --config       print the model machine/alphabet and exit\n"
            "  --stats        print per-depth search statistics\n"
            "  --fault KIND   plant a FaultInjector corruption op and\n"
