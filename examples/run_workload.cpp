@@ -168,6 +168,9 @@ run(int argc, char **argv)
 
     workload->setup(sys);
     workload->run(sys);
+    // An audited run ends with one more audit, as a mix does.
+    if (sys.config().check.enabled)
+        sys.audit();
 
     std::printf("workload:        %s (scale %.2f)\n",
                 workload_name.c_str(), scale);

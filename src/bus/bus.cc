@@ -18,6 +18,8 @@ Bus::Bus(const BusConfig &config, stats::StatGroup &parent)
       busyCycles_(statGroup_.addScalar("busy_cycles",
                                        "CPU cycles the bus was occupied"))
 {
+    // Every transaction is one request phase.
+    requests_.include(&transactions_);
     parent.addChild(&statGroup_);
 }
 
@@ -39,7 +41,6 @@ Cycles
 Bus::request(BusOp op, Cycles now)
 {
     ++transactions_;
-    ++requests_;
     Cycles bus_cycles = config_.arbitrationCycles + config_.addressCycles;
     if (op == BusOp::WriteBack)
         bus_cycles += config_.lineDataCycles;

@@ -67,12 +67,6 @@ class Bus
 
     const BusConfig &config() const { return config_; }
 
-    /** @name Counters for the stats-identity audits (src/check) */
-    /** @{ */
-    std::uint64_t transactions() const { return transactions_.value(); }
-    std::uint64_t requests() const { return requests_.value(); }
-    /** @} */
-
   private:
     /** Occupy the channel for @p bus_cycles starting at @p now. */
     Cycles occupy(Cycles now, Cycles bus_cycles);

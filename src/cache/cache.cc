@@ -24,13 +24,14 @@ Cache::Cache(const CacheConfig &config, MemBackend &backend,
     fatalIf(!isPowerOf2(config.sizeBytes), "cache size must be power of 2");
     fatalIf(config.sizeBytes < basePageSize,
             "cache smaller than a page is not supported");
+    accesses_.include(&hits_);
+    accesses_.include(&misses_);
     parent.addChild(&statGroup_);
 }
 
 CacheAccessResult
 Cache::access(Addr vaddr, Addr paddr, bool write, Cycles now)
 {
-    ++accesses_;
     Line &line = lines_[indexOf(vaddr, paddr)];
     const Addr line_tag = lineBase(paddr);
 

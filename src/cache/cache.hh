@@ -103,12 +103,12 @@ class Cache
      * A batched access replays the hit path of access() without the
      * per-access statistics: batchHit() applies the architectural
      * side effect (the dirty bit on a store — kernel swap paths read
-     * it directly, so it can never be deferred) and the caller
-     * accumulates the access/hit counts, replaying them later in one
-     * noteBatchedHits() call. The pair is byte-identical to n calls
-     * of access() that hit: a hit touches no other cache state, and
-     * counters are integers. Defined inline — this is the innermost
-     * loop of the whole simulator.
+     * it directly) and the caller counts the hit in a host counter
+     * that the hit count includes (includeInHits). The pair is
+     * byte-identical to a call of access() that hits: a hit touches
+     * no other cache state, and the access count is hits plus
+     * misses. Defined inline — this is the innermost loop of the
+     * whole simulator.
      */
     /** @{ */
 
@@ -126,22 +126,9 @@ class Cache
         return true;
     }
 
-    /** Account @p n deferred batched hits (n accesses, n hits). */
-    void
-    noteBatchedHits(std::uint64_t n)
-    {
-        accesses_ += n;
-        hits_ += n;
-    }
-
-    /** Name @p source as the holder of the deferred accesses and
-     *  hits: reading either count realizes it first. */
-    void
-    deferHitsTo(const stats::DeferredSource &source)
-    {
-        accesses_.deferTo(source);
-        hits_.deferTo(source);
-    }
+    /** Count the host counter @p count among the hits (and so
+     *  among the accesses): batchHit()s that hit. */
+    void includeInHits(const std::uint64_t *count) { hits_.include(count); }
     /** @} */
 
     /**
@@ -179,8 +166,7 @@ class Cache
 
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
-    /** Total demand accesses; the auditor checks
-     *  accesses == hits + misses (src/check). */
+    /** Total demand accesses: hits plus misses. */
     std::uint64_t accesses() const { return accesses_.value(); }
 
     /** Resident lines tagged with physical page @p paddr, from the

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "cache/cache.hh"
 #include "mem/physmap.hh"
 #include "mmc/memsys.hh"
 #include "os/kernel.hh"
@@ -74,12 +73,11 @@ TranslationAuditor::KeyTable<Value>::find(Addr key)
 }
 
 TranslationAuditor::TranslationAuditor(const CheckConfig &config,
-                                       Cache &cache,
                                        MemorySystem &memsys,
                                        Kernel &kernel,
                                        const PhysMap &physmap,
                                        stats::StatGroup &parent)
-    : config_(config), cache_(cache), memsys_(memsys),
+    : config_(config), memsys_(memsys),
       kernel_(kernel), physMap_(physmap),
       statGroup_("check"),
       audits_(statGroup_.addScalar("audits", "audit passes performed")),
@@ -107,7 +105,6 @@ TranslationAuditor::collect()
     checkMtlbCoherence(report);
     checkHptCoherence(report);
     checkDramGuard(report);
-    checkStatsIdentities(report);
     checkMemoCoherence(report);
     return report;
 }
@@ -640,47 +637,6 @@ TranslationAuditor::checkDramGuard(AuditReport &report)
         violate(report, "dram-guard", escapes,
                 " access(es) reached the DRAM array with a non-real "
                 "address (shadow escape past the MTLB)");
-    }
-}
-
-void
-TranslationAuditor::checkStatsIdentities(AuditReport &report)
-{
-    ++report.checksRun;
-    Mmc &mmc = memsys_.mmc();
-    Bus &bus = memsys_.bus();
-
-    if (cache_.accesses() != cache_.hits() + cache_.misses()) {
-        violate(report, "stats-identities", "cache accesses (",
-                cache_.accesses(), ") != hits (", cache_.hits(),
-                ") + misses (", cache_.misses(), ")");
-    }
-    if (bus.transactions() != bus.requests()) {
-        violate(report, "stats-identities", "bus transactions (",
-                bus.transactions(), ") != request phases (",
-                bus.requests(), ")");
-    }
-    std::uint64_t tlb_misses = 0;
-    for (unsigned c = 0; c < kernel_.numCores(); ++c)
-        tlb_misses += kernel_.coreTlb(c).misses();
-    if (kernel_.tlbMissCount() != tlb_misses) {
-        violate(report, "stats-identities", "kernel trap count (",
-                kernel_.tlbMissCount(), ") != TLB misses over all "
-                "cores (", tlb_misses, ")");
-    }
-    if (mmc.hasMtlb()) {
-        const Mtlb &mtlb = mmc.mtlb();
-        if (mtlb.hits() + mtlb.misses() != mmc.shadowOps()) {
-            violate(report, "stats-identities", "MTLB lookups (",
-                    mtlb.hits() + mtlb.misses(),
-                    ") != MMC shadow operations (", mmc.shadowOps(),
-                    ")");
-        }
-        if (mtlb.faults() != mmc.faultsRaised()) {
-            violate(report, "stats-identities", "MTLB faults (",
-                    mtlb.faults(), ") != MMC faults raised (",
-                    mmc.faultsRaised(), ")");
-        }
     }
 }
 

@@ -32,9 +32,6 @@
  *  - dram-guard: no shadow (or otherwise non-DRAM) address ever
  *    reached the DRAM array — everything downstream of the MTLB is
  *    real (§2.2).
- *  - stats-identities: accounting identities across components
- *    (cache accesses = hits + misses, MTLB lookups = MMC shadow
- *    ops, kernel trap count = TLB miss count, ...).
  *  - memo-coherence: every *live* entry of each TLB's page memo
  *    (stamped with its current translation epoch) is covered by a
  *    valid TLB entry with the same frame base and writability and a
@@ -67,7 +64,6 @@ namespace mtlbsim
 {
 
 class AddressSpace;
-class Cache;
 class Kernel;
 class MemorySystem;
 class PhysMap;
@@ -82,9 +78,9 @@ class Tlb;
 class TranslationAuditor
 {
   public:
-    TranslationAuditor(const CheckConfig &config, Cache &cache,
-                       MemorySystem &memsys, Kernel &kernel,
-                       const PhysMap &physmap, stats::StatGroup &parent);
+    TranslationAuditor(const CheckConfig &config, MemorySystem &memsys,
+                       Kernel &kernel, const PhysMap &physmap,
+                       stats::StatGroup &parent);
 
     /** Run all checks; no policy applied: callers decide whether a
      *  violation warns, panics, or is asserted on in a test. */
@@ -121,13 +117,11 @@ class TranslationAuditor
     void checkMtlbCoherence(AuditReport &report);
     void checkHptCoherence(AuditReport &report);
     void checkDramGuard(AuditReport &report);
-    void checkStatsIdentities(AuditReport &report);
     void checkMemoCoherence(AuditReport &report);
     /** One TLB's memo-coherence pass. */
     void checkOneMemo(AuditReport &report, const Tlb &tlb);
 
     CheckConfig config_;
-    Cache &cache_;
     MemorySystem &memsys_;
     Kernel &kernel_;
     const PhysMap &physMap_;

@@ -26,8 +26,7 @@ opName(CpuOpRecord::Kind kind)
 
 Cpu::Cpu(const CpuConfig &config, Tlb &tlb, MicroItlb &uitlb,
          Cache &cache, MemorySystem &memsys, Kernel &kernel,
-         stats::StatGroup &parent,
-         const stats::DeferredSource &deferred, unsigned core_id)
+         stats::StatGroup &parent, unsigned core_id)
     : config_(config), tlb_(tlb), uitlb_(uitlb), cache_(cache),
       memsys_(memsys), kernel_(kernel),
       cacheHitCycles_(cache.config().hitCycles),
@@ -47,14 +46,19 @@ Cpu::Cpu(const CpuConfig &config, Tlb &tlb, MicroItlb &uitlb,
                                          "stall-on-use overlap"))
 {
     parent.addChild(&statGroup_);
-    // Every counter the batch engine defers: reading any of them
-    // realizes every core's pending counts first.
-    for (stats::Scalar *deferred_stat :
-         {&instructions_, &loads_, &stores_, &ifetchChecks_})
-        deferred_stat->deferTo(deferred);
-    tlb_.deferHitsTo(deferred);
-    uitlb_.deferHitsTo(deferred);
-    cache_.deferHitsTo(deferred);
+    // A batched access is a load or store, a TLB hit and a cache
+    // hit; a batched fetch is a micro-ITLB hit and its instructions.
+    loads_.include(&batch_.loads);
+    stores_.include(&batch_.stores);
+    instructions_.include(&batch_.instructions);
+    tlb_.includeInHits(&batch_.loads);
+    tlb_.includeInHits(&batch_.stores);
+    cache_.includeInHits(&batch_.loads);
+    cache_.includeInHits(&batch_.stores);
+    uitlb_.includeInHits(&batch_.fetches);
+    // Every fetch check is one micro-ITLB lookup.
+    ifetchChecks_.include(uitlb_.hitStat());
+    ifetchChecks_.include(uitlb_.missStat());
 }
 
 void
@@ -111,7 +115,6 @@ Cpu::executeAtSlow(Counter n, Addr code_vaddr)
 {
     noteCoreActive();
     maybeRunCheck();
-    ++ifetchChecks_;
     if (!uitlb_.hit(code_vaddr)) {
         // The unified TLB provides the translation (it may trap);
         // the micro-ITLB caches its entry for subsequent sequential
@@ -128,10 +131,6 @@ Cpu::executeAtSlow(Counter n, Addr code_vaddr)
 void
 Cpu::dataAccess(Addr vaddr, AccessType type)
 {
-    // Deferred counts may stay pending across this access: bulk adds
-    // and the direct increments below are exact integer sums, so
-    // their interleaving is irrelevant to every final value, and
-    // every read of a deferred counter realizes them first.
     noteCoreActive();
     maybeRunCheck();
     const bool is_store = type == AccessType::Write;

@@ -131,18 +131,13 @@ class Cpu
 {
   public:
     /**
-     * @param deferred the source that realizes the batch engine's
-     *        deferred counts (flushBatch) on every core; each counter
-     *        the engine defers is bound to it, so reading one realizes
-     *        them all
      * @param core_id this core's index in the shared kernel's core
      *        table; the CPU names itself (Kernel::setActiveCore)
      *        before every kernel entry
      */
     Cpu(const CpuConfig &config, Tlb &tlb, MicroItlb &uitlb,
         Cache &cache, MemorySystem &memsys, Kernel &kernel,
-        stats::StatGroup &parent,
-        const stats::DeferredSource &deferred, unsigned core_id = 0);
+        stats::StatGroup &parent, unsigned core_id = 0);
 
     /** Retire @p n non-memory instructions (1 cycle each). */
     void
@@ -162,10 +157,9 @@ class Cpu
      *
      * The batch engine fast-paths the overwhelmingly common case —
      * micro-ITLB hit, no periodic check due — exactly as it does
-     * data accesses: time advances eagerly, and the three
-     * bookkeeping increments a hit performs (ifetch_checks, the
-     * micro-ITLB hit count, instructions) are deferred until the
-     * next read of any of them or the next kernel service.
+     * data accesses: time advances, and the hit and its instructions
+     * land in two host counters that the micro-ITLB hit count (and
+     * so the fetch checks) and the instruction count include.
      */
     void
     executeAt(Counter n, Addr code_vaddr)
@@ -174,8 +168,8 @@ class Cpu
             return record(CpuOpRecord::Kind::ExecuteAt, code_vaddr, n);
         if (config_.batchEnable && uitlb_.covers(code_vaddr) &&
             !(checkInterval_ != 0 && now_ >= nextCheckAt_)) {
-            ++batch_.pendingIfetch;
-            batch_.pendingInstructions += n;
+            ++batch_.fetches;
+            batch_.instructions += n;
             now_ += n;
             return;
         }
@@ -209,7 +203,6 @@ class Cpu
     {
         if (sink_)
             record(CpuOpRecord::Kind::Remap, vbase, bytes);
-        flushBatch();
         noteCoreActive();
         now_ += kernel_.remap(vbase, bytes, now_);
     }
@@ -219,7 +212,6 @@ class Cpu
     {
         if (sink_)
             record(CpuOpRecord::Kind::Sbrk, 0, bytes);
-        flushBatch();
         noteCoreActive();
         SbrkResult r = kernel_.sbrk(bytes, now_);
         now_ += r.cycles;
@@ -233,7 +225,6 @@ class Cpu
         // record-only loads and stores never materialize it.
         if (sink_)
             return record(CpuOpRecord::Kind::Recolor, vaddr, color);
-        flushBatch();
         noteCoreActive();
         now_ += kernel_.recolorPage(vaddr, color, now_);
     }
@@ -265,15 +256,9 @@ class Cpu
     /**
      * Advance the clock by @p n cycles without retiring work: the
      * scheduler's context-switch cost and the kernel's shootdown-IPI
-     * service time both land here. Realizes the batch first, as every
-     * kernel service does.
+     * service time both land here.
      */
-    void
-    charge(Cycles n)
-    {
-        flushBatch();
-        now_ += n;
-    }
+    void charge(Cycles n) { now_ += n; }
 
     /**
      * Arrange for @p hook to run once per @p interval simulated
@@ -301,56 +286,18 @@ class Cpu
     }
 
   private:
-    /** Realizes every core's deferred counts (its DeferredSource). */
-    friend class System;
-
     /**
-     * Realize the batch engine's deferred statistic counts — CPU
-     * loads/stores/instructions/ifetch checks, TLB and micro-ITLB
-     * hits, cache accesses/hits — as integer bulk adds. Called by
-     * the deferred-count source before any read of those counters,
-     * and by the kernel-service entries. It only moves already-earned
-     * counts, so calling it at any point is safe and changes no
-     * statistic's final value.
-     */
-    void
-    flushBatch() const
-    {
-        if ((batch_.pendingLoads | batch_.pendingStores |
-             batch_.pendingIfetch) == 0) {
-            return;
-        }
-        const std::uint64_t n =
-            batch_.pendingLoads + batch_.pendingStores;
-        if (n != 0) {
-            loads_ += batch_.pendingLoads;
-            stores_ += batch_.pendingStores;
-            tlb_.noteBatchedHits(n);
-            cache_.noteBatchedHits(n);
-            batch_.pendingLoads = 0;
-            batch_.pendingStores = 0;
-        }
-        if (batch_.pendingIfetch != 0) {
-            ifetchChecks_ += batch_.pendingIfetch;
-            uitlb_.noteBatchedHits(batch_.pendingIfetch);
-            instructions_ += batch_.pendingInstructions;
-            batch_.pendingIfetch = 0;
-            batch_.pendingInstructions = 0;
-        }
-    }
-
-    /**
-     * The batch engine's deferred statistic counts, accumulated across
-     * every memo page (the counts are per-access, not per-page).
-     * Host-side only; mutable so the deferred-count source can
-     * realize them from const readers.
+     * The batch engine's host counts, kept across every memo page
+     * (the counts are per-access, not per-page). They are no
+     * statistic's alone: the counters that a replay stands in for
+     * include them (see the constructor), so every read is exact.
      */
     struct BatchState
     {
-        std::uint64_t pendingLoads = 0;
-        std::uint64_t pendingStores = 0;
-        std::uint64_t pendingIfetch = 0;        ///< batched fetches
-        std::uint64_t pendingInstructions = 0;  ///< their retires
+        std::uint64_t loads = 0;
+        std::uint64_t stores = 0;
+        std::uint64_t fetches = 0;          ///< batched fetches
+        std::uint64_t instructions = 0;     ///< their retires
     };
 
     /**
@@ -362,11 +309,10 @@ class Cpu
      * would-be protection fault, line fill, check boundary — falls
      * back to the slow path, whose translate() refills the memo.
      *
-     * Replay is split eager/deferred: simulated time and the line's
-     * dirty bit advance immediately (kernel paths read both without
-     * CPU involvement), while the five statistic increments a hit
-     * performs are accumulated and bulk-added when one of them is
-     * read or a kernel service runs (see DESIGN.md §7).
+     * Replay advances simulated time and the line's dirty bit
+     * (kernel paths read both without CPU involvement) and bumps one
+     * host count, which the CPU's, the TLB's and the cache's counters
+     * include (see DESIGN.md §7).
      */
     bool
     tryBatchedAccess(Addr vaddr, bool is_store)
@@ -385,9 +331,9 @@ class Cpu
         if (!cache_.batchHit(vaddr, paddr, is_store))
             return false;
         if (is_store)
-            ++batch_.pendingStores;
+            ++batch_.stores;
         else
-            ++batch_.pendingLoads;
+            ++batch_.loads;
         now_ += cacheHitCycles_;
         return true;
     }
@@ -448,7 +394,7 @@ class Cpu
     Kernel &kernel_;
 
     Cycles cacheHitCycles_;     ///< memoized cache.config().hitCycles
-    mutable BatchState batch_;
+    BatchState batch_;
 
     Cycles now_ = 0;
     Cycles storeBufferBusyUntil_ = 0;

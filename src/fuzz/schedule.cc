@@ -1,7 +1,7 @@
 #include "fuzz/schedule.hh"
 
-#include <cmath>
 #include <limits>
+#include <optional>
 
 #include "base/logging.hh"
 #include "base/random.hh"
@@ -241,14 +241,11 @@ std::uint64_t
 traceInteger(const json::Value &v, const std::string &key,
              std::uint64_t max)
 {
-    // 2^64 is the first double past the uint64 range, and a NaN
-    // fails every comparison; the casts below are then exact.
-    const double d = v.isNumber() ? v.asNumber() : -1.0;
-    fatalIf(!(d >= 0.0 && d < 0x1p64) ||
-                d != std::floor(d) || static_cast<std::uint64_t>(d) > max,
-            "fztrace: '", key, "' must be an integer in [0, ", max,
-            "], not ", v.dumped(0));
-    return static_cast<std::uint64_t>(d);
+    const std::optional<std::uint64_t> n =
+        v.isNumber() ? v.asUnsigned() : std::nullopt;
+    fatalIf(!n || *n > max, "fztrace: '", key,
+            "' must be an integer in [0, ", max, "], not ", v.dumped(0));
+    return *n;
 }
 
 } // namespace mtlbsim::fuzz

@@ -21,6 +21,8 @@ Dram::Dram(const DramConfig &config, stats::StatGroup &parent)
     fatalIf(!isPowerOf2(config.rowBytes), "rowBytes must be a power of 2");
     fatalIf(config.rowHitMmcCycles == 0 || config.rowMissMmcCycles == 0,
             "DRAM latencies must be nonzero");
+    accesses_.include(&rowHits_);
+    accesses_.include(&rowMisses_);
     parent.addChild(&statGroup_);
 }
 
@@ -40,7 +42,6 @@ Dram::rowOf(Addr addr) const
 Cycles
 Dram::access(Addr addr, bool is_line_fill)
 {
-    ++accesses_;
     // Shadow addresses must be retranslated by the MTLB before they
     // reach the array: only installed-DRAM addresses are legal here.
     if (physMap_ && physMap_->classify(addr) != AddrKind::Real)

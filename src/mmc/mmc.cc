@@ -42,6 +42,11 @@ Mmc::Mmc(const MmcConfig &config, const PhysMap &physmap,
             std::make_unique<ShadowTable>(shadow_pages, shadowTableBase);
         mtlb_ = std::make_unique<Mtlb>(config_.mtlb, *shadowTable_,
                                        statGroup_);
+        // Every shadow operation is one MTLB lookup, and every fault
+        // the MTLB finds is raised to the CPU.
+        shadowOps_.include(mtlb_->hitStat());
+        shadowOps_.include(mtlb_->missStat());
+        faultsRaised_.include(mtlb_->faultStat());
     }
 }
 
@@ -68,7 +73,6 @@ Mmc::service(MmcOp op, Addr paddr, Cycles)
             panic("shadow address 0x", std::hex, paddr,
                   " reached an MMC without an MTLB");
         }
-        ++shadowOps_;
 
         MtlbAccess access;
         switch (op) {
@@ -101,7 +105,6 @@ Mmc::service(MmcOp op, Addr paddr, Cycles)
             // §4: the backing base page is absent; the MMC signals a
             // precise fault (e.g. via a forced parity error) instead
             // of performing the access.
-            ++faultsRaised_;
             result.fault = true;
             opLatency_.sample(result.mmcCycles);
             return result;

@@ -139,12 +139,6 @@ class Mmc
     bool hasMtlb() const { return config_.hasMtlb; }
     const PhysMap &physmap() const { return physMap_; }
 
-    /** @name Counters for the stats-identity audits (src/check) */
-    /** @{ */
-    std::uint64_t shadowOps() const { return shadowOps_.value(); }
-    std::uint64_t faultsRaised() const { return faultsRaised_.value(); }
-    /** @} */
-
     /** The MTLB (requires hasMtlb()). */
     Mtlb &
     mtlb()

@@ -126,6 +126,15 @@ class Mtlb
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
     std::uint64_t faults() const { return faults_.value(); }
+
+    /** @name The counters the MMC's shadow-operation and raised-fault
+     *  counts include */
+    /** @{ */
+    const stats::Scalar *hitStat() const { return &hits_; }
+    const stats::Scalar *missStat() const { return &misses_; }
+    const stats::Scalar *faultStat() const { return &faults_; }
+    /** @} */
+
     double
     hitRate() const
     {

@@ -121,6 +121,8 @@ Kernel::attachCore(Tlb &tlb, MicroItlb &uitlb,
             "shootdowns_core0",
             "TLB shootdown IPIs serviced by core 0"));
     }
+    // Every TLB miss traps here: the trap count is the cores' misses.
+    tlbMisses_.include(tlb.missStat());
     CoreCtx core(tlb, uitlb, std::move(charge_ipi));
     if (id != 0) {
         core.countShootdownsIn(statGroup_.addScalar(
@@ -420,7 +422,6 @@ TlbMissResult
 Kernel::handleTlbMiss(Addr vaddr, AccessType type, Cycles now)
 {
     (void)type;
-    ++tlbMisses_;
     Cycles cycles = config_.trapEntryCycles;
 
     // Probe the hashed page table; every entry examined is a real

@@ -258,7 +258,8 @@ class Kernel
 
     /** Register one more core's private translation structures and
      *  the hook invoked on its CPU model for every shootdown IPI it
-     *  services (never called on a single-core machine). */
+     *  services (never called on a single-core machine). The trap
+     *  count, kernel.tlb_misses, includes the core's TLB misses. */
     void attachCore(Tlb &tlb, MicroItlb &uitlb,
                     std::function<void(Cycles)> charge_ipi);
 
@@ -382,10 +383,6 @@ class Kernel
 
     /** Total cycles spent inside handleTlbMiss (Fig 3's miss time). */
     Cycles tlbMissCycles() const { return tlbMissCycles_.value(); }
-
-    /** Number of handleTlbMiss invocations; the auditor checks this
-     *  against the TLB's own miss counter (src/check). */
-    std::uint64_t tlbMissCount() const { return tlbMisses_.value(); }
 
     /** Cycles remap() spent flushing caches (§3.3 breakdown). */
     Cycles remapFlushCycles() const { return remapFlushCycles_.value(); }

@@ -52,7 +52,6 @@ System::System(const SystemConfig &config)
     boot.uitlb = std::make_unique<MicroItlb>(rootStats_);
     kernel_ = std::make_unique<Kernel>(config.kernel, physMap_, *cache_,
                                        *memsys_, rootStats_);
-    const stats::DeferredSource &deferred = *this;
     unsigned id = 0;
     for (Core &core : cores_) {
         stats::StatGroup *group = &rootStats_;
@@ -67,7 +66,7 @@ System::System(const SystemConfig &config)
         }
         core.cpu = std::make_unique<Cpu>(config.cpu, *core.tlb,
                                          *core.uitlb, *cache_, *memsys_,
-                                         *kernel_, *group, deferred, id);
+                                         *kernel_, *group, id);
         kernel_->attachCore(*core.tlb, *core.uitlb,
                             [cpu = core.cpu.get()](Cycles n) {
                                 cpu->charge(n);
@@ -84,7 +83,7 @@ System::System(const SystemConfig &config)
     // system); the config only decides whether the CPUs trigger it
     // periodically.
     auditor_ = std::make_unique<TranslationAuditor>(
-        config.check, *cache_, *memsys_, *kernel_, physMap_, rootStats_);
+        config.check, *memsys_, *kernel_, physMap_, rootStats_);
     if (config.check.enabled) {
         for (Core &core : cores_) {
             core.cpu->setPeriodicCheck(config.check.interval,
@@ -96,13 +95,6 @@ System::System(const SystemConfig &config)
 }
 
 System::~System() = default;
-
-void
-System::realize() const
-{
-    for (const Core &core : cores_)
-        core.cpu->flushBatch();
-}
 
 void
 System::audit()

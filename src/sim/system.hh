@@ -89,13 +89,8 @@ struct SystemConfig
 
 /**
  * The assembled machine.
- *
- * A System is also the source of its cores' deferred batch counts
- * (stats::DeferredSource): every counter the batch engine defers is
- * bound to it, so reading any statistic, dumping the tree, or
- * resetting it realizes every core's pending counts first.
  */
-class System : private stats::DeferredSource
+class System
 {
   public:
     /** The most cores a machine may have. Each core costs a TLB with
@@ -167,10 +162,6 @@ class System : private stats::DeferredSource
     /** @} */
 
   private:
-    /** Realize every core's deferred batch counts (Cpu::flushBatch
-     *  only moves deferred increments into the stats, so const). */
-    void realize() const override;
-
     /** One core's private machinery. Owned via unique_ptr
      *  throughout, so no raw borrowed pointers live outside the
      *  System. */

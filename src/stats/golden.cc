@@ -30,8 +30,9 @@ GoldenDiff::describe() const
 namespace
 {
 
-/** One flattened leaf: a number, or a non-numeric value compared for
- *  exact equality via its compact JSON spelling. */
+/** One flattened leaf: its compact JSON spelling, which decides
+ *  equality (an integer compares digit for digit), and for a number
+ *  its value to report. */
 struct Leaf
 {
     bool numeric = false;
@@ -58,12 +59,12 @@ flattenInto(const json::Value &value, const std::string &prefix,
         break;
       }
       case json::Value::Kind::Number:
-        out[prefix] = {true, value.asNumber(), ""};
+        out[prefix] = {true, value.asNumber(), value.dumped(0)};
         break;
       case json::Value::Kind::Null:
-        // The dumper's NaN-guard writes null for non-finite numbers;
-        // treat it as NaN so null == null compares clean.
-        out[prefix] = {true, std::nan(""), ""};
+        // The dumper's NaN-guard writes null for non-finite numbers:
+        // a numeric leaf, reported as NaN.
+        out[prefix] = {true, std::nan(""), "null"};
         break;
       default:
         out[prefix] = {false, 0.0, value.dumped(0)};
@@ -103,20 +104,10 @@ compareGolden(const json::Value &expected, const json::Value &actual)
             continue;
         }
         const Leaf &g = it->second;
-        if (w.numeric != g.numeric) {
+        if (w.text != g.text) {
             diffs.push_back({path, w.numeric ? w.number : nan,
                              g.numeric ? g.number : nan});
-            continue;
         }
-        if (!w.numeric) {
-            if (w.text != g.text)
-                diffs.push_back({path, nan, nan});
-            continue;
-        }
-        if (std::isnan(w.number) && std::isnan(g.number))
-            continue;
-        if (g.number != w.number)
-            diffs.push_back({path, w.number, g.number});
     }
     for (const auto &[path, g] : got) {
         if (!want.count(path))

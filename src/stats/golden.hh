@@ -51,8 +51,9 @@ std::map<std::string, double> flattenNumeric(const json::Value &value);
 
 /**
  * Compare @p actual against @p expected; returns the differing leaves
- * (empty means the run matches). Non-numeric leaves (strings, bools)
- * report with NaN markers on mismatch.
+ * (empty means the run matches). Leaves compare by their JSON
+ * spelling, so an integer compares exactly at any size. Non-numeric
+ * leaves (strings, bools) report with NaN markers on mismatch.
  */
 std::vector<GoldenDiff> compareGolden(const json::Value &expected,
                                       const json::Value &actual);

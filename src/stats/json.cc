@@ -1,7 +1,9 @@
 #include "stats/json.hh"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -14,8 +16,8 @@ formatNumber(double v)
 {
     // The printer must be a pure function of the double so that dump
     // -> parse -> dump is a fixed point: integral values print as
-    // integers (strtod maps them back exactly), everything else uses
-    // %.17g, which round-trips IEEE doubles.
+    // integers (the parser reads them back exactly), everything else
+    // uses %.17g, which round-trips IEEE doubles.
     char buf[40];
     if (std::floor(v) == v && std::fabs(v) < 9007199254740992.0) {
         std::snprintf(buf, sizeof(buf), "%lld",
@@ -38,6 +40,20 @@ Value::asNumber() const
 {
     panicIf(kind_ != Kind::Number, "json: not a number");
     return number_;
+}
+
+std::optional<std::uint64_t>
+Value::asUnsigned() const
+{
+    panicIf(kind_ != Kind::Number, "json: not a number");
+    if (exact_)
+        return integer_;
+    // 2^64 is the first double past the uint64 range, and a NaN
+    // fails every comparison; the cast below is then exact.
+    if (number_ >= 0.0 && number_ < 0x1p64 &&
+        number_ == std::floor(number_))
+        return static_cast<std::uint64_t>(number_);
+    return std::nullopt;
 }
 
 const std::string &
@@ -94,31 +110,6 @@ Value::find(const std::string &key) const
     return nullptr;
 }
 
-bool
-Value::operator==(const Value &other) const
-{
-    if (kind_ != other.kind_)
-        return false;
-    switch (kind_) {
-      case Kind::Null:
-        return true;
-      case Kind::Bool:
-        return bool_ == other.bool_;
-      case Kind::Number:
-        // Bitwise-ish equality: NaNs compare equal to NaNs so that a
-        // parsed round trip of a NaN-guarded dump stays a fixed point.
-        return number_ == other.number_ ||
-               (std::isnan(number_) && std::isnan(other.number_));
-      case Kind::String:
-        return string_ == other.string_;
-      case Kind::Array:
-        return array_ == other.array_;
-      case Kind::Object:
-        return object_ == other.object_;
-    }
-    return false;
-}
-
 namespace
 {
 
@@ -171,8 +162,11 @@ Value::dumpImpl(std::ostream &os, unsigned indent, unsigned depth) const
         os << (bool_ ? "true" : "false");
         break;
       case Kind::Number:
-        // JSON has no NaN/inf; guard them to null (see header).
-        if (!std::isfinite(number_))
+        // An unsigned integer prints its exact digits. JSON has no
+        // NaN/inf; guard them to null (see header).
+        if (exact_)
+            os << std::to_string(integer_);
+        else if (!std::isfinite(number_))
             os << "null";
         else
             os << formatNumber(number_);
@@ -436,7 +430,8 @@ class Parser
     number()
     {
         const std::size_t begin = pos_;
-        if (peek() == '-')
+        const bool negative = peek() == '-';
+        if (negative)
             ++pos_;
         auto digits = [&] {
             std::size_t n = 0;
@@ -448,17 +443,29 @@ class Parser
             return n;
         };
         fail(digits() == 0, "expected a number");
+        bool whole = !negative;
         if (pos_ < text_.size() && text_[pos_] == '.') {
+            whole = false;
             ++pos_;
             fail(digits() == 0, "expected digits after '.'");
         }
         if (pos_ < text_.size() &&
             (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+            whole = false;
             ++pos_;
             if (pos_ < text_.size() &&
                 (text_[pos_] == '+' || text_[pos_] == '-'))
                 ++pos_;
             fail(digits() == 0, "expected exponent digits");
+        }
+        // A plain run of digits is an unsigned integer, kept exact
+        // unless it overflows 64 bits.
+        if (whole) {
+            errno = 0;
+            const unsigned long long n =
+                std::strtoull(text_.c_str() + begin, nullptr, 10);
+            if (errno != ERANGE)
+                return Value(static_cast<std::uint64_t>(n));
         }
         return Value(std::strtod(text_.c_str() + begin, nullptr));
     }

@@ -8,8 +8,12 @@
  * printer must be a pure function of the value:
  *
  *  - objects preserve insertion order (no hash-map reordering);
- *  - numbers print as integers when integral, and with "%.17g"
- *    otherwise, which round-trips doubles exactly;
+ *  - an unsigned integer (a std::uint64_t, or a plain run of digits
+ *    that fits one) is kept exact and prints its digits, at any
+ *    size;
+ *  - other numbers are doubles: they print as integers when integral
+ *    below 2^53, and with "%.17g" otherwise, which round-trips
+ *    doubles exactly;
  *  - non-finite numbers (NaN, +/-inf) serialize as null — JSON has
  *    no spelling for them, and a dump -> parse -> dump cycle is a
  *    fixed point (null stays null).
@@ -23,6 +27,7 @@
 
 #include <cstdint>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -46,9 +51,12 @@ class Value
     Value(bool b) : kind_(Kind::Bool), bool_(b) {}
     Value(double v) : kind_(Kind::Number), number_(v) {}
     Value(int v) : Value(static_cast<double>(v)) {}
-    Value(unsigned v) : Value(static_cast<double>(v)) {}
+    Value(unsigned v) : Value(std::uint64_t{v}) {}
     Value(std::int64_t v) : Value(static_cast<double>(v)) {}
-    Value(std::uint64_t v) : Value(static_cast<double>(v)) {}
+    Value(std::uint64_t v)
+        : kind_(Kind::Number), number_(static_cast<double>(v)),
+          integer_(v), exact_(true)
+    {}
     Value(std::string s) : kind_(Kind::String), string_(std::move(s)) {}
     Value(const char *s) : kind_(Kind::String), string_(s) {}
 
@@ -66,7 +74,12 @@ class Value
 
     /** Typed accessors; panic when the kind does not match. */
     bool asBool() const;
+    /** The number as a double, for callers that divide; an unsigned
+     *  integer above 2^53 rounds. */
     double asNumber() const;
+    /** The number as an unsigned integer, exactly, when it is a whole
+     *  number in [0, 2^64); nullopt otherwise. */
+    std::optional<std::uint64_t> asUnsigned() const;
     const std::string &asString() const;
     const Array &items() const;
     const Object &members() const;
@@ -97,12 +110,6 @@ class Value
     /** Parse an entire stream. */
     static Value parse(std::istream &in);
 
-    bool operator==(const Value &other) const;
-    bool operator!=(const Value &other) const
-    {
-        return !(*this == other);
-    }
-
   private:
     void dumpImpl(std::ostream &os, unsigned indent,
                   unsigned depth) const;
@@ -110,6 +117,10 @@ class Value
     Kind kind_ = Kind::Null;
     bool bool_ = false;
     double number_ = 0;
+    /** The exact value of an unsigned integer (exact_ set), which
+     *  number_ holds rounded. */
+    std::uint64_t integer_ = 0;
+    bool exact_ = false;
     std::string string_;
     Array array_;
     Object object_;

@@ -11,16 +11,17 @@ namespace mtlbsim::stats
 namespace
 {
 
-/** One "name value # desc" line; the value is spelled as the JSON
- *  dump spells it, so the two dumps agree digit for digit. */
+/** One "name value # desc" line; the value is spelled by the JSON
+ *  printer, so the two dumps agree digit for digit. */
 void
 printLine(std::ostream &os, const std::string &prefix,
-          const std::string &name, double value, const std::string &desc)
+          const std::string &name, const json::Value &value,
+          const std::string &desc)
 {
     std::ostringstream full;
     full << prefix << name;
     os << std::left << std::setw(44) << full.str() << ' '
-       << std::right << std::setw(16) << json::formatNumber(value);
+       << std::right << std::setw(16) << value.dumped(0);
     if (!desc.empty())
         os << "  # " << desc;
     os << '\n';

@@ -4,16 +4,13 @@
  *
  * Components register named statistics in a StatGroup; the group can
  * be dumped as text or queried programmatically by the experiment
- * harnesses. Every statistic is an integer count: bulk adds are plain
- * integer sums, and the text and JSON dumps spell a value the same
- * way (json::formatNumber). Supported kinds:
+ * harnesses. Every statistic is an integer count, and the text dump
+ * spells each value as the JSON dump does. Supported kinds:
  *
- *  - Scalar:    a counter that only counts up.
+ *  - Scalar:    a counter that only counts up, and may include other
+ *               counts: it reads as its own count plus theirs.
  *  - Average:   integer samples' count/sum/min/max; the mean is the
  *               one derived (double) value.
- *
- * A counter that a DeferredSource holds in part is realized before
- * every read (value(), print(), toJson()), and at no other time.
  *
  * A statistic can only be made by StatGroup::add*, which registers
  * it: every constructor takes a StatKey, which only StatGroup can
@@ -76,44 +73,38 @@ class StatBase
 };
 
 /**
- * A holder of counts that belong to registered Scalars but are added
- * in later, in bulk: the batch engine defers its per-access
- * increments this way (cpu/cpu.hh). A Scalar bound to a source
- * realizes it before every read, so no reader can see a lagging
- * count and none has to flush first.
+ * A counter: it starts at zero and only counts up. A counter may also
+ * be made of other counts. It may include another Scalar, or a host
+ * std::uint64_t that a component bumps on a hot path, and it reads as
+ * its own count plus everything it includes, summed at the read.
+ * Nothing is copied in or realized, so a sum cannot disagree with its
+ * parts and no reader can see a lagging count.
  */
-class DeferredSource
-{
-  public:
-    /** Add every pending count to its Scalar (Scalar::operator+=).
-     *  Count-preserving: realizing at any point changes no final
-     *  value. */
-    virtual void realize() const = 0;
-
-  protected:
-    ~DeferredSource() = default;
-};
-
-/** A counter: it starts at zero and only counts up. */
 class Scalar : public StatBase
 {
   public:
     using StatBase::StatBase;
 
-    /** Hold part of this counter in @p source: value(), print() and
-     *  toJson() realize the source first. */
-    void deferTo(const DeferredSource &source) { source_ = &source; }
-
     Scalar &operator++() { ++value_; return *this; }
     /** Count @p n at once, the same as @p n increments. */
     Scalar &operator+=(std::uint64_t n) { value_ += n; return *this; }
 
+    /** Count @p part, with everything it includes, in this counter.
+     *  @p part must outlive every read of this counter. */
+    void include(const Scalar *part) { scalars_.push_back(part); }
+    /** Count the host counter @p count in this counter. @p count
+     *  must outlive every read of this counter. */
+    void include(const std::uint64_t *count) { counts_.push_back(count); }
+
     std::uint64_t
     value() const
     {
-        if (source_)
-            source_->realize();
-        return value_;
+        std::uint64_t v = value_;
+        for (const std::uint64_t *count : counts_)
+            v += *count;
+        for (const Scalar *part : scalars_)
+            v += part->value();
+        return v;
     }
 
     void print(std::ostream &os, const std::string &prefix) const override;
@@ -121,7 +112,8 @@ class Scalar : public StatBase
 
   private:
     std::uint64_t value_ = 0;
-    const DeferredSource *source_ = nullptr;
+    std::vector<const std::uint64_t *> counts_;
+    std::vector<const Scalar *> scalars_;
 };
 
 /** Count, sum, min and max of non-negative integer samples. */

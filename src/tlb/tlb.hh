@@ -314,18 +314,13 @@ class Tlb
      *  keeps statistics bit-identical. */
     void noteMemoHit() { ++hits_; }
 
-    /** Account @p n deferred batched hits in one integer add;
-     *  batched accesses replay on live memo entries, so
+    /** Count the host counter @p count among the hits: the batch
+     *  engine's replayed accesses, each on a live memo entry, so
      *  noteMemoHit's argument covers them. */
-    void noteBatchedHits(std::uint64_t n) { hits_ += n; }
+    void includeInHits(const std::uint64_t *count) { hits_.include(count); }
 
-    /** Name @p source as the holder of the deferred hits: reading the
-     *  hit count realizes it first. */
-    void
-    deferHitsTo(const stats::DeferredSource &source)
-    {
-        hits_.deferTo(source);
-    }
+    /** The miss counter, which the kernel's trap count includes. */
+    const stats::Scalar *missStat() const { return &misses_; }
 
     /** Snapshot of every valid entry, for the invariant auditor
      *  (src/check). Does not touch NRU state or statistics. */
@@ -506,9 +501,8 @@ class MicroItlb
     /**
      * Would hit() succeed? A pure probe with no statistics — the
      * batch engine's ifetch fast path tests this per fetch and
-     * defers the hit count (noteBatchedHits realizes it), so the
-     * decision stays exactly per-access while the bookkeeping is
-     * bulk-replayed.
+     * counts the hit in a host counter of its own (includeInHits),
+     * so the decision stays exactly per-access.
      */
     bool
     covers(Addr vaddr) const
@@ -516,15 +510,16 @@ class MicroItlb
         return valid_ && entry_.covers(vaddr);
     }
 
-    /** Account @p n deferred batched fetch hits (see covers()). */
-    void noteBatchedHits(std::uint64_t n) { hits_ += n; }
+    /** Count the host counter @p count among the hits: the batch
+     *  engine's fetches that covers() passed. */
+    void includeInHits(const std::uint64_t *count) { hits_.include(count); }
 
-    /** Name @p source as the holder of the deferred fetch hits. */
-    void
-    deferHitsTo(const stats::DeferredSource &source)
-    {
-        hits_.deferTo(source);
-    }
+    /** @name The lookup counters, which the CPU's fetch checks
+     *  include */
+    /** @{ */
+    const stats::Scalar *hitStat() const { return &hits_; }
+    const stats::Scalar *missStat() const { return &misses_; }
+    /** @} */
 
     /** Install the translation used by the last fetch. */
     void

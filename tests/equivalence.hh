@@ -60,8 +60,8 @@ struct RunOutcome
 
 /**
  * Build a System from @p config, hand it to @p drive, and capture
- * the outcome. Reading a statistic realizes any deferred batch
- * counts, so both captures see final values.
+ * the outcome. A statistic reads the batch engine's counts it
+ * includes, so both captures see final values.
  */
 template <typename DriveFn>
 RunOutcome

@@ -6,7 +6,9 @@
  * story: every cache miss became a bus transaction, every bus
  * transaction reached the MMC, every MMC shadow access went through
  * the MTLB, and so on. These tests run assorted machine/workload
- * combinations and check the books.
+ * combinations and check the books. Where a count is a sum of others
+ * by construction (a Scalar that includes them, such as
+ * mmc.shadow_ops or kernel.tlb_misses), the check tests that wiring.
  */
 
 #include <gtest/gtest.h>
@@ -136,6 +138,7 @@ TEST_P(AccountingMatrix, ShadowOpsGoThroughTheMtlb)
     if (!GetParam().mtlb)
         return;
 
+    // mmc.shadow_ops includes the MTLB's hits and misses.
     const double shadow_ops =
         statValue(sys, "system.mmc.shadow_ops");
     const double mtlb_lookups =
@@ -158,6 +161,7 @@ TEST_P(AccountingMatrix, TlbLookupsMatchCpuActivity)
     const double hits = statValue(sys, "system.tlb.hits");
     const double misses = statValue(sys, "system.tlb.misses");
     EXPECT_DOUBLE_EQ(hits, loads + stores);
+    // The kernel's trap count includes every core's TLB misses.
     EXPECT_DOUBLE_EQ(
         misses, statValue(sys, "system.kernel.tlb_misses"));
 }

@@ -11,7 +11,7 @@
  * specific batch-breaking event — epoch bump mid-run, TLB purge,
  * promotion, recoloring, swap-out, page crossing, cache-line fill —
  * through the shared harness (tests/equivalence.hh), plus unit checks
- * on the deferred counters themselves.
+ * on the counters that include the engine's batch counts.
  */
 
 #include <gtest/gtest.h>
@@ -211,9 +211,10 @@ TEST(BatchEngine, PeriodicAuditInterlockFiresIdentically)
 
 TEST(BatchEngine, DeferredCountsFlushOnRead)
 {
-    // Unit check on the deferred counts: a batched run defers the
-    // per-access counts, dataAccesses() realizes them, and the dirty
-    // bit is never deferred (kernel swap paths read it).
+    // Unit check on the batch counts: a batched run counts its
+    // accesses in host counters that the CPU's, TLB's and cache's
+    // counters include, and the dirty bit is set at once (kernel swap
+    // paths read it).
     System sys(machine(true));
     sys.kernel().addressSpace().addRegion("data", dataBase, MB, {});
 
@@ -221,17 +222,18 @@ TEST(BatchEngine, DeferredCountsFlushOnRead)
     for (int i = 0; i < 99; ++i)
         sys.cpu().store(dataBase + 8 * (i % 4));   // batched
 
-    // The store's architectural side effect is immediate even while
-    // its stat increment is pending.
+    // The store's architectural side effect is immediate: replay
+    // sets the dirty bit as the slow path would.
     const auto entry = sys.tlb().probe(dataBase);
     ASSERT_TRUE(entry.has_value());
     EXPECT_TRUE(sys.cache().probeDirty(dataBase,
                                        entry->translate(dataBase)));
 
-    // Reading dataAccesses() realizes them: all 100 stores visible.
+    // dataAccesses() includes the batch counts: all 100 stores.
     EXPECT_EQ(sys.cpu().dataAccesses(), 100u);
 
-    // And the flushed tree satisfies the auditor's identities.
+    // The audit passes, and the cache's accesses are its hits, the
+    // batched ones among them, plus its misses.
     sys.audit();
     EXPECT_EQ(sys.cache().accesses(),
               sys.cache().hits() + sys.cache().misses());
@@ -243,8 +245,8 @@ TEST(BatchEngine, DisabledEngineNeverDefers)
     sys.kernel().addressSpace().addRegion("data", dataBase, MB, {});
     for (int i = 0; i < 50; ++i)
         sys.cpu().load(dataBase + 8 * i);
-    // With the engine off the memo stays empty and nothing is ever
-    // pending: a read (dataAccesses) must not move any counter.
+    // With the engine off the memo stays empty and the batch counts
+    // stay zero: a read (dataAccesses) must not move any counter.
     EXPECT_EQ(liveEntry(sys, dataBase), nullptr);
     const double cache_before = sys.cache().accesses();
     EXPECT_EQ(sys.cpu().dataAccesses(), 50u);
@@ -253,13 +255,12 @@ TEST(BatchEngine, DisabledEngineNeverDefers)
 
 TEST(BatchEngine, DeferredCountsAreExactAtEveryRead)
 {
-    // No reader flushes the batch engine: reading a deferred counter
-    // must realize every pending count by itself. Drive the same ops
+    // Every counter a replay stands in for includes the batch counts,
+    // so each read is exact with no call between. Drive the same ops
     // on a batch-on and a batch-off machine and compare, at several
-    // points mid-run, first the TLB and cache counters (read before
-    // anything else could have realized them), then the CPU's own
-    // counters and the whole tree, which also holds cpu.ifetch_checks
-    // and the micro-ITLB hits.
+    // points mid-run, first the TLB and cache counters, then the
+    // CPU's own counters and the whole tree, which also holds
+    // cpu.ifetch_checks and the micro-ITLB hits.
     constexpr Addr textBase = 0x00400000;
     System on(machine(true));
     System off(machine(false));

@@ -104,7 +104,7 @@ TEST(CheckerTest, CleanSystemPasses)
     for (const auto &v : report.violations)
         ADD_FAILURE() << "[" << v.invariant << "] " << v.detail;
     EXPECT_TRUE(report.clean());
-    EXPECT_EQ(report.checksRun, 9u);
+    EXPECT_EQ(report.checksRun, 8u);
 }
 
 TEST(CheckerTest, CleanNoMtlbSystemPasses)

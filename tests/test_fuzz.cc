@@ -157,6 +157,23 @@ TEST(Schedule, JsonRoundTrip)
     EXPECT_TRUE(ops2 == s.ops);
 }
 
+TEST(Schedule, JsonRoundTripKeepsSeedsPast2To53)
+{
+    // --seed takes any 64-bit value, and a double holds an integer
+    // exactly only below 2^53: seed 2^53 + 1 is the first to round,
+    // and at 2^53 + 2 the odd frame seed (12345 + seed) rounds. The
+    // trace is read back from its text, as a replay reads it.
+    for (const std::uint64_t seed :
+         {(std::uint64_t{1} << 53) + 1, (std::uint64_t{1} << 53) + 2}) {
+        const FuzzParams params = paramsForSeed(seed, 10, 4);
+        const FuzzParams back = paramsFromJson(
+            json::Value::parse(paramsToJson(params).dumped(0)));
+        EXPECT_TRUE(back == params) << "seed " << seed;
+        EXPECT_EQ(back.seed, seed);
+        EXPECT_EQ(back.frameSeed, params.frameSeed);
+    }
+}
+
 // ---------------------------------------------------------------
 // Lockstep runs
 // ---------------------------------------------------------------

@@ -29,6 +29,44 @@ TEST(Scalar, IncrementAndAdd)
     EXPECT_EQ(s.value(), 3u);
 }
 
+TEST(Scalar, IncludedCountsShowInEveryRead)
+{
+    // "sum" includes a host counter and "part", which includes a host
+    // counter of its own. Each read reports the own count plus every
+    // included one right after any increment, with no call between.
+    StatGroup g("g");
+    Scalar &part = g.addScalar("part", "");
+    Scalar &sum = g.addScalar("sum", "");
+    std::uint64_t inner = 0;
+    std::uint64_t outer = 0;
+    part.include(&inner);
+    sum.include(&outer);
+    sum.include(&part);
+
+    auto expect_sum = [&](std::uint64_t want) {
+        const std::string digits = std::to_string(want);
+        EXPECT_EQ(sum.value(), want);
+        EXPECT_EQ(sum.toJson().find("value")->dumped(0), digits);
+        std::ostringstream os;
+        sum.print(os, "g.");
+        EXPECT_NE(os.str().find(" " + digits + "\n"), std::string::npos)
+            << os.str();
+    };
+    expect_sum(0);
+    ++sum;
+    expect_sum(1);
+    outer += 2;
+    expect_sum(3);
+    ++inner;
+    expect_sum(4);
+    part += 10;
+    expect_sum(14);
+    EXPECT_EQ(part.value(), 11u);
+    ++inner;
+    ++outer;
+    expect_sum(16);
+}
+
 TEST(AverageStat, EmptyIsZero)
 {
     StatGroup g("g");

@@ -175,6 +175,25 @@ TEST(Json, NumberRoundTripProperty)
     }
 }
 
+TEST(Json, UnsignedIntegersStayExact)
+{
+    // Past 2^53 a double skips odd integers; an unsigned integer is
+    // kept whole from construction through dump and parse.
+    const std::uint64_t big = (std::uint64_t{1} << 53) + 1;
+    EXPECT_EQ(json::Value(big).dumped(0), "9007199254740993");
+    EXPECT_EQ(json::Value::parse("9007199254740993").asUnsigned(), big);
+    const std::uint64_t max = ~std::uint64_t{0};
+    EXPECT_EQ(json::Value(max).dumped(0), "18446744073709551615");
+    EXPECT_EQ(json::Value::parse("18446744073709551615").asUnsigned(),
+              max);
+    // One past 64 bits, a fraction or a negative is a double.
+    EXPECT_EQ(json::Value::parse("18446744073709551616").asUnsigned(),
+              std::nullopt);
+    EXPECT_EQ(json::Value::parse("2.5").asUnsigned(), std::nullopt);
+    EXPECT_EQ(json::Value::parse("-1").asUnsigned(), std::nullopt);
+    EXPECT_EQ(json::Value::parse("4e3").asUnsigned(), 4000u);
+}
+
 // --- stat-kind serializers ---------------------------------------
 
 TEST(StatsJson, ScalarToJson)
@@ -185,6 +204,26 @@ TEST(StatsJson, ScalarToJson)
     const auto v = s.toJson();
     EXPECT_EQ(v.find("kind")->asString(), "scalar");
     EXPECT_DOUBLE_EQ(v.find("value")->asNumber(), 12.0);
+}
+
+TEST(StatsJson, ScalarPast2To53DumpsExactly)
+{
+    StatGroup g("g");
+    Scalar &s = g.addScalar("big", "");
+    s += std::uint64_t{1} << 53;
+    ++s;
+    const std::string digits = "9007199254740993";
+    EXPECT_EQ(s.value(), (std::uint64_t{1} << 53) + 1);
+
+    std::ostringstream os;
+    g.print(os);
+    EXPECT_NE(os.str().find(" " + digits + "\n"), std::string::npos)
+        << os.str();
+    const std::string dumped = g.toJson().dumped(0);
+    EXPECT_NE(dumped.find("\"value\":" + digits + "}"),
+              std::string::npos)
+        << dumped;
+    EXPECT_EQ(json::Value::parse(dumped).dumped(0), dumped);
 }
 
 TEST(StatsJson, EmptyAverageOmitsMinMax)
@@ -296,6 +335,17 @@ TEST(Golden, CompareFlagsMissingAndExtraKeys)
     const auto got = json::Value::parse("{\"x\": 1, \"new\": 3}");
     const auto diffs = compareGolden(want, got);
     ASSERT_EQ(diffs.size(), 2u);
+}
+
+TEST(Golden, CompareIntegersExactly)
+{
+    // 2^53 + 1 rounds to the double 2^53; as integers they differ.
+    const auto want = json::Value::parse("{\"n\": 9007199254740993}");
+    const auto got = json::Value::parse("{\"n\": 9007199254740992}");
+    const auto diffs = compareGolden(want, got);
+    ASSERT_EQ(diffs.size(), 1u);
+    EXPECT_EQ(diffs[0].path, "n");
+    EXPECT_TRUE(compareGolden(want, want).empty());
 }
 
 TEST(Golden, CompareNonNumericLeaves)
